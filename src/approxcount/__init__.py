@@ -5,20 +5,16 @@ The package counts m-tuples under a sum bound, 0/1 knapsack solutions, and
 exact <= c <= (1 + epsilon) * exact, checkable against the exact oracles in
 :mod:`approxcount.oracles` by exact rational comparison. The compression
 machinery lives in :mod:`approxcount.stepfunc` and
-:mod:`approxcount.incpoints`; the command line entry point is
-``approxcount`` (see :mod:`approxcount.cli`).
+:mod:`approxcount.incpoints`, and the stage loop shared by the knapsack and
+m-tuples counters in :mod:`approxcount.stagewise`. The command line entry
+point is ``approxcount`` (see :mod:`approxcount.cli`).
 """
 
-from .contingency import (
-    ContingencyRunReport,
-    SymmetricUnimodal,
-    compress_contingency,
-    fptas_contingency2,
-)
+from .contingency import SymmetricUnimodal, compress_contingency, fptas_contingency2
 from .errors import InvalidInput, MonotonicityViolation, TooLarge
 from .incpoints import IncIndex, convert, dom_of, pad, restrict
-from .knapsack import KnapsackRunReport, fptas_knapsack, strong_fptas_knapsack
-from .mtuples import MTuplesRunReport, fptas_mtuples, strong_fptas_mtuples
+from .knapsack import fptas_knapsack, strong_fptas_knapsack
+from .mtuples import fptas_mtuples, strong_fptas_mtuples
 from .oracles import (
     NEG_INF,
     Contingency2Instance,
@@ -31,9 +27,9 @@ from .oracles import (
     dp_contingency_sum,
     dp_knapsack,
     dp_mtuples,
-    log_plus,
     msb,
 )
+from .stagewise import RunReport
 from .stepfunc import (
     ApproxRatio,
     ApproxSet,
@@ -52,18 +48,16 @@ __all__ = [
     "ApproxRatio",
     "ApproxSet",
     "Contingency2Instance",
-    "ContingencyRunReport",
     "Direction",
     "FnOracle",
     "IncIndex",
     "IntInterval",
     "InvalidInput",
     "KnapsackInstance",
-    "KnapsackRunReport",
     "MTuplesInstance",
-    "MTuplesRunReport",
     "MonotonicityViolation",
     "NEG_INF",
+    "RunReport",
     "StepFunction",
     "SymmetricUnimodal",
     "TooLarge",
@@ -83,7 +77,6 @@ __all__ = [
     "fptas_knapsack",
     "fptas_mtuples",
     "induce",
-    "log_plus",
     "msb",
     "pad",
     "restrict",

@@ -15,7 +15,9 @@ accepted on input. Payload fields by problem:
 rational arithmetic, never floating point.
 
 Exit codes: 0 success, 1 verification violation, 2 bad input or usage,
-3 a resource cap tripped (see oracles for the caps).
+3 a resource cap tripped (see oracles for the caps), 4 an unexpected
+internal error. When counting one instance of an input file fails, the
+message names its line as FILE:N; records already written stay written.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .oracles import (
     dp_knapsack,
     dp_mtuples,
 )
+from .stagewise import RunReport
 
 PROBLEMS = ("mtuples", "knapsack", "contingency2")
 MODES = ("exact-dp", "exact-brute", "fptas", "strong-fptas")
@@ -98,7 +101,7 @@ def payload_from_instance(inst) -> dict:
 
 
 def load_instances(path: str, problem_override: str | None):
-    """Yield (problem, instance) pairs from a line-delimited JSON file."""
+    """Yield (line number, problem, instance) from a line-delimited JSON file."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -117,7 +120,7 @@ def load_instances(path: str, problem_override: str | None):
                 raise InvalidInput(
                     f"{path}:{lineno}: instance is {problem!r} but --problem says {problem_override!r}"
                 )
-            yield problem, instance_from_payload(problem, obj.get("payload"))
+            yield lineno, problem, instance_from_payload(problem, obj.get("payload"))
 
 
 def _parse_epsilon(text: str) -> Fraction:
@@ -130,46 +133,40 @@ def _parse_epsilon(text: str) -> Fraction:
     return eps
 
 
-def _exact_count(problem: str, inst) -> int:
-    if problem == "mtuples":
-        return dp_mtuples(inst)
-    if problem == "knapsack":
-        return dp_knapsack(inst)
-    return dp_contingency_sum(inst)
+# (problem, mode) -> counter(instance, epsilon). Each entry looks its counter
+# up by name when called, so rebinding a module attribute (as an outside
+# tracer does) reaches every dispatch.
+COUNTERS = {
+    ("mtuples", "exact-dp"): lambda inst, eps: dp_mtuples(inst),
+    ("mtuples", "exact-brute"): lambda inst, eps: brute_mtuples(inst),
+    ("mtuples", "fptas"): lambda inst, eps: fptas_mtuples(inst, eps),
+    ("mtuples", "strong-fptas"): lambda inst, eps: strong_fptas_mtuples(inst, eps),
+    ("knapsack", "exact-dp"): lambda inst, eps: dp_knapsack(inst),
+    ("knapsack", "exact-brute"): lambda inst, eps: brute_knapsack(inst),
+    ("knapsack", "fptas"): lambda inst, eps: fptas_knapsack(inst, eps),
+    ("knapsack", "strong-fptas"): lambda inst, eps: strong_fptas_knapsack(inst, eps),
+    ("contingency2", "exact-dp"): lambda inst, eps: dp_contingency_sum(inst),
+    ("contingency2", "fptas"): lambda inst, eps: fptas_contingency2(inst, eps),
+}
+
+
+def _modes_of(problem: str) -> list[str]:
+    return [mode for mode in MODES if (problem, mode) in COUNTERS]
 
 
 def run_mode(problem: str, inst, mode: str, eps: Fraction | None):
     """Dispatch one count. Returns (count, oracle_calls, set_sizes, elapsed_s)."""
     if mode in APPROX_MODES and eps is None:
         raise InvalidInput(f"mode {mode} requires --epsilon")
-    if mode == "exact-dp":
-        t0 = perf_counter()
-        return _exact_count(problem, inst), 0, [], perf_counter() - t0
-    if mode == "exact-brute":
-        if problem == "contingency2":
-            raise InvalidInput("contingency2 has no brute-force mode; use exact-dp")
-        t0 = perf_counter()
-        count = brute_mtuples(inst) if problem == "mtuples" else brute_knapsack(inst)
-        return count, 0, [], perf_counter() - t0
-    if mode == "fptas":
-        if problem == "mtuples":
-            rep = fptas_mtuples(inst, eps)
-        elif problem == "knapsack":
-            rep = fptas_knapsack(inst, eps)
-        else:
-            rep = fptas_contingency2(inst, eps)
-            sizes = [len(f.half.xs) for f in rep.compressed_functions]
-            return rep.count, rep.oracle_calls, sizes, rep.elapsed
-        return rep.count, rep.oracle_calls, list(rep.per_stage_set_sizes), rep.elapsed
-    if mode == "strong-fptas":
-        if problem == "mtuples":
-            rep = strong_fptas_mtuples(inst, eps)
-        elif problem == "knapsack":
-            rep = strong_fptas_knapsack(inst, eps)
-        else:
-            raise InvalidInput("contingency2 has no strong-fptas mode; use fptas")
-        return rep.count, rep.oracle_calls, list(rep.per_stage_set_sizes), rep.elapsed
-    raise InvalidInput(f"unknown mode {mode!r}")
+    counter = COUNTERS.get((problem, mode))
+    if counter is None:
+        kind = [m for m in _modes_of(problem) if (m in APPROX_MODES) == (mode in APPROX_MODES)]
+        raise InvalidInput(f"{problem} has no {mode} mode; use {' or '.join(kind)}")
+    t0 = perf_counter()
+    result = counter(inst, eps)
+    if isinstance(result, RunReport):
+        return result.count, result.oracle_calls, list(result.per_stage_set_sizes), result.elapsed
+    return result, 0, [], perf_counter() - t0
 
 
 def _emit(out, record: dict) -> None:
@@ -188,8 +185,11 @@ def cmd_count(args) -> int:
     if args.mode in APPROX_MODES and eps is None:
         raise InvalidInput(f"--epsilon is required for mode {args.mode}")
     with _open_out(args) as out:
-        for problem, inst in load_instances(args.input, args.problem):
-            count, calls, sizes, elapsed = run_mode(problem, inst, args.mode, eps)
+        for lineno, problem, inst in load_instances(args.input, args.problem):
+            try:
+                count, calls, sizes, elapsed = run_mode(problem, inst, args.mode, eps)
+            except Exception as exc:  # noqa: BLE001 - reported with its line, as main would
+                return _report_error(exc, f"{args.input}:{lineno}: ")
             record = {"problem": problem, "mode": args.mode}
             if args.mode in APPROX_MODES:
                 record["epsilon"] = str(eps)
@@ -242,20 +242,26 @@ def cmd_verify(args) -> int:
     if mode not in APPROX_MODES:
         raise InvalidInput("verify checks an approximate mode; use fptas or strong-fptas")
     if args.input:
-        pairs = list(load_instances(args.input, args.problem))
+        loaded = load_instances(args.input, args.problem)
+        items = [(f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded]
     else:
         if not args.problem:
             raise InvalidInput("verify needs --input or --problem to generate instances")
         rng = random.Random(args.seed)
-        pairs = [(args.problem, _generated(args.problem, rng, args)) for _ in range(args.trials)]
+        items = [
+            ("", args.problem, _generated(args.problem, rng, args)) for _ in range(args.trials)
+        ]
 
     violations = 0
     max_ratio = Fraction(0)
     bound = 1 + eps
     with _open_out(args) as out:
-        for problem, inst in pairs:
-            exact = _exact_count(problem, inst)
-            count, calls, sizes, elapsed = run_mode(problem, inst, mode, eps)
+        for where, problem, inst in items:
+            try:
+                exact = COUNTERS[problem, "exact-dp"](inst, None)
+                count, calls, sizes, elapsed = run_mode(problem, inst, mode, eps)
+            except Exception as exc:  # noqa: BLE001 - reported with its line, as main would
+                return _report_error(exc, where)
             if exact == 0:
                 ok = count == 0
             else:
@@ -284,7 +290,7 @@ def cmd_verify(args) -> int:
             out,
             {
                 "summary": "verify",
-                "trials": len(pairs),
+                "trials": len(items),
                 "violations": violations,
                 "max_ratio": str(max_ratio),
                 "bound": str(bound),
@@ -325,7 +331,7 @@ def cmd_bench(args) -> int:
     size = args.m if args.problem == "mtuples" else args.n
 
     if eps_list:
-        modes = ["fptas"] if args.problem == "contingency2" else ["fptas", "strong-fptas"]
+        modes = [m for m in _modes_of(args.problem) if m in APPROX_MODES]
         runs = [(m, e) for e in eps_list for m in modes]
     else:
         runs = [("exact-dp", None)]
@@ -410,19 +416,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Checked in order; any other exception is an internal error, exit code 4.
+EXIT_CODES = ((TooLarge, 3), ((InvalidInput, MonotonicityViolation, OSError, ValueError), 2))
+
+
+def _report_error(exc: Exception, where: str = "") -> int:
+    """Print exc as one line on stderr and return its exit code."""
+    for kinds, code in EXIT_CODES:
+        if isinstance(exc, kinds):
+            print(f"error: {where}{exc}", file=sys.stderr)
+            return code
+    print(f"error: {where}internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 4
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidInput, MonotonicityViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # noqa: BLE001 - every failure becomes one line and an exit code
+        return _report_error(exc)
 
 
 def entry() -> None:

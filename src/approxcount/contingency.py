@@ -40,12 +40,12 @@ which is why this formulation is used instead of the subtraction recurrence
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from time import perf_counter
 
 from .errors import InvalidInput, MonotonicityViolation
 from .oracles import NEG_INF, Contingency2Instance, msb
+from .stagewise import RunReport
 from .stepfunc import (
     ApproxRatio,
     Direction,
@@ -113,18 +113,7 @@ def compress_contingency(phi, k: ApproxRatio, pivot: int) -> SymmetricUnimodal:
     return SymmetricUnimodal(half=half, pivot=pivot)
 
 
-@dataclass
-class ContingencyRunReport:
-    count: int
-    epsilon: Fraction
-    compressed_function_count: int
-    oracle_calls: int
-    elapsed: float
-    chain_length: int = 0
-    compressed_functions: list[SymmetricUnimodal] = field(repr=False, default_factory=list)
-
-
-def fptas_contingency2(inst: Contingency2Instance, epsilon) -> ContingencyRunReport:
+def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
     started = perf_counter()
     eps = to_fraction(epsilon)
     if eps <= 0:
@@ -137,14 +126,14 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> ContingencyRunRep
         prefix.append(prefix[-1] + v)
 
     def finish(count: int, chain: int = 0, oracles=(), rhs_evals: int = 0, funcs=()):
-        return ContingencyRunReport(
+        return RunReport(
             count=count,
             epsilon=eps,
-            compressed_function_count=len(funcs),
             oracle_calls=sum(o.calls for o in oracles) + rhs_evals,
+            per_stage_set_sizes=[len(su.half.xs) for su in funcs],
             elapsed=perf_counter() - started,
             chain_length=chain,
-            compressed_functions=list(funcs),
+            stage_functions=list(funcs),
         )
 
     if target == 0:

@@ -1,7 +1,8 @@
 """Exceptions shared across the package.
 
 The CLI maps these to stable exit codes: bad input is 2, a blown resource
-cap is 3. Verification failures are not exceptions; they are reported data.
+cap is 3, and any other exception is an internal error, 4. Verification
+failures are not exceptions; they are reported data.
 """
 
 

@@ -21,44 +21,17 @@ cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from time import perf_counter
-
-from .errors import InvalidInput
 from .incpoints import IncIndex, convert
 from .oracles import KnapsackInstance
-from .stepfunc import (
-    ApproxRatio,
-    ApproxSet,
-    Direction,
-    IntInterval,
-    StepFunction,
-    apx_set_nondecreasing,
-    induce,
-    shifted_sum,
-    to_fraction,
-)
+from .stagewise import RunReport, run_stages
+from .stepfunc import Direction, IntInterval, StepFunction
 
 
-@dataclass
-class KnapsackRunReport:
-    count: int
-    epsilon: Fraction
-    oracle_calls: int
-    per_stage_set_sizes: list[int]
-    elapsed: float
-    epsilon_in_proven_range: bool
-    stage_sets: list[ApproxSet] = field(repr=False, default_factory=list)
-    stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
-    stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
-
-
-def _empty_subset_row(dom: IntInterval) -> StepFunction:
-    """subsets_0: constantly 1 on the domain, 0 below it."""
-    xs = (dom.lo,) if dom.lo == dom.hi else (dom.lo, dom.hi)
+def _empty_subset_row(capacity: int) -> StepFunction:
+    """subsets_0: constantly 1 on {0..capacity}, 0 below it."""
+    xs = (0,) if capacity == 0 else (0, capacity)
     return StepFunction(
-        domain=dom,
+        domain=IntInterval(0, capacity),
         direction=Direction.NONDECREASING,
         xs=xs,
         values=(1,) * len(xs),
@@ -67,82 +40,22 @@ def _empty_subset_row(dom: IntInterval) -> StepFunction:
     )
 
 
-def _checked_epsilon(epsilon) -> Fraction:
-    eps = to_fraction(epsilon)
-    if eps <= 0:
-        raise InvalidInput("epsilon must be positive")
-    return eps
-
-
-def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> KnapsackRunReport:
-    started = perf_counter()
-    eps = _checked_epsilon(epsilon)
-    ratio = ApproxRatio.for_stages(eps, inst.n)
-    c = inst.capacity
-    dom = IntInterval(0, c)
-
-    approx = _empty_subset_row(dom)
-    prev_points: tuple[int, ...] = approx.xs
-    counted = []
-    stage_sets: list[ApproxSet] = []
-    stage_functions: list[StepFunction] = []
-    stage_candidates: list[IncIndex] = []
-
-    for w in inst.weights:
-        raw = shifted_sum([(approx, 0), (approx, w)], dom)
-        candidates = IncIndex.build(
-            [p + 1 for p in prev_points]
-            + [p + w + 1 for p in prev_points]
-            + [0, w, c],
-            dom,
-        )
-        chosen, approx = convert(raw, candidates, ratio, below=0)
-        prev_points = chosen.points
-        counted.append(raw)
-        stage_sets.append(chosen)
-        stage_functions.append(approx)
-        stage_candidates.append(candidates)
-
-    return KnapsackRunReport(
-        count=approx.query(c),
-        epsilon=eps,
-        oracle_calls=sum(o.calls for o in counted),
-        per_stage_set_sizes=[len(s) for s in stage_sets],
-        elapsed=perf_counter() - started,
-        epsilon_in_proven_range=eps < 1,
-        stage_sets=stage_sets,
-        stage_functions=stage_functions,
-        stage_candidates=stage_candidates,
+def _rank_space_compress(raw, prev_points, shifts, ratio, below):
+    """One stage of :func:`strong_fptas_knapsack`, over the candidates named above."""
+    w = shifts[1]
+    candidates = IncIndex.build(
+        [p + 1 for p in prev_points] + [p + w + 1 for p in prev_points] + [w], raw.domain
     )
+    chosen, approx = convert(raw, candidates, ratio, below=below)
+    return chosen, approx, candidates
 
 
-def fptas_knapsack(inst: KnapsackInstance, epsilon) -> KnapsackRunReport:
-    started = perf_counter()
-    eps = _checked_epsilon(epsilon)
-    ratio = ApproxRatio.for_stages(eps, inst.n)
-    c = inst.capacity
-    dom = IntInterval(0, c)
+def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
+    items = [(0, w) for w in inst.weights]
+    row = _empty_subset_row(inst.capacity)
+    return run_stages(row, items, epsilon, inst.capacity, _rank_space_compress)
 
-    approx = _empty_subset_row(dom)
-    counted = []
-    stage_sets = []
-    stage_functions = []
 
-    for w in inst.weights:
-        raw = shifted_sum([(approx, 0), (approx, w)], dom)
-        chosen = apx_set_nondecreasing(raw, dom, ratio)
-        approx = induce(raw, chosen, below=0)
-        counted.append(raw)
-        stage_sets.append(chosen)
-        stage_functions.append(approx)
-
-    return KnapsackRunReport(
-        count=approx.query(c),
-        epsilon=eps,
-        oracle_calls=sum(o.calls for o in counted),
-        per_stage_set_sizes=[len(s) for s in stage_sets],
-        elapsed=perf_counter() - started,
-        epsilon_in_proven_range=eps < 1,
-        stage_sets=stage_sets,
-        stage_functions=stage_functions,
-    )
+def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
+    items = [(0, w) for w in inst.weights]
+    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity)

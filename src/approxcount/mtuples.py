@@ -15,140 +15,50 @@ Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from fractions import Fraction
-from time import perf_counter
-from typing import Sequence
-
-from .errors import InvalidInput
 from .incpoints import IncIndex, convert
 from .oracles import MTuplesInstance
-from .stepfunc import (
-    ApproxRatio,
-    ApproxSet,
-    Direction,
-    FnOracle,
-    IntInterval,
-    StepFunction,
-    apx_set_nonincreasing,
-    induce,
-    shifted_sum,
-    to_fraction,
-)
+from .stagewise import RunReport, run_stages
+from .stepfunc import Direction, IntInterval, StepFunction
 
 
-@dataclass
-class MTuplesRunReport:
-    count: int
-    epsilon: Fraction
-    oracle_calls: int
-    per_stage_set_sizes: list[int]
-    elapsed: float
-    epsilon_in_proven_range: bool
-    stage_sets: list[ApproxSet] = field(repr=False, default_factory=list)
-    stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
-    stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
-
-
-def _tail_count_oracle(elements: Sequence[int], domain: IntInterval) -> FnOracle:
-    """Oracle for j -> number of elements >= j, via one sorted copy."""
-    ordered = sorted(elements)
-    n = len(ordered)
-    return FnOracle(domain, Direction.NONINCREASING, lambda j: n - bisect_left(ordered, j))
-
-
-def _checked_epsilon(epsilon) -> Fraction:
-    eps = to_fraction(epsilon)
-    if eps <= 0:
-        raise InvalidInput("epsilon must be positive")
-    return eps
-
-
-def fptas_mtuples(inst: MTuplesInstance, epsilon) -> MTuplesRunReport:
-    """Stagewise compression over the numeric domain {0..bound}."""
-    started = perf_counter()
-    eps = _checked_epsilon(epsilon)
-    ratio = ApproxRatio.for_stages(eps, inst.m)
-    dom = IntInterval(0, inst.bound)
-
-    base = _tail_count_oracle(inst.sets[0], dom)
-    chosen = apx_set_nonincreasing(base, dom, ratio)
-    prefix_product = len(inst.sets[0])
-    approx = induce(base, chosen, below=prefix_product)
-    counted = [base]
-    stage_sets = [chosen]
-    stage_functions = [approx]
-
-    for xs in inst.sets[1:]:
-        raw = shifted_sum([(approx, x) for x in xs], dom)
-        chosen = apx_set_nonincreasing(raw, dom, ratio)
-        prefix_product *= len(xs)
-        approx = induce(raw, chosen, below=prefix_product)
-        counted.append(raw)
-        stage_sets.append(chosen)
-        stage_functions.append(approx)
-
-    return MTuplesRunReport(
-        count=approx.query(inst.bound),
-        epsilon=eps,
-        oracle_calls=sum(o.calls for o in counted),
-        per_stage_set_sizes=[len(w) for w in stage_sets],
-        elapsed=perf_counter() - started,
-        epsilon_in_proven_range=eps < 1,
-        stage_sets=stage_sets,
-        stage_functions=stage_functions,
+def _empty_tuple_row(bound: int) -> StepFunction:
+    """tuples_0: the empty tuple has sum 0 >= j exactly when j <= 0."""
+    xs = tuple(sorted({0, min(1, bound), bound}))
+    return StepFunction(
+        domain=IntInterval(0, bound),
+        direction=Direction.NONINCREASING,
+        xs=xs,
+        values=tuple(1 if x <= 0 else 0 for x in xs),
+        out_of_domain_low=1,
+        out_of_domain_high=0,
     )
 
 
-def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> MTuplesRunReport:
+def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
+    """Stagewise compression over the numeric domain {0..bound}."""
+    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound)
+
+
+def _rank_space_compress(raw, prev_points, xs, ratio, below):
+    candidates = IncIndex.build(
+        [p + x for p in prev_points for x in xs] + [p + x + 1 for p in prev_points for x in xs],
+        raw.domain,
+    )
+    chosen, approx = convert(raw, candidates, ratio, below=below)
+    return chosen, approx, candidates
+
+
+def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over candidate change points only.
 
-    The count of first-set elements >= j changes only just past an element,
-    so {0, B} with the elements and their successors covers stage one. Each
-    later stage sums the previous compressed function shifted by the new
+    Each stage sums the previous compressed function shifted by the new
     set's elements; a shifted copy changes only where the original did, so
-    the previous breakpoints shifted by each element (successors again
-    included) cover it. All compression then happens in rank space.
+    the previous breakpoints shifted by each element, and their successors,
+    cover every change. Stage one starts from the empty-tuple row, which
+    changes only just past 0, so its candidates are the first set's
+    elements and their successors. All compression then happens in rank
+    space.
     """
-    started = perf_counter()
-    eps = _checked_epsilon(epsilon)
-    ratio = ApproxRatio.for_stages(eps, inst.m)
-    dom = IntInterval(0, inst.bound)
-
-    base = _tail_count_oracle(inst.sets[0], dom)
-    candidates = IncIndex.build(
-        [x for x in inst.sets[0]] + [x + 1 for x in inst.sets[0]], dom
-    )
-    prefix_product = len(inst.sets[0])
-    chosen, approx = convert(base, candidates, ratio, below=prefix_product)
-    counted = [base]
-    stage_sets = [chosen]
-    stage_functions = [approx]
-    stage_candidates = [candidates]
-
-    for xs in inst.sets[1:]:
-        raw = shifted_sum([(approx, x) for x in xs], dom)
-        candidates = IncIndex.build(
-            [p + x for p in chosen.points for x in xs]
-            + [p + x + 1 for p in chosen.points for x in xs],
-            dom,
-        )
-        prefix_product *= len(xs)
-        chosen, approx = convert(raw, candidates, ratio, below=prefix_product)
-        counted.append(raw)
-        stage_sets.append(chosen)
-        stage_functions.append(approx)
-        stage_candidates.append(candidates)
-
-    return MTuplesRunReport(
-        count=approx.query(inst.bound),
-        epsilon=eps,
-        oracle_calls=sum(o.calls for o in counted),
-        per_stage_set_sizes=[len(w) for w in stage_sets],
-        elapsed=perf_counter() - started,
-        epsilon_in_proven_range=eps < 1,
-        stage_sets=stage_sets,
-        stage_functions=stage_functions,
-        stage_candidates=stage_candidates,
+    return run_stages(
+        _empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, _rank_space_compress
     )

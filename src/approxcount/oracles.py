@@ -56,11 +56,6 @@ def msb(x: int, i: int):
     return residue.bit_length() if residue else NEG_INF
 
 
-def log_plus(x: int) -> int:
-    """Floor of log2(x) for x >= 1, and 0 for x <= 0 (floored positive-part log)."""
-    return x.bit_length() - 1 if x >= 1 else 0
-
-
 @dataclass(frozen=True)
 class MTuplesInstance:
     sets: tuple[tuple[int, ...], ...]

@@ -1,0 +1,121 @@
+"""The stage loop shared by the knapsack and m-tuples counters.
+
+Both problems count through one recurrence,
+
+    f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
+
+over a fixed domain {lo..hi}: knapsack with S_i = (0, w_i), m-tuples with
+S_i the i-th set. :func:`run_stages` starts from the exact first row f_0,
+and at each stage sums shifted copies of the previous compressed function
+(:func:`~approxcount.stepfunc.shifted_sum`) and compresses that sum with
+per-stage ratio k, k^stages <= 1+epsilon. Compressing a K'-approximation
+with ratio k gives a kK'-approximation, so the final row is within 1+epsilon
+of the exact one. The problems differ only in f_0, the shift sets and, for
+the strong variants, the rule naming the candidate change points.
+
+Shifts are nonnegative, so below the domain every f_{i-1}(j - s) is the
+previous below-domain value, and f_i there is |S_i| times it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+from time import perf_counter
+from typing import Callable, Sequence
+
+from .incpoints import IncIndex
+from .stepfunc import (
+    ApproxRatio,
+    ApproxSet,
+    Direction,
+    StepFunction,
+    apx_set_nondecreasing,
+    apx_set_nonincreasing,
+    induce,
+    shifted_sum,
+    to_fraction,
+)
+
+
+@dataclass
+class RunReport:
+    """What one counter run returns.
+
+    ``chain_length`` is the number of compressions along the longest chain
+    feeding the count, the exponent the per-stage ratio was chosen for (0
+    when no compression ran). The ``stage_*`` lists hold each compression's
+    breakpoint set, compressed function and, for the rank-space variants,
+    candidate change points, in the order they were built.
+    """
+
+    count: int
+    epsilon: Fraction
+    oracle_calls: int
+    per_stage_set_sizes: list[int]
+    elapsed: float
+    chain_length: int = 0
+    stage_sets: list[ApproxSet] = field(repr=False, default_factory=list)
+    stage_functions: list = field(repr=False, default_factory=list)
+    stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
+
+    @property
+    def epsilon_in_proven_range(self) -> bool:
+        return self.epsilon < 1
+
+
+def search_and_induce(raw, prev_points, shifts, ratio, below):
+    """Compress over the whole numeric domain by binary search."""
+    if raw.direction is Direction.NONDECREASING:
+        chosen = apx_set_nondecreasing(raw, raw.domain, ratio)
+    else:
+        chosen = apx_set_nonincreasing(raw, raw.domain, ratio)
+    return chosen, induce(raw, chosen, below=below), None
+
+
+def run_stages(
+    first_row: StepFunction,
+    shift_sets: Sequence[Sequence[int]],
+    epsilon,
+    query_at: int,
+    compress: Callable = search_and_induce,
+) -> RunReport:
+    """Run every stage from ``first_row`` and report the last row at ``query_at``.
+
+    ``compress(raw, prev_points, shifts, ratio, below)`` returns the stage's
+    breakpoint set, its compressed function and its candidate index (None if
+    it has none); ``prev_points`` are the previous stage's breakpoints,
+    ``(domain.lo,)`` before the first stage.
+    """
+    started = perf_counter()
+    eps = to_fraction(epsilon)
+    ratio = ApproxRatio.for_stages(eps, len(shift_sets))
+    dom = first_row.domain
+    approx = first_row
+    below = first_row.out_of_domain_low
+    prev_points: Sequence[int] = (dom.lo,)
+    calls = 0
+    stage_sets, stage_functions, stage_candidates = [], [], []
+
+    for shifts in shift_sets:
+        raw = shifted_sum([(approx, s) for s in shifts], dom)
+        below *= len(shifts)
+        chosen, approx, candidates = compress(raw, prev_points, shifts, ratio, below)
+        prev_points = chosen.points
+        calls += raw.calls
+        stage_sets.append(chosen)
+        stage_functions.append(approx)
+        if candidates is not None:
+            stage_candidates.append(candidates)
+
+    return RunReport(
+        count=approx.query(query_at),
+        epsilon=eps,
+        oracle_calls=calls,
+        per_stage_set_sizes=[len(w) for w in stage_sets],
+        elapsed=perf_counter() - started,
+        chain_length=ratio.stages,
+        stage_sets=stage_sets,
+        stage_functions=stage_functions,
+        stage_candidates=stage_candidates,
+    )

@@ -237,7 +237,7 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
             continue
         k = ApproxRatio.for_stages(Fraction(1, 2), rep.chain_length).k
         v = math.prod(s + 1 for s in inst.col_sums)
-        for su in rep.compressed_functions:
+        for su in rep.stage_functions:
             assert len(su.half.xs) <= size_cap(k, v)
 
     # dense pointwise sandwich of each held stage against the exact rows

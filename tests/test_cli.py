@@ -93,14 +93,15 @@ def test_gen_round_trips(tmp_path, capsys):
     assert code == 0
     loaded = list(cli.load_instances(str(out_path), "mtuples"))
     assert len(loaded) == 5
-    for problem, inst in loaded:
+    for lineno, (line, problem, inst) in enumerate(loaded, start=1):
+        assert line == lineno
         assert problem == "mtuples"
         assert isinstance(inst, MTuplesInstance)
     # serialize again: identical text
     text = out_path.read_text()
     relines = [
         json.dumps({"problem": p, "payload": cli.payload_from_instance(i)}, separators=(", ", ": "))
-        for p, i in loaded
+        for _, p, i in loaded
     ]
     assert text == "".join(line + "\n" for line in relines)
 
@@ -248,6 +249,36 @@ def test_exit_three_on_blown_cap(tmp_path, capsys):
     code, _, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-brute"])
     assert code == 3
     assert "cap" in err
+
+
+def test_count_failure_names_the_line_and_keeps_earlier_records(tmp_path, capsys):
+    big = KnapsackInstance(weights=tuple(range(1, 26)), capacity=30)
+    path = tmp_path / "two.ndjson"
+    path.write_text(
+        json.dumps({"problem": "knapsack", "payload": {"weights": ["5"], "capacity": "4"}})
+        + "\n"
+        + json.dumps({"problem": "knapsack", "payload": cli.payload_from_instance(big)})
+        + "\n"
+    )
+    code, out, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-brute"])
+    assert code == 3
+    assert f"{path}:2:" in err
+    (rec,) = json_lines(out)
+    assert rec["count"] == "1"
+
+
+def test_exit_four_on_internal_error(golden_file, capsys, monkeypatch):
+    def overflowing(inst, eps):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "fptas_mtuples", overflowing)
+    code, out, err = run(capsys, ["count", "--input", golden_file, "--mode", "fptas", "--epsilon", "1/2"])
+    assert code == 4
+    assert out == ""
+    assert err == f"error: {golden_file}:1: internal: RecursionError: maximum recursion depth exceeded\n"
+    code, _, err = run(capsys, ["verify", "--input", golden_file, "--epsilon", "1/2"])
+    assert code == 4
+    assert f"{golden_file}:1: internal: RecursionError" in err
 
 
 def test_huge_numbers_round_trip(tmp_path, capsys):

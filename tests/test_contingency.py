@@ -116,7 +116,7 @@ def test_degenerate_second_row():
     inst = Contingency2Instance(row_sums=(7, 0), col_sums=(3, 2, 2))
     rep = fptas_contingency2(inst, Fraction(1))
     assert rep.count == 1
-    assert rep.compressed_function_count == 0
+    assert len(rep.stage_functions) == 0
 
 
 def test_single_column():
@@ -155,7 +155,7 @@ def test_every_compressed_function_keeps_the_structure():
     for _ in range(20):
         inst = random_instance(rng, n_max=4, cell_max=7)
         rep = fptas_contingency2(inst, Fraction(1, 3))
-        for su in rep.compressed_functions:
+        for su in rep.stage_functions:
             assert su.pivot <= 200
             assert su.query(-1) == 0
             assert su.query(su.pivot + 1) == 0
@@ -172,7 +172,7 @@ def test_compression_count_stays_logarithmic():
         rep = fptas_contingency2(inst, Fraction(1, 2))
         n = len(inst.col_sums)
         s_max = max(inst.col_sums)
-        assert rep.compressed_function_count <= 2 * n * (1 + math.log2(s_max))
+        assert len(rep.stage_functions) <= 2 * n * (1 + math.log2(s_max))
 
 
 def test_chain_length_matches_ratio_choice():
@@ -188,4 +188,4 @@ def test_report_counts_oracle_traffic():
     inst = Contingency2Instance(row_sums=(9, 12), col_sums=(5, 6, 4, 6))
     rep = fptas_contingency2(inst, Fraction(1, 2))
     assert rep.oracle_calls > 0
-    assert rep.compressed_function_count == len(rep.compressed_functions)
+    assert rep.per_stage_set_sizes == [len(su.half.xs) for su in rep.stage_functions]

@@ -19,7 +19,6 @@ from approxcount.oracles import (
     dp_knapsack_table,
     dp_mtuples,
     dp_mtuples_table,
-    log_plus,
     msb,
 )
 
@@ -55,14 +54,6 @@ def test_msb_rejects_negative_arguments():
         msb(-1, 3)
     with pytest.raises(InvalidInput):
         msb(3, -1)
-
-
-def test_log_plus():
-    assert log_plus(0) == 0
-    assert log_plus(1) == 0
-    assert log_plus(2) == 1
-    assert log_plus(5) == 2
-    assert log_plus(8) == 3
 
 
 def test_mtuples_instance_validation():
