@@ -16,7 +16,6 @@ from .incpoints import IncIndex, convert, dom_of, pad, restrict
 from .knapsack import fptas_knapsack, strong_fptas_knapsack
 from .mtuples import fptas_mtuples, strong_fptas_mtuples
 from .oracles import (
-    NEG_INF,
     Contingency2Instance,
     KnapsackInstance,
     MTuplesInstance,
@@ -27,7 +26,6 @@ from .oracles import (
     dp_contingency_sum,
     dp_knapsack,
     dp_mtuples,
-    msb,
 )
 from .stagewise import RunReport
 from .stepfunc import (
@@ -56,7 +54,6 @@ __all__ = [
     "KnapsackInstance",
     "MTuplesInstance",
     "MonotonicityViolation",
-    "NEG_INF",
     "RunReport",
     "StepFunction",
     "SymmetricUnimodal",
@@ -77,7 +74,6 @@ __all__ = [
     "fptas_knapsack",
     "fptas_mtuples",
     "induce",
-    "msb",
     "pad",
     "restrict",
     "shifted_sum",

@@ -13,15 +13,26 @@ s_{i-1} + cap, so g is symmetric around pivot/2, unimodal, and zero outside
 pivot (:class:`SymmetricUnimodal`) and compressed on the half only
 (:func:`compress_contingency`); queries past the midpoint reflect.
 
-The recursion behind :func:`fptas_contingency2` splits each column's cell
+The recurrence behind :func:`fptas_contingency2` splits each column's cell
 value by binary digits. A state (column i, level, tight) covers the low
 ``level`` bits of the cell value; ``tight`` means the higher bits matched
 s_i exactly so the cap s_i mod 2^level still binds, while free states have
-cap 2^level - 1. Column entry dispatches on j vs s_i (the cap cannot bind
-while j < s_i). Every reachable state is materialized lazily, once, as a
-compressed SymmetricUnimodal whose right-hand side queries previously
-compressed states; the per-compression ratio is chosen so that the product
-along the longest dependency chain stays within 1 + epsilon.
+cap 2^level - 1. With column i-1's entry standing in as free level 0,
+
+    free_L(j)  = free_{L-1}(j) + free_{L-1}(j - 2^(L-1))
+    tight_L(j) = free_{L-1}(j) + tight_{L'}(j - 2^(L-1))
+
+where L is a set bit of s_i and L' the next lower one (column i-1's entry
+when there is none). Column entry dispatches on j vs s_i (the cap cannot
+bind while j < s_i): tight at level bit_length(s_i), else free at level
+bit_length(j). The states are built bottom-up, column by column, each once:
+the free levels in ascending order, then the tight states in ascending
+order, each a compressed SymmetricUnimodal whose right-hand side queries
+states built before it; the last column builds only what the query at R
+reaches. A state at level L of column i sits L compressions above column
+i-1's entry, so the longest dependency chain has bit_length(s_2) + ... +
+bit_length(s_n) compressions, and the per-compression ratio is chosen so
+that its power over that chain stays within 1 + epsilon.
 
 A subtlety: the right-hand side of a state is a sum of two *approximate*
 functions with different pivots, which need not itself be monotone on the
@@ -44,7 +55,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .errors import InvalidInput, MonotonicityViolation
-from .oracles import NEG_INF, Contingency2Instance, msb
+from .oracles import Contingency2Instance
 from .stagewise import RunReport
 from .stepfunc import (
     ApproxRatio,
@@ -119,154 +130,92 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
     s = inst.col_sums
-    n = len(s)
     target = inst.pivot_sum
-    prefix = [0]
-    for v in s:
-        prefix.append(prefix[-1] + v)
+    funcs: list[SymmetricUnimodal] = []
+    calls = 0
+    chain = 0
+    if target == 0 or len(s) == 1:
+        count = 1 if target <= s[0] else 0
+    else:
+        chain = sum(v.bit_length() for v in s[1:])
+        ratio = ApproxRatio.for_stages(eps, chain)
 
-    def finish(count: int, chain: int = 0, oracles=(), rhs_evals: int = 0, funcs=()):
-        return RunReport(
-            count=count,
-            epsilon=eps,
-            oracle_calls=sum(o.calls for o in oracles) + rhs_evals,
-            per_stage_set_sizes=[len(su.half.xs) for su in funcs],
-            elapsed=perf_counter() - started,
-            chain_length=chain,
-            stage_functions=list(funcs),
-        )
+        def build(left, right, top: int, pivot: int):
+            """Compress the majorant of j -> left(j) + right(j - top).
 
-    if target == 0:
-        return finish(1)
-    if n == 1:
-        return finish(1 if target <= s[0] else 0)
+            ``left`` and ``right`` are (query, cut set) pairs; so is the result.
+            """
+            nonlocal calls
+            (lq, lcuts), (rq, rcuts) = left, right
+            half_hi = pivot // 2
+            cuts = lcuts | {c + top for c in rcuts}
+            starts = sorted({c for c in cuts if 0 < c <= half_hi} | {0})
+            values = []
+            best = 0
+            for c in starts:
+                v = lq(c) + rq(c - top)
+                if v > best:
+                    best = v
+                values.append(best)
 
-    def full_level(i: int) -> int:
-        return s[i - 1].bit_length()
+            def majorant(j: int, _starts=starts, _values=values) -> int:
+                return _values[bisect_right(_starts, j) - 1]
 
-    def free_top(i: int) -> int:
-        return max((s[i - 1] - 1).bit_length(), 1)
+            oracle = FnOracle(IntInterval(0, half_hi), Direction.NONDECREASING, majorant)
+            su = compress_contingency(oracle, ratio, pivot)
+            calls += len(starts) + oracle.calls
+            funcs.append(su)
+            return su.query, su.cut_points()
 
-    # Longest chain of compressions feeding the answer; fixes the per-step ratio.
-    depth_memo: dict[tuple, int] = {}
+        def column(entry, si: int, offset: int, free_top: int, tight_top: int):
+            """Build column i's free levels 1..free_top, then its tight states
+            at the set bits of s_i up to tight_top; return fills_i as a
+            (query, cuts) pair, given fills_{i-1} as ``entry``.
+            """
+            free = [entry]  # level 0 stands for the previous column's entry
+            for level in range(1, free_top + 1):
+                free.append(build(free[-1], free[-1], 1 << (level - 1), offset + (1 << level) - 1))
+            tight = entry  # below the lowest set bit lies the previous column
+            for level in range(1, tight_top + 1):
+                if si >> (level - 1) & 1:
+                    top = 1 << (level - 1)
+                    tight = build(free[level - 1], tight, top, offset + si % (top << 1))
+            free_queries = [q for q, _ in free]
+            tight_query = tight[0]
 
-    def node_depth(i: int, level: int, tight: bool) -> int:
-        key = (i, level, tight)
-        if key not in depth_memo:
-            if level == 1:
-                d = 1 + entry_depth(i - 1)
-            elif tight:
-                lower = msb(s[i - 1], level - 1)
-                tail = entry_depth(i - 1) if lower is NEG_INF else node_depth(i, lower, True)
-                d = 1 + max(node_depth(i, level - 1, False), tail)
-            else:
-                d = 1 + node_depth(i, level - 1, False)
-            depth_memo[key] = d
-        return depth_memo[key]
+            def query(j: int) -> int:
+                if j < 0:
+                    return 0
+                if j >= si:
+                    return tight_query(j)
+                return free_queries[max(j.bit_length(), 1)](j)
 
-    def entry_depth(i: int) -> int:
-        if i == 1:
-            return 0
-        return max(node_depth(i, free_top(i), False), node_depth(i, full_level(i), True))
+            # Dispatch boundaries (s_i and the powers of two below it) plus
+            # the change points of every state the dispatch reads.
+            cuts = {0, si} | {1 << t for t in range(1, (si - 1).bit_length())}
+            return query, cuts.union(*(c for _, c in free[1:]), tight[1])
 
-    chain = entry_depth(n)
-    ratio = ApproxRatio.for_stages(eps, chain)
+        def column_one(j: int) -> int:
+            return 1 if 0 <= j <= s[0] else 0
 
-    states: dict[tuple, SymmetricUnimodal] = {}
-    cuts_memo: dict[int, set[int]] = {}
-    compress_oracles: list[FnOracle] = []
-    rhs_evals = 0
-
-    def entry_query(i: int, j: int) -> int:
-        if j < 0:
-            return 0
-        if i == 1:
-            return 1 if j <= s[0] else 0
-        si = s[i - 1]
-        if j >= si:
-            return state(i, full_level(i), True).query(j)
-        return state(i, max(j.bit_length(), 1), False).query(j)
-
-    def entry_cuts(i: int) -> set[int]:
-        if i not in cuts_memo:
-            if i == 1:
-                out = {0, s[0] + 1}
-            else:
-                si = s[i - 1]
-                out = {0, si}
-                t = 1
-                while (1 << t) < si:
-                    out.add(1 << t)
-                    t += 1
-                for level in range(1, free_top(i) + 1):
-                    out |= state(i, level, False).cut_points()
-                out |= state(i, full_level(i), True).cut_points()
-            cuts_memo[i] = out
-        return cuts_memo[i]
-
-    def state(i: int, level: int, tight: bool) -> SymmetricUnimodal:
-        key = (i, level, tight)
-        if key in states:
-            return states[key]
-        si = s[i - 1]
-        cap = (si % (1 << level)) if tight else ((1 << level) - 1)
-        pivot = prefix[i - 1] + cap
-        if level == 1:
-            base = entry_cuts(i - 1)
-            cuts = base | {c + 1 for c in base}
-
-            def rhs(j: int, _i=i) -> int:
-                return entry_query(_i - 1, j) + entry_query(_i - 1, j - 1)
-
+        entry = (column_one, {0, s[0] + 1})
+        offset = s[0]
+        for si in s[1:-1]:
+            entry = column(entry, si, offset, max((si - 1).bit_length(), 1), si.bit_length())
+            offset += si
+        # The last column builds only the states the query at target reaches.
+        sn = s[-1]
+        if target >= sn:
+            query = column(entry, sn, offset, sn.bit_length() - 1, sn.bit_length())[0]
         else:
-            top = 1 << (level - 1)
-            left = state(i, level - 1, False)
-            if tight:
-                lower = msb(si, level - 1)
-                if lower is NEG_INF:
-                    right_query = lambda j, _i=i: entry_query(_i - 1, j)  # noqa: E731
-                    right_cuts = entry_cuts(i - 1)
-                else:
-                    right_state = state(i, lower, True)
-                    right_query = right_state.query
-                    right_cuts = right_state.cut_points()
-            else:
-                right_query = left.query
-                right_cuts = left.cut_points()
-            cuts = left.cut_points() | {c + top for c in right_cuts}
-
-            def rhs(j: int, _lq=left.query, _rq=right_query, _top=top) -> int:
-                return _lq(j) + _rq(j - _top)
-
-        su = _compress_majorant(rhs, cuts, pivot)
-        states[key] = su
-        return su
-
-    def _compress_majorant(rhs, cuts: set[int], pivot: int) -> SymmetricUnimodal:
-        nonlocal rhs_evals
-        half_hi = pivot // 2
-        starts = sorted({c for c in cuts if 0 < c <= half_hi} | {0})
-        values = []
-        best = 0
-        for c in starts:
-            v = rhs(c)
-            rhs_evals += 1
-            if v > best:
-                best = v
-            values.append(best)
-
-        def majorant(j: int, _starts=starts, _values=values) -> int:
-            return _values[bisect_right(_starts, j) - 1]
-
-        oracle = FnOracle(IntInterval(0, half_hi), Direction.NONDECREASING, majorant)
-        compress_oracles.append(oracle)
-        return compress_contingency(oracle, ratio, pivot)
-
-    count = entry_query(n, target)
-    return finish(
-        count,
-        chain=chain,
-        oracles=compress_oracles,
-        rhs_evals=rhs_evals,
-        funcs=list(states.values()),
+            query = column(entry, sn, offset, max(target.bit_length(), 1), 0)[0]
+        count = query(target)
+    return RunReport(
+        count=count,
+        epsilon=eps,
+        oracle_calls=calls,
+        per_stage_set_sizes=[len(su.half.xs) for su in funcs],
+        elapsed=perf_counter() - started,
+        chain_length=chain,
+        stage_functions=funcs,
     )

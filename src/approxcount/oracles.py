@@ -23,37 +23,12 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import InvalidInput, TooLarge
 
 BRUTE_TUPLE_CAP = 10_000_000
 BRUTE_SUBSET_CAP = 24
 DP_CELL_CAP = 50_000_000
-
-
-class _MinusInfinity(Enum):
-    VALUE = "-inf"
-
-    def __repr__(self) -> str:
-        return "NEG_INF"
-
-
-#: Distinguished "no set bit" result of msb(); deliberately not an integer so
-#: it can never collide with a valid bit position.
-NEG_INF = _MinusInfinity.VALUE
-
-
-def msb(x: int, i: int):
-    """Position of the most significant set bit of ``x mod 2**i``.
-
-    Positions are 1-based (msb(1, k) = 1 for k >= 1); returns NEG_INF when
-    the residue is zero.
-    """
-    if x < 0 or i < 0:
-        raise InvalidInput("msb expects nonnegative arguments")
-    residue = x % (1 << i)
-    return residue.bit_length() if residue else NEG_INF
 
 
 @dataclass(frozen=True)
@@ -230,51 +205,39 @@ def dp_contingency_sum(inst: Contingency2Instance, cap: int = DP_CELL_CAP) -> in
 
 
 def dp_contingency_binding(inst: Contingency2Instance, cap: int = DP_CELL_CAP) -> int:
-    """Count via the bit-decomposed recursion with binding-constraint flags.
+    """Count via the bit-decomposed recurrence with binding-constraint flags.
 
     State (i, level, tight) describes the low ``level`` bits of the cell value
     in column i: ``tight`` records whether the cell's higher bits matched s_i
     exactly, in which case the remaining bits are capped by s_i mod 2^level.
     Entry into column i dispatches on j vs s_i: once j >= s_i the cap can bind
     (tight, level = bitlength of s_i); below that the cap is slack (free,
-    level = bitlength of j). Memoized on (i, level, tight, j).
+    level = bitlength of j). Each column is one row per state over j = 0..R,
+    built from the previous column's entry row E: free level 1 is E(j) +
+    E(j-1), free level L adds its level L-1 row shifted by 2^(L-1), and the
+    tight chain climbs the set bits of s_i from the lowest, with E standing in
+    for "no set bit left".
     """
     s = inst.col_sums
     n = len(s)
     r_query = inst.pivot_sum
     if n * (r_query + 1) * (max(s).bit_length() + 1) > cap:
         raise TooLarge("state space exceeds cap")
-    memo: dict[tuple, int] = {}
 
-    def entry(i: int, j: int) -> int:
-        if j < 0:
-            return 0
-        if i == 1:
-            return 1 if j <= s[0] else 0
-        si = s[i - 1]
-        if j >= si:
-            return state(i, si.bit_length(), True, j)
-        return state(i, max(j.bit_length(), 1), False, j)
+    def plus_shifted(x: list[int], y: list[int], t: int) -> list[int]:
+        """j -> x(j) + y(j - t) on 0..R, with y = 0 below 0."""
+        return x[:t] + [a + b for a, b in zip(x[t:], y)]
 
-    def state(i: int, level, tight: bool, j: int) -> int:
-        if j < 0:
-            return 0
-        key = (i, level, tight, j)
-        if key in memo:
-            return memo[key]
-        if level is NEG_INF:
-            v = entry(i - 1, j)
-        elif level == 1:
-            v = entry(i - 1, j) + entry(i - 1, j - 1)
-        else:
-            top = 1 << (level - 1)
-            if tight:
-                v = state(i, level - 1, False, j) + state(
-                    i, msb(s[i - 1], level - 1), True, j - top
-                )
-            else:
-                v = state(i, level - 1, False, j) + state(i, level - 1, False, j - top)
-        memo[key] = v
-        return v
-
-    return entry(n, r_query)
+    entry = [1 if j <= s[0] else 0 for j in range(r_query + 1)]
+    for si in s[1:]:
+        free = [entry]
+        for level in range(1, max((si - 1).bit_length(), 1) + 1):
+            free.append(plus_shifted(free[-1], free[-1], 1 << (level - 1)))
+        tight = entry
+        for level in range(1, si.bit_length() + 1):
+            if si >> (level - 1) & 1:
+                tight = plus_shifted(free[level - 1], tight, 1 << (level - 1))
+        entry = [
+            tight[j] if j >= si else free[max(j.bit_length(), 1)][j] for j in range(r_query + 1)
+        ]
+    return entry[r_query]

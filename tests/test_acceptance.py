@@ -4,8 +4,8 @@ One test per shipping requirement, so a verbose run reads as a checklist:
 the worked walkthrough is reproduced byte for byte, every counter respects
 its two-sided bound on large seeded sweeps, the three exact contingency
 formulations cannot be told apart, operation counts ignore numeric
-magnitude for the strongly polynomial variants, breakpoint sets stay
-logarithmic, and the bit-arithmetic helpers match their naive definitions.
+magnitude for the strongly polynomial variants, and breakpoint sets stay
+logarithmic.
 
 Comparisons are exact (integers and Fractions); wall-clock limits appear
 only where a requirement states one.
@@ -20,7 +20,6 @@ from approxcount.contingency import fptas_contingency2
 from approxcount.knapsack import fptas_knapsack, strong_fptas_knapsack
 from approxcount.mtuples import fptas_mtuples, strong_fptas_mtuples
 from approxcount.oracles import (
-    NEG_INF,
     Contingency2Instance,
     KnapsackInstance,
     MTuplesInstance,
@@ -32,7 +31,6 @@ from approxcount.oracles import (
     dp_knapsack_table,
     dp_mtuples,
     dp_mtuples_table,
-    msb,
 )
 from approxcount.stepfunc import ApproxRatio
 
@@ -266,13 +264,3 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
             for j, exact in enumerate(row):
                 assert exact <= func.query(j) <= power * exact
 
-
-def test_bit_helpers_match_naive_definitions():
-    assert msb(5, 2) == 1
-    assert msb(4, 1) is NEG_INF
-
-    for x in range(2**12):
-        for i in range(12):
-            residue = x % (2**i)
-            expect = NEG_INF if residue == 0 else residue.bit_length()
-            assert msb(x, i) == expect, (x, i)

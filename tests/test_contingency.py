@@ -1,7 +1,9 @@
 """Contingency counter: reflection type, compression op, full FPTAS."""
 
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,8 @@ from approxcount.contingency import (
 from approxcount.errors import InvalidInput
 from approxcount.oracles import (
     Contingency2Instance,
+    dp_contingency_binding,
+    dp_contingency_sub,
     dp_contingency_sum,
     dp_contingency_sum_table,
 )
@@ -176,12 +180,20 @@ def test_compression_count_stays_logarithmic():
 
 
 def test_chain_length_matches_ratio_choice():
-    inst = Contingency2Instance(row_sums=(11, 14), col_sums=(6, 7, 5, 4, 3))
-    rep = fptas_contingency2(inst, Fraction(1, 2))
-    assert rep.chain_length >= 1
-    k = ApproxRatio.for_stages(Fraction(1, 2), rep.chain_length).k
-    assert k > 1
-    assert k**rep.chain_length <= Fraction(3, 2)
+    cases = [
+        ((11, 14), (6, 7, 5, 4, 3)),
+        ((9, 12), (5, 6, 4, 6)),
+        ((10, 14), (3, 5, 4, 12)),
+        ((3, 5), (1, 7)),
+        ((20, 20), (8, 16, 1, 15)),
+    ]
+    for rows, cols in cases:
+        inst = Contingency2Instance(row_sums=rows, col_sums=cols)
+        rep = fptas_contingency2(inst, Fraction(1, 2))
+        assert rep.chain_length == sum(v.bit_length() for v in cols[1:])
+        k = ApproxRatio.for_stages(Fraction(1, 2), rep.chain_length).k
+        assert k > 1
+        assert k**rep.chain_length <= Fraction(3, 2)
 
 
 def test_report_counts_oracle_traffic():
@@ -189,3 +201,38 @@ def test_report_counts_oracle_traffic():
     rep = fptas_contingency2(inst, Fraction(1, 2))
     assert rep.oracle_calls > 0
     assert rep.per_stage_set_sizes == [len(su.half.xs) for su in rep.stage_functions]
+
+
+@pytest.mark.parametrize(
+    "rows, cols, eps, count, calls, sizes, chain",
+    [
+        # R >= s_n: the last column builds its free levels and tight chain.
+        ((9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 389, [3, 5, 7, 4, 6, 7, 8, 8, 9, 10, 9, 11], 9),
+        # R < s_n: the last column builds free levels 1..bit_length(R) only.
+        ((10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 334, [3, 4, 5, 3, 5, 5, 6, 7, 7, 8, 10, 13], 10),
+    ],
+)
+def test_report_values_are_pinned(rows, cols, eps, count, calls, sizes, chain):
+    rep = fptas_contingency2(Contingency2Instance(row_sums=rows, col_sums=cols), eps)
+    assert rep.count == count
+    assert rep.oracle_calls == calls
+    assert rep.per_stage_set_sizes == sizes
+    assert rep.chain_length == chain
+
+
+def test_deep_table_needs_no_recursion():
+    rng = random.Random(1)
+    cols = tuple(rng.randint(1, 4) for _ in range(60))
+    total = sum(cols)
+    inst = Contingency2Instance(row_sums=(total // 2, total - total // 2), col_sums=cols)
+    exact = dp_contingency_sub(inst)
+    eps = Fraction(1, 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        got = fptas_contingency2(inst, eps).count
+        binding = dp_contingency_binding(inst)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert exact <= got <= (1 + eps) * exact
+    assert binding == exact

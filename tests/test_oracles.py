@@ -5,7 +5,6 @@ import pytest
 
 from approxcount.errors import InvalidInput, TooLarge
 from approxcount.oracles import (
-    NEG_INF,
     Contingency2Instance,
     KnapsackInstance,
     MTuplesInstance,
@@ -19,7 +18,6 @@ from approxcount.oracles import (
     dp_knapsack_table,
     dp_mtuples,
     dp_mtuples_table,
-    msb,
 )
 
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
@@ -29,31 +27,6 @@ GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 # tail counts) and cross-checked against brute force below.
 Z1_ROW = [3, 3, 2, 2, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 Z3_ROW = [12, 12, 12, 12, 12, 12, 12, 11, 11, 10, 9, 9, 8, 6, 6, 5, 3, 3]
-
-
-def naive_msb(x, i):
-    residue = x % (2**i)
-    if residue == 0:
-        return NEG_INF
-    return residue.bit_length()
-
-
-def test_msb_worked_values():
-    assert msb(5, 2) == 1
-    assert msb(4, 1) is NEG_INF
-
-
-def test_msb_matches_naive_exhaustively():
-    for x in range(2**12):
-        for i in range(12):
-            assert msb(x, i) == naive_msb(x, i), (x, i)
-
-
-def test_msb_rejects_negative_arguments():
-    with pytest.raises(InvalidInput):
-        msb(-1, 3)
-    with pytest.raises(InvalidInput):
-        msb(3, -1)
 
 
 def test_mtuples_instance_validation():
@@ -218,7 +191,3 @@ def test_dp_cell_cap():
     with pytest.raises(TooLarge):
         dp_knapsack(KnapsackInstance(weights=(10**9, 10**9), capacity=10**12))
 
-
-def test_neg_inf_is_not_an_integer():
-    assert NEG_INF != 0
-    assert not isinstance(NEG_INF, int)
