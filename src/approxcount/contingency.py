@@ -2,57 +2,41 @@
 
 The exact count is fills_n(R): the number of ways to give the first row
 cell values 0 <= x_l <= s_l summing to R = min(row sums); the second row is
-then forced. Every function this module manipulates has the shape
+then forced. Column by column, fills_i(j) = sum of fills_{i-1}(j - v) over
+0 <= v <= s_i, with fills_1 = 1 on {0..s_1}. Complementing every cell
+bijects sums j onto sums P_i - j with P_i = s_1 + ... + s_i, so fills_i is
+symmetric around P_i/2, unimodal, and zero outside {0..P_i}. Such a function
+is stored as its nondecreasing half plus the pivot (:class:`SymmetricUnimodal`)
+and compressed on the half only (:func:`compress_contingency`).
 
-    g(j) = sum of fills_{i-1}(j - v) over 0 <= v <= cap
+:func:`fptas_contingency2` compresses once per column. With g the previous
+compressed column (column 1 is exact), P its pivot and s = s_i, the window
+sum W(j) = g(j) + ... + g(j - s) is evaluated exactly as G(j) - G(j - s - 1),
+G the prefix sum of g over its explicit pieces (:func:`window_sum`), and W's
+half {0..(P+s)//2} is compressed with ratio k, k^(n-1) <= 1 + epsilon. Two
+facts make this sound:
 
-for some column i and cap: complementing every cell (x_l -> s_l - x_l,
-v -> cap - v) bijects sums j onto sums pivot - j with pivot = s_1 + ... +
-s_{i-1} + cap, so g is symmetric around pivot/2, unimodal, and zero outside
-{0..pivot}. Such a function is stored as its nondecreasing half plus the
-pivot (:class:`SymmetricUnimodal`) and compressed on the half only
-(:func:`compress_contingency`); queries past the midpoint reflect.
+1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
+   the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
+   symmetric and nondecreasing on its own half and j is at least as close
+   to P/2 as j-s-1 is. So W can be compressed as it stands; the binary
+   searches still spot-check the direction.
+2. G(j) - G(j-s-1) is an exact sum of s+1 values of one approximation, so
+   if g is within ratio K of fills_{i-1}, W is within ratio K of fills_i and
+   its compression within ratio k*K. The approximate path never forms the
+   difference of two approximations, which has no such rule.
 
-The recurrence behind :func:`fptas_contingency2` splits each column's cell
-value by binary digits. A state (column i, level, tight) covers the low
-``level`` bits of the cell value; ``tight`` means the higher bits matched
-s_i exactly so the cap s_i mod 2^level still binds, while free states have
-cap 2^level - 1. With column i-1's entry standing in as free level 0,
-
-    free_L(j)  = free_{L-1}(j) + free_{L-1}(j - 2^(L-1))
-    tight_L(j) = free_{L-1}(j) + tight_{L'}(j - 2^(L-1))
-
-where L is a set bit of s_i and L' the next lower one (column i-1's entry
-when there is none). Column entry dispatches on j vs s_i (the cap cannot
-bind while j < s_i): tight at level bit_length(s_i), else free at level
-bit_length(j). The states are built bottom-up, column by column, each once:
-the free levels in ascending order, then the tight states in ascending
-order, each a compressed SymmetricUnimodal whose right-hand side queries
-states built before it; the last column builds only what the query at R
-reaches. A state at level L of column i sits L compressions above column
-i-1's entry, so the longest dependency chain has bit_length(s_2) + ... +
-bit_length(s_n) compressions, and the per-compression ratio is chosen so
-that its power over that chain stays within 1 + epsilon.
-
-A subtlety: the right-hand side of a state is a sum of two *approximate*
-functions with different pivots, which need not itself be monotone on the
-half domain. Since the exact function is nondecreasing there, the running
-maximum of the right-hand side is still sandwiched between it and
-ratio * exact, and that majorant is what gets compressed. The right-hand
-side is piecewise constant with change points known in advance (child change
-points, shifted, plus the dyadic dispatch boundaries), so the majorant is
-materialized exactly with one evaluation per piece.
-
-Nothing on the approximate path subtracts: states compose by addition only,
-which is why this formulation is used instead of the subtraction recurrence
-(kept in oracles as an exact cross-check only).
+After column n the last compressed function is queried at R; it is within
+k^(n-1) <= 1 + epsilon of fills_n.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from time import perf_counter
+from typing import Callable
 
 from .errors import InvalidInput, MonotonicityViolation
 from .oracles import Contingency2Instance
@@ -95,12 +79,33 @@ class SymmetricUnimodal:
             return self.half.query(j)
         return self.half.query(self.pivot - j)
 
-    def cut_points(self) -> set[int]:
-        """Superset of every j where query(j) differs from query(j-1)."""
-        out = {0, self.pivot // 2 + 1, self.pivot + 1}
-        for x in self.half.xs:
-            out.update((x, x + 1, self.pivot - x, self.pivot - x + 1))
-        return out
+
+def window_sum(g: SymmetricUnimodal, width: int) -> Callable[[int], int]:
+    """Exact oracle for j -> g(j) + g(j-1) + ... + g(j-width).
+
+    The sum is G(j) - G(j-width-1) for the prefix sum G(j) = g(0) + ... +
+    g(j). G comes from the half's prefix sum H, a cumulative sum per piece
+    plus one bisect per query: G(j) = H(j) up to the midpoint h, and past it,
+    by symmetry, G(j) = G(pivot) - H(pivot-j-1).
+    """
+    xs, vals = g.half.xs, g.half.values
+    # cum[i] = H(xs[i]); the piece ending at xs[i] holds vals[i] from xs[i-1]+1.
+    pieces = (v * (b - a) for a, b, v in zip(xs, xs[1:], vals[1:]))
+    cum = list(accumulate(pieces, initial=vals[0]))
+    pivot, h = g.pivot, g.pivot // 2
+
+    def prefix_half(t: int) -> int:
+        if t < 0:
+            return 0
+        i = bisect_left(xs, t)
+        return cum[i] - (xs[i] - t) * vals[i]
+
+    total = prefix_half(h) + prefix_half(pivot - h - 1)
+
+    def prefix(j: int) -> int:
+        return prefix_half(j) if j <= h else total - prefix_half(pivot - j - 1)
+
+    return lambda j: prefix(j) - prefix(j - width - 1)
 
 
 def compress_contingency(phi, k: ApproxRatio, pivot: int) -> SymmetricUnimodal:
@@ -137,79 +142,20 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
     if target == 0 or len(s) == 1:
         count = 1 if target <= s[0] else 0
     else:
-        chain = sum(v.bit_length() for v in s[1:])
+        chain = len(s) - 1
         ratio = ApproxRatio.for_stages(eps, chain)
-
-        def build(left, right, top: int, pivot: int):
-            """Compress the majorant of j -> left(j) + right(j - top).
-
-            ``left`` and ``right`` are (query, cut set) pairs; so is the result.
-            """
-            nonlocal calls
-            (lq, lcuts), (rq, rcuts) = left, right
-            half_hi = pivot // 2
-            cuts = lcuts | {c + top for c in rcuts}
-            starts = sorted({c for c in cuts if 0 < c <= half_hi} | {0})
-            values = []
-            best = 0
-            for c in starts:
-                v = lq(c) + rq(c - top)
-                if v > best:
-                    best = v
-                values.append(best)
-
-            def majorant(j: int, _starts=starts, _values=values) -> int:
-                return _values[bisect_right(_starts, j) - 1]
-
-            oracle = FnOracle(IntInterval(0, half_hi), Direction.NONDECREASING, majorant)
-            su = compress_contingency(oracle, ratio, pivot)
-            calls += len(starts) + oracle.calls
-            funcs.append(su)
-            return su.query, su.cut_points()
-
-        def column(entry, si: int, offset: int, free_top: int, tight_top: int):
-            """Build column i's free levels 1..free_top, then its tight states
-            at the set bits of s_i up to tight_top; return fills_i as a
-            (query, cuts) pair, given fills_{i-1} as ``entry``.
-            """
-            free = [entry]  # level 0 stands for the previous column's entry
-            for level in range(1, free_top + 1):
-                free.append(build(free[-1], free[-1], 1 << (level - 1), offset + (1 << level) - 1))
-            tight = entry  # below the lowest set bit lies the previous column
-            for level in range(1, tight_top + 1):
-                if si >> (level - 1) & 1:
-                    top = 1 << (level - 1)
-                    tight = build(free[level - 1], tight, top, offset + si % (top << 1))
-            free_queries = [q for q, _ in free]
-            tight_query = tight[0]
-
-            def query(j: int) -> int:
-                if j < 0:
-                    return 0
-                if j >= si:
-                    return tight_query(j)
-                return free_queries[max(j.bit_length(), 1)](j)
-
-            # Dispatch boundaries (s_i and the powers of two below it) plus
-            # the change points of every state the dispatch reads.
-            cuts = {0, si} | {1 << t for t in range(1, (si - 1).bit_length())}
-            return query, cuts.union(*(c for _, c in free[1:]), tight[1])
-
-        def column_one(j: int) -> int:
-            return 1 if 0 <= j <= s[0] else 0
-
-        entry = (column_one, {0, s[0] + 1})
-        offset = s[0]
-        for si in s[1:-1]:
-            entry = column(entry, si, offset, max((si - 1).bit_length(), 1), si.bit_length())
-            offset += si
-        # The last column builds only the states the query at target reaches.
-        sn = s[-1]
-        if target >= sn:
-            query = column(entry, sn, offset, sn.bit_length() - 1, sn.bit_length())[0]
-        else:
-            query = column(entry, sn, offset, max(target.bit_length(), 1), 0)[0]
-        count = query(target)
+        h = s[0] // 2
+        ends = (0, h) if h else (0,)
+        first = StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
+        g = SymmetricUnimodal(half=first, pivot=s[0])  # column 1, exact: 1 on {0..s_1}
+        for si in s[1:]:
+            pivot = g.pivot + si
+            half_dom = IntInterval(0, pivot // 2)
+            oracle = FnOracle(half_dom, Direction.NONDECREASING, window_sum(g, si))
+            g = compress_contingency(oracle, ratio, pivot)
+            calls += oracle.calls
+            funcs.append(g)
+        count = g.query(target)
     return RunReport(
         count=count,
         epsilon=eps,

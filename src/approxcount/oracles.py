@@ -188,15 +188,16 @@ def dp_contingency_sum_table(
 ) -> list[list[int]]:
     """Rows fills_0..fills_n of the additive recurrence on j = 0..width.
 
-    fills_i(j) = sum of fills_{i-1}(j-k) over 0 <= k <= min(j, s_i).
+    fills_i(j) = sum of fills_{i-1}(j-k) over 0 <= k <= min(j, s_i), read off
+    as a difference of two prefix sums of row i-1, so each row costs O(width).
     """
     w = inst.pivot_sum if width is None else width
-    if (len(inst.col_sums) + 1) * (w + 1) * (max(inst.col_sums) + 1) > cap:
+    if (len(inst.col_sums) + 1) * (w + 1) > cap:
         raise TooLarge("table size exceeds cap")
     rows = [[1] + [0] * w]
     for si in inst.col_sums:
-        prev = rows[-1]
-        rows.append([sum(prev[j - k] for k in range(min(j, si) + 1)) for j in range(w + 1)])
+        prefix = list(itertools.accumulate(rows[-1], initial=0))
+        rows.append([prefix[j + 1] - prefix[max(j - si, 0)] for j in range(w + 1)])
     return rows
 
 

@@ -263,4 +263,16 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
             power *= k
             for j, exact in enumerate(row):
                 assert exact <= func.query(j) <= power * exact
+    for _ in range(200):
+        inst = random_contingency(rng, n_max=8)
+        rep = fptas_contingency2(inst, eps)
+        if rep.chain_length == 0:
+            continue
+        k = ApproxRatio.for_stages(eps, rep.chain_length).k
+        rows = dp_contingency_sum_table(inst, width=inst.total)
+        power = Fraction(1)
+        for func, row in zip(rep.stage_functions, rows[2:]):
+            power *= k
+            for j, exact in enumerate(row):
+                assert exact <= func.query(j) <= power * exact
 

@@ -139,6 +139,18 @@ def test_verify_generated_knapsack(capsys):
     assert json_lines(out)[-1]["violations"] == 0
 
 
+def test_verify_reaches_wide_contingency_cells(capsys):
+    # 16 columns with cells up to 800: the exact DP's table is O(n * R), so
+    # verify runs instead of stopping at the table-size cap (exit 3).
+    code, out, _ = run(
+        capsys,
+        ["verify", "--problem", "contingency2", "--n", "16", "--cellmax", "800",
+         "--seed", "1", "--trials", "1", "--epsilon", "1"],
+    )
+    assert code == 0
+    assert json_lines(out)[-1]["violations"] == 0
+
+
 def test_verify_exit_one_on_violation(golden_file, capsys, monkeypatch):
     real = cli.run_mode
 

@@ -1,7 +1,6 @@
 """Contingency counter: reflection type, compression op, full FPTAS."""
 
 import inspect
-import math
 import random
 import sys
 from fractions import Fraction
@@ -12,6 +11,7 @@ from approxcount.contingency import (
     SymmetricUnimodal,
     compress_contingency,
     fptas_contingency2,
+    window_sum,
 )
 from approxcount.errors import InvalidInput
 from approxcount.oracles import (
@@ -58,18 +58,31 @@ class TestSymmetricUnimodal:
         assert su.query(-1) == 0
         assert su.query(5) == 0
 
-    def test_cut_points_cover_changes(self):
-        su = SymmetricUnimodal(half=half_function([1, 1, 4, 4]), pivot=7)
-        cuts = su.cut_points()
-        dense = [su.query(j) for j in range(-1, 9)]
-        for idx in range(1, len(dense)):
-            j = idx - 1
-            if dense[idx] != dense[idx - 1]:
-                assert j in cuts
-
     def test_half_must_match_pivot(self):
         with pytest.raises(InvalidInput):
             SymmetricUnimodal(half=half_function([1, 2]), pivot=7)
+
+
+@pytest.mark.parametrize(
+    "xs, values, pivot",
+    [
+        ((0,), (3,), 0),
+        ((0,), (2,), 1),
+        ((0, 1, 2, 3), (1, 1, 4, 4), 6),
+        ((0, 1, 2, 3), (1, 1, 4, 4), 7),
+        ((0, 1, 2, 3, 4), (1, 2, 2, 5, 9), 8),
+        # sparse breakpoints: pieces longer than one point are summed whole
+        ((0, 3, 4, 9), (1, 2, 6, 8), 19),
+        ((0, 2, 5), (1, 3, 10), 11),
+    ],
+)
+@pytest.mark.parametrize("width", [1, 2, 5, 25])
+def test_window_sum_matches_dense_sum(xs, values, pivot, width):
+    half = StepFunction(IntInterval(0, pivot // 2), Direction.NONDECREASING, xs, values)
+    g = SymmetricUnimodal(half=half, pivot=pivot)
+    w = window_sum(g, width)
+    for j in range(-2, pivot + width + 3):
+        assert w(j) == sum(g.query(j - v) for v in range(width + 1)), j
 
 
 class TestCompressOp:
@@ -175,8 +188,7 @@ def test_compression_count_stays_logarithmic():
         inst = random_instance(rng)
         rep = fptas_contingency2(inst, Fraction(1, 2))
         n = len(inst.col_sums)
-        s_max = max(inst.col_sums)
-        assert len(rep.stage_functions) <= 2 * n * (1 + math.log2(s_max))
+        assert len(rep.stage_functions) == (n - 1 if inst.pivot_sum > 0 else 0)
 
 
 def test_chain_length_matches_ratio_choice():
@@ -190,7 +202,7 @@ def test_chain_length_matches_ratio_choice():
     for rows, cols in cases:
         inst = Contingency2Instance(row_sums=rows, col_sums=cols)
         rep = fptas_contingency2(inst, Fraction(1, 2))
-        assert rep.chain_length == sum(v.bit_length() for v in cols[1:])
+        assert rep.chain_length == len(cols) - 1
         k = ApproxRatio.for_stages(Fraction(1, 2), rep.chain_length).k
         assert k > 1
         assert k**rep.chain_length <= Fraction(3, 2)
@@ -206,10 +218,9 @@ def test_report_counts_oracle_traffic():
 @pytest.mark.parametrize(
     "rows, cols, eps, count, calls, sizes, chain",
     [
-        # R >= s_n: the last column builds its free levels and tight chain.
-        ((9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 389, [3, 5, 7, 4, 6, 7, 8, 8, 9, 10, 9, 11], 9),
-        # R < s_n: the last column builds free levels 1..bit_length(R) only.
-        ((10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 334, [3, 4, 5, 3, 5, 5, 6, 7, 7, 8, 10, 13], 10),
+        ((9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 90, [6, 8, 11], 3),
+        # R < s_n: the last column is still compressed whole, then queried at R.
+        ((10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 88, [5, 7, 12], 3),
     ],
 )
 def test_report_values_are_pinned(rows, cols, eps, count, calls, sizes, chain):
