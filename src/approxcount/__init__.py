@@ -12,7 +12,7 @@ point is ``approxcount`` (see :mod:`approxcount.cli`).
 
 from .contingency import SymmetricUnimodal, compress_contingency, fptas_contingency2
 from .errors import InvalidInput, MonotonicityViolation, TooLarge
-from .incpoints import IncIndex, convert, dom_of, pad, restrict
+from .incpoints import IncIndex, convert, pad
 from .knapsack import fptas_knapsack, strong_fptas_knapsack
 from .mtuples import fptas_mtuples, strong_fptas_mtuples
 from .oracles import (
@@ -64,7 +64,6 @@ __all__ = [
     "brute_mtuples",
     "compress_contingency",
     "convert",
-    "dom_of",
     "dp_contingency_binding",
     "dp_contingency_sub",
     "dp_contingency_sum",
@@ -75,7 +74,6 @@ __all__ = [
     "fptas_mtuples",
     "induce",
     "pad",
-    "restrict",
     "shifted_sum",
     "strong_fptas_knapsack",
     "strong_fptas_mtuples",

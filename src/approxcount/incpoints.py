@@ -3,11 +3,12 @@
 The strongly polynomial counters never binary-search a numeric domain
 {0..B}. They maintain a short sorted list of *candidate change points*, a
 superset of everywhere the current function actually changes; between
-consecutive candidates the function is constant. Compression then runs on
-the function restricted to the candidate ranks {1..r}, and the chosen ranks
-are mapped back to domain points. Mapping back loses the certificate for the
-run of points just before (after) a kept point, so each kept point is padded
-with its neighbour on that side:
+consecutive candidates the function is constant. :func:`convert` evaluates
+the function once at every candidate, in one batch, and chooses breakpoints
+among the candidate ranks {1..r} with one linear scan of those values. The
+chosen ranks are mapped back to domain points. Mapping back loses the
+certificate for the run of points just before (after) a kept point, so each
+kept point is padded with its neighbour on that side:
 
 * nondecreasing functions change upward at candidates, pieces are half-open
   on the right, and pad inserts each point's predecessor;
@@ -16,16 +17,18 @@ with its neighbour on that side:
 
 The padded set is certified in domain space with exact values at every
 breakpoint, so the induced function needs no end-of-domain merging. Oracle
-cost depends only on the candidate count and the value magnitudes, never on
-the width of the numeric domain; that is the whole point.
+cost is O(|inc| + |W|), one evaluation per candidate and one per point of
+the padded set W. It never depends on the width of the numeric domain; that
+is the whole point.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, MonotonicityViolation
 from .stepfunc import (
     ApproxRatio,
     ApproxSet,
@@ -33,8 +36,6 @@ from .stepfunc import (
     FnOracle,
     IntInterval,
     StepFunction,
-    apx_set_nondecreasing,
-    apx_set_nonincreasing,
     induce,
 )
 
@@ -62,36 +63,14 @@ class IncIndex:
     @classmethod
     def build(cls, candidates: Iterable[int], domain: IntInterval) -> "IncIndex":
         """Sorted, deduplicated, clipped to the domain, endpoints added."""
-        pts = {p for p in candidates if p in domain}
-        pts.add(domain.lo)
-        pts.add(domain.hi)
+        lo, hi = domain.lo, domain.hi
+        pts = {p for p in candidates if lo <= p <= hi}
+        pts.add(lo)
+        pts.add(hi)
         return cls(tuple(sorted(pts)), domain)
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def restrict(phi: FnOracle, inc: IncIndex) -> FnOracle:
-    """phi viewed through the candidate ranks: eval(j) = phi(points[j-1]).
-
-    The returned oracle lives on {1..len(inc)} and forwards every evaluation
-    to phi, so phi's call tally keeps counting.
-    """
-    if inc.domain.lo not in phi.domain or inc.domain.hi not in phi.domain:
-        raise InvalidInput("candidate index leaves the oracle's domain")
-    pts = inc.points
-    return FnOracle(IntInterval(1, len(pts)), phi.direction, lambda j: phi(pts[j - 1]))
-
-
-def dom_of(w_inc: ApproxSet, inc: IncIndex) -> list[int]:
-    """Map a rank-space breakpoint set back to domain points."""
-    pts = inc.points
-    out = []
-    for j in w_inc.points:
-        if not 1 <= j <= len(pts):
-            raise InvalidInput(f"rank {j} outside 1..{len(pts)}")
-        out.append(pts[j - 1])
-    return out
 
 
 def pad(
@@ -114,7 +93,53 @@ def pad(
         out.update(x - 1 for x in pts[1:])
     else:
         out.update(x + 1 for x in pts[:-1])
-    return ApproxSet(tuple(sorted(p for p in out if p in dom)), dom)
+    lo, hi = dom.lo, dom.hi
+    return ApproxSet(tuple(sorted(p for p in out if lo <= p <= hi)), dom)
+
+
+def _ranks_nondecreasing(v: Sequence[int], num: int, den: int) -> list[int]:
+    """The ranks :func:`~approxcount.stepfunc.apx_set_nondecreasing` keeps on v.
+
+    From the top rank x, y is the smallest rank <= x with num*v[y] >= den*v[x],
+    and the next x is min(x-1, y). The predicate is monotone in y, so walking
+    down from x finds the y the binary search finds; each walk ends where the
+    next one starts, so the whole scan is linear. Ranks are 0-based here.
+    """
+    x = len(v) - 1
+    kept = [x]
+    while x > 0:
+        bar = den * v[x]
+        y = x
+        while y > 0 and num * v[y - 1] >= bar:
+            y -= 1
+        x = min(x - 1, y)
+        kept.append(x)
+    kept.reverse()
+    return kept
+
+
+def _ranks_nonincreasing(v: Sequence[int], num: int, den: int) -> list[int]:
+    """The ranks :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps on v.
+
+    From the bottom rank x, stop once num*v[last] >= den*v[x]; otherwise the
+    next kept rank is the first y > x with num*v[y] < den*v[x], which exists
+    because the last rank is one. Ranks are 0-based here.
+    """
+    last = len(v) - 1
+    end = num * v[last]
+    kept = [0]
+    x = 0
+    while x < last:
+        bar = den * v[x]
+        if end >= bar:
+            break
+        x += 1
+        while num * v[x] >= bar:
+            x += 1
+        kept.append(x)
+    if kept[-1] != last:
+        kept.append(last)
+    return kept
 
 
 def convert(
@@ -125,17 +150,27 @@ def convert(
     below: int | None = None,
     above: int | None = None,
 ) -> tuple[ApproxSet, StepFunction]:
-    """Compress phi by way of its candidate ranks.
+    """Compress phi by way of its candidate ranks: evaluate, then scan.
 
-    Runs the direction-appropriate breakpoint construction on the restricted
-    oracle over {1..len(inc)}, converts the chosen ranks back through
-    :func:`dom_of`, pads, and induces. Total oracle cost is
-    O((1 + log_k max(phi)) * log len(inc)).
+    Evaluates phi at every candidate in one :meth:`FnOracle.values_at` batch,
+    checks the whole list against phi's declared direction, and chooses the
+    ranks the direction-appropriate binary search would choose over
+    {1..len(inc)}, by one linear scan of the values. The chosen points are
+    padded and induced. Total oracle cost is O(|inc| + |W|).
     """
-    ranked = restrict(phi, inc)
+    dom = inc.domain
+    if dom.lo not in phi.domain or dom.hi not in phi.domain:
+        raise InvalidInput("candidate index leaves the oracle's domain")
+    pts = inc.points
+    v = phi.values_at(pts)
     if phi.direction is Direction.NONDECREASING:
-        w_rank = apx_set_nondecreasing(ranked, ranked.domain, k)
+        ordered, scan = operator.le, _ranks_nondecreasing
     else:
-        w_rank = apx_set_nonincreasing(ranked, ranked.domain, k)
-    w = pad(dom_of(w_rank, inc), inc.domain, phi.direction)
+        ordered, scan = operator.ge, _ranks_nonincreasing
+    if not all(map(ordered, v, v[1:])):
+        raise MonotonicityViolation(
+            f"candidate values contradict declared {phi.direction.value} direction"
+        )
+    ranks = scan(v, k.k.numerator, k.k.denominator)
+    w = pad([pts[j] for j in ranks], dom, phi.direction)
     return w, induce(phi, w, below=below, above=above)

@@ -134,20 +134,36 @@ class FnOracle:
     The declared direction is a promise about ``fn``, relied on by the binary
     searches below and spot-checked there, not enforced per call. ``calls``
     increments once per evaluation, repeats included; a single oracle must not
-    be shared across concurrent callers.
+    be shared across concurrent callers. ``batch``, if given, maps a list of
+    points to the list of their values and serves :meth:`values_at`.
     """
 
-    __slots__ = ("domain", "direction", "calls", "_fn")
+    __slots__ = ("domain", "direction", "calls", "_fn", "_batch")
 
-    def __init__(self, domain: IntInterval, direction: Direction, fn: Callable[[int], int]):
+    def __init__(
+        self,
+        domain: IntInterval,
+        direction: Direction,
+        fn: Callable[[int], int],
+        batch: Callable[[Sequence[int]], list[int]] | None = None,
+    ):
         self.domain = domain
         self.direction = direction
         self._fn = fn
+        self._batch = batch
         self.calls = 0
 
     def __call__(self, x: int) -> int:
         self.calls += 1
         return self._fn(x)
+
+    def values_at(self, points: Sequence[int]) -> list[int]:
+        """The values at every point, counted as one call per point."""
+        self.calls += len(points)
+        if self._batch is not None:
+            return self._batch(points)
+        fn = self._fn
+        return [fn(x) for x in points]
 
 
 @dataclass(frozen=True)
@@ -228,6 +244,21 @@ class StepFunction:
         if self.direction is Direction.NONDECREASING:
             return self.values[bisect_left(self.xs, x)]
         return self.values[bisect_right(self.xs, x) - 1]
+
+    def query_many(self, points: Sequence[int]) -> list[int]:
+        """``[self.query(x) for x in points]``, with the lookups inlined."""
+        lo, hi = self.domain.lo, self.domain.hi
+        xs, values = self.xs, self.values
+        below, above = self.out_of_domain_low, self.out_of_domain_high
+        if self.direction is Direction.NONDECREASING:
+            return [
+                below if x < lo else above if x > hi else values[bisect_left(xs, x)]
+                for x in points
+            ]
+        return [
+            below if x < lo else above if x > hi else values[bisect_right(xs, x) - 1]
+            for x in points
+        ]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -368,6 +399,7 @@ def shifted_sum(
     All functions must share a direction; shifting and adding preserve it.
     Out-of-domain queries hit each term's own boundary values, which is how
     recurrences like "count(j - w) with count = 0 below zero" are realized.
+    :meth:`FnOracle.values_at` sums each term's :meth:`StepFunction.query_many`.
     """
     if not terms:
         raise InvalidInput("need at least one term")
@@ -379,6 +411,10 @@ def shifted_sum(
     def evaluate(j: int) -> int:
         return sum(f.query(j - s) for f, s in fs)
 
+    def evaluate_many(points: Sequence[int]) -> list[int]:
+        columns = [f.query_many([j - s for j in points]) for f, s in fs]
+        return [sum(vs) for vs in zip(*columns)]
+
     if domain is None:
         domain = terms[0][0].domain
-    return FnOracle(domain, directions.pop(), evaluate)
+    return FnOracle(domain, directions.pop(), evaluate, evaluate_many)

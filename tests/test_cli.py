@@ -6,9 +6,11 @@ executable as installed.
 """
 
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +196,21 @@ def test_bench_csv_shape(capsys):
     assert {r[0] for r in rows} == {"fptas", "strong-fptas"}
     assert {r[2] for r in rows} == {"1", "100"}
     assert out.count("\r\n") >= len(rows)  # RFC 4180 line endings
+
+
+def test_readme_bench_sample_matches_a_fresh_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("$ approxcount bench ", 1)[1].split("```", 1)[0]
+    command, *sample = block.splitlines()
+    code, out, _ = run(capsys, ["bench", *shlex.split(command)])
+    assert code == 0
+
+    def without_timing(lines):
+        rows = [line.split(",") for line in lines if line]
+        column = rows[0].index("elapsed_ms")
+        return [row[:column] + row[column + 1 :] for row in rows]
+
+    assert without_timing(out.splitlines()) == without_timing(sample)
 
 
 def test_bench_exact_only_when_no_epsilon(capsys):

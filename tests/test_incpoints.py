@@ -1,4 +1,9 @@
-"""Rank-space conversion: restrict / dom_of / pad / convert."""
+"""Rank-space conversion: IncIndex / pad / convert.
+
+``convert`` evaluates every candidate and scans the values; the binary
+searches of :mod:`approxcount.stepfunc` over the candidate ranks stay here as
+the reference it must match exactly.
+"""
 
 from fractions import Fraction
 
@@ -6,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxcount.errors import InvalidInput
-from approxcount.incpoints import IncIndex, convert, dom_of, pad, restrict
+from approxcount.errors import InvalidInput, MonotonicityViolation
+from approxcount.incpoints import IncIndex, convert, pad
 from approxcount.stepfunc import (
     ApproxRatio,
-    ApproxSet,
     Direction,
     FnOracle,
     IntInterval,
+    apx_set_nondecreasing,
+    apx_set_nonincreasing,
+    induce,
 )
 
 K2 = ApproxRatio.for_stages(Fraction(7), 3)  # k = 2 exactly
@@ -56,69 +63,6 @@ def test_endpoints_required():
 def test_len_is_rank_count():
     inc = IncIndex.build([0, 4, 9], IntInterval(0, 9))
     assert len(inc) == 3
-
-
-# ---------------------------------------------------------------- restrict
-
-
-def test_restrict_unrolls_definition():
-    values = [1, 1, 1, 2, 2, 2, 2, 5, 5, 5, 5]
-    phi = table_oracle(values)
-    inc = IncIndex.build([0, 3, 7, 10], IntInterval(0, 10))
-    ranked = restrict(phi, inc)
-    assert ranked.domain.lo == 1 and ranked.domain.hi == 4
-    assert [ranked(j) for j in (1, 2, 3, 4)] == [1, 2, 5, 5]
-
-
-def test_restrict_counts_through_to_base_oracle():
-    phi = table_oracle([0, 1, 2, 3])
-    ranked = restrict(phi, IncIndex.build([0, 2, 3], IntInterval(0, 3)))
-    ranked(1)
-    ranked(3)
-    assert phi.calls == 2
-
-
-def test_restrict_constant_two_ranks():
-    phi = table_oracle([4, 4, 4, 4, 4])
-    ranked = restrict(phi, IncIndex.build([0, 4], IntInterval(0, 4)))
-    assert [ranked(1), ranked(2)] == [4, 4]
-
-
-def test_restrict_mirrored_tail_counts():
-    # tail counts of {1,3,7} on {0..17}, viewed at the decrease candidates
-    z1 = [3, 3, 2, 2, 1, 1, 1, 1] + [0] * 10
-    phi = table_oracle(z1, Direction.NONINCREASING)
-    inc = IncIndex.build([0, 1, 3, 7, 17], IntInterval(0, 17))
-    ranked = restrict(phi, inc)
-    assert [ranked(j) for j in range(1, 6)] == [3, 3, 2, 1, 0]
-
-
-# ---------------------------------------------------------------- dom_of
-
-
-def test_dom_of_positional_lookup():
-    inc = IncIndex.build([0, 3, 7, 10], IntInterval(0, 10))
-    picked = ApproxSet(points=(1, 3, 4), domain=IntInterval(1, 4))
-    assert dom_of(picked, inc) == [0, 7, 10]
-
-
-def test_dom_of_endpoints_map_to_endpoints():
-    inc = IncIndex.build([0, 5, 9], IntInterval(0, 9))
-    picked = ApproxSet(points=(1, 3), domain=IntInterval(1, 3))
-    assert dom_of(picked, inc) == [0, 9]
-
-
-def test_dom_of_identity_when_all_ranks_chosen():
-    inc = IncIndex.build([0, 2, 5, 9], IntInterval(0, 9))
-    picked = ApproxSet(points=(1, 2, 3, 4), domain=IntInterval(1, 4))
-    assert dom_of(picked, inc) == [0, 2, 5, 9]
-
-
-def test_dom_of_rejects_out_of_range_rank():
-    inc = IncIndex.build([0, 9], IntInterval(0, 9))
-    bad = ApproxSet(points=(1, 5), domain=IntInterval(1, 5))
-    with pytest.raises(InvalidInput):
-        dom_of(bad, inc)
 
 
 # ---------------------------------------------------------------- pad
@@ -247,3 +191,46 @@ def test_sum_increases_exactly_where_either_term_does(a, b):
     assert strict_increase_points(total) == (
         strict_increase_points(a) | strict_increase_points(b)
     )
+
+
+def binary_search_convert(phi, inc, k, **fill):
+    """convert's reference: binary search over the candidate ranks, then map, pad, induce."""
+    pts = inc.points
+    ranked = FnOracle(IntInterval(1, len(pts)), phi.direction, lambda j: phi(pts[j - 1]))
+    if phi.direction is Direction.NONDECREASING:
+        w_rank = apx_set_nondecreasing(ranked, ranked.domain, k)
+    else:
+        w_rank = apx_set_nonincreasing(ranked, ranked.domain, k)
+    w = pad([pts[j - 1] for j in w_rank.points], inc.domain, phi.direction)
+    return w, induce(phi, w, **fill)
+
+
+@pytest.mark.parametrize("k", [K2, HALF], ids=["K2", "HALF"])
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+@settings(max_examples=60, deadline=None)
+@given(values=step_tables(), extra=st.sets(st.integers(0, 59), max_size=8))
+def test_convert_scan_matches_binary_search(k, direction, values, extra):
+    table = values if direction is Direction.NONDECREASING else values[::-1]
+    phi = table_oracle(table, direction)
+    dom = phi.domain
+    changes = strict_increase_points(table) | strict_decrease_points(table)
+    inc = IncIndex.build(changes | {e for e in extra if e <= dom.hi}, dom)
+    assert convert(phi, inc, k, below=0) == binary_search_convert(phi, inc, k, below=0)
+
+
+def test_convert_counts_one_call_per_candidate_and_padded_point():
+    phi = table_oracle([1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32])
+    inc = IncIndex.build(range(11), phi.domain)
+    w, _ = convert(phi, inc, K2)
+    assert phi.calls == len(inc) + len(w)
+
+
+@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+def test_convert_rejects_a_table_that_dips_at_one_rank(direction):
+    # The dip is inside one certified piece, so no padded breakpoint sees it.
+    table = [8] * 12
+    table[5 if direction is Direction.NONDECREASING else 6] = 7
+    phi = table_oracle(table, direction)
+    inc = IncIndex.build(range(len(table)), phi.domain)
+    with pytest.raises(MonotonicityViolation):
+        convert(phi, inc, HALF)

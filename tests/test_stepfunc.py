@@ -168,6 +168,21 @@ class TestStepFunctionQuery:
                 values=(5, 2),
             )
 
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    def test_query_many_is_query_per_point(self, direction):
+        values = (1, 4, 4, 9) if direction is Direction.NONDECREASING else (9, 4, 4, 1)
+        f = StepFunction(
+            domain=IntInterval(0, 10),
+            direction=direction,
+            xs=(0, 3, 5, 10),
+            values=values,
+            out_of_domain_low=11,
+            out_of_domain_high=13,
+        )
+        points = [-5, -1, 10, 0, 1, 3, 4, 5, 6, 9, 11, 40, 2]
+        assert f.query_many(points) == [f.query(x) for x in points]
+        assert f.query_many([]) == []
+
     def test_json_uses_decimal_strings(self):
         f = StepFunction(
             domain=IntInterval(0, 1),
@@ -307,6 +322,34 @@ def test_shifted_sum_matches_manual_recurrence():
     for j in range(7):
         assert combined(j) == base.query(j) + base.query(j - 4)
     assert combined.calls == 7
+
+
+def test_shifted_sum_batch_matches_pointwise_and_counts_each_point():
+    base = StepFunction(
+        domain=IntInterval(0, 6),
+        direction=Direction.NONINCREASING,
+        xs=(0, 3, 6),
+        values=(5, 2, 1),
+        out_of_domain_low=7,
+    )
+    combined = shifted_sum([(base, 0), (base, 2), (base, 5)])
+    points = [0, 1, 2, 4, 6]
+    assert combined.values_at(points) == [combined(j) for j in points]
+    assert combined.calls == 2 * len(points)
+
+
+def test_values_at_falls_back_to_pointwise_calls():
+    seen = []
+
+    def fn(j):
+        seen.append(j)
+        return j * j
+
+    phi = FnOracle(IntInterval(0, 9), Direction.NONDECREASING, fn)
+    assert phi.values_at([0, 3, 3, 9]) == [0, 9, 9, 81]
+    assert seen == [0, 3, 3, 9]
+    assert phi.calls == 4
+    assert phi.values_at([]) == [] and phi.calls == 4
 
 
 def test_shifted_sum_rejects_mixed_directions():
