@@ -19,16 +19,20 @@ magnitudes.
 Sums of same-direction step functions (``shifted_sum``) stay monotone and can
 be recompressed; compressing with ratio k1 a function that was itself within
 ratio k2 of a reference gives ratio k1*k2 against the reference. There is no
-such rule for subtraction, and nothing in this module subtracts.
+such rule for subtraction, and nothing in this module subtracts. A sum is
+built once per stage as an explicit piece table, so each oracle evaluation
+of it is one bisect.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from .errors import InvalidInput, MonotonicityViolation
@@ -133,24 +137,17 @@ class FnOracle:
 
     The declared direction is a promise about ``fn``, relied on by the binary
     searches below and spot-checked there, not enforced per call. ``calls``
-    increments once per evaluation, repeats included; a single oracle must not
-    be shared across concurrent callers. ``batch``, if given, maps a list of
-    points to the list of their values and serves :meth:`values_at`.
+    increments once per evaluation, repeats included, whatever one
+    evaluation costs (one bisect for :func:`shifted_sum`); a single oracle
+    must not be shared across concurrent callers.
     """
 
-    __slots__ = ("domain", "direction", "calls", "_fn", "_batch")
+    __slots__ = ("domain", "direction", "calls", "_fn")
 
-    def __init__(
-        self,
-        domain: IntInterval,
-        direction: Direction,
-        fn: Callable[[int], int],
-        batch: Callable[[Sequence[int]], list[int]] | None = None,
-    ):
+    def __init__(self, domain: IntInterval, direction: Direction, fn: Callable[[int], int]):
         self.domain = domain
         self.direction = direction
         self._fn = fn
-        self._batch = batch
         self.calls = 0
 
     def __call__(self, x: int) -> int:
@@ -160,10 +157,7 @@ class FnOracle:
     def values_at(self, points: Sequence[int]) -> list[int]:
         """The values at every point, counted as one call per point."""
         self.calls += len(points)
-        if self._batch is not None:
-            return self._batch(points)
-        fn = self._fn
-        return [fn(x) for x in points]
+        return list(map(self._fn, points))
 
 
 @dataclass(frozen=True)
@@ -244,21 +238,6 @@ class StepFunction:
         if self.direction is Direction.NONDECREASING:
             return self.values[bisect_left(self.xs, x)]
         return self.values[bisect_right(self.xs, x) - 1]
-
-    def query_many(self, points: Sequence[int]) -> list[int]:
-        """``[self.query(x) for x in points]``, with the lookups inlined."""
-        lo, hi = self.domain.lo, self.domain.hi
-        xs, values = self.xs, self.values
-        below, above = self.out_of_domain_low, self.out_of_domain_high
-        if self.direction is Direction.NONDECREASING:
-            return [
-                below if x < lo else above if x > hi else values[bisect_left(xs, x)]
-                for x in points
-            ]
-        return [
-            below if x < lo else above if x > hi else values[bisect_right(xs, x) - 1]
-            for x in points
-        ]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -399,22 +378,40 @@ def shifted_sum(
     All functions must share a direction; shifting and adding preserve it.
     Out-of-domain queries hit each term's own boundary values, which is how
     recurrences like "count(j - w) with count = 0 below zero" are realized.
-    :meth:`FnOracle.values_at` sums each term's :meth:`StepFunction.query_many`.
+
+    The sum is built once as a piece table over every integer: each term
+    changes value only where one of its pieces starts (the first point past
+    a breakpoint when nondecreasing, the breakpoint itself when
+    nonincreasing) and where its domain begins and ends. Building costs
+    O(P log P) for P pieces in all terms, independent of the domain width;
+    each evaluation is then one bisect.
     """
     if not terms:
         raise InvalidInput("need at least one term")
     directions = {f.direction for f, _ in terms}
     if len(directions) != 1:
         raise InvalidInput("terms must share a direction")
-    fs = [(f, s) for f, s in terms]
+    direction = directions.pop()
+    deltas: dict[int, int] = defaultdict(int)
+    base = 0
+    for f, s in terms:
+        xs = f.xs
+        if direction is Direction.NONDECREASING:
+            opens = (xs[0], *[x + 1 for x in xs[:-1]])
+        else:
+            opens = xs
+        prev = f.out_of_domain_low
+        base += prev
+        for x, v in zip(opens, f.values):
+            deltas[x + s] += v - prev
+            prev = v
+        deltas[xs[-1] + s + 1] += f.out_of_domain_high - prev
+    starts = sorted(deltas)
+    values = list(accumulate((deltas[x] for x in starts), initial=base))
 
     def evaluate(j: int) -> int:
-        return sum(f.query(j - s) for f, s in fs)
-
-    def evaluate_many(points: Sequence[int]) -> list[int]:
-        columns = [f.query_many([j - s for j in points]) for f, s in fs]
-        return [sum(vs) for vs in zip(*columns)]
+        return values[bisect_right(starts, j)]
 
     if domain is None:
         domain = terms[0][0].domain
-    return FnOracle(domain, directions.pop(), evaluate, evaluate_many)
+    return FnOracle(domain, direction, evaluate)

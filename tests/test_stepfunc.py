@@ -168,21 +168,6 @@ class TestStepFunctionQuery:
                 values=(5, 2),
             )
 
-    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
-    def test_query_many_is_query_per_point(self, direction):
-        values = (1, 4, 4, 9) if direction is Direction.NONDECREASING else (9, 4, 4, 1)
-        f = StepFunction(
-            domain=IntInterval(0, 10),
-            direction=direction,
-            xs=(0, 3, 5, 10),
-            values=values,
-            out_of_domain_low=11,
-            out_of_domain_high=13,
-        )
-        points = [-5, -1, 10, 0, 1, 3, 4, 5, 6, 9, 11, 40, 2]
-        assert f.query_many(points) == [f.query(x) for x in points]
-        assert f.query_many([]) == []
-
     def test_json_uses_decimal_strings(self):
         f = StepFunction(
             domain=IntInterval(0, 1),
@@ -336,6 +321,89 @@ def test_shifted_sum_batch_matches_pointwise_and_counts_each_point():
     points = [0, 1, 2, 4, 6]
     assert combined.values_at(points) == [combined(j) for j in points]
     assert combined.calls == 2 * len(points)
+
+
+def _step(direction, xs, values, below, above):
+    return StepFunction(
+        domain=IntInterval(xs[0], xs[-1]),
+        direction=direction,
+        xs=xs,
+        values=values,
+        out_of_domain_low=below,
+        out_of_domain_high=above,
+    )
+
+
+def assert_shifted_sum_is_per_term_sum(terms, domain=None):
+    """Compare with sum(f.query(j - s)) at every j the table can turn at, and past it."""
+    combined = shifted_sum(terms, domain)
+    spans = [f.domain for f, _ in terms] + ([domain] if domain else [])
+    max_shift = max(s for _, s in terms)
+    lo = min(d.lo for d in spans) - max_shift - 2
+    hi = max(d.hi for d in spans) + max_shift + 2
+    for j in range(lo, hi + 1):
+        assert combined(j) == sum(f.query(j - s) for f, s in terms), j
+    assert combined.calls == hi - lo + 1
+
+
+UP = Direction.NONDECREASING
+DOWN = Direction.NONINCREASING
+SHIFTED_SUM_CASES = {
+    "nondecreasing": (
+        [
+            (_step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 13), 0),
+            (_step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 13), 0),
+            (_step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 13), 4),
+            (_step(UP, (2, 7), (0, 6), 3, 2), 25),
+            (_step(UP, (4,), (5,), 2, 8), 1),
+            (_step(UP, (4,), (5,), 2, 8), 0),
+        ],
+        IntInterval(0, 10),
+    ),
+    "nonincreasing": (
+        [
+            (_step(DOWN, (0, 3, 5, 10), (9, 4, 4, 1), 11, 13), 0),
+            (_step(DOWN, (0, 3, 5, 10), (9, 4, 4, 1), 11, 13), 3),
+            (_step(DOWN, (0, 3, 5, 10), (9, 4, 4, 1), 11, 13), 3),
+            (_step(DOWN, (-2, 1), (7, 0), 1, 5), 17),
+            (_step(DOWN, (6,), (2,), 9, 4), 0),
+        ],
+        IntInterval(0, 10),
+    ),
+    "single point terms": (
+        [(_step(UP, (0,), (3,), 1, 5), s) for s in (0, 1, 1, 12)],
+        IntInterval(-4, 20),
+    ),
+    "one term, default domain": ([(_step(DOWN, (1, 2), (6, 6), 7, 0), 0)], None),
+}
+
+
+@pytest.mark.parametrize("case", SHIFTED_SUM_CASES)
+def test_shifted_sum_is_the_per_term_sum_everywhere(case):
+    assert_shifted_sum_is_per_term_sum(*SHIFTED_SUM_CASES[case])
+
+
+@st.composite
+def step_terms(draw):
+    direction = draw(st.sampled_from(list(Direction)))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.integers(-3, 3))
+        hi = lo + draw(st.integers(0, 12))
+        inner = draw(st.sets(st.integers(lo, hi), max_size=5))
+        xs = tuple(sorted(inner | {lo, hi}))
+        values = sorted(draw(st.lists(st.integers(0, 50), min_size=len(xs), max_size=len(xs))))
+        if direction is Direction.NONINCREASING:
+            values.reverse()
+        below, above = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+        terms.append((_step(direction, xs, tuple(values), below, above), draw(st.integers(0, 20))))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=step_terms())
+def test_shifted_sum_is_the_per_term_sum_on_random_terms(terms):
+    assert_shifted_sum_is_per_term_sum(terms, IntInterval(0, 8))
 
 
 def test_values_at_falls_back_to_pointwise_calls():
