@@ -30,7 +30,6 @@ from .oracles import (
 from .stagewise import RunReport
 from .stepfunc import (
     ApproxRatio,
-    ApproxSet,
     Direction,
     FnOracle,
     IntInterval,
@@ -44,7 +43,6 @@ from .stepfunc import (
 
 __all__ = [
     "ApproxRatio",
-    "ApproxSet",
     "Contingency2Instance",
     "Direction",
     "FnOracle",

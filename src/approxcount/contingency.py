@@ -13,14 +13,16 @@ and compressed on the half only (:func:`compress_contingency`).
 compressed column (column 1 is exact), P its pivot and s = s_i, the window
 sum W(j) = g(j) + ... + g(j - s) is evaluated exactly as G(j) - G(j - s - 1),
 G the prefix sum of g over its explicit pieces (:func:`window_sum`), and W's
-half {0..(P+s)//2} is compressed with ratio k, k^(n-1) <= 1 + epsilon. Two
-facts make this sound:
+half {0..(P+s)//2} is compressed with ratio k, k^(n-1) <= 1 + epsilon, by
+one binary-search scan whose probes all go through one FnOracle; each kept
+breakpoint takes the window sum its search probed. Two facts make this
+sound:
 
 1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
    the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
    symmetric and nondecreasing on its own half and j is at least as close
    to P/2 as j-s-1 is. So W can be compressed as it stands; the binary
-   searches still spot-check the direction.
+   searches still check each probe against the probes around it.
 2. G(j) - G(j-s-1) is an exact sum of s+1 values of one approximation, so
    if g is within ratio K of fills_{i-1}, W is within ratio K of fills_i and
    its compression within ratio k*K. The approximate path never forms the
@@ -48,7 +50,6 @@ from .stepfunc import (
     IntInterval,
     StepFunction,
     apx_set_nondecreasing,
-    induce,
     to_fraction,
 )
 
@@ -108,22 +109,20 @@ def window_sum(g: SymmetricUnimodal, width: int) -> Callable[[int], int]:
     return lambda j: prefix(j) - prefix(j - width - 1)
 
 
-def compress_contingency(phi, k: ApproxRatio, pivot: int) -> SymmetricUnimodal:
+def compress_contingency(phi: FnOracle, k: ApproxRatio, pivot: int) -> SymmetricUnimodal:
     """Compress a symmetric unimodal function to ratio k.
 
-    ``phi`` is any callable oracle defined at least on {0..pivot//2} and
-    nondecreasing there (the half of a function with the symmetric unimodal
-    structure). The result reflects the compressed half, so it stays within
-    ratio k of phi everywhere on {0..pivot} and is 0 outside; compressing an
+    ``phi`` is an oracle defined at least on {0..pivot//2} and nondecreasing
+    there (the half of a function with the symmetric unimodal structure); it
+    is searched directly, so its tally counts every evaluation. The result
+    reflects the compressed half, so it stays within ratio k of phi
+    everywhere on {0..pivot} and is 0 outside; compressing an
     L-approximation therefore yields a k*L-approximation of the original.
     """
     if pivot < 0:
         raise InvalidInput("pivot must be nonnegative")
-    half_dom = IntInterval(0, pivot // 2)
-    view = FnOracle(half_dom, Direction.NONDECREASING, phi)
     try:
-        chosen = apx_set_nondecreasing(view, half_dom, k)
-        half = induce(view, chosen, below=0)
+        half = apx_set_nondecreasing(phi, IntInterval(0, pivot // 2), k, below=0)
     except MonotonicityViolation as exc:
         raise InvalidInput(f"not nondecreasing up to the midpoint: {exc}") from exc
     return SymmetricUnimodal(half=half, pivot=pivot)
@@ -160,7 +159,7 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
         count=count,
         epsilon=eps,
         oracle_calls=calls,
-        per_stage_set_sizes=[len(su.half.xs) for su in funcs],
+        per_stage_set_sizes=[len(su.half) for su in funcs],
         elapsed=perf_counter() - started,
         chain_length=chain,
         stage_functions=funcs,

@@ -15,11 +15,11 @@ kept point is padded with its neighbour on that side:
 * nonincreasing functions change downward, pieces are half-open on the left,
   and pad inserts each point's successor (mirror image of the same argument).
 
-The padded set is certified in domain space with exact values at every
-breakpoint, so the induced function needs no end-of-domain merging. Oracle
-cost is O(|inc| + |W|), one evaluation per candidate and one per point of
-the padded set W. It never depends on the width of the numeric domain; that
-is the whole point.
+The padded points are certified in domain space once phi is exact at every
+one of them, so :func:`induce` evaluates phi there and needs no
+end-of-domain merging. Oracle cost is O(|inc| + |W|), one evaluation per
+candidate and one per point of the padded set W. It never depends on the
+width of the numeric domain; that is the whole point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput, MonotonicityViolation
 from .stepfunc import (
     ApproxRatio,
-    ApproxSet,
     Direction,
     FnOracle,
     IntInterval,
@@ -75,8 +74,10 @@ class IncIndex:
 
 def pad(
     s: Sequence[int], dom: IntInterval, direction: Direction = Direction.NONDECREASING
-) -> ApproxSet:
+) -> tuple[int, ...]:
     """Augment each point with its neighbour toward the uncertified side.
+
+    Returns the padded points as a sorted tuple.
 
     Nondecreasing: predecessors of every point except the first.
     Nonincreasing: successors of every point except the last.
@@ -94,7 +95,7 @@ def pad(
     else:
         out.update(x + 1 for x in pts[:-1])
     lo, hi = dom.lo, dom.hi
-    return ApproxSet(tuple(sorted(p for p in out if lo <= p <= hi)), dom)
+    return tuple(sorted(p for p in out if lo <= p <= hi))
 
 
 def _ranks_nondecreasing(v: Sequence[int], num: int, den: int) -> list[int]:
@@ -149,14 +150,14 @@ def convert(
     *,
     below: int | None = None,
     above: int | None = None,
-) -> tuple[ApproxSet, StepFunction]:
+) -> StepFunction:
     """Compress phi by way of its candidate ranks: evaluate, then scan.
 
     Evaluates phi at every candidate in one :meth:`FnOracle.values_at` batch,
     checks the whole list against phi's declared direction, and chooses the
     ranks the direction-appropriate binary search would choose over
-    {1..len(inc)}, by one linear scan of the values. The chosen points are
-    padded and induced. Total oracle cost is O(|inc| + |W|).
+    {1..len(inc)}, by one linear scan of the values. Returns the function
+    phi induces on the padded points. Total oracle cost is O(|inc| + |W|).
     """
     dom = inc.domain
     if dom.lo not in phi.domain or dom.hi not in phi.domain:
@@ -172,5 +173,4 @@ def convert(
             f"candidate values contradict declared {phi.direction.value} direction"
         )
     ranks = scan(v, k.k.numerator, k.k.denominator)
-    w = pad([pts[j] for j in ranks], dom, phi.direction)
-    return w, induce(phi, w, below=below, above=above)
+    return induce(phi, pad([pts[j] for j in ranks], dom, phi.direction), below=below, above=above)

@@ -46,8 +46,7 @@ def _rank_space_compress(raw, prev_points, shifts, ratio, below):
     candidates = IncIndex.build(
         [p + 1 for p in prev_points] + [p + w + 1 for p in prev_points] + [w], raw.domain
     )
-    chosen, approx = convert(raw, candidates, ratio, below=below)
-    return chosen, approx, candidates
+    return convert(raw, candidates, ratio, below=below), candidates
 
 
 def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:

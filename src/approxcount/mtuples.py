@@ -44,8 +44,7 @@ def _rank_space_compress(raw, prev_points, xs, ratio, below):
         [p + x for p in prev_points for x in xs] + [p + x + 1 for p in prev_points for x in xs],
         raw.domain,
     )
-    chosen, approx = convert(raw, candidates, ratio, below=below)
-    return chosen, approx, candidates
+    return convert(raw, candidates, ratio, below=below), candidates
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:

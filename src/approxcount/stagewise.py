@@ -27,12 +27,10 @@ from typing import Callable, Sequence
 from .incpoints import IncIndex
 from .stepfunc import (
     ApproxRatio,
-    ApproxSet,
     Direction,
     StepFunction,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
-    induce,
     shifted_sum,
     to_fraction,
 )
@@ -45,8 +43,9 @@ class RunReport:
     ``chain_length`` is the number of compressions along the longest chain
     feeding the count, the exponent the per-stage ratio was chosen for (0
     when no compression ran). The ``stage_*`` lists hold each compression's
-    breakpoint set, compressed function and, for the rank-space variants,
-    candidate change points, in the order they were built.
+    compressed function and, for the rank-space variants, candidate change
+    points, in the order they were built; ``per_stage_set_sizes`` are the
+    functions' breakpoint counts.
     """
 
     count: int
@@ -55,7 +54,6 @@ class RunReport:
     per_stage_set_sizes: list[int]
     elapsed: float
     chain_length: int = 0
-    stage_sets: list[ApproxSet] = field(repr=False, default_factory=list)
     stage_functions: list = field(repr=False, default_factory=list)
     stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
 
@@ -64,13 +62,13 @@ class RunReport:
         return self.epsilon < 1
 
 
-def search_and_induce(raw, prev_points, shifts, ratio, below):
+def binary_search(raw, prev_points, shifts, ratio, below):
     """Compress over the whole numeric domain by binary search."""
     if raw.direction is Direction.NONDECREASING:
-        chosen = apx_set_nondecreasing(raw, raw.domain, ratio)
+        search = apx_set_nondecreasing
     else:
-        chosen = apx_set_nonincreasing(raw, raw.domain, ratio)
-    return chosen, induce(raw, chosen, below=below), None
+        search = apx_set_nonincreasing
+    return search(raw, raw.domain, ratio, below=below), None
 
 
 def run_stages(
@@ -78,14 +76,14 @@ def run_stages(
     shift_sets: Sequence[Sequence[int]],
     epsilon,
     query_at: int,
-    compress: Callable = search_and_induce,
+    compress: Callable = binary_search,
 ) -> RunReport:
     """Run every stage from ``first_row`` and report the last row at ``query_at``.
 
     ``compress(raw, prev_points, shifts, ratio, below)`` returns the stage's
-    breakpoint set, its compressed function and its candidate index (None if
-    it has none); ``prev_points`` are the previous stage's breakpoints,
-    ``(domain.lo,)`` before the first stage.
+    compressed function and its candidate index (None if it has none);
+    ``prev_points`` are the previous stage's breakpoints, ``(domain.lo,)``
+    before the first stage.
     """
     started = perf_counter()
     eps = to_fraction(epsilon)
@@ -95,15 +93,14 @@ def run_stages(
     below = first_row.out_of_domain_low
     prev_points: Sequence[int] = (dom.lo,)
     calls = 0
-    stage_sets, stage_functions, stage_candidates = [], [], []
+    stage_functions, stage_candidates = [], []
 
     for shifts in shift_sets:
         raw = shifted_sum([(approx, s) for s in shifts], dom)
         below *= len(shifts)
-        chosen, approx, candidates = compress(raw, prev_points, shifts, ratio, below)
-        prev_points = chosen.points
+        approx, candidates = compress(raw, prev_points, shifts, ratio, below)
+        prev_points = approx.xs
         calls += raw.calls
-        stage_sets.append(chosen)
         stage_functions.append(approx)
         if candidates is not None:
             stage_candidates.append(candidates)
@@ -112,10 +109,9 @@ def run_stages(
         count=approx.query(query_at),
         epsilon=eps,
         oracle_calls=calls,
-        per_stage_set_sizes=[len(w) for w in stage_sets],
+        per_stage_set_sizes=[len(f) for f in stage_functions],
         elapsed=perf_counter() - started,
         chain_length=ratio.stages,
-        stage_sets=stage_sets,
         stage_functions=stage_functions,
         stage_candidates=stage_candidates,
     )

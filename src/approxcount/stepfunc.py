@@ -10,11 +10,16 @@ value in between) then satisfies a two-sided pointwise bound
 
     phi(x) <= induced(x) <= k * phi(x)    for every x in {lo..hi},
 
-while having only O(1 + log_k max(phi)) breakpoints. Construction probes phi
-through :class:`FnOracle` (which tallies calls), and every comparison is done
-in exact integer arithmetic: with k = p/q, "k*phi(y) >= phi(x)" is evaluated
-as p*phi(y) >= q*phi(x). No floats anywhere, so the bound survives any value
-magnitudes.
+while having only O(1 + log_k max(phi)) breakpoints. W is the K-approximation
+set and the step function the K-approximation function of Halman et al.;
+here they are one object: the compressors :func:`apx_set_nondecreasing` and
+:func:`apx_set_nonincreasing` return the :class:`StepFunction`, each
+breakpoint holding the value its own binary search probed, so the function
+is read off the searches without evaluating phi again. Construction probes
+phi through :class:`FnOracle` (which tallies calls), and every comparison is
+done in exact integer arithmetic: with k = p/q, "k*phi(y) >= phi(x)" is
+evaluated as p*phi(y) >= q*phi(x). No floats anywhere, so the bound survives
+any value magnitudes.
 
 Sums of same-direction step functions (``shifted_sum``) stay monotone and can
 be recompressed; compressing with ratio k1 a function that was itself within
@@ -29,7 +34,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -91,6 +96,9 @@ def _iroot(n: int, k: int) -> int:
     return x
 
 
+_PRECISION_BITS = 96  # of the dyadic k; doubled while the root rounds down to 1
+
+
 @dataclass(frozen=True)
 class ApproxRatio:
     """A per-stage ratio k with an exact certificate k**stages <= 1 + epsilon.
@@ -113,14 +121,14 @@ class ApproxRatio:
             raise InvalidInput("ratio certificate failed: k**stages > 1 + epsilon")
 
     @classmethod
-    def for_stages(cls, epsilon, stages: int, precision_bits: int = 96) -> "ApproxRatio":
+    def for_stages(cls, epsilon, stages: int) -> "ApproxRatio":
         eps = to_fraction(epsilon)
         if eps <= 0:
             raise InvalidInput("epsilon must be positive")
         if stages < 1:
             raise InvalidInput("stages must be positive")
         target = 1 + eps
-        prec = precision_bits
+        prec = _PRECISION_BITS
         while True:
             den = 1 << prec
             scaled = target * den**stages
@@ -161,34 +169,6 @@ class FnOracle:
 
 
 @dataclass(frozen=True)
-class ApproxSet:
-    """Sorted breakpoint set over a domain, endpoints always included.
-
-    ``merge_last`` records a certificate produced only by the nonincreasing
-    construction: the scan reached the domain end without finding a ratio
-    failure there, so k*phi(hi) >= phi(previous breakpoint) is known and the
-    final piece's value may stand at hi. :func:`induce` consumes the flag.
-    """
-
-    points: tuple[int, ...]
-    domain: IntInterval
-    merge_last: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        pts = self.points
-        if not pts:
-            raise InvalidInput("approximation set cannot be empty")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise InvalidInput("breakpoints must be strictly increasing")
-        if pts[0] != self.domain.lo or pts[-1] != self.domain.hi:
-            raise InvalidInput("breakpoints must include both domain endpoints")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant monotone function, queryable anywhere.
 
@@ -226,9 +206,9 @@ class StepFunction:
         if not ok:
             raise MonotonicityViolation("breakpoint values contradict declared direction")
 
-    @property
-    def breakpoints(self) -> list[tuple[int, int]]:
-        return list(zip(self.xs, self.values))
+    def __len__(self) -> int:
+        """The number of breakpoints."""
+        return len(self.xs)
 
     def query(self, x: int) -> int:
         if x < self.domain.lo:
@@ -251,123 +231,135 @@ class StepFunction:
         )
 
 
-def _ordered(probes: list[tuple[int, int]], direction: Direction) -> None:
-    """Best-effort monotonicity check over the probes of one binary search."""
-    probes.sort()
-    vals = [v for _, v in probes]
-    if direction is Direction.NONDECREASING:
-        ok = all(a <= b for a, b in zip(vals, vals[1:]))
-    else:
-        ok = all(a >= b for a, b in zip(vals, vals[1:]))
-    if not ok:
-        raise MonotonicityViolation(
-            f"oracle values {probes} contradict declared {direction.value} direction"
-        )
+def _function(dom, direction, xs, values, below, above=None) -> StepFunction:
+    return StepFunction(
+        domain=dom,
+        direction=direction,
+        xs=xs,
+        values=values,
+        out_of_domain_low=values[0] if below is None else below,
+        out_of_domain_high=values[-1] if above is None else above,
+    )
 
 
-def apx_set_nondecreasing(phi: FnOracle, dom: IntInterval, k: ApproxRatio) -> ApproxSet:
-    """Breakpoint set certified within ratio k for a nondecreasing phi.
+def _out_of_order(x: int, v: int, left: int, right: int, direction: Direction):
+    return MonotonicityViolation(
+        f"oracle value {v} at {x} is not between {left} and {right}, the values of the "
+        f"probes around it; that contradicts the declared {direction.value} direction"
+    )
+
+
+def apx_set_nondecreasing(
+    phi: FnOracle,
+    dom: IntInterval,
+    k: ApproxRatio,
+    *,
+    below: int | None = None,
+) -> StepFunction:
+    """Compress a nondecreasing phi on dom to a step function within ratio k.
 
     Scans from the high end: from the current point x, binary-search the
     smallest y with k*phi(y) >= phi(x) (monotone predicate), step to
     min(x-1, y), repeat until the low end. Each kept pair more than one apart
-    is certified by construction. Oracle cost is O(|W| log |dom|).
+    is certified by construction. Each kept point takes the value its own
+    search probed (y's probe, or x-1's when y = x), so the function is exact
+    at every breakpoint without a second pass. Each probe is checked against
+    the probes that bracket it. Oracle cost is O(|W| log |dom|). Below the
+    domain the value is ``below``, by default the low edge value; above it,
+    the high edge value.
     """
-    if dom.lo == dom.hi:
-        return ApproxSet((dom.lo,), dom)
     num, den = k.k.numerator, k.k.denominator
-    points = {dom.lo, dom.hi}
     x = dom.hi
+    fx = phi(x)
+    xs, values = [x], [fx]
     while x > dom.lo:
-        fx = phi(x)
         lo, hi = dom.lo, x  # phi(x) itself satisfies the predicate since k > 1
-        probes: list[tuple[int, int]] = [(x, fx)]
+        v_lo, v_hi = 0, fx  # counts are nonnegative
+        bar = den * fx
         while lo < hi:
             mid = (lo + hi) // 2
             v = phi(mid)
-            probes.append((mid, v))
-            if num * v >= den * fx:
-                hi = mid
+            if not v_lo <= v <= v_hi:
+                raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONDECREASING)
+            if num * v >= bar:
+                hi, v_hi = mid, v
             else:
-                lo = mid + 1
-        _ordered(probes, Direction.NONDECREASING)
-        x = min(x - 1, lo)
-        points.add(x)
-    return ApproxSet(tuple(sorted(points)), dom)
+                lo, v_lo = mid + 1, v
+        # y = x means the last probe, x-1, failed
+        x, fx = (x - 1, v_lo) if lo == x else (lo, v_hi)
+        xs.append(x)
+        values.append(fx)
+    xs.reverse()
+    values.reverse()
+    return _function(dom, Direction.NONDECREASING, xs, values, below)
 
 
-def apx_set_nonincreasing(phi: FnOracle, dom: IntInterval, k: ApproxRatio) -> ApproxSet:
-    """Breakpoint set certified within ratio k for a nonincreasing phi.
+def apx_set_nonincreasing(
+    phi: FnOracle,
+    dom: IntInterval,
+    k: ApproxRatio,
+    *,
+    below: int | None = None,
+) -> StepFunction:
+    """Compress a nonincreasing phi on dom to a step function within ratio k.
 
     Scans from the low end: from the current point x, binary-search the first
     y > x where k*phi(y) < phi(x) fails the ratio; every point before it is
-    certified against x, so y becomes the next breakpoint. If no failure
-    exists up to the domain end, the scan stops and the returned set carries
-    ``merge_last``: the tail is certified against x, so the induced function
-    may extend x's value through the end.
+    certified against x, so y becomes the next breakpoint, with the value its
+    search probed. If no failure exists up to the domain end, the scan stops
+    and the tail is merged: it is certified against x, so the domain end
+    takes x's value. Each probe is checked against the probes that bracket
+    it, the domain end against x before every merge decision. Out of domain
+    values are as in :func:`apx_set_nondecreasing`.
     """
-    if dom.lo == dom.hi:
-        return ApproxSet((dom.lo,), dom)
     num, den = k.k.numerator, k.k.denominator
-    points = {dom.lo, dom.hi}
     x = dom.lo
-    merge_last = False
-    v_end = phi(dom.hi)
+    fx = phi(x)
+    v_end = phi(dom.hi) if dom.hi > x else fx
+    xs, values = [x], [fx]
     while x < dom.hi:
-        fx = phi(x)
-        probes = [(x, fx), (dom.hi, v_end)]
-        if num * v_end >= den * fx:
-            merge_last = True
+        if v_end > fx:
+            raise _out_of_order(dom.hi, v_end, fx, 0, Direction.NONINCREASING)
+        bar = den * fx
+        if num * v_end >= bar:
+            xs.append(dom.hi)
+            values.append(fx)
             break
         lo, hi = x + 1, dom.hi  # failure exists; find the first one
+        v_lo, v_hi = fx, v_end
         while lo < hi:
             mid = (lo + hi) // 2
             v = phi(mid)
-            probes.append((mid, v))
-            if num * v < den * fx:
-                hi = mid
+            if not v_lo >= v >= v_hi:
+                raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONINCREASING)
+            if num * v < bar:
+                hi, v_hi = mid, v
             else:
-                lo = mid + 1
-        _ordered(probes, Direction.NONINCREASING)
-        x = lo
-        points.add(x)
-    return ApproxSet(tuple(sorted(points)), dom, merge_last=merge_last)
+                lo, v_lo = mid + 1, v
+        x, fx = lo, v_hi
+        xs.append(x)
+        values.append(fx)
+    return _function(dom, Direction.NONINCREASING, xs, values, below)
 
 
 def induce(
     phi: FnOracle,
-    w: ApproxSet,
+    points: Sequence[int],
     *,
     below: int | None = None,
     above: int | None = None,
 ) -> StepFunction:
-    """The step function phi induces on w: exact at breakpoints, larger
-    adjacent breakpoint value in between.
+    """The step function phi induces on the sorted points: exact at each one,
+    larger adjacent point's value in between.
 
-    For a set built by :func:`apx_set_nonincreasing` that ended in a clip
-    (``merge_last``), the final breakpoint takes its left neighbour's value
-    instead of a fresh sample; the construction certified that ratio. Out of
-    domain values default to continuations of the edge values; override them
-    to carry a boundary convention.
+    The points' ends are the function's domain. Out of domain values default
+    to continuations of the edge values; override them to carry a boundary
+    convention.
     """
-    if w.domain.lo not in phi.domain or w.domain.hi not in phi.domain:
-        raise InvalidInput("approximation set leaves the oracle's domain")
-    pts = w.points
-    if w.merge_last and len(pts) >= 2:
-        if phi.direction is not Direction.NONINCREASING:
-            raise InvalidInput("merge_last is only certified for nonincreasing functions")
-        values = [phi(x) for x in pts[:-1]]
-        values.append(values[-1])
-    else:
-        values = [phi(x) for x in pts]
-    return StepFunction(
-        domain=w.domain,
-        direction=phi.direction,
-        xs=pts,
-        values=tuple(values),
-        out_of_domain_low=values[0] if below is None else below,
-        out_of_domain_high=values[-1] if above is None else above,
-    )
+    dom = IntInterval(points[0], points[-1])
+    if dom.lo not in phi.domain or dom.hi not in phi.domain:
+        raise InvalidInput("points leave the oracle's domain")
+    return _function(dom, phi.direction, points, [phi(x) for x in points], below, above)
 
 
 def shifted_sum(

@@ -81,7 +81,7 @@ def test_golden_walkthrough_reproduces_published_tables():
     rep = fptas_mtuples(GOLDEN, 7)
     elapsed = perf_counter() - started
 
-    assert [list(w.points) for w in rep.stage_sets] == [
+    assert [list(f.xs) for f in rep.stage_functions] == [
         [0, 4, 8, 17],
         [0, 9, 13, 17],
         [0, 17],
@@ -215,8 +215,8 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
             k = ApproxRatio.for_stages(eps, inst.m).k
             v = math.prod(len(s) for s in inst.sets)
             for rep in (fptas_mtuples(inst, eps), strong_fptas_mtuples(inst, eps)):
-                for w in rep.stage_sets:
-                    assert len(w.points) <= size_cap(k, v)
+                for f in rep.stage_functions:
+                    assert len(f) <= size_cap(k, v)
 
     rng = random.Random(74031)
     for _ in range(40):
@@ -224,8 +224,8 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         for eps in EPSILONS:
             k = ApproxRatio.for_stages(eps, inst.n).k
             for rep in (fptas_knapsack(inst, eps), strong_fptas_knapsack(inst, eps)):
-                for w in rep.stage_sets:
-                    assert len(w.points) <= size_cap(k, 2**inst.n)
+                for f in rep.stage_functions:
+                    assert len(f) <= size_cap(k, 2**inst.n)
 
     rng = random.Random(74032)
     for _ in range(40):

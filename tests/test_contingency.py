@@ -85,6 +85,10 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
         assert w(j) == sum(g.query(j - v) for v in range(width + 1)), j
 
 
+def half_oracle(fn, pivot):
+    return FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, fn)
+
+
 class TestCompressOp:
     def test_exact_two_column_table(self):
         # A_2 for unit column sums is 1,2,1; endpoints survive exactly.
@@ -92,13 +96,13 @@ class TestCompressOp:
             Contingency2Instance(row_sums=(1, 1), col_sums=(1, 1)), width=2
         )[-1]
         assert row == [1, 2, 1]
-        su = compress_contingency(lambda j: row[j], ANY_K, 2)
+        su = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K, 2)
         assert su.query(0) == 1
         assert su.query(2) == 1
         assert row[1] <= su.query(1) <= ANY_K.k * row[1]
 
     def test_beyond_pivot_is_zero(self):
-        su = compress_contingency(lambda j: j + 1, ANY_K, 6)
+        su = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, 6)
         assert su.query(11) == 0
 
     def test_oracle_calls_are_counted(self):
@@ -109,11 +113,11 @@ class TestCompressOp:
 
     def test_rejects_non_monotone_half(self):
         with pytest.raises(InvalidInput):
-            compress_contingency(lambda j: [5, 2, 3, 9][j], ANY_K, 6)
+            compress_contingency(half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K, 6)
 
     def test_rejects_negative_pivot(self):
         with pytest.raises(InvalidInput):
-            compress_contingency(lambda j: 1, ANY_K, -1)
+            compress_contingency(half_oracle(lambda j: 1, 0), ANY_K, -1)
 
 
 def test_small_worked_instance():
@@ -215,12 +219,21 @@ def test_report_counts_oracle_traffic():
     assert rep.per_stage_set_sizes == [len(su.half.xs) for su in rep.stage_functions]
 
 
+# The ids keep the oracle calls from before the searches kept the values
+# they probed (90 and 88); the second pass that re-evaluated every kept
+# point is gone.
 @pytest.mark.parametrize(
     "rows, cols, eps, count, calls, sizes, chain",
     [
-        ((9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 90, [6, 8, 11], 3),
+        pytest.param(
+            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 46, [6, 8, 11], 3,
+            id="rows0-cols0-eps0-145-90-sizes0-3",
+        ),
         # R < s_n: the last column is still compressed whole, then queried at R.
-        ((10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 88, [5, 7, 12], 3),
+        pytest.param(
+            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 46, [5, 7, 12], 3,
+            id="rows1-cols1-eps1-116-88-sizes1-3",
+        ),
     ],
 )
 def test_report_values_are_pinned(rows, cols, eps, count, calls, sizes, chain):

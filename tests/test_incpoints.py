@@ -69,23 +69,20 @@ def test_len_is_rank_count():
 
 
 def test_pad_unrolls_definition():
-    got = pad([0, 7, 10], IntInterval(0, 10))
-    assert list(got.points) == [0, 6, 7, 9, 10]
+    assert pad([0, 7, 10], IntInterval(0, 10)) == (0, 6, 7, 9, 10)
 
 
 def test_pad_collapses_adjacent_duplicates():
-    got = pad([0, 1], IntInterval(0, 1))
-    assert list(got.points) == [0, 1]
+    assert pad([0, 1], IntInterval(0, 1)) == (0, 1)
 
 
 def test_pad_matches_example_set():
-    got = pad([0, 4, 8, 17], IntInterval(0, 17))
-    assert list(got.points) == [0, 3, 4, 7, 8, 16, 17]
+    assert pad([0, 4, 8, 17], IntInterval(0, 17)) == (0, 3, 4, 7, 8, 16, 17)
 
 
 def test_pad_mirror_uses_successors():
     got = pad([0, 4, 8, 17], IntInterval(0, 17), Direction.NONINCREASING)
-    assert list(got.points) == [0, 1, 4, 5, 8, 9, 17]
+    assert got == (0, 1, 4, 5, 8, 9, 17)
 
 
 @settings(max_examples=80, deadline=None)
@@ -95,8 +92,7 @@ def test_pad_mirror_uses_successors():
 def test_pad_at_most_doubles(raw):
     dom = IntInterval(0, 50)
     pts = sorted(raw | {0, 50})
-    padded = pad(pts, dom)
-    assert len(padded.points) <= 2 * len(pts) - 1
+    assert len(pad(pts, dom)) <= 2 * len(pts) - 1
 
 
 # ---------------------------------------------------------------- convert
@@ -105,8 +101,8 @@ def test_pad_at_most_doubles(raw):
 def test_convert_constant_keeps_three_points():
     phi = table_oracle([6] * 12)
     inc = IncIndex.build([0, 11], IntInterval(0, 11))
-    w, f = convert(phi, inc, HALF)
-    assert list(w.points) == [0, 10, 11]
+    f = convert(phi, inc, HALF)
+    assert list(f.xs) == [0, 10, 11]
     assert all(f.query(j) == 6 for j in range(12))
 
 
@@ -114,8 +110,8 @@ def test_convert_identity_with_full_inc():
     values = list(range(16))
     phi = table_oracle(values)
     inc = IncIndex.build(range(16), IntInterval(0, 15))
-    w, f = convert(phi, inc, K2)
-    assert set(w.points) >= {0, 1, 2, 4, 8, 15}
+    f = convert(phi, inc, K2)
+    assert set(f.xs) >= {0, 1, 2, 4, 8, 15}
     for j in range(16):
         assert values[j] <= f.query(j) <= 2 * values[j]
 
@@ -123,7 +119,7 @@ def test_convert_identity_with_full_inc():
 def test_convert_propagates_out_of_domain_fill():
     phi = table_oracle([2, 2, 3, 9])
     inc = IncIndex.build([0, 2, 3], IntInterval(0, 3))
-    _, f = convert(phi, inc, K2, below=0, above=9)
+    f = convert(phi, inc, K2, below=0, above=9)
     assert f.query(-3) == 0
     assert f.query(4) == 9
 
@@ -135,7 +131,7 @@ def test_convert_sandwich_nondecreasing(values):
     dom = phi.domain
     candidates = {0, dom.hi} | strict_increase_points(values)
     inc = IncIndex.build(candidates, dom)
-    _, f = convert(phi, inc, HALF)
+    f = convert(phi, inc, HALF)
     for j, exact in enumerate(values):
         assert exact <= f.query(j)
         assert 2 * f.query(j) <= 3 * exact
@@ -149,7 +145,7 @@ def test_convert_sandwich_mirrored(values):
     dom = phi.domain
     candidates = {0, dom.hi} | strict_decrease_points(table)
     inc = IncIndex.build(candidates, dom)
-    _, f = convert(phi, inc, HALF)
+    f = convert(phi, inc, HALF)
     for j, exact in enumerate(table):
         assert exact <= f.query(j)
         assert 2 * f.query(j) <= 3 * exact
@@ -163,7 +159,7 @@ def test_convert_tolerates_slack_in_inc(values, extra):
     dom = phi.domain
     candidates = {0, dom.hi} | strict_increase_points(values) | {e for e in extra if e <= dom.hi}
     inc = IncIndex.build(candidates, dom)
-    _, f = convert(phi, inc, HALF)
+    f = convert(phi, inc, HALF)
     for j, exact in enumerate(values):
         assert exact <= f.query(j)
         assert 2 * f.query(j) <= 3 * exact
@@ -175,9 +171,9 @@ def test_breakpoints_plus_one_cover_increases_of_induced(values):
     phi = table_oracle(values)
     dom = phi.domain
     inc = IncIndex.build({0, dom.hi} | strict_increase_points(values), dom)
-    w, f = convert(phi, inc, HALF)
+    f = convert(phi, inc, HALF)
     dense = [f.query(j) for j in range(len(values))]
-    shifted = {x + 1 for x in w.points}
+    shifted = {x + 1 for x in f.xs}
     for j in strict_increase_points(dense):
         assert j in shifted
 
@@ -198,11 +194,11 @@ def binary_search_convert(phi, inc, k, **fill):
     pts = inc.points
     ranked = FnOracle(IntInterval(1, len(pts)), phi.direction, lambda j: phi(pts[j - 1]))
     if phi.direction is Direction.NONDECREASING:
-        w_rank = apx_set_nondecreasing(ranked, ranked.domain, k)
+        by_rank = apx_set_nondecreasing(ranked, ranked.domain, k)
     else:
-        w_rank = apx_set_nonincreasing(ranked, ranked.domain, k)
-    w = pad([pts[j - 1] for j in w_rank.points], inc.domain, phi.direction)
-    return w, induce(phi, w, **fill)
+        by_rank = apx_set_nonincreasing(ranked, ranked.domain, k)
+    w = pad([pts[j - 1] for j in by_rank.xs], inc.domain, phi.direction)
+    return induce(phi, w, **fill)
 
 
 @pytest.mark.parametrize("k", [K2, HALF], ids=["K2", "HALF"])
@@ -221,8 +217,8 @@ def test_convert_scan_matches_binary_search(k, direction, values, extra):
 def test_convert_counts_one_call_per_candidate_and_padded_point():
     phi = table_oracle([1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32])
     inc = IncIndex.build(range(11), phi.domain)
-    w, _ = convert(phi, inc, K2)
-    assert phi.calls == len(inc) + len(w)
+    f = convert(phi, inc, K2)
+    assert phi.calls == len(inc) + len(f)
 
 
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)

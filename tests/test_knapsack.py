@@ -61,7 +61,7 @@ def test_report_shape():
     rep = strong_fptas_knapsack(inst, Fraction(1, 3))
     assert len(rep.per_stage_set_sizes) == inst.n
     assert len(rep.stage_candidates) == inst.n
-    assert rep.per_stage_set_sizes == [len(w.points) for w in rep.stage_sets]
+    assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
 
 
 def random_instance(rng, n_max=10, w_max=50, c_max=300):
@@ -102,8 +102,8 @@ def test_set_sizes_logarithmic_in_subset_count():
         rep = strong_fptas_knapsack(inst, eps)
         k = ApproxRatio.for_stages(eps, inst.n).k
         cap = 4 * (1 + inst.n / math.log2(float(k)))
-        for w in rep.stage_sets:
-            assert len(w.points) <= cap
+        for f in rep.stage_functions:
+            assert len(f) <= cap
 
 
 class TestStageInvariants:
@@ -124,7 +124,7 @@ class TestStageInvariants:
             raw = [prev(j) + prev(j - w_i) for j in range(c + 1)]
             func = rep.stage_functions[i]
             dense = [func.query(j) for j in range(c + 1)]
-            points = set(rep.stage_sets[i].points)
+            points = set(func.xs)
             inc = set(rep.stage_candidates[i].points)
             power *= k
 

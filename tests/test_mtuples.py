@@ -32,7 +32,7 @@ def dense(f, hi=17):
 class TestGoldenWalkthrough:
     def test_stage_sets(self):
         rep = fptas_mtuples(GOLDEN, 7)
-        assert [list(w.points) for w in rep.stage_sets] == [
+        assert [list(f.xs) for f in rep.stage_functions] == [
             [0, 4, 8, 17],
             [0, 9, 13, 17],
             [0, 17],
@@ -90,7 +90,7 @@ def test_single_set():
 def test_report_shape():
     rep = fptas_mtuples(GOLDEN, Fraction(1, 2))
     assert len(rep.per_stage_set_sizes) == GOLDEN.m
-    assert rep.per_stage_set_sizes == [len(w.points) for w in rep.stage_sets]
+    assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
     assert rep.oracle_calls > 0
     assert rep.elapsed >= 0
 

@@ -5,6 +5,9 @@ change to candidate rules, search order or boundary values shows up here as
 a changed number even when every count stays inside its band.
 """
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from approxcount import (
     KnapsackInstance,
     MTuplesInstance,
     RunReport,
+    StepFunction,
     fptas_contingency2,
     fptas_knapsack,
     fptas_mtuples,
@@ -32,20 +36,35 @@ def test_readme_library_example():
     assert rep.per_stage_set_sizes == [6, 11, 18, 18]
 
 
-# The strong rows keep the ids they had when the strong compressor
-# binary-searched each stage (98, 39 and 94 oracle calls); the values they
-# pin are those of the batch evaluation and linear scan.
+# Every row keeps the id it had before its oracle calls last changed. The
+# strong rows' ids date from when the strong compressor binary-searched each
+# stage (98, 39 and 94 calls), the plain rows' from when a second pass
+# re-evaluated every kept point (189, 89, 32 and 85 calls); the values they
+# pin are those of the batch evaluation and linear scan, and of searches
+# that keep the values they probed.
 @pytest.mark.parametrize(
     "counter, inst, eps, count, calls, sizes",
     [
-        (fptas_knapsack, README_KNAPSACK, Fraction(1, 4), 13, 189, [4, 8, 14, 16]),
-        (fptas_knapsack, README_KNAPSACK, 7, 13, 89, [4, 5, 6, 7]),
+        pytest.param(
+            fptas_knapsack, README_KNAPSACK, Fraction(1, 4), 13, 113, [4, 8, 14, 16],
+            id="fptas_knapsack-inst0-eps0-13-189-sizes0",
+        ),
+        pytest.param(
+            fptas_knapsack, README_KNAPSACK, 7, 13, 53, [4, 5, 6, 7],
+            id="fptas_knapsack-inst1-7-13-89-sizes1",
+        ),
         pytest.param(
             strong_fptas_knapsack, README_KNAPSACK, 7, 13, 82, [6, 8, 10, 11],
             id="strong_fptas_knapsack-inst2-7-13-98-sizes2",
         ),
-        (fptas_mtuples, GOLDEN, 7, 12, 32, [4, 4, 2]),
-        (fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 85, [5, 8, 7]),
+        pytest.param(
+            fptas_mtuples, GOLDEN, 7, 12, 21, [4, 4, 2],
+            id="fptas_mtuples-inst3-7-12-32-sizes3",
+        ),
+        pytest.param(
+            fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 54, [5, 8, 7],
+            id="fptas_mtuples-inst4-eps4-3-85-sizes4",
+        ),
         pytest.param(
             strong_fptas_mtuples, GOLDEN, 7, 6, 53, [7, 7, 3],
             id="strong_fptas_mtuples-inst5-7-6-39-sizes5",
@@ -92,3 +111,48 @@ def test_below_domain_value_is_the_product_of_set_sizes(counter):
 def test_knapsack_rows_are_zero_below_the_domain(counter):
     rep = counter(README_KNAPSACK, Fraction(1, 2))
     assert [f.query(-1) for f in rep.stage_functions] == [0] * README_KNAPSACK.n
+
+
+def _sweep_text(rounds=20):
+    """Counts, set sizes, chain lengths and every stage function of a seeded sweep.
+
+    Five runs per round, one per counter. Only fields that every
+    refactor of the compressors must leave alone are written, so the text
+    (and its digest) pins their output exactly.
+    """
+    rng = random.Random(20240607)
+    lines = []
+    for i in range(rounds):
+        scale = rng.choice((1, 10, 1000, 10**6, 10**9))
+        eps = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), 1, 3))
+        weights = [rng.randint(1, scale) for _ in range(rng.randint(1, 8))]
+        knap = KnapsackInstance(weights=weights, capacity=rng.randint(0, sum(weights)))
+        sets = [
+            [rng.randint(0, scale) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(1, 5))
+        ]
+        tuples = MTuplesInstance(sets=sets, bound=rng.randint(0, sum(map(max, sets))))
+        cols = [rng.randint(1, 30) for _ in range(rng.randint(1, 6))]
+        r1 = rng.randint(0, sum(cols))
+        table = Contingency2Instance(row_sums=(r1, sum(cols) - r1), col_sums=cols)
+        runs = [
+            (fptas_knapsack, knap),
+            (strong_fptas_knapsack, knap),
+            (fptas_mtuples, tuples),
+            (strong_fptas_mtuples, tuples),
+            (fptas_contingency2, table),
+        ]
+        for counter, inst in runs:
+            rep = counter(inst, eps)
+            stages = [
+                f.to_json() if isinstance(f, StepFunction) else [f.pivot, f.half.to_json()]
+                for f in rep.stage_functions
+            ]
+            row = [counter.__name__, i, str(rep.count), rep.per_stage_set_sizes, rep.chain_length]
+            lines.append(json.dumps(row + [stages]))
+    return "\n".join(lines)
+
+
+def test_seeded_sweep_output_is_unchanged():
+    digest = hashlib.sha256(_sweep_text().encode()).hexdigest()
+    assert digest == "79be8f4d98407b88316b728b69624e4a106589ebe4c71e955cce4745ac1be429"

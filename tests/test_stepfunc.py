@@ -1,6 +1,6 @@
-"""Compression core: breakpoint selection, induced step functions, exact ratios.
+"""Compression core: breakpoint selection, compressed step functions, exact ratios.
 
-The properties here are the contract the counters lean on: the induced
+The properties here are the contract the counters lean on: the compressed
 function always sandwiches the original within the chosen ratio, breakpoint
 sets stay logarithmically small, and sums of approximations inherit the
 worse of the two ratios. Everything is checked with exact rational
@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 from approxcount.errors import InvalidInput, MonotonicityViolation
 from approxcount.stepfunc import (
     ApproxRatio,
-    ApproxSet,
     Direction,
     FnOracle,
     IntInterval,
     StepFunction,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
-    induce,
     shifted_sum,
     to_fraction,
 )
@@ -36,13 +34,11 @@ def oracle_from_values(values, direction):
 
 
 def compress(values, direction, k):
-    """Run the full pipeline on a dense value table; returns (set, function)."""
+    """Compress a dense value table with the search of its direction."""
     phi = oracle_from_values(values, direction)
     if direction is Direction.NONDECREASING:
-        w = apx_set_nondecreasing(phi, phi.domain, k)
-    else:
-        w = apx_set_nonincreasing(phi, phi.domain, k)
-    return w, induce(phi, w)
+        return apx_set_nondecreasing(phi, phi.domain, k)
+    return apx_set_nonincreasing(phi, phi.domain, k)
 
 
 # Monotone tables built from nonnegative deltas; lets hypothesis shrink well.
@@ -111,21 +107,27 @@ class TestOracleCounter:
         assert phi.calls == 3
 
 
+def step_on(xs, domain):
+    return StepFunction(domain, Direction.NONDECREASING, xs, (1,) * len(xs))
+
+
 class TestApproxSetValidation:
+    """The approximation set of a step function is its breakpoints."""
+
     def test_requires_domain_endpoints(self):
         dom = IntInterval(0, 9)
         with pytest.raises(InvalidInput):
-            ApproxSet(points=(0, 4), domain=dom)
+            step_on((0, 4), dom)
         with pytest.raises(InvalidInput):
-            ApproxSet(points=(2, 9), domain=dom)
+            step_on((2, 9), dom)
 
     def test_requires_strictly_increasing(self):
         with pytest.raises(InvalidInput):
-            ApproxSet(points=(0, 4, 4, 9), domain=IntInterval(0, 9))
+            step_on((0, 4, 4, 9), IntInterval(0, 9))
 
     def test_degenerate_domain_single_point(self):
-        w = ApproxSet(points=(5,), domain=IntInterval(5, 5))
-        assert list(w.points) == [5]
+        f = step_on((5,), IntInterval(5, 5))
+        assert list(f.xs) == [5] and len(f) == 1
 
 
 class TestStepFunctionQuery:
@@ -182,28 +184,28 @@ def test_identity_on_one_to_sixteen_with_k_two():
     # Doubling thresholds: the selected points are exactly the powers of two.
     dom = IntInterval(1, 16)
     phi = FnOracle(dom, Direction.NONDECREASING, lambda j: j)
-    w = apx_set_nondecreasing(phi, dom, ApproxRatio.for_stages(Fraction(7), 3))
-    assert list(w.points) == [1, 2, 4, 8, 16]
+    f = apx_set_nondecreasing(phi, dom, ApproxRatio.for_stages(Fraction(7), 3))
+    assert list(f.xs) == [1, 2, 4, 8, 16]
 
 
 def test_constant_function_needs_only_endpoints():
     dom = IntInterval(0, 100)
     phi = FnOracle(dom, Direction.NONDECREASING, lambda j: 12)
-    w = apx_set_nondecreasing(phi, dom, ApproxRatio.for_stages(Fraction(1), 1))
-    assert list(w.points) == [0, 100]
+    f = apx_set_nondecreasing(phi, dom, ApproxRatio.for_stages(Fraction(1), 1))
+    assert list(f.xs) == [0, 100]
 
 
 def test_all_zero_function_keeps_endpoints_only():
     dom = IntInterval(0, 50)
     phi = FnOracle(dom, Direction.NONINCREASING, lambda j: 0)
-    w = apx_set_nonincreasing(phi, dom, ApproxRatio.for_stages(Fraction(1), 1))
-    assert list(w.points) == [0, 50]
+    f = apx_set_nonincreasing(phi, dom, ApproxRatio.for_stages(Fraction(1), 1))
+    assert list(f.xs) == [0, 50]
 
 
 @settings(max_examples=60, deadline=None)
 @given(values=nondecreasing_tables(), k=ratios)
 def test_sandwich_nondecreasing(values, k):
-    w, f = compress(values, Direction.NONDECREASING, k)
+    f = compress(values, Direction.NONDECREASING, k)
     for j, exact in enumerate(values):
         got = f.query(j)
         assert exact <= got
@@ -214,7 +216,7 @@ def test_sandwich_nondecreasing(values, k):
 @given(values=nondecreasing_tables(), k=ratios)
 def test_sandwich_nonincreasing(values, k):
     table = values[::-1]
-    w, f = compress(table, Direction.NONINCREASING, k)
+    f = compress(table, Direction.NONINCREASING, k)
     for j, exact in enumerate(table):
         got = f.query(j)
         assert exact <= got
@@ -224,10 +226,10 @@ def test_sandwich_nonincreasing(values, k):
 @settings(max_examples=60, deadline=None)
 @given(values=nondecreasing_tables(), k=ratios)
 def test_set_size_within_four_log(values, k):
-    w, _ = compress(values, Direction.NONDECREASING, k)
+    f = compress(values, Direction.NONDECREASING, k)
     top = max(values[-1], 1)
     bound = 4 * (1 + math.log(max(top, 2)) / math.log(float(k.k)))
-    assert len(w.points) <= bound
+    assert len(f) <= bound
 
 
 def test_sandwich_on_wide_domain():
@@ -235,12 +237,11 @@ def test_sandwich_on_wide_domain():
     dom = IntInterval(0, 10**4)
     phi = FnOracle(dom, Direction.NONDECREASING, lambda j: 1 + j * j)
     k = ApproxRatio.for_stages(Fraction(1, 2), 4)
-    w = apx_set_nondecreasing(phi, dom, k)
-    f = induce(FnOracle(dom, Direction.NONDECREASING, lambda j: 1 + j * j), w)
+    f = apx_set_nondecreasing(phi, dom, k)
     for j in range(0, 10**4 + 1, 37):
         exact = 1 + j * j
         assert exact <= f.query(j) <= k.k * exact
-    assert len(w.points) <= 4 * (1 + math.log(1 + 10**8) / math.log(float(k.k)))
+    assert len(f) <= 4 * (1 + math.log(1 + 10**8) / math.log(float(k.k)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,8 +254,8 @@ def test_sandwich_on_wide_domain():
 def test_sum_of_approximations_keeps_worse_ratio(values_a, values_b, k1, k2):
     n = min(len(values_a), len(values_b))
     a, b = values_a[:n], values_b[:n]
-    _, fa = compress(a, Direction.NONDECREASING, k1)
-    _, fb = compress(b, Direction.NONDECREASING, k2)
+    fa = compress(a, Direction.NONDECREASING, k1)
+    fb = compress(b, Direction.NONDECREASING, k2)
     worse = max(k1.k, k2.k)
     for j in range(n):
         exact = a[j] + b[j]
@@ -265,34 +266,46 @@ def test_sum_of_approximations_keeps_worse_ratio(values_a, values_b, k1, k2):
 @settings(max_examples=40, deadline=None)
 @given(values=nondecreasing_tables(max_len=200), k1=ratios, k2=ratios)
 def test_compression_of_compression_multiplies_ratios(values, k1, k2):
-    _, first = compress(values, Direction.NONDECREASING, k1)
+    first = compress(values, Direction.NONDECREASING, k1)
     dom = IntInterval(0, len(values) - 1)
     second_oracle = FnOracle(dom, Direction.NONDECREASING, first.query)
-    w2 = apx_set_nondecreasing(second_oracle, dom, k2)
-    second = induce(FnOracle(dom, Direction.NONDECREASING, first.query), w2)
+    second = apx_set_nondecreasing(second_oracle, dom, k2)
     combined = k1.k * k2.k
     for j, exact in enumerate(values):
         assert exact <= second.query(j) <= combined * exact
 
 
-def test_monotonicity_violation_detected_on_scan():
-    dom = IntInterval(0, 7)
-    wobble = [1, 5, 2, 2, 2, 2, 2, 9]
-    phi = FnOracle(dom, Direction.NONDECREASING, lambda j: wobble[j])
+@pytest.mark.parametrize(
+    "direction, table, eps",
+    [
+        (Direction.NONDECREASING, [1, 5, 2, 2, 2, 2, 2, 9], Fraction(1, 10)),
+        (Direction.NONINCREASING, [9, 2, 2, 2, 2, 2, 5, 1], Fraction(1, 10)),
+        # the domain end rises above x = 0; merging the tail into x's piece
+        # would rest on a comparison that passes only because of the rise
+        (Direction.NONINCREASING, [4, 4, 4, 5], Fraction(1)),
+    ],
+    ids=["nondecreasing", "nonincreasing", "nonincreasing-merged-tail"],
+)
+def test_monotonicity_violation_detected_on_scan(direction, table, eps):
     with pytest.raises(MonotonicityViolation):
-        apx_set_nondecreasing(phi, dom, ApproxRatio.for_stages(Fraction(1, 10), 1))
+        compress(table, direction, ApproxRatio.for_stages(eps, 1))
 
 
-def test_induce_exact_at_breakpoints():
-    values = [10, 9, 9, 4, 4, 4, 1, 0]
-    phi = oracle_from_values(values, Direction.NONINCREASING)
-    k = ApproxRatio.for_stages(Fraction(1), 1)
-    w = apx_set_nonincreasing(phi, phi.domain, k)
-    f = induce(oracle_from_values(values, Direction.NONINCREASING), w)
-    for x in w.points:
-        if w.merge_last and x == w.points[-1]:
-            continue
-        assert f.query(x) == values[x]
+@settings(max_examples=80, deadline=None)
+@given(
+    values=nondecreasing_tables(max_len=120), k=ratios, direction=st.sampled_from(list(Direction))
+)
+def test_induce_exact_at_breakpoints(values, k, direction):
+    table = values if direction is Direction.NONDECREASING else values[::-1]
+    f = compress(table, direction, k)
+    hi = len(table) - 1
+    num, den = k.k.numerator, k.k.denominator
+    for x, v in zip(f.xs, f.values):
+        if x == hi and direction is Direction.NONINCREASING and v != table[hi]:
+            # the merged tail keeps its start's value, certified within k
+            assert v == f.values[-2] and num * table[hi] >= den * v
+        else:
+            assert v == table[x]
 
 
 def test_shifted_sum_matches_manual_recurrence():
