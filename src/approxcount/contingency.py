@@ -13,23 +13,32 @@ and compressed on the half only (:func:`compress_contingency`).
 compressed column (column 1 is exact), P its pivot and s = s_i, the window
 sum W(j) = g(j) + ... + g(j - s) is evaluated exactly as G(j) - G(j - s - 1),
 G the prefix sum of g over its explicit pieces (:func:`window_sum`), and W's
-half {0..(P+s)//2} is compressed with ratio k, k^(n-1) <= 1 + epsilon, by
-one binary-search scan whose probes all go through one FnOracle; each kept
-breakpoint takes the window sum its search probed. Two facts make this
-sound:
+half {0..(P+s)//2} is compressed with ratio k, k^(n-1) <= 1 + epsilon, by a
+walk over W's linear pieces: W is evaluated through one FnOracle at the
+knots of :func:`window_knots` only, and each kept breakpoint is found by one
+exact ceiling division on its piece. Three facts make this sound:
 
 1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
    the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
    symmetric and nondecreasing on its own half and j is at least as close
-   to P/2 as j-s-1 is. So W can be compressed as it stands; the binary
-   searches still check each probe against the probes around it.
+   to P/2 as j-s-1 is. So W can be compressed as it stands; the walk still
+   checks that the knot values are nondecreasing.
 2. G(j) - G(j-s-1) is an exact sum of s+1 values of one approximation, so
    if g is within ratio K of fills_{i-1}, W is within ratio K of fills_i and
    its compression within ratio k*K. The approximate path never forms the
    difference of two approximations, which has no such rule.
+3. W is linear, with an integer slope, between consecutive knots. Its slope
+   W(j) - W(j-1) = g(j) - g(j-s-1) changes only where g changes at j or at
+   j-s-1, and g, a step function reflected about P/2, changes at O(len(g))
+   points. So the walk keeps exactly the breakpoints, with exactly the
+   values, that a binary search of W for the same predicate keeps, at
+   O(len(g)) evaluations per column whatever the cell sizes; the walk
+   checks that every slope between knots is an integer.
 
 After column n the last compressed function is queried at R; it is within
-k^(n-1) <= 1 + epsilon of fills_n.
+k^(n-1) <= 1 + epsilon of fills_n. The report keeps every column's function,
+so a run that keeps more than KEPT_BREAKPOINT_CAP breakpoints in all raises
+TooLarge.
 """
 
 from __future__ import annotations
@@ -38,20 +47,17 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Sequence
 
-from .errors import InvalidInput, MonotonicityViolation
+from .errors import InvalidInput, TooLarge
 from .oracles import Contingency2Instance
 from .stagewise import RunReport
-from .stepfunc import (
-    ApproxRatio,
-    Direction,
-    FnOracle,
-    IntInterval,
-    StepFunction,
-    apx_set_nondecreasing,
-    to_fraction,
-)
+from .stepfunc import ApproxRatio, Direction, FnOracle, IntInterval, StepFunction, to_fraction
+
+# Every column's compressed function is kept in the report, so the kept
+# breakpoints of all columns together bound the run's memory. A 60-column
+# table with cells up to 1e6 at eps 1/2 keeps about 2.4M.
+KEPT_BREAKPOINT_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -109,22 +115,86 @@ def window_sum(g: SymmetricUnimodal, width: int) -> Callable[[int], int]:
     return lambda j: prefix(j) - prefix(j - width - 1)
 
 
-def compress_contingency(phi: FnOracle, k: ApproxRatio, pivot: int) -> SymmetricUnimodal:
+def window_knots(g: SymmetricUnimodal, width: int) -> list[int]:
+    """The points of W's half {0..(pivot+width)//2} between which the window
+    sum W of :func:`window_sum` is linear, both ends included.
+
+    W(j) - W(j-1) = g(j) - g(j-width-1), and on all of Z g changes value only
+    at the points c of C = {0, pivot+1, x+1 and pivot-x for each half
+    breakpoint x}; the last half breakpoint, pivot//2, covers the midpoint.
+    So W's slope changes only where j or j-width-1 is in C, and W is linear
+    between consecutive points c-1, c in C or in C+width+1. That is
+    O(len(g.half)) points, whatever the cells are.
+    """
+    pivot, top = g.pivot, (g.pivot + width) // 2
+    xs = g.half.xs
+    changes = [0, pivot + 1, *[x + 1 for x in xs], *[pivot - x for x in xs]]
+    knots = {0, top}
+    knots.update([c - 1 for c in changes if 0 < c <= top + 1])
+    knots.update([c + width for c in changes if c + width <= top])
+    return sorted(knots)
+
+
+def compress_contingency(
+    phi: FnOracle, k: ApproxRatio, pivot: int, knots: Sequence[int]
+) -> SymmetricUnimodal:
     """Compress a symmetric unimodal function to ratio k.
 
-    ``phi`` is an oracle defined at least on {0..pivot//2} and nondecreasing
-    there (the half of a function with the symmetric unimodal structure); it
-    is searched directly, so its tally counts every evaluation. The result
-    reflects the compressed half, so it stays within ratio k of phi
-    everywhere on {0..pivot} and is 0 outside; compressing an
-    L-approximation therefore yields a k*L-approximation of the original.
+    ``phi`` is an oracle on at least {0..pivot//2} that is nondecreasing and
+    linear with an integer slope between consecutive ``knots``, which run
+    from 0 to pivot//2. It is evaluated once per knot only; InvalidInput is
+    raised unless the knot values are nondecreasing with integer slopes.
+
+    The scan is :func:`~approxcount.stepfunc.apx_set_nondecreasing`'s: down
+    from the midpoint, the point after x is min(x-1, y), y the smallest
+    point with k*phi(y) >= phi(x). Here y lies on the first linear piece
+    whose upper knot passes, where one exact ceiling division finds it, so
+    the kept points and values are the search's. The result reflects the
+    compressed half, so it stays within ratio k of phi everywhere on
+    {0..pivot} and is 0 outside; compressing an L-approximation therefore
+    yields a k*L-approximation of the original.
     """
     if pivot < 0:
         raise InvalidInput("pivot must be nonnegative")
-    try:
-        half = apx_set_nondecreasing(phi, IntInterval(0, pivot // 2), k, below=0)
-    except MonotonicityViolation as exc:
-        raise InvalidInput(f"not nondecreasing up to the midpoint: {exc}") from exc
+    top = pivot // 2
+    if not knots or knots[0] != 0 or knots[-1] != top:
+        raise InvalidInput("knots must run from 0 to the midpoint")
+    ws = [phi(t) for t in knots]
+    if ws[0] < 0:
+        raise InvalidInput(f"negative value {ws[0]} at 0")
+    slopes = [0]  # slopes[i]: of the piece from knots[i-1] to knots[i]
+    for a, b, wa, wb in zip(knots, knots[1:], ws, ws[1:]):
+        if b <= a or wb < wa or (wb - wa) % (b - a):
+            raise InvalidInput(
+                f"not nondecreasing and linear with integer slope from {a} to {b}: {wa}, {wb}"
+            )
+        slopes.append((wb - wa) // (b - a))
+
+    num, den = k.k.numerator, k.k.denominator
+    i = len(knots) - 1  # invariant: knots[i] is the first knot >= x
+    x, fx = top, ws[i]
+    xs, values = [x], [fx]
+    while x > 0:
+        bar = den * fx
+        if knots[i - 1] == x - 1:
+            i -= 1
+        v = ws[i] - (knots[i] - x + 1) * slopes[i]
+        if num * v < bar:  # y = x: nothing below x passes
+            x, fx = x - 1, v
+        else:
+            while i > 0 and num * ws[i - 1] >= bar:
+                i -= 1
+            if i == 0:
+                x, fx = 0, ws[0]
+            else:
+                a, wa, d = knots[i - 1], ws[i - 1], slopes[i]
+                x = a - (num * wa - bar) // (num * d)  # a + ceil((bar - num*wa) / (num*d))
+                fx = wa + (x - a) * d
+        xs.append(x)
+        values.append(fx)
+    xs.reverse()
+    values.reverse()
+    half = StepFunction(IntInterval(0, top), Direction.NONDECREASING, xs, values, 0, values[-1])
     return SymmetricUnimodal(half=half, pivot=pivot)
 
 
@@ -147,12 +217,16 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
         ends = (0, h) if h else (0,)
         first = StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
         g = SymmetricUnimodal(half=first, pivot=s[0])  # column 1, exact: 1 on {0..s_1}
+        kept = 0
         for si in s[1:]:
             pivot = g.pivot + si
             half_dom = IntInterval(0, pivot // 2)
             oracle = FnOracle(half_dom, Direction.NONDECREASING, window_sum(g, si))
-            g = compress_contingency(oracle, ratio, pivot)
+            g = compress_contingency(oracle, ratio, pivot, window_knots(g, si))
             calls += oracle.calls
+            kept += len(g.half)
+            if kept > KEPT_BREAKPOINT_CAP:
+                raise TooLarge(f"kept breakpoints exceed cap {KEPT_BREAKPOINT_CAP}")
             funcs.append(g)
         count = g.query(target)
     return RunReport(

@@ -15,4 +15,5 @@ class MonotonicityViolation(RuntimeError):
 
 
 class TooLarge(RuntimeError):
-    """An exact oracle was asked to enumerate past its configured cap."""
+    """A run would pass one of its configured caps, such as an exact oracle's
+    table size or the breakpoints a contingency count keeps."""

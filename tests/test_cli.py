@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from approxcount import cli
+from approxcount import cli, contingency
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
 
 GOLDEN_LINE = json.dumps(
@@ -277,6 +277,19 @@ def test_exit_three_on_blown_cap(tmp_path, capsys):
     )
     code, _, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-brute"])
     assert code == 3
+    assert "cap" in err
+
+
+def test_exit_three_when_contingency_keeps_too_many_breakpoints(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "table.ndjson"
+    payload = {"row_sums": ["9", "12"], "col_sums": ["5", "6", "4", "6"]}
+    path.write_text(json.dumps({"problem": "contingency2", "payload": payload}) + "\n")
+    argv = ["count", "--input", str(path), "--mode", "fptas", "--epsilon", "1/2"]
+    assert run(capsys, argv)[0] == 0  # keeps 6 + 8 + 11 breakpoints
+    monkeypatch.setattr(contingency, "KEPT_BREAKPOINT_CAP", 24)
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
     assert "cap" in err
 
 

@@ -11,6 +11,7 @@ from approxcount.contingency import (
     SymmetricUnimodal,
     compress_contingency,
     fptas_contingency2,
+    window_knots,
     window_sum,
 )
 from approxcount.errors import InvalidInput
@@ -27,6 +28,7 @@ from approxcount.stepfunc import (
     FnOracle,
     IntInterval,
     StepFunction,
+    apx_set_nondecreasing,
 )
 
 ANY_K = ApproxRatio.for_stages(Fraction(3), 1)
@@ -89,6 +91,10 @@ def half_oracle(fn, pivot):
     return FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, fn)
 
 
+def every_half_point(pivot):
+    return range(pivot // 2 + 1)
+
+
 class TestCompressOp:
     def test_exact_two_column_table(self):
         # A_2 for unit column sums is 1,2,1; endpoints survive exactly.
@@ -96,28 +102,35 @@ class TestCompressOp:
             Contingency2Instance(row_sums=(1, 1), col_sums=(1, 1)), width=2
         )[-1]
         assert row == [1, 2, 1]
-        su = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K, 2)
+        su = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K, 2, every_half_point(2))
         assert su.query(0) == 1
         assert su.query(2) == 1
         assert row[1] <= su.query(1) <= ANY_K.k * row[1]
 
     def test_beyond_pivot_is_zero(self):
-        su = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, 6)
+        su = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, 6, every_half_point(6))
         assert su.query(11) == 0
 
     def test_oracle_calls_are_counted(self):
         dom = IntInterval(0, 8)
         probe = FnOracle(dom, Direction.NONDECREASING, lambda j: 1 + j)
-        compress_contingency(probe, ANY_K, 16)
-        assert probe.calls > 0
+        compress_contingency(probe, ANY_K, 16, every_half_point(16))
+        assert probe.calls == 9  # one evaluation per knot
 
     def test_rejects_non_monotone_half(self):
         with pytest.raises(InvalidInput):
-            compress_contingency(half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K, 6)
+            compress_contingency(
+                half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K, 6, every_half_point(6)
+            )
+
+    def test_rejects_knots_that_skip_a_slope_change(self):
+        # 1, 2, 4, 8 is not linear from 0 to 3: the slope 7/3 is no integer.
+        with pytest.raises(InvalidInput):
+            compress_contingency(half_oracle(lambda j: [1, 2, 4, 8][j], 6), ANY_K, 6, (0, 3))
 
     def test_rejects_negative_pivot(self):
         with pytest.raises(InvalidInput):
-            compress_contingency(half_oracle(lambda j: 1, 0), ANY_K, -1)
+            compress_contingency(half_oracle(lambda j: 1, 0), ANY_K, -1, (0,))
 
 
 def test_small_worked_instance():
@@ -153,9 +166,9 @@ def test_rejects_nonpositive_epsilon():
         fptas_contingency2(inst, Fraction(-1, 2))
 
 
-def random_instance(rng, n_max=5, cell_max=8):
+def random_instance(rng, n_max=5, cell_max=8, cell_min=1):
     n = rng.randint(1, n_max)
-    cols = [rng.randint(1, cell_max) for _ in range(n)]
+    cols = [rng.randint(cell_min, cell_max) for _ in range(n)]
     total = sum(cols)
     r1 = rng.randint(0, total)
     return Contingency2Instance(row_sums=(r1, total - r1), col_sums=tuple(cols))
@@ -219,19 +232,19 @@ def test_report_counts_oracle_traffic():
     assert rep.per_stage_set_sizes == [len(su.half.xs) for su in rep.stage_functions]
 
 
-# The ids keep the oracle calls from before the searches kept the values
-# they probed (90 and 88); the second pass that re-evaluated every kept
-# point is gone.
+# The ids keep the oracle calls of the binary-search scans before they kept
+# the values they probed (90 and 88). The calls are now the window sum's
+# knots, one evaluation each.
 @pytest.mark.parametrize(
     "rows, cols, eps, count, calls, sizes, chain",
     [
         pytest.param(
-            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 46, [6, 8, 11], 3,
+            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 23, [6, 8, 11], 3,
             id="rows0-cols0-eps0-145-90-sizes0-3",
         ),
         # R < s_n: the last column is still compressed whole, then queried at R.
         pytest.param(
-            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 46, [5, 7, 12], 3,
+            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 25, [5, 7, 12], 3,
             id="rows1-cols1-eps1-116-88-sizes1-3",
         ),
     ],
@@ -260,3 +273,45 @@ def test_deep_table_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert exact <= got <= (1 + eps) * exact
     assert binding == exact
+
+
+def first_column(s1):
+    """Column 1 exactly, as the counter starts it: 1 on {0..s1}."""
+    h = s1 // 2
+    ends = (0, h) if h else (0,)
+    half = StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
+    return SymmetricUnimodal(half=half, pivot=s1)
+
+
+def columns_with_inputs(inst, rep):
+    """Each compressed column with the column before it and its own sum."""
+    prev = [first_column(inst.col_sums[0]), *rep.stage_functions[:-1]]
+    return zip(prev, inst.col_sums[1:], rep.stage_functions)
+
+
+@pytest.mark.parametrize("cell_max", [3, 30, 10**6])
+def test_walk_keeps_what_the_binary_search_keeps(cell_max):
+    rng = random.Random(cell_max)
+    for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
+        for _ in range(12):
+            inst = random_instance(rng, n_max=6, cell_max=cell_max)
+            rep = fptas_contingency2(inst, eps)
+            if not rep.chain_length:
+                continue
+            k = ApproxRatio.for_stages(eps, rep.chain_length)
+            for g, s, got in columns_with_inputs(inst, rep):
+                dom = IntInterval(0, got.pivot // 2)
+                phi = FnOracle(dom, Direction.NONDECREASING, window_sum(g, s))
+                ref = apx_set_nondecreasing(phi, dom, k, below=0)
+                assert got.half.to_json() == ref.to_json()
+
+
+def test_column_evaluations_do_not_grow_with_the_cells():
+    rng = random.Random(7)
+    for _ in range(8):
+        inst = random_instance(rng, n_max=8, cell_max=10**6, cell_min=10**6 - 1000)
+        rep = fptas_contingency2(inst, Fraction(1, 2))
+        columns = list(columns_with_inputs(inst, rep))
+        knots = [len(window_knots(g, s)) for g, s, _ in columns]
+        assert rep.oracle_calls == sum(knots)  # one evaluation per knot
+        assert all(n <= 4 * len(g.half) + 4 for (g, _, _), n in zip(columns, knots))
