@@ -53,12 +53,13 @@ APPROX_MODES = ("fptas", "strong-fptas")
 
 
 def _as_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InvalidInput(f"{label}: expected an integer or decimal string, got {value!r}")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise InvalidInput(f"{label}: {value!r} is not a decimal integer") from exc
+    if type(value) is str:  # an optional "-", then ASCII digits; int() also takes "1_0", " 5"
+        if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
+            return int(value)
+        raise InvalidInput(f"{label}: {value!r} is not a decimal integer")
+    if type(value) is int:  # not bool, a subclass
+        return value
+    raise InvalidInput(f"{label}: expected an integer or decimal string, got {value!r}")
 
 
 def _as_int_list(value, label: str) -> list[int]:
@@ -156,8 +157,6 @@ def _modes_of(problem: str) -> list[str]:
 
 def run_mode(problem: str, inst, mode: str, eps: Fraction | None):
     """Dispatch one count. Returns (count, oracle_calls, set_sizes, elapsed_s)."""
-    if mode in APPROX_MODES and eps is None:
-        raise InvalidInput(f"mode {mode} requires --epsilon")
     counter = COUNTERS.get((problem, mode))
     if counter is None:
         kind = [m for m in _modes_of(problem) if (m in APPROX_MODES) == (mode in APPROX_MODES)]
@@ -203,7 +202,19 @@ def cmd_count(args) -> int:
     return 0
 
 
+# The size flags each generator reads, with the least value it can draw from.
+SIZE_FLAGS = {
+    "knapsack": (("n", 1), ("wmax", 1), ("cap", 0)),
+    "mtuples": (("m", 1), ("setmax", 1), ("valmax", 0), ("bound", 0)),
+    "contingency2": (("n", 1), ("cellmax", 0)),
+}
+
+
 def _generated(problem: str, rng: random.Random, args):
+    for name, least in SIZE_FLAGS[problem]:
+        value = getattr(args, name)
+        if value is not None and value < least:
+            raise InvalidInput(f"--{name} must be at least {least}, got {value}")
     if problem == "knapsack":
         weights = tuple(rng.randint(1, args.wmax) for _ in range(args.n))
         cap = args.cap if args.cap is not None else rng.randint(1, sum(weights))

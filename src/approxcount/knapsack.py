@@ -8,11 +8,11 @@ exact <= count <= (1+epsilon)*exact at the capacity.
 
 :func:`strong_fptas_knapsack` compresses in rank space over candidate change
 points, so its oracle work depends on n and epsilon but not on the magnitude
-of the weights or the capacity. Candidates for stage i: the previous stage's
-breakpoints shifted by +1 (where the unshifted copy can rise), by w_i + 1
-(where the shifted copy can rise), plus w_i itself, where the shifted copy
-first enters the domain and jumps from 0; omitting that one point breaks the
-guarantee already for a single item.
+of the weights or the capacity. Stage i's candidates are the starts of its
+piece table: just past each previous breakpoint, in the unshifted copy and
+in the copy shifted by w_i, and w_i itself, where the shifted copy enters
+the domain and jumps from 0. The table has a piece start wherever a term
+can change, so no candidate is named by hand.
 
 :func:`fptas_knapsack` is the plain variant compressing over {0..C} directly;
 its oracle work grows with log C. Useful as the contrast witness and for
@@ -21,7 +21,7 @@ cross-checking.
 
 from __future__ import annotations
 
-from .incpoints import IncIndex, convert
+from .incpoints import convert
 from .oracles import KnapsackInstance
 from .stagewise import RunReport, run_stages
 from .stepfunc import Direction, IntInterval, StepFunction
@@ -40,19 +40,9 @@ def _empty_subset_row(capacity: int) -> StepFunction:
     )
 
 
-def _rank_space_compress(raw, prev_points, shifts, ratio, below):
-    """One stage of :func:`strong_fptas_knapsack`, over the candidates named above."""
-    w = shifts[1]
-    candidates = IncIndex.build(
-        [p + 1 for p in prev_points] + [p + w + 1 for p in prev_points] + [w], raw.domain
-    )
-    return convert(raw, candidates, ratio, below=below), candidates
-
-
 def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
     items = [(0, w) for w in inst.weights]
-    row = _empty_subset_row(inst.capacity)
-    return run_stages(row, items, epsilon, inst.capacity, _rank_space_compress)
+    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity, convert)
 
 
 def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:

@@ -7,15 +7,15 @@ stage by a compressed step function with per-stage ratio k, k^m <= 1+epsilon:
 * :func:`fptas_mtuples` compresses over the numeric domain {0..B} directly,
   so its work grows with log B;
 * :func:`strong_fptas_mtuples` compresses over candidate change points only
-  (the previous stage's breakpoints shifted by the new set's elements), so
-  its work is independent of the magnitude of B.
+  (the starts of the stage's piece table), so its work is independent of
+  the magnitude of B.
 
 Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 """
 
 from __future__ import annotations
 
-from .incpoints import IncIndex, convert
+from .incpoints import convert
 from .oracles import MTuplesInstance
 from .stagewise import RunReport, run_stages
 from .stepfunc import Direction, IntInterval, StepFunction
@@ -39,25 +39,15 @@ def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound)
 
 
-def _rank_space_compress(raw, prev_points, xs, ratio, below):
-    candidates = IncIndex.build(
-        [p + x for p in prev_points for x in xs] + [p + x + 1 for p in prev_points for x in xs],
-        raw.domain,
-    )
-    return convert(raw, candidates, ratio, below=below), candidates
-
-
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over candidate change points only.
 
     Each stage sums the previous compressed function shifted by the new
-    set's elements; a shifted copy changes only where the original did, so
-    the previous breakpoints shifted by each element, and their successors,
-    cover every change. Stage one starts from the empty-tuple row, which
-    changes only just past 0, so its candidates are the first set's
-    elements and their successors. All compression then happens in rank
-    space.
+    set's elements; a nonincreasing copy changes only at its breakpoints,
+    so the candidates are the previous breakpoints shifted by each element,
+    the starts of the stage's piece table. Stage one starts from the
+    empty-tuple row, with breakpoints 0, 1 and B, so its candidates are the
+    first set's elements and their successors. All compression then
+    happens in rank space.
     """
-    return run_stages(
-        _empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, _rank_space_compress
-    )
+    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, convert)

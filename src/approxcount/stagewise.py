@@ -10,8 +10,12 @@ and at each stage sums shifted copies of the previous compressed function
 (:func:`~approxcount.stepfunc.shifted_sum`) and compresses that sum with
 per-stage ratio k, k^stages <= 1+epsilon. Compressing a K'-approximation
 with ratio k gives a kK'-approximation, so the final row is within 1+epsilon
-of the exact one. The problems differ only in f_0, the shift sets and, for
-the strong variants, the rule naming the candidate change points.
+of the exact one. The problems differ only in f_0 and the shift sets.
+
+The plain variants compress each stage by binary search over the domain,
+the strong ones over its candidate change points: both ends and the starts
+of the sum's piece table in between, which cover every change by
+construction, including where a shifted copy first enters the domain.
 
 Shifts are nonnegative, so below the domain every f_{i-1}(j - s) is the
 previous below-domain value, and f_i there is |S_i| times it.
@@ -43,7 +47,7 @@ class RunReport:
     ``chain_length`` is the number of compressions along the longest chain
     feeding the count, the exponent the per-stage ratio was chosen for (0
     when no compression ran). The ``stage_*`` lists hold each compression's
-    compressed function and, for the rank-space variants, candidate change
+    compressed function and, for the strong variants, candidate change
     points, in the order they were built; ``per_stage_set_sizes`` are the
     functions' breakpoint counts.
     """
@@ -62,13 +66,11 @@ class RunReport:
         return self.epsilon < 1
 
 
-def binary_search(raw, prev_points, shifts, ratio, below):
+def binary_search(raw, ratio, below) -> StepFunction:
     """Compress over the whole numeric domain by binary search."""
-    if raw.direction is Direction.NONDECREASING:
-        search = apx_set_nondecreasing
-    else:
-        search = apx_set_nonincreasing
-    return search(raw, raw.domain, ratio, below=below), None
+    up = raw.direction is Direction.NONDECREASING
+    search = apx_set_nondecreasing if up else apx_set_nonincreasing
+    return search(raw, raw.domain, ratio, below=below)
 
 
 def run_stages(
@@ -76,14 +78,14 @@ def run_stages(
     shift_sets: Sequence[Sequence[int]],
     epsilon,
     query_at: int,
-    compress: Callable = binary_search,
+    convert: Callable | None = None,
 ) -> RunReport:
     """Run every stage from ``first_row`` and report the last row at ``query_at``.
 
-    ``compress(raw, prev_points, shifts, ratio, below)`` returns the stage's
-    compressed function and its candidate index (None if it has none);
-    ``prev_points`` are the previous stage's breakpoints, ``(domain.lo,)``
-    before the first stage.
+    Without ``convert`` each stage is compressed by :func:`binary_search`.
+    The strong counters pass :func:`~approxcount.incpoints.convert`, called
+    as ``convert(raw, candidates, ratio, below=below)`` with the
+    :class:`IncIndex` of the stage's piece starts.
     """
     started = perf_counter()
     eps = to_fraction(epsilon)
@@ -91,19 +93,20 @@ def run_stages(
     dom = first_row.domain
     approx = first_row
     below = first_row.out_of_domain_low
-    prev_points: Sequence[int] = (dom.lo,)
     calls = 0
     stage_functions, stage_candidates = [], []
 
     for shifts in shift_sets:
         raw = shifted_sum([(approx, s) for s in shifts], dom)
         below *= len(shifts)
-        approx, candidates = compress(raw, prev_points, shifts, ratio, below)
-        prev_points = approx.xs
+        if convert is None:
+            approx = binary_search(raw, ratio, below)
+        else:
+            candidates = IncIndex.build(raw.starts, dom)
+            approx = convert(raw, candidates, ratio, below=below)
+            stage_candidates.append(candidates)
         calls += raw.calls
         stage_functions.append(approx)
-        if candidates is not None:
-            stage_candidates.append(candidates)
 
     return RunReport(
         count=approx.query(query_at),

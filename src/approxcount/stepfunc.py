@@ -147,15 +147,17 @@ class FnOracle:
     searches below and spot-checked there, not enforced per call. ``calls``
     increments once per evaluation, repeats included, whatever one
     evaluation costs (one bisect for :func:`shifted_sum`); a single oracle
-    must not be shared across concurrent callers.
+    must not be shared across concurrent callers. ``starts``, when known,
+    are the sorted points where ``fn`` can change value; black boxes have None.
     """
 
-    __slots__ = ("domain", "direction", "calls", "_fn")
+    __slots__ = ("domain", "direction", "calls", "starts", "_fn")
 
-    def __init__(self, domain: IntInterval, direction: Direction, fn: Callable[[int], int]):
+    def __init__(self, domain: IntInterval, direction: Direction, fn: Callable, starts=None):
         self.domain = domain
         self.direction = direction
         self._fn = fn
+        self.starts = starts
         self.calls = 0
 
     def __call__(self, x: int) -> int:
@@ -376,7 +378,8 @@ def shifted_sum(
     a breakpoint when nondecreasing, the breakpoint itself when
     nonincreasing) and where its domain begins and ends. Building costs
     O(P log P) for P pieces in all terms, independent of the domain width;
-    each evaluation is then one bisect.
+    each evaluation is then one bisect. The oracle's ``starts`` are the
+    table's piece starts, so every point where the sum changes is one of them.
     """
     if not terms:
         raise InvalidInput("need at least one term")
@@ -406,4 +409,4 @@ def shifted_sum(
 
     if domain is None:
         domain = terms[0][0].domain
-    return FnOracle(domain, direction, evaluate)
+    return FnOracle(domain, direction, evaluate, starts)

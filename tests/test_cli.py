@@ -349,6 +349,34 @@ def test_plain_integers_accepted_on_input(tmp_path, capsys):
     assert json_lines(out)[0]["count"] == "5"
 
 
+@pytest.mark.parametrize("text", ["1_000", " 5 ", "5 ", "+5", "\u0663", "", "0x10", "5.0"])
+def test_exit_two_on_numbers_that_are_not_ascii_decimal(tmp_path, capsys, text):
+    path = tmp_path / "odd.ndjson"
+    payload = {"weights": ["1", "2"], "capacity": text}
+    path.write_text(json.dumps({"problem": "knapsack", "payload": payload}) + "\n")
+    code, out, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-dp"])
+    assert (code, out) == (2, "")
+    assert "capacity" in err and "not a decimal integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--problem", "mtuples", "--setmax", "0"], "--setmax"),
+        (["gen", "--problem", "mtuples", "--valmax", "-1"], "--valmax"),
+        (["gen", "--problem", "knapsack", "--wmax", "0"], "--wmax"),
+        (["gen", "--problem", "knapsack", "--cap", "-1"], "--cap"),
+        (["gen", "--problem", "contingency2", "--cellmax", "-1"], "--cellmax"),
+        (["verify", "--problem", "knapsack", "--n", "0", "--epsilon", "1"], "--n"),
+        (["bench", "--problem", "mtuples", "--m", "0", "--epsilon", "1"], "--m"),
+    ],
+)
+def test_exit_two_names_an_out_of_range_size_flag(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"error: {flag} must be at least" in err
+
+
 def test_module_is_runnable_as_subprocess(golden_file):
     proc = subprocess.run(
         [sys.executable, "-m", "approxcount.cli", "count", "--input", golden_file,
