@@ -5,8 +5,8 @@ The package counts m-tuples under a sum bound, 0/1 knapsack solutions, and
 exact <= c <= (1 + epsilon) * exact, checkable against the exact oracles in
 :mod:`approxcount.oracles` by exact rational comparison. The compression
 machinery lives in :mod:`approxcount.stepfunc` and
-:mod:`approxcount.incpoints`, and the stage loop shared by the knapsack and
-m-tuples counters in :mod:`approxcount.stagewise`. The command line entry
+:mod:`approxcount.incpoints`, and the stage loop every counter runs through
+in :mod:`approxcount.stagewise`. The command line entry
 point is ``approxcount`` (see :mod:`approxcount.cli`).
 """
 

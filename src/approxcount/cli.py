@@ -62,6 +62,16 @@ def _as_int(value, label: str) -> int:
     raise InvalidInput(f"{label}: expected an integer or decimal string, got {value!r}")
 
 
+def decimal(text: str) -> int:  # the integer flags' type; argparse names it on a bad value
+    return _as_int(text, "")
+
+
+def _trials(args) -> range:
+    if args.trials < 0:
+        raise InvalidInput(f"--trials must be at least 0, got {args.trials}")
+    return range(args.trials)
+
+
 def _as_int_list(value, label: str) -> list[int]:
     if not isinstance(value, list):
         raise InvalidInput(f"{label}: expected a list")
@@ -241,7 +251,7 @@ def _generated(problem: str, rng: random.Random, args):
 def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     with _open_out(args) as out:
-        for _ in range(args.trials):
+        for _ in _trials(args):
             inst = _generated(args.problem, rng, args)
             _emit(out, {"problem": args.problem, "payload": payload_from_instance(inst)})
     return 0
@@ -260,7 +270,7 @@ def cmd_verify(args) -> int:
             raise InvalidInput("verify needs --input or --problem to generate instances")
         rng = random.Random(args.seed)
         items = [
-            ("", args.problem, _generated(args.problem, rng, args)) for _ in range(args.trials)
+            ("", args.problem, _generated(args.problem, rng, args)) for _ in _trials(args)
         ]
 
     violations = 0
@@ -334,7 +344,7 @@ def cmd_bench(args) -> int:
         eps_list = [_parse_epsilon(tok) for tok in args.epsilon.split(",") if tok]
     else:
         eps_list = []
-    scales = [int(tok) for tok in args.scales.split(",") if tok != ""]
+    scales = [_as_int(tok, "--scales") for tok in args.scales.split(",") if tok != ""]
     if any(k < 0 for k in scales):
         raise InvalidInput("scale exponents must be nonnegative")
     rng = random.Random(args.seed)
@@ -371,14 +381,17 @@ def cmd_bench(args) -> int:
 
 
 def _add_size_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=6, help="items (knapsack) or columns (contingency2)")
-    parser.add_argument("--m", type=int, default=3, help="number of sets (mtuples)")
-    parser.add_argument("--wmax", type=int, default=50, help="max item weight (knapsack)")
-    parser.add_argument("--cap", type=int, default=None, help="knapsack capacity; random if omitted")
-    parser.add_argument("--setmax", type=int, default=5, help="max elements per set (mtuples)")
-    parser.add_argument("--valmax", type=int, default=30, help="max element value (mtuples)")
-    parser.add_argument("--bound", type=int, default=None, help="mtuples sum bound; random if omitted")
-    parser.add_argument("--cellmax", type=int, default=8, help="max cell value (contingency2)")
+    for flag, default, text in (
+        ("--n", 6, "items (knapsack) or columns (contingency2)"),
+        ("--m", 3, "number of sets (mtuples)"),
+        ("--wmax", 50, "max item weight (knapsack)"),
+        ("--cap", None, "knapsack capacity; random if omitted"),
+        ("--setmax", 5, "max elements per set (mtuples)"),
+        ("--valmax", 30, "max element value (mtuples)"),
+        ("--bound", None, "mtuples sum bound; random if omitted"),
+        ("--cellmax", 8, "max cell value (contingency2)"),
+    ):
+        parser.add_argument(flag, type=decimal, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,16 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--problem", choices=PROBLEMS)
     p_verify.add_argument("--mode", choices=APPROX_MODES, default="fptas")
     p_verify.add_argument("--epsilon", required=True)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--seed", type=decimal, default=0)
+    p_verify.add_argument("--trials", type=decimal, default=100)
     p_verify.add_argument("--out", help="write results here instead of stdout")
     _add_size_flags(p_verify)
     p_verify.set_defaults(handler=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate random instances")
     p_gen.add_argument("--problem", choices=PROBLEMS, required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--trials", type=int, default=1, help="how many instances")
+    p_gen.add_argument("--seed", type=decimal, default=0)
+    p_gen.add_argument("--trials", type=decimal, default=1, help="how many instances")
     p_gen.add_argument("--out", help="write instances here instead of stdout")
     _add_size_flags(p_gen)
     p_gen.set_defaults(handler=cmd_gen)
@@ -419,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--problem", choices=PROBLEMS, required=True)
     p_bench.add_argument("--epsilon", help="comma list, e.g. 0.25,1.0; empty runs exact-dp only")
     p_bench.add_argument("--scales", default="0,3,6", help="comma list of powers of ten")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=decimal, default=0)
     p_bench.add_argument("--out", help="write CSV here instead of stdout")
     _add_size_flags(p_bench)
     p_bench.set_defaults(handler=cmd_bench)

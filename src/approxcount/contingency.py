@@ -35,10 +35,11 @@ exact ceiling division on its piece. Three facts make this sound:
    O(len(g)) evaluations per column whatever the cell sizes; the walk
    checks that every slope between knots is an integer.
 
-After column n the last compressed function is queried at R; it is within
-k^(n-1) <= 1 + epsilon of fills_n. The report keeps every column's function,
-so a run that keeps more than KEPT_BREAKPOINT_CAP breakpoints in all raises
-TooLarge.
+Each column is one step of :func:`~approxcount.stagewise.run_stages`, the
+stage loop every counter shares, which also caps the breakpoints kept over
+all columns. After column n the last compressed function is queried at R;
+it is within k^(n-1) <= 1 + epsilon of fills_n. With one column, or R = 0,
+no column is compressed and column 1 is queried exactly.
 """
 
 from __future__ import annotations
@@ -46,18 +47,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from time import perf_counter
 from typing import Callable, Sequence
 
-from .errors import InvalidInput, TooLarge
+from .errors import InvalidInput
 from .oracles import Contingency2Instance
-from .stagewise import RunReport
-from .stepfunc import ApproxRatio, Direction, FnOracle, IntInterval, StepFunction, to_fraction
-
-# Every column's compressed function is kept in the report, so the kept
-# breakpoints of all columns together bound the run's memory. A 60-column
-# table with cells up to 1e6 at eps 1/2 keeps about 2.4M.
-KEPT_BREAKPOINT_CAP = 10_000_000
+from .stagewise import RunReport, run_stages
+from .stepfunc import ApproxRatio, Direction, FnOracle, IntInterval, StepFunction
 
 
 @dataclass(frozen=True)
@@ -78,6 +73,10 @@ class SymmetricUnimodal:
             raise InvalidInput("half must cover exactly {0..pivot//2}")
         if self.half.direction is not Direction.NONDECREASING:
             raise InvalidInput("half must be nondecreasing")
+
+    def __len__(self) -> int:
+        """The number of the half's breakpoints."""
+        return len(self.half)
 
     def query(self, j: int) -> int:
         if j < 0 or j > self.pivot:
@@ -198,43 +197,17 @@ def compress_contingency(
     return SymmetricUnimodal(half=half, pivot=pivot)
 
 
+def _column(g: SymmetricUnimodal, s: int, ratio: ApproxRatio):
+    """One column of the stage loop: compress the window sum of width s."""
+    pivot = g.pivot + s
+    oracle = FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, window_sum(g, s))
+    return oracle, compress_contingency(oracle, ratio, pivot, window_knots(g, s)), None
+
+
 def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
-    started = perf_counter()
-    eps = to_fraction(epsilon)
-    if eps <= 0:
-        raise InvalidInput("epsilon must be positive")
-    s = inst.col_sums
-    target = inst.pivot_sum
-    funcs: list[SymmetricUnimodal] = []
-    calls = 0
-    chain = 0
-    if target == 0 or len(s) == 1:
-        count = 1 if target <= s[0] else 0
-    else:
-        chain = len(s) - 1
-        ratio = ApproxRatio.for_stages(eps, chain)
-        h = s[0] // 2
-        ends = (0, h) if h else (0,)
-        first = StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
-        g = SymmetricUnimodal(half=first, pivot=s[0])  # column 1, exact: 1 on {0..s_1}
-        kept = 0
-        for si in s[1:]:
-            pivot = g.pivot + si
-            half_dom = IntInterval(0, pivot // 2)
-            oracle = FnOracle(half_dom, Direction.NONDECREASING, window_sum(g, si))
-            g = compress_contingency(oracle, ratio, pivot, window_knots(g, si))
-            calls += oracle.calls
-            kept += len(g.half)
-            if kept > KEPT_BREAKPOINT_CAP:
-                raise TooLarge(f"kept breakpoints exceed cap {KEPT_BREAKPOINT_CAP}")
-            funcs.append(g)
-        count = g.query(target)
-    return RunReport(
-        count=count,
-        epsilon=eps,
-        oracle_calls=calls,
-        per_stage_set_sizes=[len(su.half) for su in funcs],
-        elapsed=perf_counter() - started,
-        chain_length=chain,
-        stage_functions=funcs,
-    )
+    s, target = inst.col_sums, inst.pivot_sum
+    h = s[0] // 2
+    ends = (0, h) if h else (0,)
+    half = StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
+    first = SymmetricUnimodal(half=half, pivot=s[0])  # column 1, exact: 1 on {0..s_1}
+    return run_stages(first, s[1:] if target else (), epsilon, target, _column)

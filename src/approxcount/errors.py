@@ -16,4 +16,4 @@ class MonotonicityViolation(RuntimeError):
 
 class TooLarge(RuntimeError):
     """A run would pass one of its configured caps, such as an exact oracle's
-    table size or the breakpoints a contingency count keeps."""
+    table size or the breakpoints an approximate count keeps."""

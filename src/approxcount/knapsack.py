@@ -21,9 +21,11 @@ cross-checking.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .incpoints import convert
 from .oracles import KnapsackInstance
-from .stagewise import RunReport, run_stages
+from .stagewise import RunReport, run_stages, sum_stage
 from .stepfunc import Direction, IntInterval, StepFunction
 
 
@@ -42,9 +44,10 @@ def _empty_subset_row(capacity: int) -> StepFunction:
 
 def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
     items = [(0, w) for w in inst.weights]
-    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity, convert)
+    step = partial(sum_stage, convert=convert)
+    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity, step)
 
 
 def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
     items = [(0, w) for w in inst.weights]
-    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity)
+    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity, sum_stage)

@@ -15,9 +15,11 @@ Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .incpoints import convert
 from .oracles import MTuplesInstance
-from .stagewise import RunReport, run_stages
+from .stagewise import RunReport, run_stages, sum_stage
 from .stepfunc import Direction, IntInterval, StepFunction
 
 
@@ -36,7 +38,7 @@ def _empty_tuple_row(bound: int) -> StepFunction:
 
 def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over the numeric domain {0..bound}."""
-    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound)
+    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, sum_stage)
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
@@ -50,4 +52,5 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     first set's elements and their successors. All compression then
     happens in rank space.
     """
-    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, convert)
+    step = partial(sum_stage, convert=convert)
+    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, step)

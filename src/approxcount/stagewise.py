@@ -1,22 +1,22 @@
-"""The stage loop shared by the knapsack and m-tuples counters.
+"""The stage loop every counter runs through.
 
-Both problems count through one recurrence,
+:func:`run_stages` starts from an exact first row f_0 and replaces each
+stage of the counting recurrence by a step of the counter: a function
+evaluated exactly from the previous compressed row, compressed with
+per-stage ratio k, k^stages <= 1+epsilon. Compressing a K'-approximation
+with ratio k gives a kK'-approximation, so the final row is within
+1+epsilon of the exact one. Contingency2's step is one column's window sum
+(:mod:`approxcount.contingency`); knapsack and m-tuples share
+:func:`sum_stage`, for the recurrence
 
     f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
 
 over a fixed domain {lo..hi}: knapsack with S_i = (0, w_i), m-tuples with
-S_i the i-th set. :func:`run_stages` starts from the exact first row f_0,
-and at each stage sums shifted copies of the previous compressed function
-(:func:`~approxcount.stepfunc.shifted_sum`) and compresses that sum with
-per-stage ratio k, k^stages <= 1+epsilon. Compressing a K'-approximation
-with ratio k gives a kK'-approximation, so the final row is within 1+epsilon
-of the exact one. The problems differ only in f_0 and the shift sets.
-
-The plain variants compress each stage by binary search over the domain,
-the strong ones over its candidate change points: both ends and the starts
-of the sum's piece table in between, which cover every change by
-construction, including where a shifted copy first enters the domain.
-
+S_i the i-th set. The plain variants compress the sum
+(:func:`~approxcount.stepfunc.shifted_sum`) by binary search over the
+domain, the strong ones over its candidate change points: both ends and
+the starts of the sum's piece table in between, which cover every change
+by construction, including where a shifted copy first enters the domain.
 Shifts are nonnegative, so below the domain every f_{i-1}(j - s) is the
 previous below-domain value, and f_i there is |S_i| times it.
 """
@@ -28,6 +28,7 @@ from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Sequence
 
+from .errors import TooLarge
 from .incpoints import IncIndex
 from .stepfunc import (
     ApproxRatio,
@@ -40,16 +41,20 @@ from .stepfunc import (
 )
 
 
+# The report keeps every stage's function, so the kept breakpoints bound a run's
+# memory. A 60-column contingency table with cells up to 1e6 at eps 1/2 keeps 2.4M.
+KEPT_BREAKPOINT_CAP = 10_000_000
+
+
 @dataclass
 class RunReport:
     """What one counter run returns.
 
-    ``chain_length`` is the number of compressions along the longest chain
-    feeding the count, the exponent the per-stage ratio was chosen for (0
-    when no compression ran). The ``stage_*`` lists hold each compression's
-    compressed function and, for the strong variants, candidate change
-    points, in the order they were built; ``per_stage_set_sizes`` are the
-    functions' breakpoint counts.
+    ``chain_length`` is the number of compressions feeding the count, the
+    exponent the per-stage ratio was chosen for (0 when none ran). The
+    ``stage_*`` lists hold each compression's compressed function and, for
+    the strong variants, candidate change points, in the order they were
+    built; ``per_stage_set_sizes`` are the functions' breakpoint counts.
     """
 
     count: int
@@ -57,56 +62,56 @@ class RunReport:
     oracle_calls: int
     per_stage_set_sizes: list[int]
     elapsed: float
-    chain_length: int = 0
     stage_functions: list = field(repr=False, default_factory=list)
     stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
+
+    @property
+    def chain_length(self) -> int:
+        return len(self.per_stage_set_sizes)
 
     @property
     def epsilon_in_proven_range(self) -> bool:
         return self.epsilon < 1
 
 
-def binary_search(raw, ratio, below) -> StepFunction:
-    """Compress over the whole numeric domain by binary search."""
-    up = raw.direction is Direction.NONDECREASING
-    search = apx_set_nondecreasing if up else apx_set_nonincreasing
-    return search(raw, raw.domain, ratio, below=below)
+def sum_stage(prev: StepFunction, shifts: Sequence[int], ratio, convert: Callable | None = None):
+    """One stage of the shifted-sum recurrence: sum, then compress by binary
+    search or, given the strong counters' :func:`~approxcount.incpoints.convert`,
+    over the :class:`IncIndex` of the sum's piece starts (returned too).
+    """
+    dom = prev.domain
+    raw = shifted_sum([(prev, s) for s in shifts], dom)
+    below = prev.out_of_domain_low * len(shifts)
+    if convert is None:
+        up = raw.direction is Direction.NONDECREASING
+        search = apx_set_nondecreasing if up else apx_set_nonincreasing
+        return raw, search(raw, dom, ratio, below=below), None
+    candidates = IncIndex.build(raw.starts, dom)
+    return raw, convert(raw, candidates, ratio, below=below), candidates
 
 
-def run_stages(
-    first_row: StepFunction,
-    shift_sets: Sequence[Sequence[int]],
-    epsilon,
-    query_at: int,
-    convert: Callable | None = None,
-) -> RunReport:
-    """Run every stage from ``first_row`` and report the last row at ``query_at``.
-
-    Without ``convert`` each stage is compressed by :func:`binary_search`.
-    The strong counters pass :func:`~approxcount.incpoints.convert`, called
-    as ``convert(raw, candidates, ratio, below=below)`` with the
-    :class:`IncIndex` of the stage's piece starts.
+def run_stages(first, stages: Sequence, epsilon, query_at: int, step: Callable) -> RunReport:
+    """Run ``step(prev, stage, ratio)`` for every stage from ``first`` and
+    report the last row at ``query_at``. A step returns the oracle it
+    evaluated, the compressed function and the strong candidates (or None).
+    Keeping more than KEPT_BREAKPOINT_CAP breakpoints in all raises TooLarge.
     """
     started = perf_counter()
     eps = to_fraction(epsilon)
-    ratio = ApproxRatio.for_stages(eps, len(shift_sets))
-    dom = first_row.domain
-    approx = first_row
-    below = first_row.out_of_domain_low
-    calls = 0
+    ratio = ApproxRatio.for_stages(eps, max(len(stages), 1))
+    approx = first
+    calls = kept = 0
     stage_functions, stage_candidates = [], []
 
-    for shifts in shift_sets:
-        raw = shifted_sum([(approx, s) for s in shifts], dom)
-        below *= len(shifts)
-        if convert is None:
-            approx = binary_search(raw, ratio, below)
-        else:
-            candidates = IncIndex.build(raw.starts, dom)
-            approx = convert(raw, candidates, ratio, below=below)
-            stage_candidates.append(candidates)
-        calls += raw.calls
+    for stage in stages:
+        oracle, approx, candidates = step(approx, stage, ratio)
+        calls += oracle.calls
+        kept += len(approx)
+        if kept > KEPT_BREAKPOINT_CAP:
+            raise TooLarge(f"kept breakpoints exceed cap {KEPT_BREAKPOINT_CAP}")
         stage_functions.append(approx)
+        if candidates is not None:
+            stage_candidates.append(candidates)
 
     return RunReport(
         count=approx.query(query_at),
@@ -114,7 +119,6 @@ def run_stages(
         oracle_calls=calls,
         per_stage_set_sizes=[len(f) for f in stage_functions],
         elapsed=perf_counter() - started,
-        chain_length=ratio.stages,
         stage_functions=stage_functions,
         stage_candidates=stage_candidates,
     )

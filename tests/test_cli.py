@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from approxcount import cli, contingency
+from approxcount import cli, stagewise
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
 
 GOLDEN_LINE = json.dumps(
@@ -280,17 +280,40 @@ def test_exit_three_on_blown_cap(tmp_path, capsys):
     assert "cap" in err
 
 
-def test_exit_three_when_contingency_keeps_too_many_breakpoints(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "table.ndjson"
-    payload = {"row_sums": ["9", "12"], "col_sums": ["5", "6", "4", "6"]}
-    path.write_text(json.dumps({"problem": "contingency2", "payload": payload}) + "\n")
-    argv = ["count", "--input", str(path), "--mode", "fptas", "--epsilon", "1/2"]
-    assert run(capsys, argv)[0] == 0  # keeps 6 + 8 + 11 breakpoints
-    monkeypatch.setattr(contingency, "KEPT_BREAKPOINT_CAP", 24)
+def assert_cap_exits_three(tmp_path, capsys, monkeypatch, problem, payload, mode):
+    """Count once within the cap, then again with the cap one below the run's kept total."""
+    path = tmp_path / "inst.ndjson"
+    path.write_text(json.dumps({"problem": problem, "payload": payload}) + "\n")
+    argv = ["count", "--input", str(path), "--mode", mode, "--epsilon", "1/2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    kept = sum(json_lines(out)[0]["set_sizes"])
+    monkeypatch.setattr(stagewise, "KEPT_BREAKPOINT_CAP", kept - 1)
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""
     assert "cap" in err
+    return kept
+
+
+def test_exit_three_when_contingency_keeps_too_many_breakpoints(tmp_path, capsys, monkeypatch):
+    payload = {"row_sums": ["9", "12"], "col_sums": ["5", "6", "4", "6"]}
+    kept = assert_cap_exits_three(tmp_path, capsys, monkeypatch, "contingency2", payload, "fptas")
+    assert kept == 6 + 8 + 11
+
+
+@pytest.mark.parametrize(
+    "problem, payload, mode",
+    [
+        ("knapsack", {"weights": ["3", "5", "8", "9"], "capacity": "17"}, "strong-fptas"),
+        ("mtuples", json.loads(GOLDEN_LINE)["payload"], "fptas"),
+    ],
+    ids=["knapsack-strong", "mtuples-plain"],
+)
+def test_exit_three_when_any_counter_keeps_too_many_breakpoints(
+    tmp_path, capsys, monkeypatch, problem, payload, mode
+):
+    assert assert_cap_exits_three(tmp_path, capsys, monkeypatch, problem, payload, mode) > 1
 
 
 def test_count_failure_names_the_line_and_keeps_earlier_records(tmp_path, capsys):
@@ -369,12 +392,34 @@ def test_exit_two_on_numbers_that_are_not_ascii_decimal(tmp_path, capsys, text):
         (["gen", "--problem", "contingency2", "--cellmax", "-1"], "--cellmax"),
         (["verify", "--problem", "knapsack", "--n", "0", "--epsilon", "1"], "--n"),
         (["bench", "--problem", "mtuples", "--m", "0", "--epsilon", "1"], "--m"),
+        (["gen", "--problem", "knapsack", "--trials", "-1"], "--trials"),
+        (["verify", "--problem", "knapsack", "--epsilon", "1", "--trials", "-1"], "--trials"),
     ],
 )
 def test_exit_two_names_an_out_of_range_size_flag(capsys, argv, flag):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert f"error: {flag} must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--problem", "knapsack", "--n", "1_0"],
+        ["gen", "--problem", "knapsack", "--n", "\u0663"],
+        ["gen", "--problem", "knapsack", "--n", " 5"],
+        ["gen", "--problem", "knapsack", "--seed", "+1"],
+        ["verify", "--problem", "knapsack", "--epsilon", "1", "--trials", "1_0"],
+        ["bench", "--problem", "mtuples", "--scales", "1_0,1"],
+        ["bench", "--problem", "mtuples", "--scales", "0, 3"],
+    ],
+)
+def test_exit_two_on_integer_flags_that_are_not_ascii_decimal(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value itself
+        code = exc.code
+    assert (code, capsys.readouterr().out) == (2, "")
 
 
 def test_module_is_runnable_as_subprocess(golden_file):

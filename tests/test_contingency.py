@@ -151,19 +151,24 @@ def test_degenerate_second_row():
     rep = fptas_contingency2(inst, Fraction(1))
     assert rep.count == 1
     assert len(rep.stage_functions) == 0
+    assert (rep.oracle_calls, rep.chain_length, rep.per_stage_set_sizes) == (0, 0, [])
 
 
 def test_single_column():
     ok = Contingency2Instance(row_sums=(2, 3), col_sums=(5,))
-    assert fptas_contingency2(ok, Fraction(1)).count == 1
+    rep = fptas_contingency2(ok, Fraction(1))
+    assert rep.count == 1
+    assert (rep.oracle_calls, rep.chain_length, rep.per_stage_set_sizes) == (0, 0, [])
 
 
 def test_rejects_nonpositive_epsilon():
-    inst = Contingency2Instance(row_sums=(1, 1), col_sums=(1, 1))
-    with pytest.raises(InvalidInput):
-        fptas_contingency2(inst, 0)
-    with pytest.raises(InvalidInput):
-        fptas_contingency2(inst, Fraction(-1, 2))
+    # R = 0 and a single column compress nothing, but epsilon is still checked.
+    for rows, cols in [((1, 1), (1, 1)), ((7, 0), (3, 2, 2)), ((0, 9), (4, 5)), ((2, 3), (5,))]:
+        inst = Contingency2Instance(row_sums=rows, col_sums=cols)
+        with pytest.raises(InvalidInput):
+            fptas_contingency2(inst, 0)
+        with pytest.raises(InvalidInput):
+            fptas_contingency2(inst, Fraction(-1, 2))
 
 
 def random_instance(rng, n_max=5, cell_max=8, cell_min=1):
