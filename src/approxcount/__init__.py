@@ -34,6 +34,7 @@ from .stepfunc import (
     FnOracle,
     IntInterval,
     StepFunction,
+    apx_set_linear,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
     induce,
@@ -56,6 +57,7 @@ __all__ = [
     "StepFunction",
     "SymmetricUnimodal",
     "TooLarge",
+    "apx_set_linear",
     "apx_set_nondecreasing",
     "apx_set_nonincreasing",
     "brute_knapsack",

@@ -455,7 +455,10 @@ def _report_error(exc: Exception, where: str = "") -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad usage, 0 after --help
+        return exc.code
     try:
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - every failure becomes one line and an exit code

@@ -52,7 +52,14 @@ from typing import Callable, Sequence
 from .errors import InvalidInput
 from .oracles import Contingency2Instance
 from .stagewise import RunReport, run_stages
-from .stepfunc import ApproxRatio, Direction, FnOracle, IntInterval, StepFunction
+from .stepfunc import (
+    ApproxRatio,
+    Direction,
+    FnOracle,
+    IntInterval,
+    StepFunction,
+    apx_set_linear,
+)
 
 
 @dataclass(frozen=True)
@@ -144,14 +151,13 @@ def compress_contingency(
     from 0 to pivot//2. It is evaluated once per knot only; InvalidInput is
     raised unless the knot values are nondecreasing with integer slopes.
 
-    The scan is :func:`~approxcount.stepfunc.apx_set_nondecreasing`'s: down
-    from the midpoint, the point after x is min(x-1, y), y the smallest
-    point with k*phi(y) >= phi(x). Here y lies on the first linear piece
-    whose upper knot passes, where one exact ceiling division finds it, so
-    the kept points and values are the search's. The result reflects the
-    compressed half, so it stays within ratio k of phi everywhere on
-    {0..pivot} and is 0 outside; compressing an L-approximation therefore
-    yields a k*L-approximation of the original.
+    :func:`~approxcount.stepfunc.apx_set_linear` walks the half's linear
+    pieces down from the midpoint, with one exact ceiling division per kept
+    point, and keeps the points and values that
+    :func:`~approxcount.stepfunc.apx_set_nondecreasing` keeps. The result
+    reflects the compressed half, so it stays within ratio k of phi
+    everywhere on {0..pivot} and is 0 outside; compressing an
+    L-approximation therefore yields a k*L-approximation of the original.
     """
     if pivot < 0:
         raise InvalidInput("pivot must be nonnegative")
@@ -159,41 +165,7 @@ def compress_contingency(
     if not knots or knots[0] != 0 or knots[-1] != top:
         raise InvalidInput("knots must run from 0 to the midpoint")
     ws = [phi(t) for t in knots]
-    if ws[0] < 0:
-        raise InvalidInput(f"negative value {ws[0]} at 0")
-    slopes = [0]  # slopes[i]: of the piece from knots[i-1] to knots[i]
-    for a, b, wa, wb in zip(knots, knots[1:], ws, ws[1:]):
-        if b <= a or wb < wa or (wb - wa) % (b - a):
-            raise InvalidInput(
-                f"not nondecreasing and linear with integer slope from {a} to {b}: {wa}, {wb}"
-            )
-        slopes.append((wb - wa) // (b - a))
-
-    num, den = k.k.numerator, k.k.denominator
-    i = len(knots) - 1  # invariant: knots[i] is the first knot >= x
-    x, fx = top, ws[i]
-    xs, values = [x], [fx]
-    while x > 0:
-        bar = den * fx
-        if knots[i - 1] == x - 1:
-            i -= 1
-        v = ws[i] - (knots[i] - x + 1) * slopes[i]
-        if num * v < bar:  # y = x: nothing below x passes
-            x, fx = x - 1, v
-        else:
-            while i > 0 and num * ws[i - 1] >= bar:
-                i -= 1
-            if i == 0:
-                x, fx = 0, ws[0]
-            else:
-                a, wa, d = knots[i - 1], ws[i - 1], slopes[i]
-                x = a - (num * wa - bar) // (num * d)  # a + ceil((bar - num*wa) / (num*d))
-                fx = wa + (x - a) * d
-        xs.append(x)
-        values.append(fx)
-    xs.reverse()
-    values.reverse()
-    half = StepFunction(IntInterval(0, top), Direction.NONDECREASING, xs, values, 0, values[-1])
+    half = apx_set_linear(knots, ws, Direction.NONDECREASING, k, below=0)
     return SymmetricUnimodal(half=half, pivot=pivot)
 
 

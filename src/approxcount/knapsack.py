@@ -6,17 +6,16 @@ here replaces the exact row by a compressed nondecreasing step function with
 per-stage ratio k, k^n <= 1+epsilon, giving
 exact <= count <= (1+epsilon)*exact at the capacity.
 
-:func:`strong_fptas_knapsack` compresses in rank space over candidate change
-points, so its oracle work depends on n and epsilon but not on the magnitude
-of the weights or the capacity. Stage i's candidates are the starts of its
-piece table: just past each previous breakpoint, in the unshifted copy and
-in the copy shifted by w_i, and w_i itself, where the shifted copy enters
-the domain and jumps from 0. The table has a piece start wherever a term
-can change, so no candidate is named by hand.
-
-:func:`fptas_knapsack` is the plain variant compressing over {0..C} directly;
-its oracle work grows with log C. Useful as the contrast witness and for
-cross-checking.
+:func:`fptas_knapsack` compresses each stage by binary search over {0..C};
+its oracle work grows with log C. :func:`strong_fptas_knapsack` keeps the
+same stages, so it returns the same count, but evaluates each stage only at
+its candidate change points (:func:`~approxcount.incpoints.convert`), so its
+oracle work depends on n and epsilon but not on the magnitude of the weights
+or the capacity. Stage i's candidates are the starts of its piece table:
+just past each previous breakpoint, in the unshifted copy and in the copy
+shifted by w_i, and w_i itself, where the shifted copy enters the domain
+and jumps from 0. The table has a piece start wherever a term can change,
+so no candidate is named by hand.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ stage by a compressed step function with per-stage ratio k, k^m <= 1+epsilon:
 
 * :func:`fptas_mtuples` compresses over the numeric domain {0..B} directly,
   so its work grows with log B;
-* :func:`strong_fptas_mtuples` compresses over candidate change points only
-  (the starts of the stage's piece table), so its work is independent of
-  the magnitude of B.
+* :func:`strong_fptas_mtuples` keeps the same stages, so it returns the same
+  count, but evaluates each stage only at its candidate change points (the
+  starts of the stage's piece table), so its work is independent of the
+  magnitude of B.
 
 Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 """
@@ -49,8 +50,8 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     so the candidates are the previous breakpoints shifted by each element,
     the starts of the stage's piece table. Stage one starts from the
     empty-tuple row, with breakpoints 0, 1 and B, so its candidates are the
-    first set's elements and their successors. All compression then
-    happens in rank space.
+    first set's elements and their successors. Each stage is then
+    compressed by :func:`~approxcount.incpoints.convert`.
     """
     step = partial(sum_stage, convert=convert)
     return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, step)

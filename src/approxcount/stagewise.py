@@ -14,9 +14,12 @@ with ratio k gives a kK'-approximation, so the final row is within
 over a fixed domain {lo..hi}: knapsack with S_i = (0, w_i), m-tuples with
 S_i the i-th set. The plain variants compress the sum
 (:func:`~approxcount.stepfunc.shifted_sum`) by binary search over the
-domain, the strong ones over its candidate change points: both ends and
-the starts of the sum's piece table in between, which cover every change
-by construction, including where a shifted copy first enters the domain.
+domain. The strong ones evaluate it only at its candidate change points,
+both ends and the starts of the sum's piece table in between, which cover
+every change by construction, including where a shifted copy first enters
+the domain; a walk over the pieces between them keeps the same stage
+function the binary search keeps. So both variants produce identical
+stages, and only the oracle work differs.
 Shifts are nonnegative, so below the domain every f_{i-1}(j - s) is the
 previous below-domain value, and f_i there is |S_i| times it.
 """

@@ -15,7 +15,10 @@ set and the step function the K-approximation function of Halman et al.;
 here they are one object: the compressors :func:`apx_set_nondecreasing` and
 :func:`apx_set_nonincreasing` return the :class:`StepFunction`, each
 breakpoint holding the value its own binary search probed, so the function
-is read off the searches without evaluating phi again. Construction probes
+is read off the searches without evaluating phi again.
+:func:`apx_set_linear` returns the same function for a phi known at knots
+between which it is linear, by walking its pieces instead of searching; the
+strong counters and contingency tables compress that way. Construction probes
 phi through :class:`FnOracle` (which tallies calls), and every comparison is
 done in exact integer arithmetic: with k = p/q, "k*phi(y) >= phi(x)" is
 evaluated as p*phi(y) >= q*phi(x). No floats anywhere, so the bound survives
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from operator import floordiv, ge, le, lt, mul, sub
 from typing import Callable, Sequence
 
 from .errors import InvalidInput, MonotonicityViolation
@@ -164,11 +168,6 @@ class FnOracle:
         self.calls += 1
         return self._fn(x)
 
-    def values_at(self, points: Sequence[int]) -> list[int]:
-        """The values at every point, counted as one call per point."""
-        self.calls += len(points)
-        return list(map(self._fn, points))
-
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -194,18 +193,15 @@ class StepFunction:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.xs) != len(self.values) or not self.xs:
             raise InvalidInput("need equally many breakpoints and values, at least one")
-        if any(a >= b for a, b in zip(self.xs, self.xs[1:])):
+        xs, values = self.xs, self.values
+        if not all(map(lt, xs, xs[1:])):
             raise InvalidInput("breakpoint positions must be strictly increasing")
-        if self.xs[0] != self.domain.lo or self.xs[-1] != self.domain.hi:
+        if xs[0] != self.domain.lo or xs[-1] != self.domain.hi:
             raise InvalidInput("breakpoints must span the domain")
-        if any(v < 0 for v in self.values):
+        if min(values) < 0:
             raise InvalidInput("values must be nonnegative")
-        pairs = zip(self.values, self.values[1:])
-        if self.direction is Direction.NONDECREASING:
-            ok = all(a <= b for a, b in pairs)
-        else:
-            ok = all(a >= b for a, b in pairs)
-        if not ok:
+        ordered = le if self.direction is Direction.NONDECREASING else ge
+        if not all(map(ordered, values, values[1:])):
             raise MonotonicityViolation("breakpoint values contradict declared direction")
 
     def __len__(self) -> int:
@@ -233,14 +229,14 @@ class StepFunction:
         )
 
 
-def _function(dom, direction, xs, values, below, above=None) -> StepFunction:
+def _function(dom, direction, xs, values, below) -> StepFunction:
     return StepFunction(
         domain=dom,
         direction=direction,
         xs=xs,
         values=values,
         out_of_domain_low=values[0] if below is None else below,
-        out_of_domain_high=values[-1] if above is None else above,
+        out_of_domain_high=values[-1],
     )
 
 
@@ -344,24 +340,122 @@ def apx_set_nonincreasing(
     return _function(dom, Direction.NONINCREASING, xs, values, below)
 
 
+def _walk_down(knots, ws, slopes, num, den):
+    """apx_set_nondecreasing's scan over linear pieces, down from the top."""
+    lo = knots[0]
+    i = len(knots) - 1  # invariant: knots[i] is the first knot >= x
+    x, fx = knots[i], ws[i]
+    xs, values = [x], [fx]
+    while x > lo:
+        bar = den * fx
+        if knots[i - 1] == x - 1:
+            i -= 1
+        v = ws[i] - (knots[i] - x + 1) * slopes[i - 1]
+        if num * v < bar:  # y = x: nothing below x passes
+            x, fx = x - 1, v
+        else:
+            while i > 0 and num * ws[i - 1] >= bar:
+                i -= 1
+            if i == 0:
+                x, fx = lo, ws[0]
+            else:
+                a, wa, d = knots[i - 1], ws[i - 1], slopes[i - 1]
+                x = a - (num * wa - bar) // (num * d)  # a + ceil((bar - num*wa) / (num*d))
+                fx = wa + (x - a) * d
+        xs.append(x)
+        values.append(fx)
+    xs.reverse()
+    values.reverse()
+    return xs, values
+
+
+def _walk_up(knots, ws, slopes, num, den):
+    """apx_set_nonincreasing's scan over linear pieces, up from the bottom."""
+    hi = knots[-1]
+    end = num * ws[-1]
+    j = 0  # invariant: every knot before knots[j] passes the current bar
+    x, fx = knots[0], ws[0]
+    xs, values = [x], [fx]
+    while x < hi:
+        bar = den * fx
+        if end >= bar:  # the tail is certified against x: merge it
+            xs.append(hi)
+            values.append(fx)
+            break
+        while num * ws[j] >= bar:
+            j += 1
+        a, wa, d = knots[j - 1], ws[j - 1], slopes[j - 1]
+        x = a + (num * wa - bar) // (-num * d) + 1  # first failing point past a
+        fx = wa + (x - a) * d
+        xs.append(x)
+        values.append(fx)
+    return xs, values
+
+
+def apx_set_linear(
+    knots: Sequence[int],
+    values: Sequence[int],
+    direction: Direction,
+    k: ApproxRatio,
+    *,
+    below: int | None = None,
+) -> StepFunction:
+    """The step function :func:`apx_set_nondecreasing` or
+    :func:`apx_set_nonincreasing` returns on {knots[0]..knots[-1]} for a
+    function known by its ``values`` at the sorted ``knots``, between which
+    it is linear with an integer slope.
+
+    Nothing is evaluated. The search's next point y lies on the first piece
+    whose far knot passes its predicate (nondecreasing: walking down from
+    the top, k*f(y) >= f(x)) or fails it (nonincreasing: walking up from the
+    bottom, after the tail merge test num*f(hi) >= den*f(x)), and one exact
+    integer division on that piece finds y and its value. Each walk only
+    moves one way along the knots, so the cost is O(len(knots)) plus one
+    step per kept point. InvalidInput is raised unless the values are
+    nonnegative and follow ``direction`` with an integer slope on every piece.
+    """
+    if not knots or len(knots) != len(values):
+        raise InvalidInput("need equally many knots and values, at least one")
+    up = direction is Direction.NONDECREASING
+    sign = 1 if up else -1
+    widths = list(map(sub, knots[1:], knots[:-1]))
+    rises = list(map(sub, values[1:], values[:-1]))
+    if min(widths, default=1) <= 0:
+        raise InvalidInput("knots must be strictly increasing")
+    slopes = list(map(floordiv, rises, widths))  # slopes[i]: from knots[i] to knots[i+1]
+    backward = sign * (min if up else max)(slopes, default=0) < 0  # some slope goes against it
+    if backward or list(map(mul, slopes, widths)) != rises:
+        i = next(i for i, d in enumerate(slopes) if d * widths[i] != rises[i] or sign * d < 0)
+        raise InvalidInput(
+            f"not {direction.value} and linear with integer slope from {knots[i]} to "
+            f"{knots[i + 1]}: {values[i]}, {values[i + 1]}"
+        )
+    least = 0 if up else -1
+    if values[least] < 0:
+        raise InvalidInput(f"negative value {values[least]} at {knots[least]}")
+    walk = _walk_down if up else _walk_up
+    xs, fxs = walk(knots, values, slopes, k.k.numerator, k.k.denominator)
+    return _function(IntInterval(knots[0], knots[-1]), direction, xs, fxs, below)
+
+
 def induce(
     phi: FnOracle,
     points: Sequence[int],
     *,
     below: int | None = None,
-    above: int | None = None,
 ) -> StepFunction:
     """The step function phi induces on the sorted points: exact at each one,
-    larger adjacent point's value in between.
+    larger adjacent point's value in between. Evaluates phi once per point;
+    MonotonicityViolation is raised if the values contradict its direction.
 
     The points' ends are the function's domain. Out of domain values default
-    to continuations of the edge values; override them to carry a boundary
-    convention.
+    to continuations of the edge values; override the low one to carry a
+    boundary convention.
     """
     dom = IntInterval(points[0], points[-1])
     if dom.lo not in phi.domain or dom.hi not in phi.domain:
         raise InvalidInput("points leave the oracle's domain")
-    return _function(dom, phi.direction, points, [phi(x) for x in points], below, above)
+    return _function(dom, phi.direction, points, [phi(x) for x in points], below)
 
 
 def shifted_sum(

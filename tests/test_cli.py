@@ -415,11 +415,24 @@ def test_exit_two_names_an_out_of_range_size_flag(capsys, argv, flag):
     ],
 )
 def test_exit_two_on_integer_flags_that_are_not_ascii_decimal(capsys, argv):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects a flag's value itself
-        code = exc.code
-    assert (code, capsys.readouterr().out) == (2, "")
+    assert (cli.main(argv), capsys.readouterr().out) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "--problem", "knapsack"], 2),
+        (["count"], 2),
+        (["frobnicate"], 2),
+        (["--help"], 0),
+        (["count", "--help"], 0),
+    ],
+    ids=["verify-without-epsilon", "count-without-input", "unknown-command", "help", "count-help"],
+)
+def test_main_returns_argparse_exit_codes(capsys, argv, code):
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage:" in out) == (code == 0) and ("usage:" in err) == (code == 2)
 
 
 def test_module_is_runnable_as_subprocess(golden_file):

@@ -1,8 +1,8 @@
-"""Rank-space conversion: IncIndex / pad / convert.
+"""Candidate change points: IncIndex / pad / convert.
 
-``convert`` evaluates every candidate and scans the values; the binary
-searches of :mod:`approxcount.stepfunc` over the candidate ranks stay here as
-the reference it must match exactly.
+``convert`` evaluates every candidate once and walks the pieces between the
+padded candidates; the binary searches of :mod:`approxcount.stepfunc` over
+the whole domain stay here as the reference it must match exactly.
 """
 
 from fractions import Fraction
@@ -20,7 +20,6 @@ from approxcount.stepfunc import (
     IntInterval,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
-    induce,
 )
 
 K2 = ApproxRatio.for_stages(Fraction(7), 3)  # k = 2 exactly
@@ -80,11 +79,6 @@ def test_pad_matches_example_set():
     assert pad([0, 4, 8, 17], IntInterval(0, 17)) == (0, 3, 4, 7, 8, 16, 17)
 
 
-def test_pad_mirror_uses_successors():
-    got = pad([0, 4, 8, 17], IntInterval(0, 17), Direction.NONINCREASING)
-    assert got == (0, 1, 4, 5, 8, 9, 17)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     raw=st.sets(st.integers(min_value=0, max_value=50), min_size=0, max_size=12)
@@ -99,10 +93,12 @@ def test_pad_at_most_doubles(raw):
 
 
 def test_convert_constant_keeps_three_points():
+    # Named when convert padded every kept point with its predecessor (0, 10,
+    # 11); it now keeps what the binary search keeps, the two domain ends.
     phi = table_oracle([6] * 12)
     inc = IncIndex.build([0, 11], IntInterval(0, 11))
     f = convert(phi, inc, HALF)
-    assert list(f.xs) == [0, 10, 11]
+    assert list(f.xs) == [0, 11]
     assert all(f.query(j) == 6 for j in range(12))
 
 
@@ -119,9 +115,9 @@ def test_convert_identity_with_full_inc():
 def test_convert_propagates_out_of_domain_fill():
     phi = table_oracle([2, 2, 3, 9])
     inc = IncIndex.build([0, 2, 3], IntInterval(0, 3))
-    f = convert(phi, inc, K2, below=0, above=9)
+    f = convert(phi, inc, K2, below=0)
     assert f.query(-3) == 0
-    assert f.query(4) == 9
+    assert f.query(4) == 9  # the high edge value
 
 
 @settings(max_examples=70, deadline=None)
@@ -189,36 +185,29 @@ def test_sum_increases_exactly_where_either_term_does(a, b):
     )
 
 
-def binary_search_convert(phi, inc, k, **fill):
-    """convert's reference: binary search over the candidate ranks, then map, pad, induce."""
-    pts = inc.points
-    ranked = FnOracle(IntInterval(1, len(pts)), phi.direction, lambda j: phi(pts[j - 1]))
-    if phi.direction is Direction.NONDECREASING:
-        by_rank = apx_set_nondecreasing(ranked, ranked.domain, k)
-    else:
-        by_rank = apx_set_nonincreasing(ranked, ranked.domain, k)
-    w = pad([pts[j - 1] for j in by_rank.xs], inc.domain, phi.direction)
-    return induce(phi, w, **fill)
-
-
 @pytest.mark.parametrize("k", [K2, HALF], ids=["K2", "HALF"])
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
 @settings(max_examples=60, deadline=None)
 @given(values=step_tables(), extra=st.sets(st.integers(0, 59), max_size=8))
 def test_convert_scan_matches_binary_search(k, direction, values, extra):
+    # convert's reference is the binary search over the whole domain.
     table = values if direction is Direction.NONDECREASING else values[::-1]
     phi = table_oracle(table, direction)
     dom = phi.domain
     changes = strict_increase_points(table) | strict_decrease_points(table)
     inc = IncIndex.build(changes | {e for e in extra if e <= dom.hi}, dom)
-    assert convert(phi, inc, k, below=0) == binary_search_convert(phi, inc, k, below=0)
+    search = apx_set_nondecreasing if direction is Direction.NONDECREASING else apx_set_nonincreasing
+    assert convert(phi, inc, k, below=0) == search(table_oracle(table, direction), dom, k, below=0)
 
 
 def test_convert_counts_one_call_per_candidate_and_padded_point():
+    # Named when every padded breakpoint was evaluated again; now only the
+    # candidates are.
     phi = table_oracle([1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32])
-    inc = IncIndex.build(range(11), phi.domain)
+    inc = IncIndex.build(range(0, 11, 2), phi.domain)
     f = convert(phi, inc, K2)
-    assert phi.calls == len(inc) + len(f)
+    assert phi.calls == len(inc)
+    assert [f.query(j) for j in range(11)] == [1, 2, 2, 4, 4, 8, 8, 16, 16, 32, 32]
 
 
 @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)

@@ -35,8 +35,8 @@ GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 def test_readme_library_example():
     rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 4))
     assert rep.count == 13
-    assert rep.oracle_calls == 105
-    assert rep.per_stage_set_sizes == [6, 11, 18, 18]
+    assert rep.oracle_calls == 44
+    assert rep.per_stage_set_sizes == [4, 8, 14, 16]
 
 
 # Every row keeps the id it had before its oracle calls last changed. The
@@ -47,6 +47,10 @@ def test_readme_library_example():
 # that keep the values they probed. The strong m-tuples rows pin the
 # candidates read off each stage's piece table (53 and 71 calls before,
 # when a hand-written rule also named every shifted breakpoint's successor).
+# Since the strong compressor walks the pieces between its padded candidates
+# instead of scanning ranks and padding what it kept, every strong row keeps
+# its plain row's sizes and counts one call per candidate (82, 46 and 68
+# calls before, with sizes [6, 8, 10, 11], [7, 7, 3] and [9, 13, 10]).
 @pytest.mark.parametrize(
     "counter, inst, eps, count, calls, sizes",
     [
@@ -59,7 +63,7 @@ def test_readme_library_example():
             id="fptas_knapsack-inst1-7-13-89-sizes1",
         ),
         pytest.param(
-            strong_fptas_knapsack, README_KNAPSACK, 7, 13, 82, [6, 8, 10, 11],
+            strong_fptas_knapsack, README_KNAPSACK, 7, 13, 36, [4, 5, 6, 7],
             id="strong_fptas_knapsack-inst2-7-13-98-sizes2",
         ),
         pytest.param(
@@ -71,11 +75,11 @@ def test_readme_library_example():
             id="fptas_mtuples-inst4-eps4-3-85-sizes4",
         ),
         pytest.param(
-            strong_fptas_mtuples, GOLDEN, 7, 6, 46, [7, 7, 3],
+            strong_fptas_mtuples, GOLDEN, 7, 12, 22, [4, 4, 2],
             id="strong_fptas_mtuples-inst5-7-6-39-sizes5",
         ),
         pytest.param(
-            strong_fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 68, [9, 13, 10],
+            strong_fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 28, [5, 8, 7],
             id="strong_fptas_mtuples-inst6-eps6-3-94-sizes6",
         ),
     ],
@@ -146,16 +150,10 @@ def test_knapsack_rows_are_zero_below_the_domain(counter):
     assert [f.query(-1) for f in rep.stage_functions] == [0] * README_KNAPSACK.n
 
 
-def _sweep_text(rounds=20):
-    """Counts, set sizes, chain lengths and every stage function of a seeded sweep.
-
-    Five runs per round, one per counter. Only fields that every
-    refactor of the compressors must leave alone are written, so the text
-    (and its digest) pins their output exactly.
-    """
+def _sweep_instances(rounds=20):
+    """(epsilon, knapsack, m-tuples, table) for each round of a seeded sweep."""
     rng = random.Random(20240607)
-    lines = []
-    for i in range(rounds):
+    for _ in range(rounds):
         scale = rng.choice((1, 10, 1000, 10**6, 10**9))
         eps = rng.choice((Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), 1, 3))
         weights = [rng.randint(1, scale) for _ in range(rng.randint(1, 8))]
@@ -168,6 +166,18 @@ def _sweep_text(rounds=20):
         cols = [rng.randint(1, 30) for _ in range(rng.randint(1, 6))]
         r1 = rng.randint(0, sum(cols))
         table = Contingency2Instance(row_sums=(r1, sum(cols) - r1), col_sums=cols)
+        yield eps, knap, tuples, table
+
+
+def _sweep_text():
+    """Counts, set sizes, chain lengths and every stage function of a seeded sweep.
+
+    Five runs per round, one per counter. Only fields that every
+    refactor of the compressors must leave alone are written, so the text
+    (and its digest) pins their output exactly.
+    """
+    lines = []
+    for i, (eps, knap, tuples, table) in enumerate(_sweep_instances()):
         runs = [
             (fptas_knapsack, knap),
             (strong_fptas_knapsack, knap),
@@ -186,6 +196,23 @@ def _sweep_text(rounds=20):
     return "\n".join(lines)
 
 
+def test_strong_stages_are_the_plain_stages():
+    # A strong stage keeps exactly what the plain binary search keeps, at one
+    # evaluation per candidate change point.
+    for eps, knap, tuples, _ in _sweep_instances(rounds=100):
+        for plain, strong, inst in (
+            (fptas_knapsack, strong_fptas_knapsack, knap),
+            (fptas_mtuples, strong_fptas_mtuples, tuples),
+        ):
+            rep = strong(inst, eps)
+            expected = [f.to_json() for f in plain(inst, eps).stage_functions]
+            assert [f.to_json() for f in rep.stage_functions] == expected
+            assert rep.oracle_calls == sum(len(c) for c in rep.stage_candidates)
+
+
+# Re-pinned when the strong stages became the plain ones (the digest was
+# 79be8f4d98407b88316b728b69624e4a106589ebe4c71e955cce4745ac1be429 before);
+# the plain and contingency lines of the text did not change.
 def test_seeded_sweep_output_is_unchanged():
     digest = hashlib.sha256(_sweep_text().encode()).hexdigest()
-    assert digest == "79be8f4d98407b88316b728b69624e4a106589ebe4c71e955cce4745ac1be429"
+    assert digest == "feb2a44a3b08cefe92cd53fac10a6a30e2f16262be8999c8146d77c3ee603ad1"

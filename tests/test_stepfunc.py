@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approxcount.errors import InvalidInput, MonotonicityViolation
@@ -21,6 +21,7 @@ from approxcount.stepfunc import (
     FnOracle,
     IntInterval,
     StepFunction,
+    apx_set_linear,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
     shifted_sum,
@@ -322,20 +323,6 @@ def test_shifted_sum_matches_manual_recurrence():
     assert combined.calls == 7
 
 
-def test_shifted_sum_batch_matches_pointwise_and_counts_each_point():
-    base = StepFunction(
-        domain=IntInterval(0, 6),
-        direction=Direction.NONINCREASING,
-        xs=(0, 3, 6),
-        values=(5, 2, 1),
-        out_of_domain_low=7,
-    )
-    combined = shifted_sum([(base, 0), (base, 2), (base, 5)])
-    points = [0, 1, 2, 4, 6]
-    assert combined.values_at(points) == [combined(j) for j in points]
-    assert combined.calls == 2 * len(points)
-
-
 def _step(direction, xs, values, below, above):
     return StepFunction(
         domain=IntInterval(xs[0], xs[-1]),
@@ -419,20 +406,6 @@ def test_shifted_sum_is_the_per_term_sum_on_random_terms(terms):
     assert_shifted_sum_is_per_term_sum(terms, IntInterval(0, 8))
 
 
-def test_values_at_falls_back_to_pointwise_calls():
-    seen = []
-
-    def fn(j):
-        seen.append(j)
-        return j * j
-
-    phi = FnOracle(IntInterval(0, 9), Direction.NONDECREASING, fn)
-    assert phi.values_at([0, 3, 3, 9]) == [0, 9, 9, 81]
-    assert seen == [0, 3, 3, 9]
-    assert phi.calls == 4
-    assert phi.values_at([]) == [] and phi.calls == 4
-
-
 def test_shifted_sum_rejects_mixed_directions():
     up = StepFunction(
         domain=IntInterval(0, 2),
@@ -456,3 +429,66 @@ def test_interval_validation():
     assert 5 in IntInterval(0, 5)
     assert 6 not in IntInterval(0, 5)
     assert len(IntInterval(2, 4)) == 3
+
+
+@st.composite
+def linear_pieces(draw):
+    """(lo, knots, values) of a nondecreasing function, linear with an integer
+    slope between knots; some slopes repeat, so some knots are redundant."""
+    lo = draw(st.integers(-20, 20))
+    knots, values = [lo], [draw(st.integers(0, 8) | st.integers(0, 10**6))]
+    for _ in range(draw(st.integers(0, 12))):
+        width = draw(st.integers(1, 12))
+        slope = draw(st.integers(0, 4) | st.integers(0, 10**12))
+        knots.append(knots[-1] + width)
+        values.append(values[-1] + slope * width)
+    return lo, knots, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=linear_pieces(),
+    k=ratios,
+    direction=st.sampled_from(list(Direction)),
+    below=st.none() | st.integers(0, 9),
+)
+# the search's bar (8 at x = 0) is met exactly at the knot where the slope changes
+@example(
+    pieces=(0, [0, 1, 3], [0, 4, 8]),
+    k=ApproxRatio.for_stages(Fraction(7), 3),
+    direction=Direction.NONINCREASING,
+    below=None,
+)
+def test_linear_walk_keeps_what_the_search_keeps(pieces, k, direction, below):
+    lo, knots, values = pieces
+    if direction is Direction.NONINCREASING:  # mirror: knot t moves to lo+hi-t
+        knots = [lo + knots[-1] - t for t in reversed(knots)]
+        values = values[::-1]
+    dense = {knots[0]: values[0]}
+    for a, b, wa, wb in zip(knots, knots[1:], values, values[1:]):
+        dense.update((x, wa + (x - a) * (wb - wa) // (b - a)) for x in range(a + 1, b + 1))
+    dom = IntInterval(knots[0], knots[-1])
+    phi = FnOracle(dom, direction, dense.__getitem__)
+    search = apx_set_nondecreasing if direction is Direction.NONDECREASING else apx_set_nonincreasing
+    walked = apx_set_linear(knots, values, direction, k, below=below)
+    assert walked == search(phi, dom, k, below=below)
+
+
+@pytest.mark.parametrize(
+    "knots, values, direction",
+    [
+        ([0, 3], [1, 8], Direction.NONDECREASING),  # slope 7/3
+        ([0, 2, 4], [1, 3, 2], Direction.NONDECREASING),
+        ([0, 2, 4], [3, 1, 2], Direction.NONINCREASING),
+        ([0, 0], [1, 1], Direction.NONDECREASING),
+        ([0, 1], [-1, 0], Direction.NONDECREASING),
+        ([0, 1], [0, -1], Direction.NONINCREASING),
+        ([], [], Direction.NONDECREASING),
+    ],
+    ids=[
+        "fractional-slope", "dips", "rises", "repeated-knot", "negative-low", "negative-high", "empty"
+    ],
+)
+def test_linear_walk_rejects_what_it_cannot_walk(knots, values, direction):
+    with pytest.raises(InvalidInput):
+        apx_set_linear(knots, values, direction, ApproxRatio.for_stages(1, 1))
