@@ -21,7 +21,6 @@ from .oracles import (
     MTuplesInstance,
     brute_knapsack,
     brute_mtuples,
-    dp_contingency_binding,
     dp_contingency_sub,
     dp_contingency_sum,
     dp_knapsack,
@@ -64,7 +63,6 @@ __all__ = [
     "brute_mtuples",
     "compress_contingency",
     "convert",
-    "dp_contingency_binding",
     "dp_contingency_sub",
     "dp_contingency_sum",
     "dp_knapsack",

@@ -16,14 +16,17 @@ superset of everywhere the stage function actually changes (an
 3. :func:`~approxcount.stepfunc.apx_set_linear` walks those pieces.
 
 The result is exactly the step function the direction's binary search over
-the whole domain keeps, so the strong counters produce the same stages as
-the plain ones. Oracle cost is one evaluation per candidate and never
+the index's domain keeps. The strong counters make that domain each stage's
+reachable window, so the walk stops at the window's low end and keeps it
+with its exact value; a window that starts above 0 gets ``below=None``, no
+value under it. Oracle cost is one evaluation per candidate and never
 depends on the width of the numeric domain; that is the whole point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
@@ -44,19 +47,21 @@ class IncIndex:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         pts = self.points
-        if not pts or any(a >= b for a, b in zip(pts, pts[1:])):
+        if not pts or not all(map(lt, pts, pts[1:])):
             raise InvalidInput("candidate points must be strictly increasing")
         if pts[0] != self.domain.lo or pts[-1] != self.domain.hi:
             raise InvalidInput("candidate points must include both domain endpoints")
 
     @classmethod
     def build(cls, candidates: Iterable[int], domain: IntInterval) -> "IncIndex":
-        """Sorted, deduplicated, clipped to the domain, endpoints added."""
+        """Sorted, deduplicated, clipped to the domain, endpoints added.
+
+        Sorting takes linear time when the candidates arrive sorted, as a
+        piece table's starts do.
+        """
         lo, hi = domain.lo, domain.hi
-        pts = {p for p in candidates if lo <= p <= hi}
-        pts.add(lo)
-        pts.add(hi)
-        return cls(tuple(sorted(pts)), domain)
+        inner = sorted(p for p in candidates if lo < p < hi)
+        return cls(tuple(dict.fromkeys([lo, *inner, hi])), domain)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -70,13 +75,12 @@ def pad(s: Sequence[int], dom: IntInterval) -> tuple[int, ...]:
     size (|pad(s)| <= 2|s| - 1).
     """
     pts = list(s)
-    if not pts or any(a >= b for a, b in zip(pts, pts[1:])):
+    if not pts or not all(map(lt, pts, pts[1:])):
         raise InvalidInput("pad expects a strictly increasing sequence")
     if pts[0] != dom.lo or pts[-1] != dom.hi:
         raise InvalidInput("pad expects both domain endpoints present")
-    out = set(pts)
-    out.update(x - 1 for x in pts[1:])
-    return tuple(sorted(out))
+    merged = sorted(pts + [x - 1 for x in pts[1:]])  # a linear merge of two sorted runs
+    return tuple(dict.fromkeys(merged))
 
 
 def convert(

@@ -7,15 +7,21 @@ per-stage ratio k, k^n <= 1+epsilon, giving
 exact <= count <= (1+epsilon)*exact at the capacity.
 
 :func:`fptas_knapsack` compresses each stage by binary search over {0..C};
-its oracle work grows with log C. :func:`strong_fptas_knapsack` keeps the
-same stages, so it returns the same count, but evaluates each stage only at
-its candidate change points (:func:`~approxcount.incpoints.convert`), so its
-oracle work depends on n and epsilon but not on the magnitude of the weights
-or the capacity. Stage i's candidates are the starts of its piece table:
-just past each previous breakpoint, in the unshifted copy and in the copy
-shifted by w_i, and w_i itself, where the shifted copy enters the domain
-and jumps from 0. The table has a piece start wherever a term can change,
-so no candidate is named by hand.
+its oracle work grows with log C. :func:`strong_fptas_knapsack` compresses
+stage i only on its reachable window {max(0, C - W_after_i)..C}, with
+W_after_i the total weight of the items after item i, so the last stage is
+{C}. Stage i+1 reads j and j - w_{i+1}, which from its window land in
+window i or below 0, where subsets_i is exactly 0; a window that starts
+above 0 has no value below it, and a read there raises. The window's low
+end keeps its exact value, so the count is in the band but not always the
+plain one. Inside the window a stage is evaluated only at its candidate
+change points (:func:`~approxcount.incpoints.convert`), so the oracle work
+depends on n and epsilon but not on the magnitude of the weights or the
+capacity. The candidates are the starts of the stage's piece table: just
+past each previous breakpoint, in the unshifted copy and in the copy
+shifted by w_i, and w_i itself, where the shifted copy enters and jumps
+from 0. The table has a piece start wherever a term can change, so no
+candidate is named by hand.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from functools import partial
 
 from .incpoints import convert
 from .oracles import KnapsackInstance
-from .stagewise import RunReport, run_stages, sum_stage
+from .stagewise import RunReport, run_stages, sum_stage, sums_after
 from .stepfunc import Direction, IntInterval, StepFunction
 
 
@@ -42,11 +48,14 @@ def _empty_subset_row(capacity: int) -> StepFunction:
 
 
 def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
-    items = [(0, w) for w in inst.weights]
+    c = inst.capacity
+    windows = [IntInterval(max(0, c - rest), c) for rest in sums_after(inst.weights)]
+    items = [((0, w), window) for w, window in zip(inst.weights, windows)]
     step = partial(sum_stage, convert=convert)
-    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity, step)
+    return run_stages(_empty_subset_row(c), items, epsilon, c, step)
 
 
 def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
-    items = [(0, w) for w in inst.weights]
+    full = IntInterval(0, inst.capacity)
+    items = [((0, w), full) for w in inst.weights]
     return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity, sum_stage)

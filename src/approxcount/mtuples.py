@@ -6,10 +6,17 @@ stage by a compressed step function with per-stage ratio k, k^m <= 1+epsilon:
 
 * :func:`fptas_mtuples` compresses over the numeric domain {0..B} directly,
   so its work grows with log B;
-* :func:`strong_fptas_mtuples` keeps the same stages, so it returns the same
-  count, but evaluates each stage only at its candidate change points (the
-  starts of the stage's piece table), so its work is independent of the
-  magnitude of B.
+* :func:`strong_fptas_mtuples` compresses stage i only on its reachable
+  window {max(0, B - later maxima)..max(0, B - later minima)}, the later
+  maxima and minima being the sums of the maxima and minima of the sets
+  after set i, so the last stage is {B}. Stage i+1 reads j - s for its
+  elements s, which from its window land in window i or below 0, where the
+  count is exactly the product of the set sizes so far; a window that
+  starts above 0 has no value below it, and a read there raises. Inside the
+  window a stage is evaluated only at its candidate change points (the
+  starts of its piece table), so the work is independent of the magnitude
+  of B. The window's low end keeps its exact value, so the count need not
+  equal the plain one.
 
 Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 """
@@ -20,7 +27,7 @@ from functools import partial
 
 from .incpoints import convert
 from .oracles import MTuplesInstance
-from .stagewise import RunReport, run_stages, sum_stage
+from .stagewise import RunReport, run_stages, sum_stage, sums_after
 from .stepfunc import Direction, IntInterval, StepFunction
 
 
@@ -39,19 +46,25 @@ def _empty_tuple_row(bound: int) -> StepFunction:
 
 def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over the numeric domain {0..bound}."""
-    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, sum_stage)
+    full = IntInterval(0, inst.bound)
+    stages = [(s, full) for s in inst.sets]
+    return run_stages(_empty_tuple_row(inst.bound), stages, epsilon, inst.bound, sum_stage)
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
-    """Stagewise compression over candidate change points only.
+    """Stagewise compression over candidate change points of reachable windows.
 
     Each stage sums the previous compressed function shifted by the new
     set's elements; a nonincreasing copy changes only at its breakpoints,
     so the candidates are the previous breakpoints shifted by each element,
     the starts of the stage's piece table. Stage one starts from the
     empty-tuple row, with breakpoints 0, 1 and B, so its candidates are the
-    first set's elements and their successors. Each stage is then
-    compressed by :func:`~approxcount.incpoints.convert`.
+    first set's elements and their successors that lie in its window. Each
+    stage is then compressed by :func:`~approxcount.incpoints.convert`.
     """
+    b = inst.bound
+    highs = sums_after([max(s) for s in inst.sets])
+    lows = sums_after([min(s) for s in inst.sets])
+    windows = [IntInterval(max(0, b - hi), max(0, b - lo)) for hi, lo in zip(highs, lows)]
     step = partial(sum_stage, convert=convert)
-    return run_stages(_empty_tuple_row(inst.bound), inst.sets, epsilon, inst.bound, step)
+    return run_stages(_empty_tuple_row(b), list(zip(inst.sets, windows)), epsilon, b, step)

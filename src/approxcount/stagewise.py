@@ -11,23 +11,26 @@ with ratio k gives a kK'-approximation, so the final row is within
 
     f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
 
-over a fixed domain {lo..hi}: knapsack with S_i = (0, w_i), m-tuples with
-S_i the i-th set. The plain variants compress the sum
-(:func:`~approxcount.stepfunc.shifted_sum`) by binary search over the
-domain. The strong ones evaluate it only at its candidate change points,
-both ends and the starts of the sum's piece table in between, which cover
-every change by construction, including where a shifted copy first enters
-the domain; a walk over the pieces between them keeps the same stage
-function the binary search keeps. So both variants produce identical
-stages, and only the oracle work differs.
-Shifts are nonnegative, so below the domain every f_{i-1}(j - s) is the
-previous below-domain value, and f_i there is |S_i| times it.
+over the domain each stage names: knapsack with S_i = (0, w_i), m-tuples
+with S_i the i-th set. The plain variants name {0..hi} for every stage and
+compress the sum (:func:`~approxcount.stepfunc.shifted_sum`) by binary
+search over it. The strong ones name the stage's reachable window (see
+:mod:`~approxcount.knapsack` and :mod:`~approxcount.mtuples`) and evaluate
+the sum only at its candidate change points there: both window ends and
+the starts of the sum's piece table between them, which cover every change
+by construction. A walk over the pieces between them keeps the step
+function the binary search over the window keeps.
+Shifts are nonnegative, so when a stage's domain starts where the previous
+one's does, every f_{i-1}(j - s) below it is the previous below-domain value
+and f_i there is |S_i| times it. A domain that starts higher has no value
+below it (``out_of_domain_low`` is None).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from time import perf_counter
 from typing import Callable, Sequence
 
@@ -77,14 +80,21 @@ class RunReport:
         return self.epsilon < 1
 
 
-def sum_stage(prev: StepFunction, shifts: Sequence[int], ratio, convert: Callable | None = None):
-    """One stage of the shifted-sum recurrence: sum, then compress by binary
-    search or, given the strong counters' :func:`~approxcount.incpoints.convert`,
-    over the :class:`IncIndex` of the sum's piece starts (returned too).
+def sums_after(values: Sequence[int]) -> list[int]:
+    """For each value, the sum of the values after it."""
+    return list(accumulate(reversed(values), initial=0))[-2::-1]
+
+
+def sum_stage(prev: StepFunction, stage, ratio, convert: Callable | None = None):
+    """One stage of the shifted-sum recurrence, ``stage = (shifts, domain)``:
+    sum over the domain, then compress by binary search or, given the strong
+    counters' :func:`~approxcount.incpoints.convert`, over the
+    :class:`IncIndex` of the sum's piece starts (returned too).
     """
-    dom = prev.domain
+    shifts, dom = stage
     raw = shifted_sum([(prev, s) for s in shifts], dom)
-    below = prev.out_of_domain_low * len(shifts)
+    low = prev.out_of_domain_low
+    below = None if low is None or dom.lo > prev.domain.lo else low * len(shifts)
     if convert is None:
         up = raw.direction is Direction.NONDECREASING
         search = apx_set_nondecreasing if up else apx_set_nonincreasing

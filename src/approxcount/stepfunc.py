@@ -178,14 +178,18 @@ class StepFunction:
     functions, the left one for nonincreasing. Outside the domain the fixed
     ``out_of_domain_low`` / ``out_of_domain_high`` values apply; these carry
     boundary conventions such as "0 below 0" (knapsack) or "the full product
-    below 0" (tuple counting) without special cases in callers.
+    below 0" (tuple counting) without special cases in callers. A low value
+    of None means there is no value below the domain: a stage kept only on
+    a window that starts above 0 does not know the values under it, so a
+    query there raises InvalidInput, and so does :func:`shifted_sum` when a
+    term would be read there.
     """
 
     domain: IntInterval
     direction: Direction
     xs: tuple[int, ...]
     values: tuple[int, ...]
-    out_of_domain_low: int = 0
+    out_of_domain_low: int | None = 0
     out_of_domain_high: int = 0
 
     def __post_init__(self):
@@ -210,6 +214,8 @@ class StepFunction:
 
     def query(self, x: int) -> int:
         if x < self.domain.lo:
+            if self.out_of_domain_low is None:
+                raise InvalidInput(f"no value at {x}, below the domain from {self.domain.lo}")
             return self.out_of_domain_low
         if x > self.domain.hi:
             return self.out_of_domain_high
@@ -223,7 +229,7 @@ class StepFunction:
                 "domain": [self.domain.lo, self.domain.hi],
                 "direction": self.direction.value,
                 "breakpoints": [[x, str(v)] for x, v in zip(self.xs, self.values)],
-                "below": str(self.out_of_domain_low),
+                "below": None if self.out_of_domain_low is None else str(self.out_of_domain_low),
                 "above": str(self.out_of_domain_high),
             }
         )
@@ -235,7 +241,7 @@ def _function(dom, direction, xs, values, below) -> StepFunction:
         direction=direction,
         xs=xs,
         values=values,
-        out_of_domain_low=values[0] if below is None else below,
+        out_of_domain_low=below,
         out_of_domain_high=values[-1],
     )
 
@@ -263,8 +269,8 @@ def apx_set_nondecreasing(
     search probed (y's probe, or x-1's when y = x), so the function is exact
     at every breakpoint without a second pass. Each probe is checked against
     the probes that bracket it. Oracle cost is O(|W| log |dom|). Below the
-    domain the value is ``below``, by default the low edge value; above it,
-    the high edge value.
+    domain the value is ``below``, by default None: no value, so a query
+    there raises. Above it, the value is the high edge value.
     """
     num, den = k.k.numerator, k.k.denominator
     x = dom.hi
@@ -448,9 +454,9 @@ def induce(
     larger adjacent point's value in between. Evaluates phi once per point;
     MonotonicityViolation is raised if the values contradict its direction.
 
-    The points' ends are the function's domain. Out of domain values default
-    to continuations of the edge values; override the low one to carry a
-    boundary convention.
+    The points' ends are the function's domain. Above it the high edge value
+    continues; below it there is no value unless ``below`` gives one, such
+    as a boundary convention.
     """
     dom = IntInterval(points[0], points[-1])
     if dom.lo not in phi.domain or dom.hi not in phi.domain:
@@ -466,6 +472,8 @@ def shifted_sum(
     All functions must share a direction; shifting and adding preserve it.
     Out-of-domain queries hit each term's own boundary values, which is how
     recurrences like "count(j - w) with count = 0 below zero" are realized.
+    A term with no value below its domain is refused if the sum's domain
+    would read it there.
 
     The sum is built once as a piece table over every integer: each term
     changes value only where one of its pieces starts (the first point past
@@ -481,6 +489,8 @@ def shifted_sum(
     if len(directions) != 1:
         raise InvalidInput("terms must share a direction")
     direction = directions.pop()
+    if domain is None:
+        domain = terms[0][0].domain
     deltas: dict[int, int] = defaultdict(int)
     base = 0
     for f, s in terms:
@@ -490,6 +500,13 @@ def shifted_sum(
         else:
             opens = xs
         prev = f.out_of_domain_low
+        if prev is None:  # no value below f's domain: the sum must not read there
+            if domain.lo - s < xs[0]:
+                raise InvalidInput(
+                    f"the sum reads a term shifted by {s} at {domain.lo - s}, below its "
+                    f"domain from {xs[0]}, where it has no value"
+                )
+            prev = f.values[0]
         base += prev
         for x, v in zip(opens, f.values):
             deltas[x + s] += v - prev
@@ -501,6 +518,4 @@ def shifted_sum(
     def evaluate(j: int) -> int:
         return values[bisect_right(starts, j)]
 
-    if domain is None:
-        domain = terms[0][0].domain
     return FnOracle(domain, direction, evaluate, starts)

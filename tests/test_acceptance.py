@@ -23,7 +23,6 @@ from approxcount.oracles import (
     Contingency2Instance,
     KnapsackInstance,
     MTuplesInstance,
-    dp_contingency_binding,
     dp_contingency_sub,
     dp_contingency_sum,
     dp_contingency_sum_table,
@@ -33,6 +32,7 @@ from approxcount.oracles import (
     dp_mtuples_table,
 )
 from approxcount.stepfunc import ApproxRatio
+from contingency_binding import dp_contingency_binding
 
 EPSILONS = (Fraction(1, 10), Fraction(1, 2), Fraction(1))
 
@@ -259,10 +259,12 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         rows = dp_knapsack_table(inst)
         rep = strong_fptas_knapsack(inst, eps)
         power = Fraction(1)
-        for func, row in zip(rep.stage_functions, rows[1:]):
+        for i, (func, row) in enumerate(zip(rep.stage_functions, rows[1:])):
             power *= k
-            for j, exact in enumerate(row):
-                assert exact <= func.query(j) <= power * exact
+            window = range(max(0, inst.capacity - sum(inst.weights[i + 1 :])), inst.capacity + 1)
+            assert (func.domain.lo, func.domain.hi) == (window[0], window[-1])
+            for j in window:
+                assert row[j] <= func.query(j) <= power * row[j]
     for _ in range(200):
         inst = random_contingency(rng, n_max=8)
         rep = fptas_contingency2(inst, eps)

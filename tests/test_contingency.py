@@ -17,7 +17,6 @@ from approxcount.contingency import (
 from approxcount.errors import InvalidInput
 from approxcount.oracles import (
     Contingency2Instance,
-    dp_contingency_binding,
     dp_contingency_sub,
     dp_contingency_sum,
     dp_contingency_sum_table,
@@ -30,6 +29,7 @@ from approxcount.stepfunc import (
     StepFunction,
     apx_set_nondecreasing,
 )
+from contingency_binding import dp_contingency_binding
 
 ANY_K = ApproxRatio.for_stages(Fraction(3), 1)
 

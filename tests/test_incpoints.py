@@ -54,6 +54,13 @@ def test_build_clips_dedupes_and_adds_endpoints():
     assert list(inc.points) == [0, 3, 10]
 
 
+def test_build_and_pad_a_one_point_window():
+    # The last strong stage's window is the query point alone.
+    inc = IncIndex.build([9, 5, 5, 4], IntInterval(5, 5))
+    assert inc.points == (5,)
+    assert pad(inc.points, inc.domain) == (5,)
+
+
 def test_endpoints_required():
     with pytest.raises(InvalidInput):
         IncIndex(points=(1, 5), domain=IntInterval(0, 5))

@@ -107,7 +107,8 @@ def test_set_sizes_logarithmic_in_subset_count():
 
 
 class TestStageInvariants:
-    """Dense per-stage checks of the strong counter, capacities <= 500."""
+    """Dense per-stage checks of the strong counter, capacities <= 500, each
+    stage over its reachable window {max(0, C - W_after_i)..C}."""
 
     def run_one(self, inst, eps):
         rep = strong_fptas_knapsack(inst, eps)
@@ -121,26 +122,29 @@ class TestStageInvariants:
         power = Fraction(1)
         prev = prev_query
         for i, w_i in enumerate(inst.weights):
-            raw = [prev(j) + prev(j - w_i) for j in range(c + 1)]
             func = rep.stage_functions[i]
-            dense = [func.query(j) for j in range(c + 1)]
+            lo = max(0, c - sum(inst.weights[i + 1 :]))
+            assert (func.domain.lo, func.domain.hi) == (lo, c)
+            window = range(lo, c + 1)
+            raw = {j: prev(j) + prev(j - w_i) for j in window}
+            dense = {j: func.query(j) for j in window}
             points = set(func.xs)
             inc = set(rep.stage_candidates[i].points)
             power *= k
 
             # (1) W_i approximates the raw row within one stage ratio, and
             # the induced function only climbs just past a breakpoint.
-            for j in range(c + 1):
+            for j in window:
                 assert raw[j] <= dense[j]
                 assert dense[j] * k.denominator <= raw[j] * k.numerator
-            climbs = {j for j in range(1, c + 1) if dense[j] > dense[j - 1]}
+            climbs = {j for j in window[1:] if dense[j] > dense[j - 1]}
             assert climbs <= {p + 1 for p in points}
 
             # (2) the compressed row is a k^i-approximation of the exact row.
             exact = exact_rows[i + 1]
-            for j in range(c + 1):
+            for j in window:
                 assert exact[j] <= dense[j] <= power * exact[j]
-            assert all(a <= b for a, b in zip(dense, dense[1:]))
+            assert all(dense[j] <= dense[j + 1] for j in window[:-1])
 
             # (3) restricted to the candidate ranks the same sandwich holds.
             for p in sorted(inc):
@@ -148,7 +152,7 @@ class TestStageInvariants:
                 assert dense[p] * k.denominator <= raw[p] * k.numerator
 
             # (4) the candidates cover every strict increase of the raw row.
-            rises = {j for j in range(1, c + 1) if raw[j] > raw[j - 1]}
+            rises = {j for j in window[1:] if raw[j] > raw[j - 1]}
             assert rises <= inc
 
             prev = func.query

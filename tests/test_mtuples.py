@@ -142,35 +142,41 @@ def test_per_stage_ratio_bound():
                 assert got <= power * exact
 
 
+def _window(inst, i):
+    """Stage i's reachable window: B less the later maxima to B less the later minima."""
+    later = inst.sets[i + 1 :]
+    return range(max(0, inst.bound - sum(map(max, later))), max(0, inst.bound - sum(map(min, later))) + 1)
+
+
 def test_stages_stay_nonincreasing():
     rng = random.Random(717)
     for _ in range(25):
         inst = random_instance(rng)
         rep = strong_fptas_mtuples(inst, Fraction(1, 2))
-        for func in rep.stage_functions:
-            vals = [func.query(j) for j in range(inst.bound + 1)]
+        for i, func in enumerate(rep.stage_functions):
+            window = _window(inst, i)
+            assert (func.domain.lo, func.domain.hi) == (window[0], window[-1])
+            vals = [func.query(j) for j in window]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_candidates_cover_strict_decreases():
     # The rank-space compression is only sound if every change point of the
-    # raw stage function appears among the candidates.
+    # raw stage function in its window appears among the candidates.
     rng = random.Random(818)
     for _ in range(25):
         inst = random_instance(rng)
         rep = strong_fptas_mtuples(inst, Fraction(1, 2))
-        prefix_product = len(inst.sets[0])
         prev = None
         for i, (inc, func) in enumerate(zip(rep.stage_candidates, rep.stage_functions)):
+            window = _window(inst, i)
             if i == 0:
                 ordered = sorted(inst.sets[0])
-                raw = [len(ordered) - sum(1 for x in ordered if x < j) for j in range(inst.bound + 1)]
+                raw = [len(ordered) - sum(1 for x in ordered if x < j) for j in window]
             else:
                 xs = inst.sets[i]
-                raw = [
-                    sum(prev.query(j - x) for x in xs) for j in range(inst.bound + 1)
-                ]
-            drops = {j for j in range(1, len(raw)) if raw[j] < raw[j - 1]}
+                raw = [sum(prev.query(j - x) for x in xs) for j in window]
+            drops = {window[t] for t in range(1, len(raw)) if raw[t] < raw[t - 1]}
             assert drops <= set(inc.points)
             prev = func
 

@@ -10,7 +10,6 @@ from approxcount.oracles import (
     MTuplesInstance,
     brute_knapsack,
     brute_mtuples,
-    dp_contingency_binding,
     dp_contingency_sub,
     dp_contingency_sum,
     dp_contingency_sum_table,
@@ -19,6 +18,7 @@ from approxcount.oracles import (
     dp_mtuples,
     dp_mtuples_table,
 )
+from contingency_binding import dp_contingency_binding
 
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 

@@ -13,11 +13,17 @@ from fractions import Fraction
 import pytest
 
 from approxcount import (
+    ApproxRatio,
     Contingency2Instance,
+    Direction,
+    IntInterval,
+    InvalidInput,
     KnapsackInstance,
     MTuplesInstance,
     RunReport,
     StepFunction,
+    apx_set_nondecreasing,
+    apx_set_nonincreasing,
     fptas_contingency2,
     fptas_knapsack,
     fptas_mtuples,
@@ -35,8 +41,8 @@ GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 def test_readme_library_example():
     rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 4))
     assert rep.count == 13
-    assert rep.oracle_calls == 44
-    assert rep.per_stage_set_sizes == [4, 8, 14, 16]
+    assert rep.oracle_calls == 23
+    assert rep.per_stage_set_sizes == [4, 8, 8, 1]
 
 
 # Every row keeps the id it had before its oracle calls last changed. The
@@ -51,6 +57,9 @@ def test_readme_library_example():
 # instead of scanning ranks and padding what it kept, every strong row keeps
 # its plain row's sizes and counts one call per candidate (82, 46 and 68
 # calls before, with sizes [6, 8, 10, 11], [7, 7, 3] and [9, 13, 10]).
+# Since each strong stage is compressed only on its reachable window, the
+# strong rows keep fewer points (36, 22 and 28 calls before, with sizes
+# [4, 5, 6, 7], [4, 4, 2] and [5, 8, 7], and m-tuples count 12 at eps 7).
 @pytest.mark.parametrize(
     "counter, inst, eps, count, calls, sizes",
     [
@@ -63,7 +72,7 @@ def test_readme_library_example():
             id="fptas_knapsack-inst1-7-13-89-sizes1",
         ),
         pytest.param(
-            strong_fptas_knapsack, README_KNAPSACK, 7, 13, 36, [4, 5, 6, 7],
+            strong_fptas_knapsack, README_KNAPSACK, 7, 13, 21, [4, 5, 2, 1],
             id="strong_fptas_knapsack-inst2-7-13-98-sizes2",
         ),
         pytest.param(
@@ -75,11 +84,11 @@ def test_readme_library_example():
             id="fptas_mtuples-inst4-eps4-3-85-sizes4",
         ),
         pytest.param(
-            strong_fptas_mtuples, GOLDEN, 7, 12, 22, [4, 4, 2],
+            strong_fptas_mtuples, GOLDEN, 7, 4, 10, [3, 3, 1],
             id="strong_fptas_mtuples-inst5-7-6-39-sizes5",
         ),
         pytest.param(
-            strong_fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 28, [5, 8, 7],
+            strong_fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 11, [4, 5, 1],
             id="strong_fptas_mtuples-inst6-eps6-3-94-sizes6",
         ),
     ],
@@ -104,15 +113,17 @@ def test_every_counter_returns_one_report_type():
 
 
 def test_mtuples_stage_one_candidates_are_the_elements_and_successors():
+    # Those in stage one's window {17 - 14..17 - 5}, which 1 and 2 are not
+    # ((0, 1, 2, 3, 4, 7, 8, 17) when the stage spanned {0..17}).
     rep = strong_fptas_mtuples(GOLDEN, 7)
     assert len(rep.stage_candidates) == GOLDEN.m
-    assert rep.stage_candidates[0].points == (0, 1, 2, 3, 4, 7, 8, 17)
+    assert rep.stage_candidates[0].points == (3, 4, 7, 8, 12)
     assert fptas_mtuples(GOLDEN, 7).stage_candidates == []
 
 
 def test_strong_candidates_are_the_piece_starts_in_the_domain():
     # Each strong stage's candidates are read off the piece table of the sum
-    # it compresses: both domain ends and every piece start between them.
+    # it compresses: both ends of its window and every piece start between them.
     rng = random.Random(4242)
     for _ in range(60):
         scale = rng.choice((1, 10, 1000, 10**9))
@@ -130,24 +141,51 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain():
             (strong_fptas_mtuples(tuples, eps), _empty_tuple_row(tuples.bound), tuples.sets),
         ]
         for rep, prev, shift_sets in runs:
-            dom = prev.domain
             assert len(rep.stage_candidates) == len(shift_sets)
             for shifts, inc, func in zip(shift_sets, rep.stage_candidates, rep.stage_functions):
+                dom = func.domain
                 starts = shifted_sum([(prev, s) for s in shifts], dom).starts
                 assert set(inc.points) == {dom.lo, dom.hi} | {p for p in starts if p in dom}
                 prev = func
 
 
-@pytest.mark.parametrize("counter", [fptas_mtuples, strong_fptas_mtuples])
-def test_below_domain_value_is_the_product_of_set_sizes(counter):
-    rep = counter(GOLDEN, Fraction(1, 2))
-    assert [f.query(-1) for f in rep.stage_functions] == [3, 6, 12]
+def _below_zero(rep):
+    """Each stage's value at -1, or None where its window starts above 0."""
+    out = []
+    for f in rep.stage_functions:
+        if f.domain.lo == 0:
+            out.append(f.query(-1))
+        else:
+            with pytest.raises(InvalidInput):
+                f.query(-1)
+            out.append(None)
+    return out
 
 
-@pytest.mark.parametrize("counter", [fptas_knapsack, strong_fptas_knapsack])
-def test_knapsack_rows_are_zero_below_the_domain(counter):
-    rep = counter(README_KNAPSACK, Fraction(1, 2))
-    assert [f.query(-1) for f in rep.stage_functions] == [0] * README_KNAPSACK.n
+# GOLDEN's strong windows all start above 0; with bound 5 the first two do not.
+@pytest.mark.parametrize(
+    "counter, golden, bound5",
+    [
+        pytest.param(fptas_mtuples, [3, 6, 12], [3, 6, 12], id="fptas_mtuples"),
+        pytest.param(strong_fptas_mtuples, [None] * 3, [3, 6, None], id="strong_fptas_mtuples"),
+    ],
+)
+def test_below_domain_value_is_the_product_of_set_sizes(counter, golden, bound5):
+    assert _below_zero(counter(GOLDEN, Fraction(1, 2))) == golden
+    low = MTuplesInstance(sets=GOLDEN.sets, bound=5)
+    assert _below_zero(counter(low, Fraction(1, 2))) == bound5
+
+
+# README_KNAPSACK's strong windows are {0..17}, {0..17}, {8..17} and {17}.
+@pytest.mark.parametrize(
+    "counter, below",
+    [
+        pytest.param(fptas_knapsack, [0] * 4, id="fptas_knapsack"),
+        pytest.param(strong_fptas_knapsack, [0, 0, None, None], id="strong_fptas_knapsack"),
+    ],
+)
+def test_knapsack_rows_are_zero_below_the_domain(counter, below):
+    assert _below_zero(counter(README_KNAPSACK, Fraction(1, 2))) == below
 
 
 def _sweep_instances(rounds=20):
@@ -196,23 +234,103 @@ def _sweep_text():
     return "\n".join(lines)
 
 
-def test_strong_stages_are_the_plain_stages():
-    # A strong stage keeps exactly what the plain binary search keeps, at one
-    # evaluation per candidate change point.
-    for eps, knap, tuples, _ in _sweep_instances(rounds=100):
-        for plain, strong, inst in (
-            (fptas_knapsack, strong_fptas_knapsack, knap),
-            (fptas_mtuples, strong_fptas_mtuples, tuples),
-        ):
-            rep = strong(inst, eps)
-            expected = [f.to_json() for f in plain(inst, eps).stage_functions]
-            assert [f.to_json() for f in rep.stage_functions] == expected
-            assert rep.oracle_calls == sum(len(c) for c in rep.stage_candidates)
+def _strong_runs(rounds):
+    """(report, first row, [(shifts, window)]) of both strong counters per sweep round."""
+    for eps, knap, tuples, _ in _sweep_instances(rounds):
+        c, b = knap.capacity, tuples.bound
+        items = [
+            ((0, w), IntInterval(max(0, c - sum(knap.weights[i + 1 :])), c))
+            for i, w in enumerate(knap.weights)
+        ]
+        sets = []
+        for i, shifts in enumerate(tuples.sets):
+            later = tuples.sets[i + 1 :]
+            hi, lo = sum(map(max, later)), sum(map(min, later))
+            sets.append((shifts, IntInterval(max(0, b - hi), max(0, b - lo))))
+        yield eps, strong_fptas_knapsack(knap, eps), _empty_subset_row(c), items
+        yield eps, strong_fptas_mtuples(tuples, eps), _empty_tuple_row(b), sets
+
+
+def test_strong_stages_are_the_searched_windows():
+    # A strong stage keeps exactly what the binary search over its reachable
+    # window keeps, at one evaluation per candidate change point. Only a
+    # window that starts at 0 has a value below it.
+    for eps, rep, prev, stages in _strong_runs(rounds=100):
+        ratio = ApproxRatio.for_stages(eps, len(stages))
+        for (shifts, window), func in zip(stages, rep.stage_functions):
+            raw = shifted_sum([(prev, s) for s in shifts], window)
+            up = raw.direction is Direction.NONDECREASING
+            search = apx_set_nondecreasing if up else apx_set_nonincreasing
+            below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
+            assert func.to_json() == search(raw, window, ratio, below=below).to_json()
+            prev = func
+        assert rep.oracle_calls == sum(len(c) for c in rep.stage_candidates)
+
+
+def test_every_read_of_a_strong_stage_lands_in_its_window_or_below_zero():
+    # Stage i+1 reads stage i at j - s; the reads are monotone in j, so the
+    # two ends of window i+1 bound them all.
+    for _, rep, first, stages in _strong_runs(rounds=100):
+        windows = [first.domain] + [f.domain for f in rep.stage_functions]
+        for (shifts, window), prev in zip(stages, windows):
+            for s in shifts:
+                for j in (window.lo, window.hi):
+                    assert j - s < 0 or j - s in prev
+        last = rep.stage_functions[-1].domain
+        assert last.lo == last.hi == first.domain.hi
+
+
+def test_a_window_above_zero_refuses_reads_below_it():
+    rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 2))
+    stage = rep.stage_functions[2]  # window {8..17}
+    assert (stage.domain.lo, stage.domain.hi, stage.out_of_domain_low) == (8, 17, None)
+    assert stage.query(8) == stage.values[0]
+    with pytest.raises(InvalidInput):
+        stage.query(7)
+    window = IntInterval(17, 17)
+    assert shifted_sum([(stage, 0), (stage, 9)], window)(17) == stage.query(17) + stage.query(8)
+    with pytest.raises(InvalidInput):
+        shifted_sum([(stage, 0), (stage, 10)], window)
+    assert shifted_sum([(stage, 0)])(8) == stage.query(8)  # the domain defaults to the window
+    with pytest.raises(InvalidInput):
+        shifted_sum([(stage, 1)])
+
+
+def _positive_values(func):
+    half = func if isinstance(func, StepFunction) else func.half
+    return [Fraction(v) for v in half.values if v > 0]
+
+
+def test_stage_sizes_stay_within_the_exact_logarithmic_bound():
+    # From a kept point the value falls by more than a factor k within the
+    # next two kept points, so L positive kept values span a ratio of more
+    # than k**((L-1)//2) once L >= 3 (Halman et al.'s O(log_k(vmax/vmin))
+    # points). Two-point stages can be constant, so there only >= holds.
+    for eps, knap, tuples, table in _sweep_instances(rounds=100):
+        runs = [
+            fptas_knapsack(knap, eps),
+            strong_fptas_knapsack(knap, eps),
+            fptas_mtuples(tuples, eps),
+            strong_fptas_mtuples(tuples, eps),
+            fptas_contingency2(table, eps),
+        ]
+        for rep in runs:
+            k = ApproxRatio.for_stages(eps, max(rep.chain_length, 1)).k
+            for func in rep.stage_functions:
+                vals = _positive_values(func)
+                if not vals:
+                    continue
+                size, spread = len(vals), max(vals) / min(vals)
+                assert k ** ((size - 1) // 2) <= spread
+                if size >= 3:
+                    assert k ** ((size - 1) // 2) < spread
 
 
 # Re-pinned when the strong stages became the plain ones (the digest was
-# 79be8f4d98407b88316b728b69624e4a106589ebe4c71e955cce4745ac1be429 before);
-# the plain and contingency lines of the text did not change.
+# 79be8f4d98407b88316b728b69624e4a106589ebe4c71e955cce4745ac1be429 before),
+# and again when each strong stage kept only its reachable window (it was
+# feb2a44a3b08cefe92cd53fac10a6a30e2f16262be8999c8146d77c3ee603ad1, and 39
+# strong lines changed); the plain and contingency lines did not change.
 def test_seeded_sweep_output_is_unchanged():
     digest = hashlib.sha256(_sweep_text().encode()).hexdigest()
-    assert digest == "feb2a44a3b08cefe92cd53fac10a6a30e2f16262be8999c8146d77c3ee603ad1"
+    assert digest == "d7d8f7fff909bd07bba6cafd40f7c9df94ed95c4cd4e3cbced31265666eb6ef7"

@@ -162,6 +162,22 @@ class TestStepFunctionQuery:
         assert f.query(-1) == 0
         assert f.query(4) == 7
 
+    def test_no_value_below_unless_one_is_given(self):
+        f = StepFunction(
+            domain=IntInterval(2, 3),
+            direction=Direction.NONDECREASING,
+            xs=(2, 3),
+            values=(2, 5),
+            out_of_domain_low=None,
+        )
+        with pytest.raises(InvalidInput):
+            f.query(1)
+        assert (f.query(2), f.query(3)) == (2, 5)
+        assert '"below": null' in f.to_json()
+        for direction in Direction:
+            values = [1, 2, 4] if direction is Direction.NONDECREASING else [4, 2, 1]
+            assert compress(values, direction, ApproxRatio.for_stages(1, 1)).out_of_domain_low is None
+
     def test_rejects_wrong_direction_values(self):
         with pytest.raises(MonotonicityViolation):
             StepFunction(
