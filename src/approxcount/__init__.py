@@ -6,11 +6,13 @@ exact <= c <= (1 + epsilon) * exact, checkable against the exact oracles in
 :mod:`approxcount.oracles` by exact rational comparison. The compression
 machinery lives in :mod:`approxcount.stepfunc` and
 :mod:`approxcount.incpoints`, and the stage loop every counter runs through
-in :mod:`approxcount.stagewise`. The command line entry
+in :mod:`approxcount.stagewise`. Every stage of every counter is a
+:class:`StepFunction`; a contingency column is kept as its nondecreasing half,
+its stage being (s_i, P_i), column sum and prefix sum. The command line entry
 point is ``approxcount`` (see :mod:`approxcount.cli`).
 """
 
-from .contingency import SymmetricUnimodal, compress_contingency, fptas_contingency2
+from .contingency import compress_contingency, fptas_contingency2
 from .errors import InvalidInput, MonotonicityViolation, TooLarge
 from .incpoints import IncIndex, convert, pad
 from .knapsack import fptas_knapsack, strong_fptas_knapsack
@@ -54,7 +56,6 @@ __all__ = [
     "MonotonicityViolation",
     "RunReport",
     "StepFunction",
-    "SymmetricUnimodal",
     "TooLarge",
     "apx_set_linear",
     "apx_set_nondecreasing",

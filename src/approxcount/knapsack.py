@@ -17,11 +17,11 @@ end keeps its exact value, so the count is in the band but not always the
 plain one. Inside the window a stage is evaluated only at its candidate
 change points (:func:`~approxcount.incpoints.convert`), so the oracle work
 depends on n and epsilon but not on the magnitude of the weights or the
-capacity. The candidates are the starts of the stage's piece table: just
-past each previous breakpoint, in the unshifted copy and in the copy
-shifted by w_i, and w_i itself, where the shifted copy enters and jumps
-from 0. The table has a piece start wherever a term can change, so no
-candidate is named by hand.
+capacity. The candidates are the starts of the stage's piece table, the
+points where the sum changes value: each is just past a previous
+breakpoint, in the unshifted copy or in the copy shifted by w_i, or w_i
+itself, where the shifted copy enters and jumps from 0. No candidate is
+named by hand.
 """
 
 from __future__ import annotations

@@ -57,10 +57,11 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     Each stage sums the previous compressed function shifted by the new
     set's elements; a nonincreasing copy changes only at its breakpoints,
     so the candidates are the previous breakpoints shifted by each element,
-    the starts of the stage's piece table. Stage one starts from the
-    empty-tuple row, with breakpoints 0, 1 and B, so its candidates are the
-    first set's elements and their successors that lie in its window. Each
-    stage is then compressed by :func:`~approxcount.incpoints.convert`.
+    the starts of the stage's piece table where the sum changes. Stage one
+    starts from the empty-tuple row, which steps from 1 to 0 between 0 and
+    1, so its candidates are the successors of the first set's elements
+    that lie in its window, and the window's ends. Each stage is then
+    compressed by :func:`~approxcount.incpoints.convert`.
     """
     b = inst.bound
     highs = sums_after([max(s) for s in inst.sets])

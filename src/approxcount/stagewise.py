@@ -5,8 +5,10 @@ stage of the counting recurrence by a step of the counter: a function
 evaluated exactly from the previous compressed row, compressed with
 per-stage ratio k, k^stages <= 1+epsilon. Compressing a K'-approximation
 with ratio k gives a kK'-approximation, so the final row is within
-1+epsilon of the exact one. Contingency2's step is one column's window sum
-(:mod:`approxcount.contingency`); knapsack and m-tuples share
+1+epsilon of the exact one. Every row is a
+:class:`~approxcount.stepfunc.StepFunction`. Contingency2's step is one
+column's window sum, with stages (s_i, P_i) and each row a column's
+nondecreasing half (:mod:`approxcount.contingency`); knapsack and m-tuples share
 :func:`sum_stage`, for the recurrence
 
     f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
@@ -68,7 +70,7 @@ class RunReport:
     oracle_calls: int
     per_stage_set_sizes: list[int]
     elapsed: float
-    stage_functions: list = field(repr=False, default_factory=list)
+    stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
     stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
 
     @property
@@ -103,7 +105,9 @@ def sum_stage(prev: StepFunction, stage, ratio, convert: Callable | None = None)
     return raw, convert(raw, candidates, ratio, below=below), candidates
 
 
-def run_stages(first, stages: Sequence, epsilon, query_at: int, step: Callable) -> RunReport:
+def run_stages(
+    first: StepFunction, stages: Sequence, epsilon, query_at: int, step: Callable
+) -> RunReport:
     """Run ``step(prev, stage, ratio)`` for every stage from ``first`` and
     report the last row at ``query_at``. A step returns the oracle it
     evaluated, the compressed function and the strong candidates (or None).

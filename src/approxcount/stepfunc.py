@@ -444,24 +444,18 @@ def apx_set_linear(
     return _function(IntInterval(knots[0], knots[-1]), direction, xs, fxs, below)
 
 
-def induce(
-    phi: FnOracle,
-    points: Sequence[int],
-    *,
-    below: int | None = None,
-) -> StepFunction:
+def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
     """The step function phi induces on the sorted points: exact at each one,
     larger adjacent point's value in between. Evaluates phi once per point;
     MonotonicityViolation is raised if the values contradict its direction.
 
     The points' ends are the function's domain. Above it the high edge value
-    continues; below it there is no value unless ``below`` gives one, such
-    as a boundary convention.
+    continues; below it there is no value.
     """
     dom = IntInterval(points[0], points[-1])
     if dom.lo not in phi.domain or dom.hi not in phi.domain:
         raise InvalidInput("points leave the oracle's domain")
-    return _function(dom, phi.direction, points, [phi(x) for x in points], below)
+    return _function(dom, phi.direction, points, [phi(x) for x in points], None)
 
 
 def shifted_sum(
@@ -480,8 +474,9 @@ def shifted_sum(
     a breakpoint when nondecreasing, the breakpoint itself when
     nonincreasing) and where its domain begins and ends. Building costs
     O(P log P) for P pieces in all terms, independent of the domain width;
-    each evaluation is then one bisect. The oracle's ``starts`` are the
-    table's piece starts, so every point where the sum changes is one of them.
+    each evaluation is then one bisect. Points where the terms' changes
+    cancel start no piece, so the oracle's ``starts`` are exactly the points
+    where the sum changes value.
     """
     if not terms:
         raise InvalidInput("need at least one term")
@@ -512,7 +507,7 @@ def shifted_sum(
             deltas[x + s] += v - prev
             prev = v
         deltas[xs[-1] + s + 1] += f.out_of_domain_high - prev
-    starts = sorted(deltas)
+    starts = sorted(x for x, d in deltas.items() if d)
     values = list(accumulate((deltas[x] for x in starts), initial=base))
 
     def evaluate(j: int) -> int:

@@ -14,6 +14,7 @@ only where a requirement states one.
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from time import perf_counter
 
 from approxcount.contingency import fptas_contingency2
@@ -235,8 +236,8 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
             continue
         k = ApproxRatio.for_stages(Fraction(1, 2), rep.chain_length).k
         v = math.prod(s + 1 for s in inst.col_sums)
-        for su in rep.stage_functions:
-            assert len(su.half.xs) <= size_cap(k, v)
+        for half in rep.stage_functions:
+            assert len(half.xs) <= size_cap(k, v)
 
     # dense pointwise sandwich of each held stage against the exact rows
     rng = random.Random(74033)
@@ -272,9 +273,11 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
             continue
         k = ApproxRatio.for_stages(eps, rep.chain_length).k
         rows = dp_contingency_sum_table(inst, width=inst.total)
+        pivots = list(accumulate(inst.col_sums))[1:]
         power = Fraction(1)
-        for func, row in zip(rep.stage_functions, rows[2:]):
+        for half, pivot, row in zip(rep.stage_functions, pivots, rows[2:]):
             power *= k
             for j, exact in enumerate(row):
-                assert exact <= func.query(j) <= power * exact
+                # column i mirrors its half about P_i/2 and is 0 past P_i
+                assert exact <= half.query(min(j, pivot - j)) <= power * exact
 

@@ -1,14 +1,14 @@
-"""Contingency counter: reflection type, compression op, full FPTAS."""
+"""Contingency counter: window sums over halves, compression op, full FPTAS."""
 
 import inspect
 import random
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from approxcount.contingency import (
-    SymmetricUnimodal,
     compress_contingency,
     fptas_contingency2,
     window_knots,
@@ -45,26 +45,6 @@ def half_function(values):
     )
 
 
-class TestSymmetricUnimodal:
-    def test_reflection(self):
-        su = SymmetricUnimodal(half=half_function([1, 3, 4]), pivot=5)
-        assert [su.query(j) for j in range(6)] == [1, 3, 4, 4, 3, 1]
-
-    def test_even_pivot_midpoint(self):
-        su = SymmetricUnimodal(half=half_function([2, 5, 9]), pivot=4)
-        assert su.query(2) == 9
-        assert su.query(1) == su.query(3) == 5
-
-    def test_zero_outside(self):
-        su = SymmetricUnimodal(half=half_function([1]), pivot=0)
-        assert su.query(-1) == 0
-        assert su.query(5) == 0
-
-    def test_half_must_match_pivot(self):
-        with pytest.raises(InvalidInput):
-            SymmetricUnimodal(half=half_function([1, 2]), pivot=7)
-
-
 @pytest.mark.parametrize(
     "xs, values, pivot",
     [
@@ -80,11 +60,24 @@ class TestSymmetricUnimodal:
 )
 @pytest.mark.parametrize("width", [1, 2, 5, 25])
 def test_window_sum_matches_dense_sum(xs, values, pivot, width):
+    # The dense column mirrors the half about pivot/2 (odd pivots have two
+    # middle points, even ones one) and is 0 outside {0..pivot}.
     half = StepFunction(IntInterval(0, pivot // 2), Direction.NONDECREASING, xs, values)
-    g = SymmetricUnimodal(half=half, pivot=pivot)
-    w = window_sum(g, width)
+    g = [half.query(min(j, pivot - j)) for j in range(pivot + 1)]
+
+    def column(j):
+        return g[j] if 0 <= j <= pivot else 0
+
+    w = window_sum(half, pivot, width)
     for j in range(-2, pivot + width + 3):
-        assert w(j) == sum(g.query(j - v) for v in range(width + 1)), j
+        assert w(j) == sum(column(j - v) for v in range(width + 1)), j
+
+
+def test_window_sum_needs_the_half_of_its_pivot():
+    half = StepFunction(IntInterval(0, 1), Direction.NONDECREASING, (0, 1), (1, 2))
+    for pivot in (1, 4, -1):
+        with pytest.raises(InvalidInput):
+            window_sum(half, pivot, 2)
 
 
 def half_oracle(fn, pivot):
@@ -102,35 +95,37 @@ class TestCompressOp:
             Contingency2Instance(row_sums=(1, 1), col_sums=(1, 1)), width=2
         )[-1]
         assert row == [1, 2, 1]
-        su = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K, 2, every_half_point(2))
-        assert su.query(0) == 1
-        assert su.query(2) == 1
-        assert row[1] <= su.query(1) <= ANY_K.k * row[1]
+        half = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K, every_half_point(2))
+        assert half.domain == IntInterval(0, 1)
+        assert half.query(0) == 1
+        assert row[1] <= half.query(1) <= ANY_K.k * row[1]
 
-    def test_beyond_pivot_is_zero(self):
-        su = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, 6, every_half_point(6))
-        assert su.query(11) == 0
+    def test_the_half_is_zero_below_zero(self):
+        half = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, every_half_point(6))
+        assert (half.direction, half.domain) == (Direction.NONDECREASING, IntInterval(0, 3))
+        assert half.query(-1) == half.out_of_domain_low == 0
 
     def test_oracle_calls_are_counted(self):
         dom = IntInterval(0, 8)
         probe = FnOracle(dom, Direction.NONDECREASING, lambda j: 1 + j)
-        compress_contingency(probe, ANY_K, 16, every_half_point(16))
+        compress_contingency(probe, ANY_K, every_half_point(16))
         assert probe.calls == 9  # one evaluation per knot
 
     def test_rejects_non_monotone_half(self):
         with pytest.raises(InvalidInput):
             compress_contingency(
-                half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K, 6, every_half_point(6)
+                half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K, every_half_point(6)
             )
 
     def test_rejects_knots_that_skip_a_slope_change(self):
         # 1, 2, 4, 8 is not linear from 0 to 3: the slope 7/3 is no integer.
         with pytest.raises(InvalidInput):
-            compress_contingency(half_oracle(lambda j: [1, 2, 4, 8][j], 6), ANY_K, 6, (0, 3))
+            compress_contingency(half_oracle(lambda j: [1, 2, 4, 8][j], 6), ANY_K, (0, 3))
 
-    def test_rejects_negative_pivot(self):
-        with pytest.raises(InvalidInput):
-            compress_contingency(half_oracle(lambda j: 1, 0), ANY_K, -1, (0,))
+    def test_rejects_knots_that_do_not_span_the_half(self):
+        for knots in [(0, 2), (1, 3), ()]:
+            with pytest.raises(InvalidInput):
+                compress_contingency(half_oracle(lambda j: 1, 6), ANY_K, knots)
 
 
 def test_small_worked_instance():
@@ -190,18 +185,21 @@ def test_sandwich_randomized(eps):
 
 
 def test_every_compressed_function_keeps_the_structure():
+    # Column i is kept as its nondecreasing half on {0..P_i//2}, 0 below it,
+    # and the count is read inside the last half.
     rng = random.Random(505)
     for _ in range(20):
         inst = random_instance(rng, n_max=4, cell_max=7)
         rep = fptas_contingency2(inst, Fraction(1, 3))
-        for su in rep.stage_functions:
-            assert su.pivot <= 200
-            assert su.query(-1) == 0
-            assert su.query(su.pivot + 1) == 0
-            for j in range(su.pivot + 1):
-                assert su.query(j) == su.query(su.pivot - j)
-            half = [su.query(j) for j in range(su.pivot // 2 + 1)]
-            assert all(a <= b for a, b in zip(half, half[1:]))
+        pivots = list(accumulate(inst.col_sums))[1:]
+        assert len(rep.stage_functions) == (len(pivots) if inst.pivot_sum else 0)
+        for half, pivot in zip(rep.stage_functions, pivots):
+            assert isinstance(half, StepFunction)
+            assert half.direction is Direction.NONDECREASING
+            assert half.domain == IntInterval(0, pivot // 2)
+            assert half.out_of_domain_low == 0
+        if rep.stage_functions:
+            assert inst.pivot_sum in rep.stage_functions[-1].domain
 
 
 def test_compression_count_stays_logarithmic():
@@ -234,7 +232,7 @@ def test_report_counts_oracle_traffic():
     inst = Contingency2Instance(row_sums=(9, 12), col_sums=(5, 6, 4, 6))
     rep = fptas_contingency2(inst, Fraction(1, 2))
     assert rep.oracle_calls > 0
-    assert rep.per_stage_set_sizes == [len(su.half.xs) for su in rep.stage_functions]
+    assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
 
 
 # The ids keep the oracle calls of the binary-search scans before they kept
@@ -281,17 +279,17 @@ def test_deep_table_needs_no_recursion():
 
 
 def first_column(s1):
-    """Column 1 exactly, as the counter starts it: 1 on {0..s1}."""
+    """Column 1's half exactly, as the counter starts it: 1 on {0..s1//2}."""
     h = s1 // 2
     ends = (0, h) if h else (0,)
-    half = StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
-    return SymmetricUnimodal(half=half, pivot=s1)
+    return StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
 
 
 def columns_with_inputs(inst, rep):
-    """Each compressed column with the column before it and its own sum."""
+    """Each compressed half with the half and pivot before it and its column sum."""
     prev = [first_column(inst.col_sums[0]), *rep.stage_functions[:-1]]
-    return zip(prev, inst.col_sums[1:], rep.stage_functions)
+    pivots = accumulate(inst.col_sums)
+    return zip(prev, pivots, inst.col_sums[1:], rep.stage_functions)
 
 
 @pytest.mark.parametrize("cell_max", [3, 30, 10**6])
@@ -304,11 +302,11 @@ def test_walk_keeps_what_the_binary_search_keeps(cell_max):
             if not rep.chain_length:
                 continue
             k = ApproxRatio.for_stages(eps, rep.chain_length)
-            for g, s, got in columns_with_inputs(inst, rep):
-                dom = IntInterval(0, got.pivot // 2)
-                phi = FnOracle(dom, Direction.NONDECREASING, window_sum(g, s))
+            for g, pivot, s, got in columns_with_inputs(inst, rep):
+                dom = IntInterval(0, (pivot + s) // 2)
+                phi = FnOracle(dom, Direction.NONDECREASING, window_sum(g, pivot, s))
                 ref = apx_set_nondecreasing(phi, dom, k, below=0)
-                assert got.half.to_json() == ref.to_json()
+                assert got.to_json() == ref.to_json()
 
 
 def test_column_evaluations_do_not_grow_with_the_cells():
@@ -317,6 +315,6 @@ def test_column_evaluations_do_not_grow_with_the_cells():
         inst = random_instance(rng, n_max=8, cell_max=10**6, cell_min=10**6 - 1000)
         rep = fptas_contingency2(inst, Fraction(1, 2))
         columns = list(columns_with_inputs(inst, rep))
-        knots = [len(window_knots(g, s)) for g, s, _ in columns]
+        knots = [len(window_knots(g, pivot, s)) for g, pivot, s, _ in columns]
         assert rep.oracle_calls == sum(knots)  # one evaluation per knot
-        assert all(n <= 4 * len(g.half) + 4 for (g, _, _), n in zip(columns, knots))
+        assert all(n <= 4 * len(g) + 4 for (g, _, _, _), n in zip(columns, knots))
