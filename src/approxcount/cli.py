@@ -3,7 +3,8 @@
 Instances travel as line-delimited JSON, one object per line, shaped as
 {"problem": ..., "payload": {...}}. Numeric leaves are decimal strings so
 values past 64 bits survive any JSON parser; plain JSON integers are also
-accepted on input. Payload fields by problem:
+accepted on input. Numbers may have any length, in and out. Payload fields
+by problem (the PROBLEMS table):
 
     mtuples       {"sets": [["1","3","7"], ...], "bound": "17"}
     knapsack      {"weights": ["5","3"], "capacity": "10"}
@@ -15,9 +16,10 @@ accepted on input. Payload fields by problem:
 rational arithmetic, never floating point.
 
 Exit codes: 0 success, 1 verification violation, 2 bad input or usage,
-3 a resource cap tripped (see oracles for the caps), 4 an unexpected
-internal error. When counting one instance of an input file fails, the
-message names its line as FILE:N; records already written stay written.
+3 a resource cap tripped (the exact oracles' caps are in oracles, the
+kept-breakpoint cap in stagewise), 4 an unexpected internal error. When
+loading or counting one instance of an input file fails, the message names
+its line as FILE:N; records already written stay written.
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ import json
 import random
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 from time import perf_counter
+from typing import NamedTuple
 
 from .contingency import fptas_contingency2
 from .errors import InvalidInput, MonotonicityViolation, TooLarge
@@ -47,15 +52,41 @@ from .oracles import (
 )
 from .stagewise import RunReport
 
-PROBLEMS = ("mtuples", "knapsack", "contingency2")
+
+class Problem(NamedTuple):
+    instance: type  # its dataclass fields are the payload's keys, in order
+    depths: dict[str, int]  # payload field -> how many lists deep its integers sit
+    sizes: dict[str, int]  # the generator's size flags -> least values; bench's size is the first
+
+
+PROBLEMS = {
+    "mtuples": Problem(
+        MTuplesInstance, {"sets": 2, "bound": 0}, {"m": 1, "setmax": 1, "valmax": 0, "bound": 0}
+    ),
+    "knapsack": Problem(
+        KnapsackInstance, {"weights": 1, "capacity": 0}, {"n": 1, "wmax": 1, "cap": 0}
+    ),
+    "contingency2": Problem(
+        Contingency2Instance, {"row_sums": 1, "col_sums": 1}, {"n": 1, "cellmax": 0}
+    ),
+}
 MODES = ("exact-dp", "exact-brute", "fptas", "strong-fptas")
 APPROX_MODES = ("fptas", "strong-fptas")
+
+
+def _text(q: int | Fraction) -> str:
+    """str(q) at any length; str() refuses more digits than sys.get_int_max_str_digits()."""
+    n, d = q.as_integer_ratio()
+    return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 def _as_int(value, label: str) -> int:
     if type(value) is str:  # an optional "-", then ASCII digits; int() also takes "1_0", " 5"
         if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
-            return int(value)
+            try:
+                return int(value)
+            except ValueError:  # too long for int(); Decimal takes any length
+                return int(Decimal(value))
         raise InvalidInput(f"{label}: {value!r} is not a decimal integer")
     if type(value) is int:  # not bool, a subclass
         return value
@@ -66,49 +97,46 @@ def decimal(text: str) -> int:  # the integer flags' type; argparse names it on 
     return _as_int(text, "")
 
 
+_JSON = json.JSONDecoder(parse_int=decimal)  # plain JSON integers of any length, too
+
+
 def _trials(args) -> range:
     if args.trials < 0:
         raise InvalidInput(f"--trials must be at least 0, got {args.trials}")
     return range(args.trials)
 
 
-def _as_int_list(value, label: str) -> list[int]:
+def _parsed(value, depth: int, label: str):
+    """A payload field as ints nested ``depth`` lists deep."""
+    if depth == 0:
+        return _as_int(value, label)
     if not isinstance(value, list):
         raise InvalidInput(f"{label}: expected a list")
-    return [_as_int(v, label) for v in value]
+    if depth == 1:
+        return [_as_int(v, label) for v in value]
+    return [_parsed(v, depth - 1, label) for v in value]
 
 
 def instance_from_payload(problem: str, payload) -> object:
     if not isinstance(payload, dict):
         raise InvalidInput("payload must be a JSON object")
-    if problem == "mtuples":
-        raw = payload.get("sets")
-        if not isinstance(raw, list):
-            raise InvalidInput("mtuples payload needs a 'sets' list")
-        sets = tuple(tuple(_as_int_list(s, "sets")) for s in raw)
-        return MTuplesInstance(sets=sets, bound=_as_int(payload.get("bound"), "bound"))
-    if problem == "knapsack":
-        weights = tuple(_as_int_list(payload.get("weights"), "weights"))
-        return KnapsackInstance(weights=weights, capacity=_as_int(payload.get("capacity"), "capacity"))
-    if problem == "contingency2":
-        return Contingency2Instance(
-            row_sums=tuple(_as_int_list(payload.get("row_sums"), "row_sums")),
-            col_sums=tuple(_as_int_list(payload.get("col_sums"), "col_sums")),
-        )
-    raise InvalidInput(f"unknown problem {problem!r}")
+    if problem not in PROBLEMS:
+        raise InvalidInput(f"unknown problem {problem!r}")
+    instance, depths, _ = PROBLEMS[problem]
+    return instance(**{name: _parsed(payload.get(name), d, name) for name, d in depths.items()})
+
+
+def _mapped(inst, leaf) -> dict:
+    """An instance's fields by name, each integer mapped through leaf, tuples as lists."""
+
+    def walk(value):
+        return [walk(v) for v in value] if isinstance(value, tuple) else leaf(value)
+
+    return {f.name: walk(getattr(inst, f.name)) for f in fields(inst)}
 
 
 def payload_from_instance(inst) -> dict:
-    if isinstance(inst, MTuplesInstance):
-        return {"sets": [[str(x) for x in s] for s in inst.sets], "bound": str(inst.bound)}
-    if isinstance(inst, KnapsackInstance):
-        return {"weights": [str(w) for w in inst.weights], "capacity": str(inst.capacity)}
-    if isinstance(inst, Contingency2Instance):
-        return {
-            "row_sums": [str(r) for r in inst.row_sums],
-            "col_sums": [str(s) for s in inst.col_sums],
-        }
-    raise TypeError(f"not an instance type: {type(inst)!r}")
+    return _mapped(inst, _text)
 
 
 def load_instances(path: str, problem_override: str | None):
@@ -119,19 +147,22 @@ def load_instances(path: str, problem_override: str | None):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = _JSON.decode(line)
+                if not isinstance(obj, dict):
+                    raise InvalidInput("expected a JSON object")
+                problem = obj.get("problem")
+                if not isinstance(problem, str) or problem not in PROBLEMS:
+                    raise InvalidInput(f"unknown problem {problem!r}")
+                if problem_override and problem != problem_override:
+                    raise InvalidInput(
+                        f"instance is {problem!r} but --problem says {problem_override!r}"
+                    )
+                inst = instance_from_payload(problem, obj.get("payload"))
             except json.JSONDecodeError as exc:
                 raise InvalidInput(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise InvalidInput(f"{path}:{lineno}: expected a JSON object")
-            problem = obj.get("problem")
-            if problem not in PROBLEMS:
-                raise InvalidInput(f"{path}:{lineno}: unknown problem {problem!r}")
-            if problem_override and problem != problem_override:
-                raise InvalidInput(
-                    f"{path}:{lineno}: instance is {problem!r} but --problem says {problem_override!r}"
-                )
-            yield lineno, problem, instance_from_payload(problem, obj.get("payload"))
+            except InvalidInput as exc:
+                raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, problem, inst
 
 
 def _parse_epsilon(text: str) -> Fraction:
@@ -203,7 +234,7 @@ def cmd_count(args) -> int:
             if args.mode in APPROX_MODES:
                 record["epsilon"] = str(eps)
             record.update(
-                count=str(count),
+                count=_text(count),
                 oracle_calls=calls,
                 set_sizes=sizes,
                 elapsed_ms=round(elapsed * 1000.0, 3),
@@ -212,16 +243,8 @@ def cmd_count(args) -> int:
     return 0
 
 
-# The size flags each generator reads, with the least value it can draw from.
-SIZE_FLAGS = {
-    "knapsack": (("n", 1), ("wmax", 1), ("cap", 0)),
-    "mtuples": (("m", 1), ("setmax", 1), ("valmax", 0), ("bound", 0)),
-    "contingency2": (("n", 1), ("cellmax", 0)),
-}
-
-
 def _generated(problem: str, rng: random.Random, args):
-    for name, least in SIZE_FLAGS[problem]:
+    for name, least in PROBLEMS[problem].sizes.items():
         value = getattr(args, name)
         if value is not None and value < least:
             raise InvalidInput(f"--{name} must be at least {least}, got {value}")
@@ -260,24 +283,21 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     eps = _parse_epsilon(args.epsilon)
     mode = args.mode
-    if mode not in APPROX_MODES:
-        raise InvalidInput("verify checks an approximate mode; use fptas or strong-fptas")
     if args.input:
         loaded = load_instances(args.input, args.problem)
-        items = [(f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded]
+        items = ((f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded)
     else:
         if not args.problem:
             raise InvalidInput("verify needs --input or --problem to generate instances")
         rng = random.Random(args.seed)
-        items = [
-            ("", args.problem, _generated(args.problem, rng, args)) for _ in _trials(args)
-        ]
+        items = (("", args.problem, _generated(args.problem, rng, args)) for _ in _trials(args))
 
-    violations = 0
+    trials = violations = 0
     max_ratio = Fraction(0)
     bound = 1 + eps
     with _open_out(args) as out:
         for where, problem, inst in items:
+            trials += 1
             try:
                 exact = COUNTERS[problem, "exact-dp"](inst, None)
                 count, calls, sizes, elapsed = run_mode(problem, inst, mode, eps)
@@ -288,21 +308,20 @@ def cmd_verify(args) -> int:
             else:
                 ratio = Fraction(count, exact)
                 ok = exact <= count and ratio <= bound
-                if ratio > max_ratio:
-                    max_ratio = ratio
+                max_ratio = max(max_ratio, ratio)
             record = {
                 "problem": problem,
                 "mode": mode,
                 "epsilon": str(eps),
-                "count": str(count),
-                "exact": str(exact),
+                "count": _text(count),
+                "exact": _text(exact),
                 "oracle_calls": calls,
                 "set_sizes": sizes,
                 "elapsed_ms": round(elapsed * 1000.0, 3),
                 "ok": ok,
             }
             if exact > 0:
-                record["ratio_vs_exact"] = str(Fraction(count, exact))
+                record["ratio_vs_exact"] = _text(ratio)
             if not ok:
                 violations += 1
                 record["payload"] = payload_from_instance(inst)
@@ -311,45 +330,23 @@ def cmd_verify(args) -> int:
             out,
             {
                 "summary": "verify",
-                "trials": len(items),
+                "trials": trials,
                 "violations": violations,
-                "max_ratio": str(max_ratio),
+                "max_ratio": _text(max_ratio),
                 "bound": str(bound),
             },
         )
     return 1 if violations else 0
 
 
-def _scaled(problem: str, inst, mult: int):
-    if mult == 1:
-        return inst
-    if problem == "knapsack":
-        return KnapsackInstance(
-            weights=tuple(w * mult for w in inst.weights),
-            capacity=inst.capacity * mult,
-        )
-    if problem == "mtuples":
-        return MTuplesInstance(
-            sets=tuple(tuple(x * mult for x in s) for s in inst.sets),
-            bound=inst.bound * mult,
-        )
-    return Contingency2Instance(
-        row_sums=tuple(r * mult for r in inst.row_sums),
-        col_sums=tuple(s * mult for s in inst.col_sums),
-    )
-
-
 def cmd_bench(args) -> int:
-    if args.epsilon:
-        eps_list = [_parse_epsilon(tok) for tok in args.epsilon.split(",") if tok]
-    else:
-        eps_list = []
+    eps_list = [_parse_epsilon(tok) for tok in (args.epsilon or "").split(",") if tok]
     scales = [_as_int(tok, "--scales") for tok in args.scales.split(",") if tok != ""]
     if any(k < 0 for k in scales):
         raise InvalidInput("scale exponents must be nonnegative")
     rng = random.Random(args.seed)
     base = _generated(args.problem, rng, args)
-    size = args.m if args.problem == "mtuples" else args.n
+    size = getattr(args, next(iter(PROBLEMS[args.problem].sizes)))
 
     if eps_list:
         modes = [m for m in _modes_of(args.problem) if m in APPROX_MODES]
@@ -363,14 +360,15 @@ def cmd_bench(args) -> int:
             ["algorithm", "size", "scale", "epsilon", "oracle_calls", "elapsed_ms", "set_size_max"]
         )
         for k in scales:
-            inst = _scaled(args.problem, base, 10**k)
+            scale = 10**k
+            inst = type(base)(**_mapped(base, scale.__mul__))
             for mode, eps in runs:
                 count, calls, sizes, elapsed = run_mode(args.problem, inst, mode, eps)
                 writer.writerow(
                     [
                         mode,
                         size,
-                        10**k,
+                        _text(scale),
                         "" if eps is None else str(eps),
                         calls,
                         f"{elapsed * 1000.0:.3f}",

@@ -96,17 +96,17 @@ class Contingency2Instance:
         return min(self.row_sums)
 
 
-def brute_mtuples(inst: MTuplesInstance, cap: int = BRUTE_TUPLE_CAP) -> int:
+def brute_mtuples(inst: MTuplesInstance) -> int:
     size = 1
     for s in inst.sets:
         size *= len(s)
-    if size > cap:
-        raise TooLarge(f"{size} tuples exceeds enumeration cap {cap}")
+    if size > BRUTE_TUPLE_CAP:
+        raise TooLarge(f"{size} tuples exceeds enumeration cap {BRUTE_TUPLE_CAP}")
     b = inst.bound
     return sum(1 for combo in itertools.product(*inst.sets) if sum(combo) >= b)
 
 
-def dp_mtuples_table(inst: MTuplesInstance, cap: int = DP_CELL_CAP) -> list[list[int]]:
+def dp_mtuples_table(inst: MTuplesInstance) -> list[list[int]]:
     """Rows tuples_1..tuples_m on j = 0..bound.
 
     tuples_i(j) counts prefixes (x_1..x_i), one element per set, with sum >= j.
@@ -114,7 +114,7 @@ def dp_mtuples_table(inst: MTuplesInstance, cap: int = DP_CELL_CAP) -> list[list
     i set sizes, since sums are always nonnegative.
     """
     width = inst.bound + 1
-    if width * sum(len(s) for s in inst.sets) > cap:
+    if width * sum(len(s) for s in inst.sets) > DP_CELL_CAP:
         raise TooLarge("table size exceeds cap")
     first = sorted(inst.sets[0])
     rows = [[len(first) - bisect_left(first, j) for j in range(width)]]
@@ -131,23 +131,23 @@ def dp_mtuples_table(inst: MTuplesInstance, cap: int = DP_CELL_CAP) -> list[list
     return rows
 
 
-def dp_mtuples(inst: MTuplesInstance, cap: int = DP_CELL_CAP) -> int:
-    return dp_mtuples_table(inst, cap)[-1][inst.bound]
+def dp_mtuples(inst: MTuplesInstance) -> int:
+    return dp_mtuples_table(inst)[-1][inst.bound]
 
 
-def brute_knapsack(inst: KnapsackInstance, cap_items: int = BRUTE_SUBSET_CAP) -> int:
-    if inst.n > cap_items:
-        raise TooLarge(f"{inst.n} items exceeds enumeration cap {cap_items}")
+def brute_knapsack(inst: KnapsackInstance) -> int:
+    if inst.n > BRUTE_SUBSET_CAP:
+        raise TooLarge(f"{inst.n} items exceeds enumeration cap {BRUTE_SUBSET_CAP}")
     sums = [0]
     for w in inst.weights:
         sums += [s + w for s in sums]
     return sum(1 for s in sums if s <= inst.capacity)
 
 
-def dp_knapsack_table(inst: KnapsackInstance, cap: int = DP_CELL_CAP) -> list[list[int]]:
+def dp_knapsack_table(inst: KnapsackInstance) -> list[list[int]]:
     """Rows subsets_0..subsets_n on j = 0..capacity (row 0 is all ones)."""
     c = inst.capacity
-    if (inst.n + 1) * (c + 1) > cap:
+    if (inst.n + 1) * (c + 1) > DP_CELL_CAP:
         raise TooLarge("table size exceeds cap")
     rows = [[1] * (c + 1)]
     for w in inst.weights:
@@ -156,11 +156,11 @@ def dp_knapsack_table(inst: KnapsackInstance, cap: int = DP_CELL_CAP) -> list[li
     return rows
 
 
-def dp_knapsack(inst: KnapsackInstance, cap: int = DP_CELL_CAP) -> int:
-    return dp_knapsack_table(inst, cap)[-1][inst.capacity]
+def dp_knapsack(inst: KnapsackInstance) -> int:
+    return dp_knapsack_table(inst)[-1][inst.capacity]
 
 
-def dp_contingency_sub(inst: Contingency2Instance, cap: int = DP_CELL_CAP) -> int:
+def dp_contingency_sub(inst: Contingency2Instance) -> int:
     """Count via the telescoped recurrence (the one involving subtraction).
 
     fills_i(j) = fills_i(j-1) + fills_{i-1}(j) - fills_{i-1}(j-1-s_i), the last
@@ -168,7 +168,7 @@ def dp_contingency_sub(inst: Contingency2Instance, cap: int = DP_CELL_CAP) -> in
     pipeline never uses it because subtraction has no approximation rule.
     """
     r = inst.pivot_sum
-    if len(inst.col_sums) * (r + 1) > cap:
+    if len(inst.col_sums) * (r + 1) > DP_CELL_CAP:
         raise TooLarge("table size exceeds cap")
     prev = [1] + [0] * r
     for si in inst.col_sums:
@@ -184,7 +184,7 @@ def dp_contingency_sub(inst: Contingency2Instance, cap: int = DP_CELL_CAP) -> in
 
 
 def dp_contingency_sum_table(
-    inst: Contingency2Instance, width: int | None = None, cap: int = DP_CELL_CAP
+    inst: Contingency2Instance, width: int | None = None
 ) -> list[list[int]]:
     """Rows fills_0..fills_n of the additive recurrence on j = 0..width.
 
@@ -192,7 +192,7 @@ def dp_contingency_sum_table(
     as a difference of two prefix sums of row i-1, so each row costs O(width).
     """
     w = inst.pivot_sum if width is None else width
-    if (len(inst.col_sums) + 1) * (w + 1) > cap:
+    if (len(inst.col_sums) + 1) * (w + 1) > DP_CELL_CAP:
         raise TooLarge("table size exceeds cap")
     rows = [[1] + [0] * w]
     for si in inst.col_sums:
@@ -201,5 +201,5 @@ def dp_contingency_sum_table(
     return rows
 
 
-def dp_contingency_sum(inst: Contingency2Instance, cap: int = DP_CELL_CAP) -> int:
-    return dp_contingency_sum_table(inst, cap=cap)[-1][inst.pivot_sum]
+def dp_contingency_sum(inst: Contingency2Instance) -> int:
+    return dp_contingency_sum_table(inst)[-1][inst.pivot_sum]

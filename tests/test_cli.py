@@ -332,6 +332,73 @@ def test_count_failure_names_the_line_and_keeps_earlier_records(tmp_path, capsys
     assert rec["count"] == "1"
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"problem": "mtuples", "payload": {"sets": "1", "bound": "0"}}, "sets: expected a list"),
+        ({"problem": "mtuples", "payload": {"sets": [["1"], 2], "bound": "0"}}, "sets: expected a list"),
+        ({"problem": "contingency2", "payload": {"row_sums": ["1"], "col_sums": ["1"]}},
+         "exactly two row sums"),
+        ({"problem": "contingency2", "payload": {"row_sums": ["0", "0"], "col_sums": ["0"]}},
+         "column sums must be positive"),
+        ({"problem": ["knapsack"], "payload": {}}, "unknown problem"),
+    ],
+    ids=["sets-not-a-list", "set-not-a-list", "one-row-sum", "zero-column-sum", "unhashable-problem"],
+)
+def test_payload_error_names_its_line_and_keeps_earlier_records(tmp_path, capsys, bad, message):
+    path = tmp_path / "two.ndjson"
+    path.write_text(GOLDEN_LINE + "\n" + json.dumps(bad) + "\n")
+    code, out, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-dp"])
+    assert code == 2
+    assert err.startswith(f"error: {path}:2: {message}")
+    (rec,) = json_lines(out)
+    assert rec["count"] == "3"
+
+
+def test_verify_streams_and_keeps_records_before_a_failing_line(tmp_path, capsys):
+    path = tmp_path / "two.ndjson"
+    path.write_text(GOLDEN_LINE + "\nthis is not json\n")
+    code, out, err = run(capsys, ["verify", "--input", str(path), "--epsilon", "7"])
+    assert code == 2
+    assert f"{path}:2: not valid JSON" in err
+    (rec,) = json_lines(out)
+    assert (rec["count"], rec["ok"]) == ("12", True)
+
+
+def test_numbers_of_any_length_in_and_out(tmp_path, capsys, monkeypatch):
+    # 4400 sets {0..9} with bound 0: every one of the 10**4400 tuples counts.
+    # Python's int/str conversions refuse more than 4300 digits by default.
+    big = "1" + "0" * 4400
+    path = tmp_path / "wide.ndjson"
+    sets = [[str(x) for x in range(10)]] * 4400
+    path.write_text(json.dumps({"problem": "mtuples", "payload": {"sets": sets, "bound": "0"}}) + "\n")
+    code, out, _ = run(capsys, ["count", "--input", str(path), "--mode", "exact-dp"])
+    assert code == 0
+    assert json_lines(out)[0]["count"] == big
+
+    # The approximate count pinned one above exact, so the ratio's terms are long too.
+    monkeypatch.setattr(cli, "run_mode", lambda *a: (10**4400 + 1, 0, [], 0.0))
+    code, out, _ = run(capsys, ["verify", "--input", str(path), "--epsilon", "1"])
+    assert code == 0
+    rec, summary = json_lines(out)
+    assert (rec["count"], rec["exact"]) == (big[:-1] + "1", big)
+    assert rec["ratio_vs_exact"] == summary["max_ratio"] == f"{big[:-1]}1/{big}"
+
+
+def test_long_numbers_parse_as_strings_and_plain_integers(tmp_path, capsys):
+    w = "1" + "0" * 5000
+    path = tmp_path / "long.ndjson"
+    path.write_text(
+        '{"problem": "knapsack", "payload": {"weights": ["%s", "%s"], "capacity": %s}}\n' % (w, w, w)
+    )
+    code, out, _ = run(capsys, ["count", "--input", str(path), "--mode", "exact-brute"])
+    assert code == 0
+    assert json_lines(out)[0]["count"] == "3"
+    ((_, _, inst),) = cli.load_instances(str(path), "knapsack")
+    assert inst.weights == (10**5000, 10**5000)
+    assert cli.payload_from_instance(inst) == {"weights": [w, w], "capacity": w}
+
+
 def test_exit_four_on_internal_error(golden_file, capsys, monkeypatch):
     def overflowing(inst, eps):
         raise RecursionError("maximum recursion depth exceeded")

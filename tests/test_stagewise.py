@@ -123,7 +123,7 @@ def test_every_exported_name_resolves_once():
     assert [n for n in names if not hasattr(approxcount, n)] == []
 
 
-def test_mtuples_stage_one_candidates_are_the_elements_and_successors():
+def test_mtuples_stage_one_candidates_are_the_window_ends_and_successors():
     # Those in stage one's window {17 - 14..17 - 5}, which 1 and 2 are not
     # ((0, 1, 2, 3, 4, 7, 8, 17) when the stage spanned {0..17}). The
     # elements themselves dropped out ((3, 4, 7, 8, 12) before) when the
