@@ -100,10 +100,10 @@ def decimal(text: str) -> int:  # the integer flags' type; argparse names it on 
 _JSON = json.JSONDecoder(parse_int=decimal)  # plain JSON integers of any length, too
 
 
-def _trials(args) -> range:
+def _trials(args) -> int:
     if args.trials < 0:
         raise InvalidInput(f"--trials must be at least 0, got {args.trials}")
-    return range(args.trials)
+    return args.trials
 
 
 def _parsed(value, depth: int, label: str):
@@ -158,7 +158,7 @@ def load_instances(path: str, problem_override: str | None):
                         f"instance is {problem!r} but --problem says {problem_override!r}"
                     )
                 inst = instance_from_payload(problem, obj.get("payload"))
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
                 raise InvalidInput(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             except InvalidInput as exc:
                 raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
@@ -243,11 +243,18 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _generated(problem: str, rng: random.Random, args):
-    for name, least in PROBLEMS[problem].sizes.items():
+def _drawn(args, count: int):
+    """``count`` instances of ``--problem`` drawn from ``--seed``. The size
+    flags are checked once, before the first draw."""
+    for name, least in PROBLEMS[args.problem].sizes.items():
         value = getattr(args, name)
         if value is not None and value < least:
             raise InvalidInput(f"--{name} must be at least {least}, got {value}")
+    rng = random.Random(args.seed)
+    return (_generated(args.problem, rng, args) for _ in range(count))
+
+
+def _generated(problem: str, rng: random.Random, args):
     if problem == "knapsack":
         weights = tuple(rng.randint(1, args.wmax) for _ in range(args.n))
         cap = args.cap if args.cap is not None else rng.randint(1, sum(weights))
@@ -272,10 +279,9 @@ def _generated(problem: str, rng: random.Random, args):
 
 
 def cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
+    drawn = _drawn(args, _trials(args))
     with _open_out(args) as out:
-        for _ in _trials(args):
-            inst = _generated(args.problem, rng, args)
+        for inst in drawn:
             _emit(out, {"problem": args.problem, "payload": payload_from_instance(inst)})
     return 0
 
@@ -289,8 +295,7 @@ def cmd_verify(args) -> int:
     else:
         if not args.problem:
             raise InvalidInput("verify needs --input or --problem to generate instances")
-        rng = random.Random(args.seed)
-        items = (("", args.problem, _generated(args.problem, rng, args)) for _ in _trials(args))
+        items = (("", args.problem, inst) for inst in _drawn(args, _trials(args)))
 
     trials = violations = 0
     max_ratio = Fraction(0)
@@ -344,8 +349,7 @@ def cmd_bench(args) -> int:
     scales = [_as_int(tok, "--scales") for tok in args.scales.split(",") if tok != ""]
     if any(k < 0 for k in scales):
         raise InvalidInput("scale exponents must be nonnegative")
-    rng = random.Random(args.seed)
-    base = _generated(args.problem, rng, args)
+    (base,) = _drawn(args, 1)
     size = getattr(args, next(iter(PROBLEMS[args.problem].sizes)))
 
     if eps_list:

@@ -20,7 +20,7 @@ exactly as G(j) - G(j - s - 1), G the prefix sum of g over its explicit
 pieces (:func:`window_sum`), and W's half {0..(P+s)//2} is compressed with
 ratio k, k^(n-1) <= 1 + epsilon, by a walk over W's linear pieces: W is
 evaluated through one FnOracle at the knots of :func:`window_knots` only,
-and each kept breakpoint is found by one exact ceiling division on its
+and each kept breakpoint is found by one exact floor division on its
 piece. Three facts make this sound:
 
 1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
@@ -36,9 +36,10 @@ piece. Three facts make this sound:
    W(j) - W(j-1) = g(j) - g(j-s-1) changes only where g changes at j or at
    j-s-1, and g, a step function reflected about P/2, changes at O(len(g))
    points. So the walk keeps exactly the breakpoints, with exactly the
-   values, that a binary search of W for the same predicate keeps, at
-   O(len(g)) evaluations per column whatever the cell sizes; the walk
-   checks that every slope between knots is an integer.
+   values, that :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps
+   on W's mirror image j -> W(-j) (a merged low end holds the value of the
+   kept point above it), at O(len(g)) evaluations per column whatever the
+   cell sizes; the walk checks that every slope between knots is an integer.
 
 Each column is one step of :func:`~approxcount.stagewise.run_stages`, the
 stage loop every counter shares, which also caps the breakpoints kept over
@@ -127,13 +128,13 @@ def compress_contingency(phi: FnOracle, k: ApproxRatio, knots: Sequence[int]) ->
     knot values are nondecreasing with integer slopes.
 
     :func:`~approxcount.stepfunc.apx_set_linear` walks the half's linear
-    pieces down from the midpoint, with one exact ceiling division per kept
-    point, and keeps the points and values that
-    :func:`~approxcount.stepfunc.apx_set_nondecreasing` keeps. The result is
-    the compressed half, a StepFunction on {0..h} within ratio k of phi there
-    and 0 below 0; compressing an L-approximation therefore yields a
-    k*L-approximation of the original. Its value above h is the value at h,
-    not the mirrored one, which only :func:`window_sum` reads.
+    pieces down from the midpoint and keeps what
+    :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps on its mirror
+    image. The result is the compressed half, a StepFunction on
+    {0..h} within ratio k of phi there and 0 below 0; compressing an
+    L-approximation therefore yields a k*L-approximation of the original.
+    Its value above h is the value at h, not the mirrored one, which only
+    :func:`window_sum` reads.
     """
     dom = phi.domain
     if dom.lo != 0 or not knots or (knots[0], knots[-1]) != (0, dom.hi):

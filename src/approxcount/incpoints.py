@@ -15,12 +15,13 @@ superset of everywhere the stage function actually changes (an
    and c-1 takes the previous candidate's value without an evaluation;
 3. :func:`~approxcount.stepfunc.apx_set_linear` walks those pieces.
 
-The result is exactly the step function the direction's binary search over
-the index's domain keeps. The strong counters make that domain each stage's
-reachable window, so the walk stops at the window's low end and keeps it
-with its exact value; a window that starts above 0 gets ``below=None``, no
-value under it. Oracle cost is one evaluation per candidate and never
-depends on the width of the numeric domain; that is the whole point.
+The result is what :func:`~approxcount.stepfunc.apx_set_nonincreasing`
+keeps over the index's domain, mirrored (x -> -x) for a nondecreasing
+function, so a low end the walk merges holds the value of the kept point
+above it. The strong counters make that domain each stage's reachable
+window; a window that starts above 0 gets ``below=None``, no value under
+it. Oracle cost is one evaluation per candidate and never depends on the
+width of the numeric domain; that is the whole point.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def convert(
 ) -> StepFunction:
     """Compress phi, constant between the candidates of inc, to ratio k.
 
-    Returns what the binary search for phi's direction returns over
-    inc.domain, at one evaluation of phi per candidate.
+    Returns the step function of :func:`~approxcount.stepfunc.apx_set_linear`
+    over inc.domain, at one evaluation of phi per candidate.
     """
     exact = induce(phi, inc.points)
     pts, vals = exact.xs, exact.values

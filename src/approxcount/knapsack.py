@@ -12,10 +12,12 @@ stage i only on its reachable window {max(0, C - W_after_i)..C}, with
 W_after_i the total weight of the items after item i, so the last stage is
 {C}. Stage i+1 reads j and j - w_{i+1}, which from its window land in
 window i or below 0, where subsets_i is exactly 0; a window that starts
-above 0 has no value below it, and a read there raises. The window's low
-end keeps its exact value, so the count is in the band but not always the
-plain one. Inside the window a stage is evaluated only at its candidate
-change points (:func:`~approxcount.incpoints.convert`), so the oracle work
+above 0 has no value below it, and a read there raises. A window is walked
+down from C as the nonincreasing search walks its mirror image, so a
+merged low end holds the value of the kept point above it, and the count
+is in the band but not always the plain one. Inside the window a stage is
+evaluated only at its candidate change points
+(:func:`~approxcount.incpoints.convert`), so the oracle work
 depends on n and epsilon but not on the magnitude of the weights or the
 capacity. The candidates are the starts of the stage's piece table, the
 points where the sum changes value: each is just past a previous

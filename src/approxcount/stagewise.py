@@ -21,7 +21,8 @@ search over it. The strong ones name the stage's reachable window (see
 the sum only at its candidate change points there: both window ends and
 the starts of the sum's piece table between them, which cover every change
 by construction. A walk over the pieces between them keeps the step
-function the binary search over the window keeps.
+function the nonincreasing binary search over the window keeps, on the
+mirror image x -> -x for a nondecreasing stage.
 Shifts are nonnegative, so when a stage's domain starts where the previous
 one's does, every f_{i-1}(j - s) below it is the previous below-domain value
 and f_i there is |S_i| times it. A domain that starts higher has no value

@@ -16,13 +16,15 @@ here they are one object: the compressors :func:`apx_set_nondecreasing` and
 :func:`apx_set_nonincreasing` return the :class:`StepFunction`, each
 breakpoint holding the value its own binary search probed, so the function
 is read off the searches without evaluating phi again.
-:func:`apx_set_linear` returns the same function for a phi known at knots
-between which it is linear, by walking its pieces instead of searching; the
-strong counters and contingency tables compress that way. Construction probes
-phi through :class:`FnOracle` (which tallies calls), and every comparison is
-done in exact integer arithmetic: with k = p/q, "k*phi(y) >= phi(x)" is
-evaluated as p*phi(y) >= q*phi(x). No floats anywhere, so the bound survives
-any value magnitudes.
+:func:`apx_set_linear` walks the pieces of a phi known at knots between
+which it is linear, instead of searching, and returns what
+:func:`apx_set_nonincreasing` returns, on the mirror image x -> -x when phi
+is nondecreasing (so a low end it merges holds the value of the kept point
+above it); the strong counters and contingency tables compress that way.
+Construction probes phi through :class:`FnOracle` (which
+tallies calls), and every comparison is done in exact integer arithmetic:
+with k = p/q, "k*phi(y) >= phi(x)" is evaluated as p*phi(y) >= q*phi(x). No
+floats anywhere, so the bound survives any value magnitudes.
 
 Sums of same-direction step functions (``shifted_sum``) stay monotone and can
 be recompressed; compressing with ratio k1 a function that was itself within
@@ -346,53 +348,35 @@ def apx_set_nonincreasing(
     return _function(dom, Direction.NONINCREASING, xs, values, below)
 
 
-def _walk_down(knots, ws, slopes, num, den):
-    """apx_set_nondecreasing's scan over linear pieces, down from the top."""
-    lo = knots[0]
-    i = len(knots) - 1  # invariant: knots[i] is the first knot >= x
-    x, fx = knots[i], ws[i]
+def _walk(knots, ws, slopes, num, den, step):
+    """apx_set_nonincreasing's scan over linear pieces, from the end where the
+    function is largest: up from knots[0] if step = 1, down from knots[-1]
+    if step = -1, which is the scan of the mirror image x -> -x.
+    """
+    # invariant: knots[j] is the first knot at or past x; knots[far] is the end
+    j, far = (0, len(knots) - 1) if step > 0 else (len(knots) - 1, 0)
+    lead = step > 0  # slopes[j - lead] is the piece that ends at knots[j]
+    end, top = knots[far], num * ws[far]
+    x, fx = knots[j], ws[j]
     xs, values = [x], [fx]
-    while x > lo:
+    while x != end:
         bar = den * fx
-        if knots[i - 1] == x - 1:
-            i -= 1
-        v = ws[i] - (knots[i] - x + 1) * slopes[i - 1]
-        if num * v < bar:  # y = x: nothing below x passes
-            x, fx = x - 1, v
-        else:
-            while i > 0 and num * ws[i - 1] >= bar:
-                i -= 1
-            if i == 0:
-                x, fx = lo, ws[0]
-            else:
-                a, wa, d = knots[i - 1], ws[i - 1], slopes[i - 1]
-                x = a - (num * wa - bar) // (num * d)  # a + ceil((bar - num*wa) / (num*d))
-                fx = wa + (x - a) * d
-        xs.append(x)
-        values.append(fx)
-    xs.reverse()
-    values.reverse()
-    return xs, values
-
-
-def _walk_up(knots, ws, slopes, num, den):
-    """apx_set_nonincreasing's scan over linear pieces, up from the bottom."""
-    hi = knots[-1]
-    end = num * ws[-1]
-    j = 0  # invariant: every knot before knots[j] passes the current bar
-    x, fx = knots[0], ws[0]
-    xs, values = [x], [fx]
-    while x < hi:
-        bar = den * fx
-        if end >= bar:  # the tail is certified against x: merge it
-            xs.append(hi)
+        if top >= bar:  # the rest is certified against x: merge it
+            xs.append(end)
             values.append(fx)
             break
-        while num * ws[j] >= bar:
-            j += 1
-        a, wa, d = knots[j - 1], ws[j - 1], slopes[j - 1]
-        x = a + (num * wa - bar) // (-num * d) + 1  # first failing point past a
-        fx = wa + (x - a) * d
+        if knots[j] == x:
+            j += step
+        v = ws[j] - (knots[j] - x - step) * slopes[j - lead]
+        if num * v < bar:  # the next point already fails
+            x, fx = x + step, v
+        else:
+            while num * ws[j] >= bar:
+                j += step
+            a, wa, d = knots[j - step], ws[j - step], slopes[j - lead]
+            # the first failing point past a
+            x = a + step * ((num * wa - bar) // (-step * num * d) + 1)
+            fx = wa + (x - a) * d
         xs.append(x)
         values.append(fx)
     return xs, values
@@ -406,16 +390,15 @@ def apx_set_linear(
     *,
     below: int | None = None,
 ) -> StepFunction:
-    """The step function :func:`apx_set_nondecreasing` or
-    :func:`apx_set_nonincreasing` returns on {knots[0]..knots[-1]} for a
-    function known by its ``values`` at the sorted ``knots``, between which
-    it is linear with an integer slope.
+    """What :func:`apx_set_nonincreasing` returns on {knots[0]..knots[-1]}
+    for a function f known by its ``values`` at the sorted ``knots``,
+    linear with an integer slope between them; for a nondecreasing f, what
+    it returns on the mirror image x -> -x, mapped back.
 
-    Nothing is evaluated. The search's next point y lies on the first piece
-    whose far knot passes its predicate (nondecreasing: walking down from
-    the top, k*f(y) >= f(x)) or fails it (nonincreasing: walking up from the
-    bottom, after the tail merge test num*f(hi) >= den*f(x)), and one exact
-    integer division on that piece finds y and its value. Each walk only
+    Nothing is evaluated. The walk starts where f is largest. From each
+    kept point x it merges the rest into x if the far end passes
+    num*f(end) >= den*f(x); otherwise it keeps the first y past x with
+    num*f(y) < den*f(x), found on its piece by one floor division. The walk
     moves one way along the knots, so the cost is O(len(knots)) plus one
     step per kept point. InvalidInput is raised unless the values are
     nonnegative and follow ``direction`` with an integer slope on every piece.
@@ -439,8 +422,9 @@ def apx_set_linear(
     least = 0 if up else -1
     if values[least] < 0:
         raise InvalidInput(f"negative value {values[least]} at {knots[least]}")
-    walk = _walk_down if up else _walk_up
-    xs, fxs = walk(knots, values, slopes, k.k.numerator, k.k.denominator)
+    xs, fxs = _walk(knots, values, slopes, k.k.numerator, k.k.denominator, -sign)
+    if up:  # walked down from the top
+        xs, fxs = xs[::-1], fxs[::-1]
     return _function(IntInterval(knots[0], knots[-1]), direction, xs, fxs, below)
 
 

@@ -1,0 +1,31 @@
+"""The binary-search witness for walked nondecreasing functions.
+
+:func:`approxcount.stepfunc.apx_set_linear` walks a nondecreasing function
+down from its top by the keep rule of
+:func:`approxcount.stepfunc.apx_set_nonincreasing` on the mirror image
+x -> -x. The tests compare every nondecreasing walk against that search.
+"""
+
+from approxcount.stepfunc import (
+    Direction,
+    FnOracle,
+    IntInterval,
+    StepFunction,
+    apx_set_nonincreasing,
+)
+
+
+def mirrored_search(phi, dom: IntInterval, k, *, below=None) -> StepFunction:
+    """What apx_set_nonincreasing keeps on t -> phi(-t) over {-dom.hi..-dom.lo},
+    mapped back to a nondecreasing step function on dom."""
+    mirror = FnOracle(IntInterval(-dom.hi, -dom.lo), Direction.NONINCREASING, lambda t: phi(-t))
+    kept = apx_set_nonincreasing(mirror, mirror.domain, k)
+    values = kept.values[::-1]
+    return StepFunction(
+        domain=dom,
+        direction=Direction.NONDECREASING,
+        xs=[-t for t in reversed(kept.xs)],
+        values=values,
+        out_of_domain_low=below,
+        out_of_domain_high=values[-1],
+    )

@@ -261,6 +261,14 @@ def test_exit_two_on_malformed_line(tmp_path, capsys):
     assert "bad.ndjson:1" in err
 
 
+def test_exit_two_on_json_nested_too_deeply_to_decode(tmp_path, capsys):
+    path = tmp_path / "deep.ndjson"
+    path.write_text("[" * 100_000 + "\n")
+    code, out, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-dp"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:1: not valid JSON: maximum recursion depth exceeded")
+
+
 def test_exit_two_on_problem_mismatch(golden_file, capsys):
     code, _, err = run(
         capsys, ["count", "--input", golden_file, "--problem", "knapsack", "--mode", "exact-dp"]
@@ -299,7 +307,7 @@ def assert_cap_exits_three(tmp_path, capsys, monkeypatch, problem, payload, mode
 def test_exit_three_when_contingency_keeps_too_many_breakpoints(tmp_path, capsys, monkeypatch):
     payload = {"row_sums": ["9", "12"], "col_sums": ["5", "6", "4", "6"]}
     kept = assert_cap_exits_three(tmp_path, capsys, monkeypatch, "contingency2", payload, "fptas")
-    assert kept == 6 + 8 + 11
+    assert kept == 6 + 7 + 10
 
 
 @pytest.mark.parametrize(
@@ -461,6 +469,9 @@ def test_exit_two_on_numbers_that_are_not_ascii_decimal(tmp_path, capsys, text):
         (["bench", "--problem", "mtuples", "--m", "0", "--epsilon", "1"], "--m"),
         (["gen", "--problem", "knapsack", "--trials", "-1"], "--trials"),
         (["verify", "--problem", "knapsack", "--epsilon", "1", "--trials", "-1"], "--trials"),
+        # checked once per command, before the first draw, so also with no draws
+        (["gen", "--problem", "knapsack", "--n", "0", "--trials", "0"], "--n"),
+        (["verify", "--problem", "knapsack", "--n", "0", "--trials", "0", "--epsilon", "1"], "--n"),
     ],
 )
 def test_exit_two_names_an_out_of_range_size_flag(capsys, argv, flag):

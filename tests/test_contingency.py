@@ -27,9 +27,9 @@ from approxcount.stepfunc import (
     FnOracle,
     IntInterval,
     StepFunction,
-    apx_set_nondecreasing,
 )
 from contingency_binding import dp_contingency_binding
+from mirrored_search import mirrored_search
 
 ANY_K = ApproxRatio.for_stages(Fraction(3), 1)
 
@@ -90,15 +90,16 @@ def every_half_point(pivot):
 
 class TestCompressOp:
     def test_exact_two_column_table(self):
-        # A_2 for unit column sums is 1,2,1; endpoints survive exactly.
+        # A_2 for unit column sums is 1,2,1. The top is exact; 0 passes
+        # k*1 >= 2, so it is merged and takes the top's value.
         row = dp_contingency_sum_table(
             Contingency2Instance(row_sums=(1, 1), col_sums=(1, 1)), width=2
         )[-1]
         assert row == [1, 2, 1]
         half = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K, every_half_point(2))
         assert half.domain == IntInterval(0, 1)
-        assert half.query(0) == 1
-        assert row[1] <= half.query(1) <= ANY_K.k * row[1]
+        assert (half.query(0), half.query(1)) == (2, 2)
+        assert half.query(-1) == 0
 
     def test_the_half_is_zero_below_zero(self):
         half = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, every_half_point(6))
@@ -237,17 +238,19 @@ def test_report_counts_oracle_traffic():
 
 # The ids keep the oracle calls of the binary-search scans before they kept
 # the values they probed (90 and 88). The calls are now the window sum's
-# knots, one evaluation each.
+# knots, one evaluation each. Since the walk keeps the first failing point
+# below each kept one, the rows keep fewer points (counts 145 and 116 with
+# sizes [6, 8, 11] and [5, 7, 12] before).
 @pytest.mark.parametrize(
     "rows, cols, eps, count, calls, sizes, chain",
     [
         pytest.param(
-            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 145, 23, [6, 8, 11], 3,
+            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 159, 23, [6, 7, 10], 3,
             id="rows0-cols0-eps0-145-90-sizes0-3",
         ),
         # R < s_n: the last column is still compressed whole, then queried at R.
         pytest.param(
-            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 116, 25, [5, 7, 12], 3,
+            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 122, 25, [4, 6, 11], 3,
             id="rows1-cols1-eps1-116-88-sizes1-3",
         ),
     ],
@@ -304,8 +307,7 @@ def test_walk_keeps_what_the_binary_search_keeps(cell_max):
             k = ApproxRatio.for_stages(eps, rep.chain_length)
             for g, pivot, s, got in columns_with_inputs(inst, rep):
                 dom = IntInterval(0, (pivot + s) // 2)
-                phi = FnOracle(dom, Direction.NONDECREASING, window_sum(g, pivot, s))
-                ref = apx_set_nondecreasing(phi, dom, k, below=0)
+                ref = mirrored_search(window_sum(g, pivot, s), dom, k, below=0)
                 assert got.to_json() == ref.to_json()
 
 

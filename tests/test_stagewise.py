@@ -24,7 +24,6 @@ from approxcount import (
     MTuplesInstance,
     RunReport,
     StepFunction,
-    apx_set_nondecreasing,
     apx_set_nonincreasing,
     fptas_contingency2,
     fptas_knapsack,
@@ -35,6 +34,7 @@ from approxcount import (
 )
 from approxcount.knapsack import _empty_subset_row
 from approxcount.mtuples import _empty_tuple_row
+from mirrored_search import mirrored_search
 
 README_KNAPSACK = KnapsackInstance(weights=(3, 5, 8, 9), capacity=17)
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
@@ -44,7 +44,7 @@ def test_readme_library_example():
     rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 4))
     assert rep.count == 13
     assert rep.oracle_calls == 14
-    assert rep.per_stage_set_sizes == [4, 8, 8, 1]
+    assert rep.per_stage_set_sizes == [3, 5, 5, 1]
 
 
 # Every row keeps the id it had before its oracle calls last changed. The
@@ -64,7 +64,9 @@ def test_readme_library_example():
 # [4, 5, 6, 7], [4, 4, 2] and [5, 8, 7], and m-tuples count 12 at eps 7).
 # Since a piece table drops the starts where its terms' changes cancel, the
 # strong rows evaluate fewer candidates (21, 10 and 11 calls before) and
-# keep the same functions.
+# keep the same functions. Since a nondecreasing walk keeps the first
+# failing point below each kept one, the strong knapsack row keeps fewer
+# points (count 13, 14 calls and sizes [4, 5, 2, 1] before).
 @pytest.mark.parametrize(
     "counter, inst, eps, count, calls, sizes",
     [
@@ -77,7 +79,7 @@ def test_readme_library_example():
             id="fptas_knapsack-inst1-7-13-89-sizes1",
         ),
         pytest.param(
-            strong_fptas_knapsack, README_KNAPSACK, 7, 13, 14, [4, 5, 2, 1],
+            strong_fptas_knapsack, README_KNAPSACK, 7, 16, 13, [3, 4, 2, 1],
             id="strong_fptas_knapsack-inst2-7-13-98-sizes2",
         ),
         pytest.param(
@@ -274,7 +276,7 @@ def test_strong_stages_are_the_searched_windows():
         for (shifts, window), func in zip(stages, rep.stage_functions):
             raw = shifted_sum([(prev, s) for s in shifts], window)
             up = raw.direction is Direction.NONDECREASING
-            search = apx_set_nondecreasing if up else apx_set_nonincreasing
+            search = mirrored_search if up else apx_set_nonincreasing
             below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
             assert func.to_json() == search(raw, window, ratio, below=below).to_json()
             prev = func
@@ -340,11 +342,32 @@ def test_stage_sizes_stay_within_the_exact_logarithmic_bound():
                     assert k ** ((size - 1) // 2) < spread
 
 
+def test_walked_stages_fall_by_more_than_k_at_every_kept_point():
+    # A walk keeps the first point more than a factor k below the last kept
+    # one, and only a merged far end repeats the value before it, so L
+    # positive kept values span a ratio of more than k**(L-2) once L >= 3.
+    for eps, knap, tuples, table in _sweep_instances(rounds=100):
+        runs = [
+            strong_fptas_knapsack(knap, eps),
+            strong_fptas_mtuples(tuples, eps),
+            fptas_contingency2(table, eps),
+        ]
+        for rep in runs:
+            k = ApproxRatio.for_stages(eps, max(rep.chain_length, 1)).k
+            for func in rep.stage_functions:
+                vals = _positive_values(func)
+                if len(vals) >= 3:
+                    assert k ** (len(vals) - 2) < max(vals) / min(vals)
+
+
 # Re-pinned when the strong stages became the plain ones (the digest was
 # 79be8f4d98407b88316b728b69624e4a106589ebe4c71e955cce4745ac1be429 before),
 # and again when each strong stage kept only its reachable window (it was
 # feb2a44a3b08cefe92cd53fac10a6a30e2f16262be8999c8146d77c3ee603ad1, and 39
 # strong lines changed); the plain and contingency lines did not change.
+# Re-pinned when nondecreasing walks began to keep the first failing point
+# (it was d7d8f7fff909bd07bba6cafd40f7c9df94ed95c4cd4e3cbced31265666eb6ef7;
+# 14 strong knapsack and 13 contingency lines changed, no other line did).
 def test_seeded_sweep_output_is_unchanged():
     digest = hashlib.sha256(_sweep_text().encode()).hexdigest()
-    assert digest == "d7d8f7fff909bd07bba6cafd40f7c9df94ed95c4cd4e3cbced31265666eb6ef7"
+    assert digest == "906870ee70c7f5166d515d328e2086e0338d2ebe9a07604191c6850b7dea4b6a"

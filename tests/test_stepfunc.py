@@ -27,6 +27,7 @@ from approxcount.stepfunc import (
     shifted_sum,
     to_fraction,
 )
+from mirrored_search import mirrored_search
 
 
 def oracle_from_values(values, direction):
@@ -485,7 +486,8 @@ def test_linear_walk_keeps_what_the_search_keeps(pieces, k, direction, below):
         dense.update((x, wa + (x - a) * (wb - wa) // (b - a)) for x in range(a + 1, b + 1))
     dom = IntInterval(knots[0], knots[-1])
     phi = FnOracle(dom, direction, dense.__getitem__)
-    search = apx_set_nondecreasing if direction is Direction.NONDECREASING else apx_set_nonincreasing
+    # a nondecreasing walk keeps what the nonincreasing search keeps on its mirror image
+    search = mirrored_search if direction is Direction.NONDECREASING else apx_set_nonincreasing
     walked = apx_set_linear(knots, values, direction, k, below=below)
     assert walked == search(phi, dom, k, below=below)
 
