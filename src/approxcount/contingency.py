@@ -7,21 +7,30 @@ then forced. Column by column, fills_i(j) = sum of fills_{i-1}(j - v) over
 bijects sums j onto sums P_i - j with P_i = s_1 + ... + s_i, so fills_i is
 symmetric around P_i/2, unimodal, and zero outside {0..P_i}. A column is
 therefore kept as its nondecreasing half only, a plain
-:class:`~approxcount.stepfunc.StepFunction` on {0..P_i//2} that is 0 below 0
-(:func:`compress_contingency`), and the stage carries P_i. The half's value
-above its domain is not the column's: only :func:`window_sum` and
-:func:`window_knots` read the mirror, from the half and P_i. The count is
-read at R <= P_n//2, inside the last half.
+:class:`~approxcount.stepfunc.StepFunction` (:func:`compress_contingency`),
+and the stage carries P_i. The half's value above its domain is not the
+column's: only :func:`window_sum` and :func:`window_knots` read the mirror,
+from the half and P_i.
 
-:func:`fptas_contingency2` compresses once per column, one stage (s_i, P_i)
-each. With g the previous compressed column (column 1 is exact), P its pivot
-and s = s_i, the window sum W(j) = g(j) + ... + g(j - s) is evaluated
-exactly as G(j) - G(j - s - 1), G the prefix sum of g over its explicit
-pieces (:func:`window_sum`), and W's half {0..(P+s)//2} is compressed with
-ratio k, k^(n-1) <= 1 + epsilon, by a walk over W's linear pieces: W is
-evaluated through one FnOracle at the knots of :func:`window_knots` only,
-and each kept breakpoint is found by one exact floor division on its
-piece. Three facts make this sound:
+Column i is read only at R minus the cells of the later columns, so at
+{P_i - (P_n - R)..R}, directly or mirrored: a point above P_i//2 mirrors
+onto P_i minus it, which is at least P_i - R >= P_i - (P_n - R) because
+R <= P_n//2. So its half is kept only on the window
+{max(0, P_i - (P_n - R))..min(R, P_i//2)}, 0 below it when the window
+starts at 0 and with no value below it otherwise. Column n's window is
+{R}, where the count is read.
+
+:func:`fptas_contingency2` compresses once per column, one stage
+(s_i, P_i, window) each. With g the previous compressed column (column 1 is
+exact), P its pivot and s = s_i, the window sum W(j) = g(j) + ... + g(j - s)
+is evaluated exactly as G(j) - G(j - s - 1), G the prefix sum of g over its
+explicit pieces counted from the start of g's window (:func:`window_sum`),
+and W on column i's window is compressed with ratio k by a walk over W's
+linear pieces: W is evaluated through one FnOracle at the knots of
+:func:`window_knots` only, and each kept breakpoint is found by one exact
+floor division on its piece. A one-point window, such as column n's, is one
+evaluation and merges nothing, so k^m <= 1 + epsilon with m the number of
+windows of more than one point. Four facts make this sound:
 
 1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
    the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
@@ -32,7 +41,10 @@ piece. Three facts make this sound:
    if g is within ratio K of fills_{i-1}, W is within ratio K of fills_i and
    its compression within ratio k*K. The approximate path never forms the
    difference of two approximations, which has no such rule.
-3. W is linear, with an integer slope, between consecutive knots. Its slope
+3. Every point W reads on column i's window lies in g's window, mirrored
+   onto it or below 0, since it is R minus the cells of columns i-1..n; so
+   the part of g below its window cancels in G(j) - G(j-s-1).
+4. W is linear, with an integer slope, between consecutive knots. Its slope
    W(j) - W(j-1) = g(j) - g(j-s-1) changes only where g changes at j or at
    j-s-1, and g, a step function reflected about P/2, changes at O(len(g))
    points. So the walk keeps exactly the breakpoints, with exactly the
@@ -43,9 +55,9 @@ piece. Three facts make this sound:
 
 Each column is one step of :func:`~approxcount.stagewise.run_stages`, the
 stage loop every counter shares, which also caps the breakpoints kept over
-all columns. After column n the last compressed half is queried at R;
-it is within k^(n-1) <= 1 + epsilon of fills_n. With one column, or R = 0,
-no column is compressed and column 1 is queried exactly.
+all columns. Column n's one point is the count, within k^m <= 1 + epsilon
+of fills_n(R). With one column, or R = 0, no column is compressed and
+column 1 is queried exactly.
 """
 
 from __future__ import annotations
@@ -69,96 +81,123 @@ from .stepfunc import (
 
 def window_sum(half: StepFunction, pivot: int, width: int) -> Callable[[int], int]:
     """Exact oracle for j -> g(j) + g(j-1) + ... + g(j-width), where g is the
-    column symmetric about pivot/2 whose nondecreasing half on {0..pivot//2}
-    is ``half``, and 0 outside {0..pivot}.
+    column symmetric about pivot/2 and 0 outside {0..pivot}, whose
+    nondecreasing half is known on the window ``half.domain`` {a..b}, inside
+    {0..pivot//2}.
 
-    The sum is G(j) - G(j-width-1) for the prefix sum G(j) = g(0) + ... +
-    g(j). G comes from the half's prefix sum H, a cumulative sum per piece
-    plus one bisect per query: G(j) = H(j) up to the midpoint h, and past it,
-    by symmetry, G(j) = G(pivot) - H(pivot-j-1).
+    The sum is G(j) - G(j-width-1) for the prefix sum G(j) = g(a) + ... +
+    g(j), which counts from the window's start: the part below a cancels in
+    the difference. G comes from the half's prefix sum H, a cumulative sum
+    per piece plus one bisect per query: G(j) = H(j) up to the midpoint h,
+    and past it, when the window reaches h, by symmetry, G(j) = G(pivot-a) -
+    H(pivot-j-1). g is known on the window, on its mirror image when the
+    window reaches h, below 0 when a = 0 and past pivot when the window is
+    the whole half; a sum that reads g anywhere else raises InvalidInput.
     """
-    if half.domain != IntInterval(0, pivot // 2):
-        raise InvalidInput("the half must cover exactly {0..pivot//2}")
+    a, b = half.domain.lo, half.domain.hi
+    h = pivot // 2
+    if a < 0 or b > h:
+        raise InvalidInput("the half's window must lie inside {0..pivot//2}")
     xs, vals = half.xs, half.values
     # cum[i] = H(xs[i]); the piece ending at xs[i] holds vals[i] from xs[i-1]+1.
-    pieces = (v * (b - a) for a, b, v in zip(xs, xs[1:], vals[1:]))
+    pieces = (v * (y - x) for x, y, v in zip(xs, xs[1:], vals[1:]))
     cum = list(accumulate(pieces, initial=vals[0]))
-    h = pivot // 2
 
     def prefix_half(t: int) -> int:
-        if t < 0:
+        if t < a:
             return 0
         i = bisect_left(xs, t)
         return cum[i] - (xs[i] - t) * vals[i]
 
-    total = prefix_half(h) + prefix_half(pivot - h - 1)
+    if b < h:  # no read is mirrored
+        prefix, top = prefix_half, b
+    else:
+        total = prefix_half(h) + prefix_half(pivot - h - 1)
 
-    def prefix(j: int) -> int:
-        return prefix_half(j) if j <= h else total - prefix_half(pivot - j - 1)
+        def prefix(j: int) -> int:
+            return prefix_half(j) if j <= h else total - prefix_half(pivot - j - 1)
 
-    return lambda j: prefix(j) - prefix(j - width - 1)
+        top = pivot - a if a else None
+
+    def w(j: int) -> int:
+        if (a and j - width < a) or (top is not None and j > top):
+            raise InvalidInput(f"the window sum at {j} reads the column outside {a}..{b}")
+        return prefix(j) - prefix(j - width - 1)
+
+    return w
 
 
-def window_knots(half: StepFunction, pivot: int, width: int) -> list[int]:
-    """The points of W's half {0..(pivot+width)//2} between which the window
-    sum W of :func:`window_sum` is linear, both ends included.
+def window_knots(half: StepFunction, pivot: int, width: int, window: IntInterval) -> list[int]:
+    """The points of ``window``, a window of W's half {0..(pivot+width)//2},
+    between which the window sum W of :func:`window_sum` is linear, both
+    ends included.
 
     W(j) - W(j-1) = g(j) - g(j-width-1), and on all of Z g changes value only
     at the points c of C = {0, pivot+1, x+1 and pivot-x for each half
-    breakpoint x}; the last half breakpoint, pivot//2, covers the midpoint.
-    So W's slope changes only where j or j-width-1 is in C, and W is linear
-    between consecutive points c-1, c in C or in C+width+1. That is
-    O(len(half)) points, whatever the cells are.
+    breakpoint x}; the last half breakpoint, pivot//2, covers the midpoint,
+    and where the half's window starts above 0 its first breakpoint covers
+    the start. So W's slope changes only where j or j-width-1 is in C, and W
+    is linear between consecutive points c-1, c in C or in C+width+1. That
+    is O(len(half)) points, whatever the cells are.
     """
-    top = (pivot + width) // 2
+    lo, hi = window.lo, window.hi
     xs = half.xs
     changes = [0, pivot + 1, *[x + 1 for x in xs], *[pivot - x for x in xs]]
-    knots = {0, top}
-    knots.update([c - 1 for c in changes if 0 < c <= top + 1])
-    knots.update([c + width for c in changes if c + width <= top])
+    knots = {lo, hi}
+    knots.update([c - 1 for c in changes if lo < c <= hi + 1])
+    knots.update([c + width for c in changes if lo <= c + width <= hi])
     return sorted(knots)
 
 
 def compress_contingency(phi: FnOracle, k: ApproxRatio, knots: Sequence[int]) -> StepFunction:
-    """Compress the nondecreasing half of a symmetric unimodal function to ratio k.
+    """Compress a window of the nondecreasing half of a symmetric unimodal
+    function to ratio k.
 
-    ``phi`` is an oracle on the half {0..h} that is nondecreasing and linear
-    with an integer slope between consecutive ``knots``, which run from 0 to
-    h. It is evaluated once per knot only; InvalidInput is raised unless the
-    knot values are nondecreasing with integer slopes.
+    ``phi`` is an oracle on the window {lo..hi} that is nondecreasing and
+    linear with an integer slope between consecutive ``knots``, which run
+    from lo to hi. It is evaluated once per knot only; InvalidInput is
+    raised unless the knot values are nondecreasing with integer slopes.
 
-    :func:`~approxcount.stepfunc.apx_set_linear` walks the half's linear
-    pieces down from the midpoint and keeps what
+    :func:`~approxcount.stepfunc.apx_set_linear` walks the window's linear
+    pieces down from hi and keeps what
     :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps on its mirror
-    image. The result is the compressed half, a StepFunction on
-    {0..h} within ratio k of phi there and 0 below 0; compressing an
-    L-approximation therefore yields a k*L-approximation of the original.
-    Its value above h is the value at h, not the mirrored one, which only
-    :func:`window_sum` reads.
+    image; a one-point window is its one evaluation. The result is the
+    compressed window, a StepFunction on {lo..hi} within ratio k of phi
+    there, 0 below it when lo = 0 and with no value below it otherwise;
+    compressing an L-approximation therefore yields a k*L-approximation of
+    the original. Its value above hi is the value at hi, not the mirrored
+    one, which only :func:`window_sum` reads.
     """
     dom = phi.domain
-    if dom.lo != 0 or not knots or (knots[0], knots[-1]) != (0, dom.hi):
-        raise InvalidInput("knots must run from 0 to the end of the half")
+    if not knots or (knots[0], knots[-1]) != (dom.lo, dom.hi):
+        raise InvalidInput("knots must run from one end of the window to the other")
     ws = [phi(t) for t in knots]
-    return apx_set_linear(knots, ws, Direction.NONDECREASING, k, below=0)
+    below = 0 if dom.lo == 0 else None
+    return apx_set_linear(knots, ws, Direction.NONDECREASING, k, below=below)
 
 
-def _column(half: StepFunction, stage: tuple[int, int], ratio: ApproxRatio):
-    """One column of the stage loop, ``stage = (s, pivot)``: compress the half
-    of the window sum of width s over the previous column, whose pivot is
-    pivot - s.
+def _column(half: StepFunction, stage: tuple[int, int, IntInterval], ratio: ApproxRatio):
+    """One column of the stage loop, ``stage = (s, pivot, window)``: compress
+    the window sum of width s over the previous column, whose pivot is
+    pivot - s, on this column's window of its half.
     """
-    s, pivot = stage
+    s, pivot, window = stage
     w = window_sum(half, pivot - s, s)
-    oracle = FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, w)
-    return oracle, compress_contingency(oracle, ratio, window_knots(half, pivot - s, s)), None
+    oracle = FnOracle(window, Direction.NONDECREASING, w)
+    knots = window_knots(half, pivot - s, s, window)
+    return oracle, compress_contingency(oracle, ratio, knots), None
 
 
 def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
     s, target = inst.col_sums, inst.pivot_sum
-    h = s[0] // 2
-    ends = (0, h) if h else (0,)
-    # column 1, exact: its half is 1 on {0..s_1//2}
-    first = StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
-    stages = list(zip(s[1:], list(accumulate(s))[1:])) if target else []
+    pivots = list(accumulate(s))
+    # column i is read only at target minus the later cells, on its half or mirrored
+    later = pivots[-1] - target
+    windows = [IntInterval(max(0, p - later), min(target, p // 2)) for p in pivots]
+    lo, hi = windows[0].lo, windows[0].hi
+    # column 1, exact: its half is 1 on its window
+    ends = (lo, hi) if lo < hi else (lo,)
+    below = 0 if lo == 0 else None
+    first = StepFunction(windows[0], Direction.NONDECREASING, ends, (1,) * len(ends), below)
+    stages = list(zip(s[1:], pivots[1:], windows[1:])) if target else []
     return run_stages(first, stages, epsilon, target, _column)

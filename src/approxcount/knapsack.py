@@ -4,7 +4,8 @@ subsets_i(j), the number of subsets of the first i items weighing at most j,
 obeys subsets_i(j) = subsets_{i-1}(j) + subsets_{i-1}(j - w_i). Each stage
 here replaces the exact row by a compressed nondecreasing step function with
 per-stage ratio k, k^n <= 1+epsilon, giving
-exact <= count <= (1+epsilon)*exact at the capacity.
+exact <= count <= (1+epsilon)*exact at the capacity; a one-point stage is
+exact and does not count in n (:mod:`~approxcount.stagewise`).
 
 :func:`fptas_knapsack` compresses each stage by binary search over {0..C};
 its oracle work grows with log C. :func:`strong_fptas_knapsack` compresses

@@ -2,7 +2,8 @@
 
 Exact counting multiplies set sizes through a convolution-like recurrence and
 is pseudo-polynomial in the bound B. Both counters below replace each exact
-stage by a compressed step function with per-stage ratio k, k^m <= 1+epsilon:
+stage by a compressed step function with per-stage ratio k, k^m <= 1+epsilon,
+where a one-point stage is exact and does not count in m:
 
 * :func:`fptas_mtuples` compresses over the numeric domain {0..B} directly,
   so its work grows with log B;

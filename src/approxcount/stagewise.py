@@ -3,13 +3,17 @@
 :func:`run_stages` starts from an exact first row f_0 and replaces each
 stage of the counting recurrence by a step of the counter: a function
 evaluated exactly from the previous compressed row, compressed with
-per-stage ratio k, k^stages <= 1+epsilon. Compressing a K'-approximation
-with ratio k gives a kK'-approximation, so the final row is within
-1+epsilon of the exact one. Every row is a
+per-stage ratio k on the stage's domain. Compressing a K'-approximation
+with ratio k gives a kK'-approximation, and a one-point domain is one
+exact evaluation that merges nothing, so it gives a K'-approximation (the
+K-approximation set induction of Halman, Klabjan, Mostagir, Orlin and
+Simchi-Levi, Math. Oper. Res. 2009). So k is chosen with k^m <= 1+epsilon,
+m the number of stages whose domain has more than one point, and the final
+row is within 1+epsilon of the exact one. Every row is a
 :class:`~approxcount.stepfunc.StepFunction`. Contingency2's step is one
-column's window sum, with stages (s_i, P_i) and each row a column's
-nondecreasing half (:mod:`approxcount.contingency`); knapsack and m-tuples share
-:func:`sum_stage`, for the recurrence
+column's window sum, with stages (s_i, P_i, window) and each row a
+column's nondecreasing half on its window (:mod:`approxcount.contingency`);
+knapsack and m-tuples share :func:`sum_stage`, for the recurrence
 
     f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
 
@@ -51,7 +55,7 @@ from .stepfunc import (
 
 
 # The report keeps every stage's function, so the kept breakpoints bound a run's
-# memory. A 60-column contingency table with cells up to 1e6 at eps 1/2 keeps 2.4M.
+# memory. A 60-column contingency table with cells up to 1e6 at eps 1/2 keeps 640k.
 KEPT_BREAKPOINT_CAP = 10_000_000
 
 
@@ -59,28 +63,22 @@ KEPT_BREAKPOINT_CAP = 10_000_000
 class RunReport:
     """What one counter run returns.
 
-    ``chain_length`` is the number of compressions feeding the count, the
-    exponent the per-stage ratio was chosen for (0 when none ran). The
-    ``stage_*`` lists hold each compression's compressed function and, for
-    the strong variants, candidate change points, in the order they were
-    built; ``per_stage_set_sizes`` are the functions' breakpoint counts.
+    ``chain_length`` is the exponent the per-stage ratio was chosen for:
+    the number of stages whose domain has more than one point (0 when no
+    stage has). The ``stage_*`` lists hold each compression's compressed
+    function and, for the strong variants, candidate change points, in the
+    order they were built; ``per_stage_set_sizes`` are the functions'
+    breakpoint counts.
     """
 
     count: int
     epsilon: Fraction
     oracle_calls: int
     per_stage_set_sizes: list[int]
+    chain_length: int
     elapsed: float
     stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
     stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
-
-    @property
-    def chain_length(self) -> int:
-        return len(self.per_stage_set_sizes)
-
-    @property
-    def epsilon_in_proven_range(self) -> bool:
-        return self.epsilon < 1
 
 
 def sums_after(values: Sequence[int]) -> list[int]:
@@ -110,13 +108,16 @@ def run_stages(
     first: StepFunction, stages: Sequence, epsilon, query_at: int, step: Callable
 ) -> RunReport:
     """Run ``step(prev, stage, ratio)`` for every stage from ``first`` and
-    report the last row at ``query_at``. A step returns the oracle it
-    evaluated, the compressed function and the strong candidates (or None).
-    Keeping more than KEPT_BREAKPOINT_CAP breakpoints in all raises TooLarge.
+    report the last row at ``query_at``. Each stage is a tuple that ends
+    with its domain. A step returns the oracle it evaluated, the compressed
+    function and the strong candidates (or None). Keeping more than
+    KEPT_BREAKPOINT_CAP breakpoints in all raises TooLarge.
     """
     started = perf_counter()
     eps = to_fraction(epsilon)
-    ratio = ApproxRatio.for_stages(eps, max(len(stages), 1))
+    # a one-point stage is one exact evaluation: it merges nothing, adds no ratio
+    merging = sum(dom.lo < dom.hi for *_, dom in stages)
+    ratio = ApproxRatio.for_stages(eps, max(merging, 1))
     approx = first
     calls = kept = 0
     stage_functions, stage_candidates = [], []
@@ -136,6 +137,7 @@ def run_stages(
         epsilon=eps,
         oracle_calls=calls,
         per_stage_set_sizes=[len(f) for f in stage_functions],
+        chain_length=merging,
         elapsed=perf_counter() - started,
         stage_functions=stage_functions,
         stage_candidates=stage_candidates,

@@ -209,59 +209,59 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
     def size_cap(k, v):
         return 4 * (1 + math.log(max(v, 2)) / math.log(float(k)))
 
+    def ratio(rep, eps):  # the k a run chose: one-point stages do not count
+        return ApproxRatio.for_stages(eps, max(rep.chain_length, 1)).k
+
     rng = random.Random(74030)
     for _ in range(40):
         inst = random_mtuples(rng)
         for eps in EPSILONS:
-            k = ApproxRatio.for_stages(eps, inst.m).k
             v = math.prod(len(s) for s in inst.sets)
             for rep in (fptas_mtuples(inst, eps), strong_fptas_mtuples(inst, eps)):
                 for f in rep.stage_functions:
-                    assert len(f) <= size_cap(k, v)
+                    assert len(f) <= size_cap(ratio(rep, eps), v)
 
     rng = random.Random(74031)
     for _ in range(40):
         inst = random_knapsack(rng)
         for eps in EPSILONS:
-            k = ApproxRatio.for_stages(eps, inst.n).k
             for rep in (fptas_knapsack(inst, eps), strong_fptas_knapsack(inst, eps)):
                 for f in rep.stage_functions:
-                    assert len(f) <= size_cap(k, 2**inst.n)
+                    assert len(f) <= size_cap(ratio(rep, eps), 2**inst.n)
 
     rng = random.Random(74032)
     for _ in range(40):
         inst = random_contingency(rng)
         rep = fptas_contingency2(inst, Fraction(1, 2))
-        if rep.chain_length == 0:
-            continue
-        k = ApproxRatio.for_stages(Fraction(1, 2), rep.chain_length).k
+        k = ratio(rep, Fraction(1, 2))
         v = math.prod(s + 1 for s in inst.col_sums)
         for half in rep.stage_functions:
             assert len(half.xs) <= size_cap(k, v)
 
-    # dense pointwise sandwich of each held stage against the exact rows
+    # dense pointwise sandwich of each held stage against the exact rows; the
+    # error grows by k at each stage that has more than one point
     rng = random.Random(74033)
     eps = Fraction(1, 2)
     for _ in range(10):
         inst = random_mtuples(rng)
-        k = ApproxRatio.for_stages(eps, inst.m).k
         rows = dp_mtuples_table(inst)
         rep = fptas_mtuples(inst, eps)
+        k = ratio(rep, eps)
         power = Fraction(1)
         for func, row in zip(rep.stage_functions, rows):
-            power *= k
+            power *= k if func.domain.lo < func.domain.hi else 1
             for j, exact in enumerate(row):
                 assert exact <= func.query(j) <= power * exact
     for _ in range(10):
         inst = random_knapsack(rng)
         if inst.capacity > 500:
             continue
-        k = ApproxRatio.for_stages(eps, inst.n).k
         rows = dp_knapsack_table(inst)
         rep = strong_fptas_knapsack(inst, eps)
+        k = ratio(rep, eps)
         power = Fraction(1)
         for i, (func, row) in enumerate(zip(rep.stage_functions, rows[1:])):
-            power *= k
+            power *= k if func.domain.lo < func.domain.hi else 1
             window = range(max(0, inst.capacity - sum(inst.weights[i + 1 :])), inst.capacity + 1)
             assert (func.domain.lo, func.domain.hi) == (window[0], window[-1])
             for j in window:
@@ -269,15 +269,17 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
     for _ in range(200):
         inst = random_contingency(rng, n_max=8)
         rep = fptas_contingency2(inst, eps)
-        if rep.chain_length == 0:
-            continue
-        k = ApproxRatio.for_stages(eps, rep.chain_length).k
+        k = ratio(rep, eps)
         rows = dp_contingency_sum_table(inst, width=inst.total)
         pivots = list(accumulate(inst.col_sums))[1:]
         power = Fraction(1)
         for half, pivot, row in zip(rep.stage_functions, pivots, rows[2:]):
-            power *= k
+            dom = half.domain
+            power *= k if dom.lo < dom.hi else 1
+            mirrored = dom.hi == pivot // 2
             for j, exact in enumerate(row):
-                # column i mirrors its half about P_i/2 and is 0 past P_i
-                assert exact <= half.query(min(j, pivot - j)) <= power * exact
+                # column i keeps its half on the window later columns read,
+                # and mirrors it about P_i/2 when the window reaches P_i//2
+                if j in dom or mirrored and pivot - j in dom:
+                    assert exact <= half.query(min(j, pivot - j)) <= power * exact
 

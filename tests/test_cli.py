@@ -307,7 +307,7 @@ def assert_cap_exits_three(tmp_path, capsys, monkeypatch, problem, payload, mode
 def test_exit_three_when_contingency_keeps_too_many_breakpoints(tmp_path, capsys, monkeypatch):
     payload = {"row_sums": ["9", "12"], "col_sums": ["5", "6", "4", "6"]}
     kept = assert_cap_exits_three(tmp_path, capsys, monkeypatch, "contingency2", payload, "fptas")
-    assert kept == 6 + 7 + 10
+    assert kept == 5 + 4 + 1  # windows {0..5}, {3..7} and {9}
 
 
 @pytest.mark.parametrize(

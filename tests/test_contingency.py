@@ -45,6 +45,15 @@ def half_function(values):
     )
 
 
+def window_of(half, lo, hi):
+    """The half kept on {lo..hi} only, with no value below it unless lo = 0."""
+    xs = sorted({lo, hi} | {x for x in half.xs if lo <= x <= hi})
+    below = 0 if lo == 0 else None
+    return StepFunction(
+        IntInterval(lo, hi), Direction.NONDECREASING, xs, [half.query(x) for x in xs], below
+    )
+
+
 @pytest.mark.parametrize(
     "xs, values, pivot",
     [
@@ -61,23 +70,50 @@ def half_function(values):
 @pytest.mark.parametrize("width", [1, 2, 5, 25])
 def test_window_sum_matches_dense_sum(xs, values, pivot, width):
     # The dense column mirrors the half about pivot/2 (odd pivots have two
-    # middle points, even ones one) and is 0 outside {0..pivot}.
-    half = StepFunction(IntInterval(0, pivot // 2), Direction.NONDECREASING, xs, values)
-    g = [half.query(min(j, pivot - j)) for j in range(pivot + 1)]
+    # middle points, even ones one) and is 0 outside {0..pivot}. A half kept
+    # on a window {a..b} counts its prefix sums from a, so a sum is exact
+    # wherever it reads the column only on the window, on its mirror image
+    # when b = pivot//2, below 0 when a = 0, or past pivot when the window is
+    # the whole half; any other read raises.
+    full = StepFunction(IntInterval(0, pivot // 2), Direction.NONDECREASING, xs, values)
+    h = pivot // 2
 
     def column(j):
-        return g[j] if 0 <= j <= pivot else 0
+        return full.query(min(j, pivot - j)) if 0 <= j <= pivot else 0
 
-    w = window_sum(half, pivot, width)
-    for j in range(-2, pivot + width + 3):
-        assert w(j) == sum(column(j - v) for v in range(width + 1)), j
+    for a in range(h + 1):
+        for b in range(a, h + 1):
+            w = window_sum(window_of(full, a, b), pivot, width)
+            known = set(range(a, b + 1))
+            if b == h:
+                known |= {pivot - t for t in known}
+            if a == 0:
+                known |= set(range(-width - 2, 0))
+                if b == h:
+                    known |= set(range(pivot + 1, pivot + width + 3))
+            for j in range(-2, pivot + width + 3):
+                reads = range(j - width, j + 1)
+                if known.issuperset(reads):
+                    assert w(j) == sum(map(column, reads)), (a, b, j)
+                else:
+                    with pytest.raises(InvalidInput):
+                        w(j)
 
 
 def test_window_sum_needs_the_half_of_its_pivot():
+    # The half's window must lie inside {0..pivot//2}.
     half = StepFunction(IntInterval(0, 1), Direction.NONDECREASING, (0, 1), (1, 2))
-    for pivot in (1, 4, -1):
+    for pivot in (1, 0, -1):
         with pytest.raises(InvalidInput):
             window_sum(half, pivot, 2)
+    negative = StepFunction(IntInterval(-1, 1), Direction.NONDECREASING, (-1, 1), (1, 2))
+    with pytest.raises(InvalidInput):
+        window_sum(negative, 4, 2)
+    # {0..1} stops short of 4//2, so no sum may read past 1.
+    w = window_sum(half, 4, 2)
+    assert [w(j) for j in (-1, 0, 1)] == [0, 1, 3]
+    with pytest.raises(InvalidInput):
+        w(2)
 
 
 def half_oracle(fn, pivot):
@@ -105,6 +141,18 @@ class TestCompressOp:
         half = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, every_half_point(6))
         assert (half.direction, half.domain) == (Direction.NONDECREASING, IntInterval(0, 3))
         assert half.query(-1) == half.out_of_domain_low == 0
+
+    def test_a_window_above_zero_has_no_value_below_it(self):
+        probe = FnOracle(IntInterval(3, 6), Direction.NONDECREASING, lambda j: j + 1)
+        half = compress_contingency(probe, ANY_K, range(3, 7))
+        assert (half.domain, half.out_of_domain_low) == (IntInterval(3, 6), None)
+        with pytest.raises(InvalidInput):
+            half.query(2)
+
+    def test_a_one_point_window_is_one_exact_evaluation(self):
+        probe = FnOracle(IntInterval(9, 9), Direction.NONDECREASING, lambda j: 7 * j)
+        half = compress_contingency(probe, ANY_K, [9])
+        assert (half.xs, half.values, probe.calls) == ((9,), (63,), 1)
 
     def test_oracle_calls_are_counted(self):
         dom = IntInterval(0, 8)
@@ -185,22 +233,55 @@ def test_sandwich_randomized(eps):
         assert exact <= got <= (1 + eps) * exact
 
 
+def column_windows(inst):
+    """Column i's window of its half: the points R minus the later cells reads."""
+    pivots = list(accumulate(inst.col_sums))
+    later = pivots[-1] - inst.pivot_sum
+    return [IntInterval(max(0, p - later), min(inst.pivot_sum, p // 2)) for p in pivots]
+
+
 def test_every_compressed_function_keeps_the_structure():
-    # Column i is kept as its nondecreasing half on {0..P_i//2}, 0 below it,
-    # and the count is read inside the last half.
+    # Column i is kept as its nondecreasing half on its window, 0 below it
+    # when the window starts at 0 and no value below it otherwise, and the
+    # last window is {R}.
     rng = random.Random(505)
     for _ in range(20):
         inst = random_instance(rng, n_max=4, cell_max=7)
         rep = fptas_contingency2(inst, Fraction(1, 3))
-        pivots = list(accumulate(inst.col_sums))[1:]
-        assert len(rep.stage_functions) == (len(pivots) if inst.pivot_sum else 0)
-        for half, pivot in zip(rep.stage_functions, pivots):
+        windows = column_windows(inst)[1:]
+        assert len(rep.stage_functions) == (len(windows) if inst.pivot_sum else 0)
+        for half, window in zip(rep.stage_functions, windows):
             assert isinstance(half, StepFunction)
             assert half.direction is Direction.NONDECREASING
-            assert half.domain == IntInterval(0, pivot // 2)
-            assert half.out_of_domain_low == 0
+            assert half.domain == window
+            assert half.out_of_domain_low == (0 if window.lo == 0 else None)
         if rep.stage_functions:
-            assert inst.pivot_sum in rep.stage_functions[-1].domain
+            last = inst.pivot_sum
+            assert rep.stage_functions[-1].domain == IntInterval(last, last)
+
+
+def test_every_read_of_a_column_lands_in_its_window_or_below_zero():
+    # Column i+1's window sum reads column i at j - v, 0 <= v <= s_{i+1},
+    # for each j in column i+1's window: on column i's window, or mirrored
+    # onto it when the window reaches P_i//2, or below 0 (also after
+    # mirroring, past P_i), where the column is 0 and the window starts at 0.
+    rng = random.Random(515)
+    for _ in range(200):
+        inst = random_instance(rng, n_max=6, cell_max=rng.choice((3, 30)))
+        rep = fptas_contingency2(inst, Fraction(1, 2))
+        if not rep.stage_functions:
+            continue
+        halves = [first_column(inst), *rep.stage_functions]
+        pivots = list(accumulate(inst.col_sums))
+        for half, pivot, s, nxt in zip(halves, pivots, inst.col_sums[1:], halves[1:]):
+            dom = half.domain
+            mirrored = dom.hi == pivot // 2
+            for t in range(nxt.domain.lo - s, nxt.domain.hi + 1):
+                if t < 0 or mirrored and pivot - t < 0:
+                    assert dom.lo == 0
+                else:
+                    assert t in dom or mirrored and pivot - t in dom, (inst, t)
+        assert halves[-1].domain == IntInterval(inst.pivot_sum, inst.pivot_sum)
 
 
 def test_compression_count_stays_logarithmic():
@@ -213,6 +294,8 @@ def test_compression_count_stays_logarithmic():
 
 
 def test_chain_length_matches_ratio_choice():
+    # The exponent counts the columns whose window has more than one point;
+    # the last window, {R}, is one exact evaluation.
     cases = [
         ((11, 14), (6, 7, 5, 4, 3)),
         ((9, 12), (5, 6, 4, 6)),
@@ -223,8 +306,10 @@ def test_chain_length_matches_ratio_choice():
     for rows, cols in cases:
         inst = Contingency2Instance(row_sums=rows, col_sums=cols)
         rep = fptas_contingency2(inst, Fraction(1, 2))
-        assert rep.chain_length == len(cols) - 1
-        k = ApproxRatio.for_stages(Fraction(1, 2), rep.chain_length).k
+        windows = column_windows(inst)[1:]
+        assert windows[-1] == IntInterval(inst.pivot_sum, inst.pivot_sum)
+        assert rep.chain_length == sum(w.lo < w.hi for w in windows) <= len(cols) - 2
+        k = ApproxRatio.for_stages(Fraction(1, 2), max(rep.chain_length, 1)).k
         assert k > 1
         assert k**rep.chain_length <= Fraction(3, 2)
 
@@ -240,17 +325,21 @@ def test_report_counts_oracle_traffic():
 # the values they probed (90 and 88). The calls are now the window sum's
 # knots, one evaluation each. Since the walk keeps the first failing point
 # below each kept one, the rows keep fewer points (counts 145 and 116 with
-# sizes [6, 8, 11] and [5, 7, 12] before).
+# sizes [6, 8, 11] and [5, 7, 12] before). Since each column keeps only the
+# window later columns read and the last one is its evaluation at R, the
+# rows keep fewer points on a chain of 2 (159, 23 calls, [6, 7, 10] and
+# 122, 25 calls, [4, 6, 11] before, both on a chain of 3).
 @pytest.mark.parametrize(
     "rows, cols, eps, count, calls, sizes, chain",
     [
+        # windows {0..5}, {3..7} and {9}
         pytest.param(
-            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 159, 23, [6, 7, 10], 3,
+            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 159, 10, [5, 4, 1], 2,
             id="rows0-cols0-eps0-145-90-sizes0-3",
         ),
-        # R < s_n: the last column is still compressed whole, then queried at R.
+        # R < s_n: windows {0..4}, {0..6} and {10}
         pytest.param(
-            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 122, 25, [4, 6, 11], 3,
+            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 118, 13, [4, 6, 1], 2,
             id="rows1-cols1-eps1-116-88-sizes1-3",
         ),
     ],
@@ -281,16 +370,17 @@ def test_deep_table_needs_no_recursion():
     assert binding == exact
 
 
-def first_column(s1):
-    """Column 1's half exactly, as the counter starts it: 1 on {0..s1//2}."""
-    h = s1 // 2
-    ends = (0, h) if h else (0,)
-    return StepFunction(IntInterval(0, h), Direction.NONDECREASING, ends, (1,) * len(ends))
+def first_column(inst):
+    """Column 1's half exactly, as the counter starts it: 1 on its window."""
+    window = column_windows(inst)[0]
+    ends = sorted({window.lo, window.hi})
+    below = 0 if window.lo == 0 else None
+    return StepFunction(window, Direction.NONDECREASING, ends, (1,) * len(ends), below)
 
 
 def columns_with_inputs(inst, rep):
     """Each compressed half with the half and pivot before it and its column sum."""
-    prev = [first_column(inst.col_sums[0]), *rep.stage_functions[:-1]]
+    prev = [first_column(inst), *rep.stage_functions[:-1]]
     pivots = accumulate(inst.col_sums)
     return zip(prev, pivots, inst.col_sums[1:], rep.stage_functions)
 
@@ -302,12 +392,11 @@ def test_walk_keeps_what_the_binary_search_keeps(cell_max):
         for _ in range(12):
             inst = random_instance(rng, n_max=6, cell_max=cell_max)
             rep = fptas_contingency2(inst, eps)
-            if not rep.chain_length:
-                continue
-            k = ApproxRatio.for_stages(eps, rep.chain_length)
-            for g, pivot, s, got in columns_with_inputs(inst, rep):
-                dom = IntInterval(0, (pivot + s) // 2)
-                ref = mirrored_search(window_sum(g, pivot, s), dom, k, below=0)
+            windows = column_windows(inst)[1:]
+            k = ApproxRatio.for_stages(eps, max(sum(w.lo < w.hi for w in windows), 1))
+            for (g, pivot, s, got), dom in zip(columns_with_inputs(inst, rep), windows):
+                below = 0 if dom.lo == 0 else None
+                ref = mirrored_search(window_sum(g, pivot, s), dom, k, below=below)
                 assert got.to_json() == ref.to_json()
 
 
@@ -317,6 +406,24 @@ def test_column_evaluations_do_not_grow_with_the_cells():
         inst = random_instance(rng, n_max=8, cell_max=10**6, cell_min=10**6 - 1000)
         rep = fptas_contingency2(inst, Fraction(1, 2))
         columns = list(columns_with_inputs(inst, rep))
-        knots = [len(window_knots(g, pivot, s)) for g, pivot, s, _ in columns]
+        knots = [len(window_knots(g, pivot, s, got.domain)) for g, pivot, s, got in columns]
         assert rep.oracle_calls == sum(knots)  # one evaluation per knot
         assert all(n <= 4 * len(g) + 4 for (g, _, _, _), n in zip(columns, knots))
+
+
+# Tables past dp_contingency_sub's reach: 30 to 60 columns with R near 1e4,
+# checked against the O(n*R) window-sum DP.
+@pytest.mark.parametrize(
+    "n, eps",
+    [(30, Fraction(1, 10)), (45, Fraction(1, 2)), (60, Fraction(3))],
+)
+def test_wide_tables_stay_in_the_band(n, eps):
+    rng = random.Random(n)
+    cols = tuple(rng.randint(20_000 // n, 40_000 // n) for _ in range(n))
+    total = sum(cols)
+    r = rng.randint(9_000, min(11_000, total // 2))
+    inst = Contingency2Instance(row_sums=(r, total - r), col_sums=cols)
+    exact = dp_contingency_sum(inst)
+    rep = fptas_contingency2(inst, eps)
+    assert exact <= rep.count <= (1 + eps) * exact
+    assert rep.chain_length <= n - 2

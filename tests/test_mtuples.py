@@ -64,11 +64,6 @@ class TestGoldenWalkthrough:
         assert Fraction(rep.count, exact) == 4
         assert Fraction(rep.count, exact) <= 8
 
-    def test_epsilon_above_one_is_flagged(self):
-        rep = fptas_mtuples(GOLDEN, 7)
-        assert rep.epsilon_in_proven_range is False
-        assert fptas_mtuples(GOLDEN, Fraction(1, 2)).epsilon_in_proven_range is True
-
 
 def test_strong_counter_sandwich_on_golden():
     rep = strong_fptas_mtuples(GOLDEN, 7)
