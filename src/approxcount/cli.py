@@ -51,6 +51,7 @@ from .oracles import (
     dp_mtuples,
 )
 from .stagewise import RunReport
+from .stepfunc import decimal_text
 
 
 class Problem(NamedTuple):
@@ -72,12 +73,6 @@ PROBLEMS = {
 }
 MODES = ("exact-dp", "exact-brute", "fptas", "strong-fptas")
 APPROX_MODES = ("fptas", "strong-fptas")
-
-
-def _text(q: int | Fraction) -> str:
-    """str(q) at any length; str() refuses more digits than sys.get_int_max_str_digits()."""
-    n, d = q.as_integer_ratio()
-    return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 def _as_int(value, label: str) -> int:
@@ -136,7 +131,7 @@ def _mapped(inst, leaf) -> dict:
 
 
 def payload_from_instance(inst) -> dict:
-    return _mapped(inst, _text)
+    return _mapped(inst, decimal_text)
 
 
 def load_instances(path: str, problem_override: str | None):
@@ -196,12 +191,17 @@ def _modes_of(problem: str) -> list[str]:
     return [mode for mode in MODES if (problem, mode) in COUNTERS]
 
 
-def run_mode(problem: str, inst, mode: str, eps: Fraction | None):
-    """Dispatch one count. Returns (count, oracle_calls, set_sizes, elapsed_s)."""
+def _counter(problem: str, mode: str):
     counter = COUNTERS.get((problem, mode))
     if counter is None:
         kind = [m for m in _modes_of(problem) if (m in APPROX_MODES) == (mode in APPROX_MODES)]
         raise InvalidInput(f"{problem} has no {mode} mode; use {' or '.join(kind)}")
+    return counter
+
+
+def run_mode(problem: str, inst, mode: str, eps: Fraction | None):
+    """Dispatch one count. Returns (count, oracle_calls, set_sizes, elapsed_s)."""
+    counter = _counter(problem, mode)
     t0 = perf_counter()
     result = counter(inst, eps)
     if isinstance(result, RunReport):
@@ -224,6 +224,8 @@ def cmd_count(args) -> int:
     eps = _parse_epsilon(args.epsilon) if args.epsilon is not None else None
     if args.mode in APPROX_MODES and eps is None:
         raise InvalidInput(f"--epsilon is required for mode {args.mode}")
+    if args.problem:  # checked once, even when no instance arrives
+        _counter(args.problem, args.mode)
     with _open_out(args) as out:
         for lineno, problem, inst in load_instances(args.input, args.problem):
             try:
@@ -234,7 +236,7 @@ def cmd_count(args) -> int:
             if args.mode in APPROX_MODES:
                 record["epsilon"] = str(eps)
             record.update(
-                count=_text(count),
+                count=decimal_text(count),
                 oracle_calls=calls,
                 set_sizes=sizes,
                 elapsed_ms=round(elapsed * 1000.0, 3),
@@ -289,6 +291,8 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     eps = _parse_epsilon(args.epsilon)
     mode = args.mode
+    if args.problem:  # checked once, even when no instance arrives
+        _counter(args.problem, mode)
     if args.input:
         loaded = load_instances(args.input, args.problem)
         items = ((f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded)
@@ -318,15 +322,15 @@ def cmd_verify(args) -> int:
                 "problem": problem,
                 "mode": mode,
                 "epsilon": str(eps),
-                "count": _text(count),
-                "exact": _text(exact),
+                "count": decimal_text(count),
+                "exact": decimal_text(exact),
                 "oracle_calls": calls,
                 "set_sizes": sizes,
                 "elapsed_ms": round(elapsed * 1000.0, 3),
                 "ok": ok,
             }
             if exact > 0:
-                record["ratio_vs_exact"] = _text(ratio)
+                record["ratio_vs_exact"] = decimal_text(ratio)
             if not ok:
                 violations += 1
                 record["payload"] = payload_from_instance(inst)
@@ -337,7 +341,7 @@ def cmd_verify(args) -> int:
                 "summary": "verify",
                 "trials": trials,
                 "violations": violations,
-                "max_ratio": _text(max_ratio),
+                "max_ratio": decimal_text(max_ratio),
                 "bound": str(bound),
             },
         )
@@ -372,7 +376,7 @@ def cmd_bench(args) -> int:
                     [
                         mode,
                         size,
-                        _text(scale),
+                        decimal_text(scale),
                         "" if eps is None else str(eps),
                         calls,
                         f"{elapsed * 1000.0:.3f}",

@@ -16,12 +16,11 @@ superset of everywhere the stage function actually changes (an
 3. :func:`~approxcount.stepfunc.apx_set_linear` walks those pieces.
 
 The result is what :func:`~approxcount.stepfunc.apx_set_nonincreasing`
-keeps over the index's domain, mirrored (x -> -x) for a nondecreasing
-function, so a low end the walk merges holds the value of the kept point
-above it. The strong counters make that domain each stage's reachable
-window; a window that starts above 0 gets ``below=None``, no value under
-it. Oracle cost is one evaluation per candidate and never depends on the
-width of the numeric domain; that is the whole point.
+keeps over the index's domain. Strong m-tuples, and strong knapsack
+through it, makes that domain each stage's reachable window; a window
+that starts above 0 gets ``below=None``, no value under it. Oracle cost
+is one evaluation per candidate and never depends on the width of the
+numeric domain; that is the whole point.
 """
 
 from __future__ import annotations

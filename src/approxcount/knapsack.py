@@ -1,39 +1,24 @@
 """Approximate counting of 0/1 knapsack solutions.
 
 subsets_i(j), the number of subsets of the first i items weighing at most j,
-obeys subsets_i(j) = subsets_{i-1}(j) + subsets_{i-1}(j - w_i). Each stage
-here replaces the exact row by a compressed nondecreasing step function with
-per-stage ratio k, k^n <= 1+epsilon, giving
-exact <= count <= (1+epsilon)*exact at the capacity; a one-point stage is
-exact and does not count in n (:mod:`~approxcount.stagewise`).
+obeys subsets_i(j) = subsets_{i-1}(j) + subsets_{i-1}(j - w_i).
+:func:`fptas_knapsack` replaces each row by a step function compressed by
+binary search over {0..C} with per-stage ratio k, k^n <= 1+epsilon, so
+exact <= count <= (1+epsilon)*exact; its oracle work grows with log C.
 
-:func:`fptas_knapsack` compresses each stage by binary search over {0..C};
-its oracle work grows with log C. :func:`strong_fptas_knapsack` compresses
-stage i only on its reachable window {max(0, C - W_after_i)..C}, with
-W_after_i the total weight of the items after item i, so the last stage is
-{C}. Stage i+1 reads j and j - w_{i+1}, which from its window land in
-window i or below 0, where subsets_i is exactly 0; a window that starts
-above 0 has no value below it, and a read there raises. A window is walked
-down from C as the nonincreasing search walks its mirror image, so a
-merged low end holds the value of the kept point above it, and the count
-is in the band but not always the plain one. Inside the window a stage is
-evaluated only at its candidate change points
-(:func:`~approxcount.incpoints.convert`), so the oracle work
-depends on n and epsilon but not on the magnitude of the weights or the
-capacity. The candidates are the starts of the stage's piece table, the
-points where the sum changes value: each is just past a previous
-breakpoint, in the unshifted copy or in the copy shifted by w_i, or w_i
-itself, where the shifted copy enters and jumps from 0. No candidate is
-named by hand.
+:func:`strong_fptas_knapsack` counts the items left out: a subset weighs at
+most C exactly when they weigh at least W - C, W the total weight. So it is
+:func:`~approxcount.mtuples.strong_fptas_mtuples` on the sets {0, w_i} with
+the bound max(0, W - C), in the same band at work independent of the
+magnitude of the weights and the capacity.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
-from .incpoints import convert
-from .oracles import KnapsackInstance
-from .stagewise import RunReport, run_stages, sum_stage, sums_after
+from .incpoints import convert  # noqa: F401 - perfbench's tracer test reads knapsack.convert
+from .mtuples import strong_fptas_mtuples
+from .oracles import KnapsackInstance, MTuplesInstance
+from .stagewise import RunReport, run_stages, sum_stage
 from .stepfunc import Direction, IntInterval, StepFunction
 
 
@@ -50,12 +35,14 @@ def _empty_subset_row(capacity: int) -> StepFunction:
     )
 
 
+def left_out(inst: KnapsackInstance) -> MTuplesInstance:
+    """The m-tuples instance whose tuples are the items a subset leaves out."""
+    sets = tuple((0, w) for w in inst.weights)
+    return MTuplesInstance(sets, max(0, sum(inst.weights) - inst.capacity))
+
+
 def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
-    c = inst.capacity
-    windows = [IntInterval(max(0, c - rest), c) for rest in sums_after(inst.weights)]
-    items = [((0, w), window) for w, window in zip(inst.weights, windows)]
-    step = partial(sum_stage, convert=convert)
-    return run_stages(_empty_subset_row(c), items, epsilon, c, step)
+    return strong_fptas_mtuples(left_out(inst), epsilon)
 
 
 def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:

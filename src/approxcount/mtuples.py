@@ -17,7 +17,8 @@ where a one-point stage is exact and does not count in m:
   window a stage is evaluated only at its candidate change points (the
   starts of its piece table), so the work is independent of the magnitude
   of B. The window's low end keeps its exact value, so the count need not
-  equal the plain one.
+  equal the plain one. :func:`~approxcount.knapsack.strong_fptas_knapsack`
+  is this counter on the items a knapsack subset leaves out.
 
 Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 """

@@ -20,13 +20,13 @@ knapsack and m-tuples share :func:`sum_stage`, for the recurrence
 over the domain each stage names: knapsack with S_i = (0, w_i), m-tuples
 with S_i the i-th set. The plain variants name {0..hi} for every stage and
 compress the sum (:func:`~approxcount.stepfunc.shifted_sum`) by binary
-search over it. The strong ones name the stage's reachable window (see
-:mod:`~approxcount.knapsack` and :mod:`~approxcount.mtuples`) and evaluate
-the sum only at its candidate change points there: both window ends and
-the starts of the sum's piece table between them, which cover every change
-by construction. A walk over the pieces between them keeps the step
-function the nonincreasing binary search over the window keeps, on the
-mirror image x -> -x for a nondecreasing stage.
+search over it. Strong m-tuples, which strong knapsack runs on the items a
+subset leaves out (:mod:`~approxcount.knapsack`), names the stage's
+reachable window (:mod:`~approxcount.mtuples`) and evaluates the sum only
+at its candidate change points there: both window ends and the starts of
+the sum's piece table between them, which cover every change by
+construction. A walk over the pieces between them keeps the step function
+the nonincreasing binary search over the window keeps.
 Shifts are nonnegative, so when a stage's domain starts where the previous
 one's does, every f_{i-1}(j - s) below it is the previous below-domain value
 and f_i there is |S_i| times it. A domain that starts higher has no value
@@ -88,8 +88,8 @@ def sums_after(values: Sequence[int]) -> list[int]:
 
 def sum_stage(prev: StepFunction, stage, ratio, convert: Callable | None = None):
     """One stage of the shifted-sum recurrence, ``stage = (shifts, domain)``:
-    sum over the domain, then compress by binary search or, given the strong
-    counters' :func:`~approxcount.incpoints.convert`, over the
+    sum over the domain, then compress by binary search or, given strong
+    m-tuples' :func:`~approxcount.incpoints.convert`, over the
     :class:`IncIndex` of the sum's piece starts (returned too).
     """
     shifts, dom = stage

@@ -40,6 +40,7 @@ import json
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -81,6 +82,12 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     return Fraction(value)
+
+
+def decimal_text(q: int | Fraction) -> str:
+    """str(q) at any length; str() refuses more digits than sys.get_int_max_str_digits()."""
+    n, d = q.as_integer_ratio()
+    return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
 def _iroot(n: int, k: int) -> int:
@@ -226,13 +233,14 @@ class StepFunction:
         return self.values[bisect_right(self.xs, x) - 1]
 
     def to_json(self) -> str:
+        low = self.out_of_domain_low
         return json.dumps(
             {
                 "domain": [self.domain.lo, self.domain.hi],
                 "direction": self.direction.value,
-                "breakpoints": [[x, str(v)] for x, v in zip(self.xs, self.values)],
-                "below": None if self.out_of_domain_low is None else str(self.out_of_domain_low),
-                "above": str(self.out_of_domain_high),
+                "breakpoints": [[x, decimal_text(v)] for x, v in zip(self.xs, self.values)],
+                "below": None if low is None else decimal_text(low),
+                "above": decimal_text(self.out_of_domain_high),
             }
         )
 

@@ -2,7 +2,8 @@
 
 One test per shipping requirement, so a verbose run reads as a checklist:
 the worked walkthrough is reproduced byte for byte, every counter respects
-its two-sided bound on large seeded sweeps, the three exact contingency
+its two-sided bound on large seeded sweeps (the strong ones also on values
+up to 2^200, against meet-in-the-middle counts), the three exact contingency
 formulations cannot be told apart, operation counts ignore numeric
 magnitude for the strongly polynomial variants, and breakpoint sets stay
 logarithmic.
@@ -34,6 +35,7 @@ from approxcount.oracles import (
 )
 from approxcount.stepfunc import ApproxRatio
 from contingency_binding import dp_contingency_binding
+from meet_in_the_middle import knapsack_mitm, mtuples_mitm
 
 EPSILONS = (Fraction(1, 10), Fraction(1, 2), Fraction(1))
 
@@ -129,6 +131,31 @@ def test_sandwich_holds_for_every_counter_on_seeded_sweeps():
             assert in_band(exact, fptas_contingency2(inst, eps).count, eps), inst
 
     assert perf_counter() - started < 120.0
+
+
+def test_meet_in_the_middle_matches_the_dps():
+    rng = random.Random(74004)
+    for _ in range(100):
+        knap, tuples = random_knapsack(rng), random_mtuples(rng)
+        assert knapsack_mitm(knap.weights, knap.capacity) == dp_knapsack(knap), knap
+        assert mtuples_mitm(tuples.sets, tuples.bound) == dp_mtuples(tuples), tuples
+
+
+def test_strong_counters_stay_in_the_band_past_the_dps():
+    # Values up to 2^200 are far past any DP table; meet in the middle counts
+    # these instances exactly from at most 2^13 sums per half.
+    rng = random.Random(74005)
+    for bits in (64, 200):
+        for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3)):
+            for _ in range(7):
+                weights = tuple(rng.randint(1, 2**bits) for _ in range(rng.randint(16, 26)))
+                knap = KnapsackInstance(weights=weights, capacity=rng.randint(0, sum(weights)))
+                exact = knapsack_mitm(knap.weights, knap.capacity)
+                assert in_band(exact, strong_fptas_knapsack(knap, eps).count, eps), knap
+                sets = [[rng.randint(0, 2**bits) for _ in range(3)] for _ in range(rng.randint(8, 14))]
+                tuples = MTuplesInstance(sets=sets, bound=rng.randint(0, sum(map(max, sets))))
+                exact = mtuples_mitm(tuples.sets, tuples.bound)
+                assert in_band(exact, strong_fptas_mtuples(tuples, eps).count, eps), tuples
 
 
 def test_contingency_formulations_agree_and_tables_are_structured():
@@ -260,12 +287,17 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         rep = strong_fptas_knapsack(inst, eps)
         k = ratio(rep, eps)
         power = Fraction(1)
+        # stage i counts the subsets of the first i items that leave out at
+        # least j of their weight W_i, so keep at most W_i - j; B = W - C
+        bound = max(0, sum(inst.weights) - inst.capacity)
         for i, (func, row) in enumerate(zip(rep.stage_functions, rows[1:])):
             power *= k if func.domain.lo < func.domain.hi else 1
-            window = range(max(0, inst.capacity - sum(inst.weights[i + 1 :])), inst.capacity + 1)
+            window = range(max(0, bound - sum(inst.weights[i + 1 :])), bound + 1)
             assert (func.domain.lo, func.domain.hi) == (window[0], window[-1])
+            kept = sum(inst.weights[: i + 1])
             for j in window:
-                assert row[j] <= func.query(j) <= power * row[j]
+                exact = row[kept - j] if j <= kept else 0
+                assert exact <= func.query(j) <= power * exact
     for _ in range(200):
         inst = random_contingency(rng, n_max=8)
         rep = fptas_contingency2(inst, eps)

@@ -480,6 +480,22 @@ def test_exit_two_names_an_out_of_range_size_flag(capsys, argv, flag):
     assert f"error: {flag} must be at least" in err
 
 
+@pytest.mark.parametrize("instances", [0, 1], ids=["no-instance", "one-instance"])
+@pytest.mark.parametrize("command", ["count", "verify"])
+def test_exit_two_on_a_missing_mode_whether_or_not_an_instance_arrives(
+    tmp_path, capsys, command, instances
+):
+    # the (problem, mode) pair is checked once, before any instance is read or drawn
+    path = tmp_path / "tables.ndjson"
+    line = {"problem": "contingency2", "payload": {"row_sums": ["2", "2"], "col_sums": ["2", "1", "1"]}}
+    path.write_text((json.dumps(line) + "\n") * instances)
+    argv = [command, "--problem", "contingency2", "--mode", "strong-fptas", "--epsilon", "1/2"]
+    argv += ["--input", str(path)] if command == "count" else ["--trials", str(instances)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "contingency2 has no strong-fptas mode; use fptas" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

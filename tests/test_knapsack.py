@@ -1,10 +1,14 @@
 """Knapsack counters: worked examples, sandwich sweeps, stage invariants.
 
-The stage invariant block is the heart of this file. For each item i the
-strong counter keeps a candidate index Inc_i, a breakpoint set W_i, and a
-compressed row shat_i; soundness needs four relations between them and the
-raw row sbar_i(j) = shat_{i-1}(j) + shat_{i-1}(j - w_i). All four are checked
-by dense evaluation on capacities up to 500.
+The stage invariant block is the heart of this file. The strong counter
+counts the items a subset leaves out: with W the total weight, a subset
+weighs at most C exactly when they weigh at least B = max(0, W - C). For
+each item i it keeps a candidate index Inc_i, a breakpoint set W_i, and a
+compressed row that_i of left-out subsets; soundness needs four relations
+between them and the raw row tbar_i(j) = that_{i-1}(j) + that_{i-1}(j - w_i).
+All four are checked by dense evaluation on capacities up to 500, the exact
+row read off the knapsack DP as tuples_i(j) = subsets_i(W_i - j), W_i the
+weight of the first i items.
 """
 
 import math
@@ -14,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from approxcount.errors import InvalidInput
-from approxcount.knapsack import fptas_knapsack, strong_fptas_knapsack
-from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_knapsack_table
+from approxcount.knapsack import fptas_knapsack, left_out, strong_fptas_knapsack
+from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_knapsack_table, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
 
 
@@ -71,6 +75,24 @@ def random_instance(rng, n_max=10, w_max=50, c_max=300):
     return KnapsackInstance(weights=weights, capacity=cap)
 
 
+def test_the_left_out_items_are_counted_by_the_same_number():
+    # A subset weighs at most C exactly when the items it leaves out weigh at
+    # least W - C. At C = 0 only the empty subset fits; at C >= W the bound
+    # is 0, every strong stage is {0}, and all 2^n subsets count exactly.
+    rng = random.Random(454)
+    for _ in range(100):
+        weights = random_instance(rng, n_max=8).weights
+        total = sum(weights)
+        for cap in (0, rng.randint(0, total), total, total + rng.randint(1, 9)):
+            inst = KnapsackInstance(weights=weights, capacity=cap)
+            assert dp_knapsack(inst) == dp_mtuples(left_out(inst)), inst
+        assert strong_fptas_knapsack(KnapsackInstance(weights, 0), Fraction(1, 2)).count == 1
+        for cap in (total, total + 1):
+            roomy = strong_fptas_knapsack(KnapsackInstance(weights, cap), Fraction(1, 2))
+            assert roomy.count == 2 ** len(weights) and roomy.chain_length == 0
+            assert {(f.domain.lo, f.domain.hi) for f in roomy.stage_functions} == {(0, 0)}
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1)])
 def test_sandwich_randomized(eps):
     rng = random.Random(929)
@@ -108,52 +130,55 @@ def test_set_sizes_logarithmic_in_subset_count():
 
 class TestStageInvariants:
     """Dense per-stage checks of the strong counter, capacities <= 500, each
-    stage over its reachable window {max(0, C - W_after_i)..C}."""
+    stage over its reachable window {max(0, B - W_after_i)..B} of left-out
+    weights, W_after_i the weight of the items after item i."""
 
     def run_one(self, inst, eps):
         rep = strong_fptas_knapsack(inst, eps)
-        k = ApproxRatio.for_stages(eps, inst.n).k
-        c = inst.capacity
+        k = ApproxRatio.for_stages(eps, max(rep.chain_length, 1)).k
+        b = max(0, sum(inst.weights) - inst.capacity)
         exact_rows = dp_knapsack_table(inst)
 
         def prev_query(j):
-            return 1 if 0 <= j <= c else 0
+            return 1 if j <= 0 else 0
 
         power = Fraction(1)
         prev = prev_query
         for i, w_i in enumerate(inst.weights):
             func = rep.stage_functions[i]
-            lo = max(0, c - sum(inst.weights[i + 1 :]))
-            assert (func.domain.lo, func.domain.hi) == (lo, c)
-            window = range(lo, c + 1)
+            lo = max(0, b - sum(inst.weights[i + 1 :]))
+            assert (func.domain.lo, func.domain.hi) == (lo, b)
+            window = range(lo, b + 1)
             raw = {j: prev(j) + prev(j - w_i) for j in window}
             dense = {j: func.query(j) for j in window}
             points = set(func.xs)
             inc = set(rep.stage_candidates[i].points)
-            power *= k
+            power *= k if lo < b else 1
 
             # (1) W_i approximates the raw row within one stage ratio, and
-            # the induced function only climbs just past a breakpoint.
+            # the induced function only drops at a breakpoint.
             for j in window:
                 assert raw[j] <= dense[j]
                 assert dense[j] * k.denominator <= raw[j] * k.numerator
-            climbs = {j for j in window[1:] if dense[j] > dense[j - 1]}
-            assert climbs <= {p + 1 for p in points}
+            drops = {j for j in window[1:] if dense[j] < dense[j - 1]}
+            assert drops <= points
 
-            # (2) the compressed row is a k^i-approximation of the exact row.
-            exact = exact_rows[i + 1]
-            for j in window:
-                assert exact[j] <= dense[j] <= power * exact[j]
-            assert all(dense[j] <= dense[j + 1] for j in window[:-1])
+            # (2) the compressed row is a k^i-approximation of the exact row;
+            # its subsets leave out at least j, so they keep at most W_i - j.
+            kept = sum(inst.weights[: i + 1])
+            exact = [exact_rows[i + 1][kept - j] if j <= kept else 0 for j in window]
+            for j, e in zip(window, exact):
+                assert e <= dense[j] <= power * e
+            assert all(dense[j] >= dense[j + 1] for j in window[:-1])
 
             # (3) restricted to the candidate ranks the same sandwich holds.
             for p in sorted(inc):
                 assert raw[p] <= dense[p]
                 assert dense[p] * k.denominator <= raw[p] * k.numerator
 
-            # (4) the candidates cover every strict increase of the raw row.
-            rises = {j for j in window[1:] if raw[j] > raw[j - 1]}
-            assert rises <= inc
+            # (4) the candidates cover every strict decrease of the raw row.
+            falls = {j for j in window[1:] if raw[j] < raw[j - 1]}
+            assert falls <= inc
 
             prev = func.query
 

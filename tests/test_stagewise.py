@@ -17,7 +17,6 @@ import approxcount
 from approxcount import (
     ApproxRatio,
     Contingency2Instance,
-    Direction,
     IntInterval,
     InvalidInput,
     KnapsackInstance,
@@ -32,9 +31,8 @@ from approxcount import (
     strong_fptas_knapsack,
     strong_fptas_mtuples,
 )
-from approxcount.knapsack import _empty_subset_row
+from approxcount.knapsack import left_out
 from approxcount.mtuples import _empty_tuple_row
-from mirrored_search import mirrored_search
 
 README_KNAPSACK = KnapsackInstance(weights=(3, 5, 8, 9), capacity=17)
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
@@ -43,8 +41,8 @@ GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 def test_readme_library_example():
     rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 4))
     assert rep.count == 13
-    assert rep.oracle_calls == 14
-    assert rep.per_stage_set_sizes == [3, 5, 5, 1]
+    assert rep.oracle_calls == 15
+    assert rep.per_stage_set_sizes == [4, 5, 5, 1]
 
 
 # Every row keeps the id it had before its oracle calls last changed. The
@@ -69,7 +67,10 @@ def test_readme_library_example():
 # points (count 13, 14 calls and sizes [4, 5, 2, 1] before). Since a
 # one-point stage no longer counts in the exponent of k, the strong
 # knapsack row at eps 7 chooses k for 3 stages, not 4, and keeps fewer
-# points (16, 13 calls and sizes [3, 4, 2, 1] before).
+# points (16, 13 calls and sizes [3, 4, 2, 1] before). Since strong knapsack
+# counts the left-out items as m-tuples, its row pins the complement's
+# stages on the windows {0..8}, {0..8}, {0..8} and {8} (16, 9 calls and
+# sizes [2, 2, 2, 1] before).
 @pytest.mark.parametrize(
     "counter, inst, eps, count, calls, sizes",
     [
@@ -82,7 +83,7 @@ def test_readme_library_example():
             id="fptas_knapsack-inst1-7-13-89-sizes1",
         ),
         pytest.param(
-            strong_fptas_knapsack, README_KNAPSACK, 7, 16, 9, [2, 2, 2, 1],
+            strong_fptas_knapsack, README_KNAPSACK, 7, 16, 10, [3, 2, 2, 1],
             id="strong_fptas_knapsack-inst2-7-13-98-sizes2",
         ),
         pytest.param(
@@ -143,6 +144,7 @@ def test_mtuples_stage_one_candidates_are_the_window_ends_and_successors():
 def test_strong_candidates_are_the_piece_starts_in_the_domain():
     # Each strong stage's candidates are read off the piece table of the sum
     # it compresses: both ends of its window and every piece start between them.
+    # Strong knapsack's stages are those of the m-tuples of the left-out items.
     rng = random.Random(4242)
     for _ in range(60):
         scale = rng.choice((1, 10, 1000, 10**9))
@@ -154,9 +156,9 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain():
             for _ in range(rng.randint(1, 4))
         ]
         tuples = MTuplesInstance(sets=sets, bound=rng.randint(0, sum(map(max, sets))))
+        out = left_out(knap)
         runs = [
-            (strong_fptas_knapsack(knap, eps), _empty_subset_row(knap.capacity),
-             [(0, w) for w in knap.weights]),
+            (strong_fptas_knapsack(knap, eps), _empty_tuple_row(out.bound), out.sets),
             (strong_fptas_mtuples(tuples, eps), _empty_tuple_row(tuples.bound), tuples.sets),
         ]
         for rep, prev, shift_sets in runs:
@@ -195,13 +197,10 @@ def test_below_domain_value_is_the_product_of_set_sizes(counter, golden, bound5)
     assert _below_zero(counter(low, Fraction(1, 2))) == bound5
 
 
-# README_KNAPSACK's strong windows are {0..17}, {0..17}, {8..17} and {17}.
+# Strong knapsack's stages count the left-out items, so their value below 0
+# is the m-tuples one (test_strong_stages_are_the_searched_windows).
 @pytest.mark.parametrize(
-    "counter, below",
-    [
-        pytest.param(fptas_knapsack, [0] * 4, id="fptas_knapsack"),
-        pytest.param(strong_fptas_knapsack, [0, 0, None, None], id="strong_fptas_knapsack"),
-    ],
+    "counter, below", [pytest.param(fptas_knapsack, [0] * 4, id="fptas_knapsack")]
 )
 def test_knapsack_rows_are_zero_below_the_domain(counter, below):
     assert _below_zero(counter(README_KNAPSACK, Fraction(1, 2))) == below
@@ -252,21 +251,22 @@ def _sweep_text():
     return "\n".join(lines)
 
 
+def _windowed(tuples):
+    """(first row, [(shifts, window)]) of strong m-tuples on ``tuples``."""
+    b, stages = tuples.bound, []
+    for i, shifts in enumerate(tuples.sets):
+        later = tuples.sets[i + 1 :]
+        hi, lo = sum(map(max, later)), sum(map(min, later))
+        stages.append((shifts, IntInterval(max(0, b - hi), max(0, b - lo))))
+    return _empty_tuple_row(b), stages
+
+
 def _strong_runs(rounds):
-    """(report, first row, [(shifts, window)]) of both strong counters per sweep round."""
+    """(eps, report, first row, [(shifts, window)]) of both strong counters per
+    sweep round; strong knapsack's stages are those of its left-out items."""
     for eps, knap, tuples, _ in _sweep_instances(rounds):
-        c, b = knap.capacity, tuples.bound
-        items = [
-            ((0, w), IntInterval(max(0, c - sum(knap.weights[i + 1 :])), c))
-            for i, w in enumerate(knap.weights)
-        ]
-        sets = []
-        for i, shifts in enumerate(tuples.sets):
-            later = tuples.sets[i + 1 :]
-            hi, lo = sum(map(max, later)), sum(map(min, later))
-            sets.append((shifts, IntInterval(max(0, b - hi), max(0, b - lo))))
-        yield eps, strong_fptas_knapsack(knap, eps), _empty_subset_row(c), items
-        yield eps, strong_fptas_mtuples(tuples, eps), _empty_tuple_row(b), sets
+        yield eps, strong_fptas_knapsack(knap, eps), *_windowed(left_out(knap))
+        yield eps, strong_fptas_mtuples(tuples, eps), *_windowed(tuples)
 
 
 def test_strong_stages_are_the_searched_windows():
@@ -278,10 +278,9 @@ def test_strong_stages_are_the_searched_windows():
         ratio = ApproxRatio.for_stages(eps, max(sum(w.lo < w.hi for _, w in stages), 1))
         for (shifts, window), func in zip(stages, rep.stage_functions):
             raw = shifted_sum([(prev, s) for s in shifts], window)
-            up = raw.direction is Direction.NONDECREASING
-            search = mirrored_search if up else apx_set_nonincreasing
             below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
-            assert func.to_json() == search(raw, window, ratio, below=below).to_json()
+            expected = apx_set_nonincreasing(raw, window, ratio, below=below)
+            assert func.to_json() == expected.to_json()
             prev = func
         assert rep.oracle_calls == sum(len(c) for c in rep.stage_candidates)
 
@@ -302,9 +301,10 @@ def test_every_read_of_a_strong_stage_lands_in_its_window_or_below_zero():
 def test_chain_length_counts_the_stages_that_can_merge():
     # A one-point stage is one exact evaluation, so the exponent of k counts
     # only the stages whose domain has more than one point: never the last
-    # strong stage {C} or {B}, nor the last contingency column {R}. Every
-    # plain stage spans {0..C} or {0..B}, so the plain exponent stays the
-    # number of items or sets unless C or B is 0.
+    # strong stage {B} (for knapsack, {W - C} of the left-out items), nor the
+    # last contingency column {R}. Every plain stage spans {0..C} or {0..B},
+    # so the plain exponent stays the number of items or sets unless C or B
+    # is 0.
     for eps, knap, tuples, table in _sweep_instances(rounds=100):
         plain_knap, strong_knap = fptas_knapsack(knap, eps), strong_fptas_knapsack(knap, eps)
         plain_tuples, strong_tuples = fptas_mtuples(tuples, eps), strong_fptas_mtuples(tuples, eps)
@@ -320,17 +320,17 @@ def test_chain_length_counts_the_stages_that_can_merge():
 
 
 def test_a_window_above_zero_refuses_reads_below_it():
-    rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 2))
-    stage = rep.stage_functions[2]  # window {8..17}
-    assert (stage.domain.lo, stage.domain.hi, stage.out_of_domain_low) == (8, 17, None)
-    assert stage.query(8) == stage.values[0]
+    rep = strong_fptas_mtuples(GOLDEN, Fraction(1, 2))
+    stage = rep.stage_functions[0]  # window {17 - 14..17 - 5}
+    assert (stage.domain.lo, stage.domain.hi, stage.out_of_domain_low) == (3, 12, None)
+    assert stage.query(3) == stage.values[0]
     with pytest.raises(InvalidInput):
-        stage.query(7)
-    window = IntInterval(17, 17)
-    assert shifted_sum([(stage, 0), (stage, 9)], window)(17) == stage.query(17) + stage.query(8)
+        stage.query(2)
+    window = IntInterval(12, 12)
+    assert shifted_sum([(stage, 0), (stage, 9)], window)(12) == stage.query(12) + stage.query(3)
     with pytest.raises(InvalidInput):
         shifted_sum([(stage, 0), (stage, 10)], window)
-    assert shifted_sum([(stage, 0)])(8) == stage.query(8)  # the domain defaults to the window
+    assert shifted_sum([(stage, 0)])(3) == stage.query(3)  # the domain defaults to the window
     with pytest.raises(InvalidInput):
         shifted_sum([(stage, 1)])
 
@@ -397,6 +397,9 @@ def test_walked_stages_fall_by_more_than_k_at_every_kept_point():
 # strong knapsack, 20 strong m-tuples and 13 contingency lines changed, and
 # one plain m-tuples line (bound 0, so every stage is {0}) changed its chain
 # length from 4 to 0 only; no plain function or count moved.
+# Re-pinned when strong knapsack became strong m-tuples over the left-out
+# items (it was 4f986ae973d613710322f3c59bf7acd0111380a92785cc85cf47535b4edd90d3):
+# the 20 strong knapsack lines changed, no other line did.
 def test_seeded_sweep_output_is_unchanged():
     digest = hashlib.sha256(_sweep_text().encode()).hexdigest()
-    assert digest == "4f986ae973d613710322f3c59bf7acd0111380a92785cc85cf47535b4edd90d3"
+    assert digest == "11484fd07fb3a36765521ebd757c0efb5889c55fd7a5e27002c6f5a5aa7b931a"

@@ -189,13 +189,15 @@ class TestStepFunctionQuery:
             )
 
     def test_json_uses_decimal_strings(self):
-        f = StepFunction(
-            domain=IntInterval(0, 1),
-            direction=Direction.NONDECREASING,
-            xs=(0, 1),
-            values=(1, 2**100),
-        )
-        assert str(2**100) in f.to_json()
+        # 10**5000 has more digits than str() converts by default
+        for value, digits in ((2**100, str(2**100)), (10**5000, "1" + "0" * 5000)):
+            f = StepFunction(
+                domain=IntInterval(0, 1),
+                direction=Direction.NONDECREASING,
+                xs=(0, 1),
+                values=(1, value),
+            )
+            assert digits in f.to_json()
 
 
 def test_identity_on_one_to_sixteen_with_k_two():
