@@ -54,22 +54,31 @@ from .stagewise import RunReport
 from .stepfunc import decimal_text
 
 
+# The generator's size flags: name -> (default, least value, help).
+SIZE_FLAGS = {
+    "n": (6, 1, "items (knapsack) or columns (contingency2)"),
+    "m": (3, 1, "number of sets (mtuples)"),
+    "wmax": (50, 1, "max item weight (knapsack)"),
+    "cap": (None, 0, "knapsack capacity; random if omitted"),
+    "setmax": (5, 1, "max elements per set (mtuples)"),
+    "valmax": (30, 0, "max element value (mtuples)"),
+    "bound": (None, 0, "mtuples sum bound; random if omitted"),
+    "cellmax": (8, 0, "max cell value (contingency2)"),
+}
+
+
 class Problem(NamedTuple):
     instance: type  # its dataclass fields are the payload's keys, in order
     depths: dict[str, int]  # payload field -> how many lists deep its integers sit
-    sizes: dict[str, int]  # the generator's size flags -> least values; bench's size is the first
+    sizes: tuple[str, ...]  # its SIZE_FLAGS; bench's size is the first
 
 
 PROBLEMS = {
     "mtuples": Problem(
-        MTuplesInstance, {"sets": 2, "bound": 0}, {"m": 1, "setmax": 1, "valmax": 0, "bound": 0}
+        MTuplesInstance, {"sets": 2, "bound": 0}, ("m", "setmax", "valmax", "bound")
     ),
-    "knapsack": Problem(
-        KnapsackInstance, {"weights": 1, "capacity": 0}, {"n": 1, "wmax": 1, "cap": 0}
-    ),
-    "contingency2": Problem(
-        Contingency2Instance, {"row_sums": 1, "col_sums": 1}, {"n": 1, "cellmax": 0}
-    ),
+    "knapsack": Problem(KnapsackInstance, {"weights": 1, "capacity": 0}, ("n", "wmax", "cap")),
+    "contingency2": Problem(Contingency2Instance, {"row_sums": 1, "col_sums": 1}, ("n", "cellmax")),
 }
 MODES = ("exact-dp", "exact-brute", "fptas", "strong-fptas")
 APPROX_MODES = ("fptas", "strong-fptas")
@@ -200,13 +209,15 @@ def _counter(problem: str, mode: str):
 
 
 def run_mode(problem: str, inst, mode: str, eps: Fraction | None):
-    """Dispatch one count. Returns (count, oracle_calls, set_sizes, elapsed_s)."""
+    """Dispatch one count. Returns (count, oracle_calls, set_sizes, elapsed_s),
+    elapsed_s timed here around the counter call, whatever the mode."""
     counter = _counter(problem, mode)
     t0 = perf_counter()
     result = counter(inst, eps)
+    elapsed = perf_counter() - t0
     if isinstance(result, RunReport):
-        return result.count, result.oracle_calls, list(result.per_stage_set_sizes), result.elapsed
-    return result, 0, [], perf_counter() - t0
+        return result.count, result.oracle_calls, list(result.per_stage_set_sizes), elapsed
+    return result, 0, [], elapsed
 
 
 def _emit(out, record: dict) -> None:
@@ -220,36 +231,69 @@ def _open_out(args):
     return nullcontext(sys.stdout)
 
 
+def _items(args):
+    """(where, problem, instance) from ``--input``, or drawn from ``--seed``."""
+    if args.input:
+        loaded = load_instances(args.input, args.problem)
+        return ((f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded)
+    if not args.problem:
+        raise InvalidInput("verify needs --input or --problem to generate instances")
+    return (("", args.problem, inst) for inst in _drawn(args, _trials(args)))
+
+
 def cmd_count(args) -> int:
+    """``count``, and ``verify``: the count checked against the exact DP, one
+    summary line after the records, exit 1 on a violation."""
+    verify = args.command == "verify"
     eps = _parse_epsilon(args.epsilon) if args.epsilon is not None else None
     if args.mode in APPROX_MODES and eps is None:
         raise InvalidInput(f"--epsilon is required for mode {args.mode}")
     if args.problem:  # checked once, even when no instance arrives
         _counter(args.problem, args.mode)
+    items = _items(args)
+
+    trials = violations = 0
+    max_ratio = Fraction(0)
     with _open_out(args) as out:
-        for lineno, problem, inst in load_instances(args.input, args.problem):
+        for where, problem, inst in items:
             try:
+                exact = COUNTERS[problem, "exact-dp"](inst, None) if verify else None
                 count, calls, sizes, elapsed = run_mode(problem, inst, args.mode, eps)
             except Exception as exc:  # noqa: BLE001 - reported with its line, as main would
-                return _report_error(exc, f"{args.input}:{lineno}: ")
+                return _report_error(exc, where)
             record = {"problem": problem, "mode": args.mode}
             if args.mode in APPROX_MODES:
                 record["epsilon"] = str(eps)
-            record.update(
-                count=decimal_text(count),
-                oracle_calls=calls,
-                set_sizes=sizes,
-                elapsed_ms=round(elapsed * 1000.0, 3),
-            )
+            record["count"] = decimal_text(count)
+            if verify:
+                record["exact"] = decimal_text(exact)
+            elapsed_ms = round(elapsed * 1000.0, 3)
+            record.update(oracle_calls=calls, set_sizes=sizes, elapsed_ms=elapsed_ms)
+            if verify:
+                trials += 1
+                if exact == 0:
+                    record["ok"] = count == 0
+                else:
+                    ratio = Fraction(count, exact)
+                    max_ratio = max(max_ratio, ratio)
+                    record["ok"] = exact <= count and ratio <= 1 + eps
+                    record["ratio_vs_exact"] = decimal_text(ratio)
+                if not record["ok"]:
+                    violations += 1
+                    record["payload"] = payload_from_instance(inst)
             _emit(out, record)
-    return 0
+        if verify:
+            summary = {"summary": "verify", "trials": trials, "violations": violations}
+            summary.update(max_ratio=decimal_text(max_ratio), bound=str(1 + eps))
+            _emit(out, summary)
+    return 1 if violations else 0
 
 
 def _drawn(args, count: int):
     """``count`` instances of ``--problem`` drawn from ``--seed``. The size
     flags are checked once, before the first draw."""
-    for name, least in PROBLEMS[args.problem].sizes.items():
-        value = getattr(args, name)
+    for name in PROBLEMS[args.problem].sizes:
+        value, least = getattr(args, name), SIZE_FLAGS[name][1]
         if value is not None and value < least:
             raise InvalidInput(f"--{name} must be at least {least}, got {value}")
     rng = random.Random(args.seed)
@@ -288,73 +332,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    eps = _parse_epsilon(args.epsilon)
-    mode = args.mode
-    if args.problem:  # checked once, even when no instance arrives
-        _counter(args.problem, mode)
-    if args.input:
-        loaded = load_instances(args.input, args.problem)
-        items = ((f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded)
-    else:
-        if not args.problem:
-            raise InvalidInput("verify needs --input or --problem to generate instances")
-        items = (("", args.problem, inst) for inst in _drawn(args, _trials(args)))
-
-    trials = violations = 0
-    max_ratio = Fraction(0)
-    bound = 1 + eps
-    with _open_out(args) as out:
-        for where, problem, inst in items:
-            trials += 1
-            try:
-                exact = COUNTERS[problem, "exact-dp"](inst, None)
-                count, calls, sizes, elapsed = run_mode(problem, inst, mode, eps)
-            except Exception as exc:  # noqa: BLE001 - reported with its line, as main would
-                return _report_error(exc, where)
-            if exact == 0:
-                ok = count == 0
-            else:
-                ratio = Fraction(count, exact)
-                ok = exact <= count and ratio <= bound
-                max_ratio = max(max_ratio, ratio)
-            record = {
-                "problem": problem,
-                "mode": mode,
-                "epsilon": str(eps),
-                "count": decimal_text(count),
-                "exact": decimal_text(exact),
-                "oracle_calls": calls,
-                "set_sizes": sizes,
-                "elapsed_ms": round(elapsed * 1000.0, 3),
-                "ok": ok,
-            }
-            if exact > 0:
-                record["ratio_vs_exact"] = decimal_text(ratio)
-            if not ok:
-                violations += 1
-                record["payload"] = payload_from_instance(inst)
-            _emit(out, record)
-        _emit(
-            out,
-            {
-                "summary": "verify",
-                "trials": trials,
-                "violations": violations,
-                "max_ratio": decimal_text(max_ratio),
-                "bound": str(bound),
-            },
-        )
-    return 1 if violations else 0
-
-
 def cmd_bench(args) -> int:
     eps_list = [_parse_epsilon(tok) for tok in (args.epsilon or "").split(",") if tok]
     scales = [_as_int(tok, "--scales") for tok in args.scales.split(",") if tok != ""]
     if any(k < 0 for k in scales):
         raise InvalidInput("scale exponents must be nonnegative")
     (base,) = _drawn(args, 1)
-    size = getattr(args, next(iter(PROBLEMS[args.problem].sizes)))
+    size = getattr(args, PROBLEMS[args.problem].sizes[0])
 
     if eps_list:
         modes = [m for m in _modes_of(args.problem) if m in APPROX_MODES]
@@ -387,17 +371,8 @@ def cmd_bench(args) -> int:
 
 
 def _add_size_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, default, text in (
-        ("--n", 6, "items (knapsack) or columns (contingency2)"),
-        ("--m", 3, "number of sets (mtuples)"),
-        ("--wmax", 50, "max item weight (knapsack)"),
-        ("--cap", None, "knapsack capacity; random if omitted"),
-        ("--setmax", 5, "max elements per set (mtuples)"),
-        ("--valmax", 30, "max element value (mtuples)"),
-        ("--bound", None, "mtuples sum bound; random if omitted"),
-        ("--cellmax", 8, "max cell value (contingency2)"),
-    ):
-        parser.add_argument(flag, type=decimal, default=default, help=text)
+    for name, (default, _, text) in SIZE_FLAGS.items():
+        parser.add_argument(f"--{name}", type=decimal, default=default, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=decimal, default=100)
     p_verify.add_argument("--out", help="write results here instead of stdout")
     _add_size_flags(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.set_defaults(handler=cmd_count)
 
     p_gen = sub.add_parser("gen", help="generate random instances")
     p_gen.add_argument("--problem", choices=PROBLEMS, required=True)

@@ -185,7 +185,7 @@ def _column(half: StepFunction, stage: tuple[int, int, IntInterval], ratio: Appr
     w = window_sum(half, pivot - s, s)
     oracle = FnOracle(window, Direction.NONDECREASING, w)
     knots = window_knots(half, pivot - s, s, window)
-    return oracle, compress_contingency(oracle, ratio, knots), None
+    return oracle, compress_contingency(oracle, ratio, knots)
 
 
 def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:

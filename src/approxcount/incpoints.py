@@ -17,10 +17,13 @@ superset of everywhere the stage function actually changes (an
 
 The result is what :func:`~approxcount.stepfunc.apx_set_nonincreasing`
 keeps over the index's domain. Strong m-tuples, and strong knapsack
-through it, makes that domain each stage's reachable window; a window
-that starts above 0 gets ``below=None``, no value under it. Oracle cost
-is one evaluation per candidate and never depends on the width of the
-numeric domain; that is the whole point.
+through it, is the only user: its stage ``compress``
+(:func:`~approxcount.mtuples._over_piece_starts`) builds the index from
+the piece starts of the stage's sum in its reachable window; a window
+that starts above 0 gets ``below=None``, no value under it. The shared
+stage loop (:mod:`~approxcount.stagewise`) imports nothing from here.
+Oracle cost is one evaluation per candidate and never depends on the
+width of the numeric domain; that is the whole point.
 """
 
 from __future__ import annotations

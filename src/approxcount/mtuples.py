@@ -14,11 +14,13 @@ where a one-point stage is exact and does not count in m:
   elements s, which from its window land in window i or below 0, where the
   count is exactly the product of the set sizes so far; a window that
   starts above 0 has no value below it, and a read there raises. Inside the
-  window a stage is evaluated only at its candidate change points (the
-  starts of its piece table), so the work is independent of the magnitude
-  of B. The window's low end keeps its exact value, so the count need not
-  equal the plain one. :func:`~approxcount.knapsack.strong_fptas_knapsack`
-  is this counter on the items a knapsack subset leaves out.
+  window a stage is evaluated only at its candidate change points, both
+  window ends and the starts of its piece table between them, which cover
+  every change by construction (:func:`_over_piece_starts`), so the work is
+  independent of the magnitude of B. The window's low end keeps its exact
+  value, so the count need not equal the plain one.
+  :func:`~approxcount.knapsack.strong_fptas_knapsack` is this counter on the
+  items a knapsack subset leaves out.
 
 Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 """
@@ -26,11 +28,13 @@ Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 from __future__ import annotations
 
 from functools import partial
+from itertools import accumulate
+from typing import Sequence
 
-from .incpoints import convert
+from .incpoints import IncIndex, convert
 from .oracles import MTuplesInstance
-from .stagewise import RunReport, run_stages, sum_stage, sums_after
-from .stepfunc import Direction, IntInterval, StepFunction
+from .stagewise import RunReport, run_stages, sum_stage
+from .stepfunc import ApproxRatio, Direction, FnOracle, IntInterval, StepFunction
 
 
 def _empty_tuple_row(bound: int) -> StepFunction:
@@ -44,6 +48,19 @@ def _empty_tuple_row(bound: int) -> StepFunction:
         out_of_domain_low=1,
         out_of_domain_high=0,
     )
+
+
+def sums_after(values: Sequence[int]) -> list[int]:
+    """For each value, the sum of the values after it."""
+    return list(accumulate(reversed(values), initial=0))[-2::-1]
+
+
+def _over_piece_starts(
+    raw: FnOracle, dom: IntInterval, ratio: ApproxRatio, below: int | None
+) -> StepFunction:
+    """Compress the stage sum ``raw`` over the :class:`IncIndex` of its
+    piece starts in dom, at one evaluation per candidate."""
+    return convert(raw, IncIndex.build(raw.starts, dom), ratio, below=below)
 
 
 def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
@@ -63,11 +80,12 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     starts from the empty-tuple row, which steps from 1 to 0 between 0 and
     1, so its candidates are the successors of the first set's elements
     that lie in its window, and the window's ends. Each stage is then
-    compressed by :func:`~approxcount.incpoints.convert`.
+    compressed by :func:`~approxcount.incpoints.convert`
+    (:func:`_over_piece_starts`).
     """
     b = inst.bound
     highs = sums_after([max(s) for s in inst.sets])
     lows = sums_after([min(s) for s in inst.sets])
     windows = [IntInterval(max(0, b - hi), max(0, b - lo)) for hi, lo in zip(highs, lows)]
-    step = partial(sum_stage, convert=convert)
+    step = partial(sum_stage, compress=_over_piece_starts)
     return run_stages(_empty_tuple_row(b), list(zip(inst.sets, windows)), epsilon, b, step)

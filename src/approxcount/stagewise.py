@@ -20,12 +20,10 @@ knapsack and m-tuples share :func:`sum_stage`, for the recurrence
 over the domain each stage names: knapsack with S_i = (0, w_i), m-tuples
 with S_i the i-th set. The plain variants name {0..hi} for every stage and
 compress the sum (:func:`~approxcount.stepfunc.shifted_sum`) by binary
-search over it. Strong m-tuples, which strong knapsack runs on the items a
-subset leaves out (:mod:`~approxcount.knapsack`), names the stage's
-reachable window (:mod:`~approxcount.mtuples`) and evaluates the sum only
-at its candidate change points there: both window ends and the starts of
-the sum's piece table between them, which cover every change by
-construction. A walk over the pieces between them keeps the step function
+search over it, :func:`sum_stage`'s default ``compress``. Strong m-tuples,
+which strong knapsack runs on the items a subset leaves out
+(:mod:`~approxcount.knapsack`), names each stage's reachable window and
+passes its own ``compress`` (:mod:`~approxcount.mtuples`), which keeps what
 the nonincreasing binary search over the window keeps.
 Shifts are nonnegative, so when a stage's domain starts where the previous
 one's does, every f_{i-1}(j - s) below it is the previous below-domain value
@@ -37,15 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from time import perf_counter
 from typing import Callable, Sequence
 
 from .errors import TooLarge
-from .incpoints import IncIndex
 from .stepfunc import (
     ApproxRatio,
     Direction,
+    FnOracle,
+    IntInterval,
     StepFunction,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
@@ -65,10 +62,9 @@ class RunReport:
 
     ``chain_length`` is the exponent the per-stage ratio was chosen for:
     the number of stages whose domain has more than one point (0 when no
-    stage has). The ``stage_*`` lists hold each compression's compressed
-    function and, for the strong variants, candidate change points, in the
-    order they were built; ``per_stage_set_sizes`` are the functions'
-    breakpoint counts.
+    stage has). ``stage_functions`` holds each compression's compressed
+    function in the order they were built; ``per_stage_set_sizes`` are
+    their breakpoint counts.
     """
 
     count: int
@@ -76,32 +72,26 @@ class RunReport:
     oracle_calls: int
     per_stage_set_sizes: list[int]
     chain_length: int
-    elapsed: float
     stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
-    stage_candidates: list[IncIndex] = field(repr=False, default_factory=list)
 
 
-def sums_after(values: Sequence[int]) -> list[int]:
-    """For each value, the sum of the values after it."""
-    return list(accumulate(reversed(values), initial=0))[-2::-1]
+def _search(raw: FnOracle, dom: IntInterval, ratio: ApproxRatio, below: int | None) -> StepFunction:
+    """The binary search over dom in the direction of raw."""
+    up = raw.direction is Direction.NONDECREASING
+    search = apx_set_nondecreasing if up else apx_set_nonincreasing
+    return search(raw, dom, ratio, below=below)
 
 
-def sum_stage(prev: StepFunction, stage, ratio, convert: Callable | None = None):
+def sum_stage(prev: StepFunction, stage, ratio, compress: Callable = _search):
     """One stage of the shifted-sum recurrence, ``stage = (shifts, domain)``:
-    sum over the domain, then compress by binary search or, given strong
-    m-tuples' :func:`~approxcount.incpoints.convert`, over the
-    :class:`IncIndex` of the sum's piece starts (returned too).
+    returns the sum over the domain, an oracle, and ``compress(sum, domain,
+    ratio, below)``, by default the binary search in the sum's direction.
     """
     shifts, dom = stage
     raw = shifted_sum([(prev, s) for s in shifts], dom)
     low = prev.out_of_domain_low
     below = None if low is None or dom.lo > prev.domain.lo else low * len(shifts)
-    if convert is None:
-        up = raw.direction is Direction.NONDECREASING
-        search = apx_set_nondecreasing if up else apx_set_nonincreasing
-        return raw, search(raw, dom, ratio, below=below), None
-    candidates = IncIndex.build(raw.starts, dom)
-    return raw, convert(raw, candidates, ratio, below=below), candidates
+    return raw, compress(raw, dom, ratio, below)
 
 
 def run_stages(
@@ -109,28 +99,25 @@ def run_stages(
 ) -> RunReport:
     """Run ``step(prev, stage, ratio)`` for every stage from ``first`` and
     report the last row at ``query_at``. Each stage is a tuple that ends
-    with its domain. A step returns the oracle it evaluated, the compressed
-    function and the strong candidates (or None). Keeping more than
-    KEPT_BREAKPOINT_CAP breakpoints in all raises TooLarge.
+    with its domain. A step returns the oracle it evaluated and the
+    compressed function. Keeping more than KEPT_BREAKPOINT_CAP breakpoints
+    in all raises TooLarge.
     """
-    started = perf_counter()
     eps = to_fraction(epsilon)
     # a one-point stage is one exact evaluation: it merges nothing, adds no ratio
     merging = sum(dom.lo < dom.hi for *_, dom in stages)
     ratio = ApproxRatio.for_stages(eps, max(merging, 1))
     approx = first
     calls = kept = 0
-    stage_functions, stage_candidates = [], []
+    stage_functions = []
 
     for stage in stages:
-        oracle, approx, candidates = step(approx, stage, ratio)
+        oracle, approx = step(approx, stage, ratio)
         calls += oracle.calls
         kept += len(approx)
         if kept > KEPT_BREAKPOINT_CAP:
             raise TooLarge(f"kept breakpoints exceed cap {KEPT_BREAKPOINT_CAP}")
         stage_functions.append(approx)
-        if candidates is not None:
-            stage_candidates.append(candidates)
 
     return RunReport(
         count=approx.query(query_at),
@@ -138,7 +125,5 @@ def run_stages(
         oracle_calls=calls,
         per_stage_set_sizes=[len(f) for f in stage_functions],
         chain_length=merging,
-        elapsed=perf_counter() - started,
         stage_functions=stage_functions,
-        stage_candidates=stage_candidates,
     )

@@ -36,7 +36,6 @@ of it is one bisect.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -233,15 +232,17 @@ class StepFunction:
         return self.values[bisect_right(self.xs, x) - 1]
 
     def to_json(self) -> str:
+        """One JSON object, laid out as json.dumps lays it out: positions are
+        JSON numbers, values decimal strings, both at any length (json.dumps
+        refuses an int past sys.get_int_max_str_digits())."""
         low = self.out_of_domain_low
-        return json.dumps(
-            {
-                "domain": [self.domain.lo, self.domain.hi],
-                "direction": self.direction.value,
-                "breakpoints": [[x, decimal_text(v)] for x, v in zip(self.xs, self.values)],
-                "below": None if low is None else decimal_text(low),
-                "above": decimal_text(self.out_of_domain_high),
-            }
+        pos, val = decimal_text, lambda v: f'"{decimal_text(v)}"'
+        points = ", ".join(f"[{pos(x)}, {val(v)}]" for x, v in zip(self.xs, self.values))
+        return (
+            f'{{"domain": [{pos(self.domain.lo)}, {pos(self.domain.hi)}], '
+            f'"direction": "{self.direction.value}", "breakpoints": [{points}], '
+            f'"below": {"null" if low is None else val(low)}, '
+            f'"above": {val(self.out_of_domain_high)}}}'
         )
 
 

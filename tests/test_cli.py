@@ -120,6 +120,16 @@ def test_gen_contingency_margins_are_consistent(capsys):
     assert all(c >= 1 for c in cols)
 
 
+def test_gen_bumps_every_zero_column_to_one(capsys):
+    # --cellmax 0, its least value, draws only zero cells
+    code, out, _ = run(
+        capsys, ["gen", "--problem", "contingency2", "--n", "4", "--cellmax", "0", "--seed", "7"]
+    )
+    assert code == 0
+    (rec,) = json_lines(out)
+    assert rec["payload"]["col_sums"] == ["1"] * 4
+
+
 def test_verify_reports_ratio_on_golden(golden_file, capsys):
     code, out, _ = run(capsys, ["verify", "--input", golden_file, "--epsilon", "7"])
     assert code == 0
@@ -129,6 +139,20 @@ def test_verify_reports_ratio_on_golden(golden_file, capsys):
     assert summary["violations"] == 0
     assert summary["max_ratio"] == "4"
     assert summary["bound"] == "8"
+
+
+@pytest.mark.parametrize("mode", ["fptas", "strong-fptas"])
+def test_verify_when_no_tuple_reaches_the_bound(tmp_path, capsys, mode):
+    path = tmp_path / "none.ndjson"
+    payload = {"sets": [["1"], ["2"]], "bound": "10"}
+    path.write_text(json.dumps({"problem": "mtuples", "payload": payload}) + "\n")
+    argv = ["verify", "--input", str(path), "--mode", mode, "--epsilon", "1/2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    rec, summary = json_lines(out)
+    assert (rec["count"], rec["exact"], rec["ok"]) == ("0", "0", True)
+    assert "ratio_vs_exact" not in rec and "payload" not in rec
+    assert (summary["trials"], summary["violations"], summary["max_ratio"]) == (1, 0, "0")
 
 
 def test_verify_generated_knapsack(capsys):

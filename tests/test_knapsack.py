@@ -3,7 +3,8 @@
 The stage invariant block is the heart of this file. The strong counter
 counts the items a subset leaves out: with W the total weight, a subset
 weighs at most C exactly when they weigh at least B = max(0, W - C). For
-each item i it keeps a candidate index Inc_i, a breakpoint set W_i, and a
+each item i it builds a candidate index Inc_i (recomputed here from the
+report, tests/strong_candidates.py), a breakpoint set W_i, and a
 compressed row that_i of left-out subsets; soundness needs four relations
 between them and the raw row tbar_i(j) = that_{i-1}(j) + that_{i-1}(j - w_i).
 All four are checked by dense evaluation on capacities up to 500, the exact
@@ -21,6 +22,7 @@ from approxcount.errors import InvalidInput
 from approxcount.knapsack import fptas_knapsack, left_out, strong_fptas_knapsack
 from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_knapsack_table, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
+from strong_candidates import stage_candidates
 
 
 def test_three_items_half_epsilon():
@@ -64,7 +66,7 @@ def test_report_shape():
     inst = KnapsackInstance(weights=(4, 4, 9), capacity=12)
     rep = strong_fptas_knapsack(inst, Fraction(1, 3))
     assert len(rep.per_stage_set_sizes) == inst.n
-    assert len(rep.stage_candidates) == inst.n
+    assert len(stage_candidates(rep, left_out(inst))) == inst.n
     assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
 
 
@@ -138,6 +140,7 @@ class TestStageInvariants:
         k = ApproxRatio.for_stages(eps, max(rep.chain_length, 1)).k
         b = max(0, sum(inst.weights) - inst.capacity)
         exact_rows = dp_knapsack_table(inst)
+        candidates = stage_candidates(rep, left_out(inst))
 
         def prev_query(j):
             return 1 if j <= 0 else 0
@@ -152,7 +155,7 @@ class TestStageInvariants:
             raw = {j: prev(j) + prev(j - w_i) for j in window}
             dense = {j: func.query(j) for j in window}
             points = set(func.xs)
-            inc = set(rep.stage_candidates[i].points)
+            inc = set(candidates[i])
             power *= k if lo < b else 1
 
             # (1) W_i approximates the raw row within one stage ratio, and

@@ -15,6 +15,7 @@ from approxcount.errors import InvalidInput
 from approxcount.mtuples import fptas_mtuples, strong_fptas_mtuples
 from approxcount.oracles import MTuplesInstance, dp_mtuples, dp_mtuples_table
 from approxcount.stepfunc import ApproxRatio
+from strong_candidates import stage_candidates
 
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 
@@ -87,7 +88,6 @@ def test_report_shape():
     assert len(rep.per_stage_set_sizes) == GOLDEN.m
     assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
     assert rep.oracle_calls > 0
-    assert rep.elapsed >= 0
 
 
 @pytest.mark.parametrize("bad", [0, -1, Fraction(-3, 7), "0"])
@@ -163,7 +163,7 @@ def test_candidates_cover_strict_decreases():
         inst = random_instance(rng)
         rep = strong_fptas_mtuples(inst, Fraction(1, 2))
         prev = None
-        for i, (inc, func) in enumerate(zip(rep.stage_candidates, rep.stage_functions)):
+        for i, (inc, func) in enumerate(zip(stage_candidates(rep, inst), rep.stage_functions)):
             window = _window(inst, i)
             if i == 0:
                 ordered = sorted(inst.sets[0])
@@ -172,7 +172,7 @@ def test_candidates_cover_strict_decreases():
                 xs = inst.sets[i]
                 raw = [sum(prev.query(j - x) for x in xs) for j in window]
             drops = {window[t] for t in range(1, len(raw)) if raw[t] < raw[t - 1]}
-            assert drops <= set(inc.points)
+            assert drops <= set(inc)
             prev = func
 
 

@@ -5,7 +5,9 @@ change to candidate rules, search order or boundary values shows up here as
 a changed number even when every count stays inside its band.
 """
 
+import ast
 import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -31,8 +33,10 @@ from approxcount import (
     strong_fptas_knapsack,
     strong_fptas_mtuples,
 )
+from approxcount.incpoints import IncIndex, convert
 from approxcount.knapsack import left_out
 from approxcount.mtuples import _empty_tuple_row
+from strong_candidates import stage_candidates
 
 README_KNAPSACK = KnapsackInstance(weights=(3, 5, 8, 9), capacity=17)
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
@@ -122,6 +126,21 @@ def test_every_counter_returns_one_report_type():
     assert all(type(rep) is RunReport for rep in reports)
 
 
+def test_the_stage_loop_imports_nothing_from_incpoints():
+    # The strong path's candidate index lives in mtuples; the shared loop
+    # takes a compress function and knows no candidates.
+    tree = ast.parse(inspect.getsource(approxcount.stagewise))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.update([module] + [f"{module}.{a.name}" for a in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert imported  # the scan sees the module's own imports
+    assert not {m for m in imported if "incpoints" in m}
+
+
 def test_every_exported_name_resolves_once():
     names = approxcount.__all__
     assert len(set(names)) == len(names)
@@ -135,16 +154,24 @@ def test_mtuples_stage_one_candidates_are_the_window_ends_and_successors():
     # piece table stopped starting pieces where nothing changes: the
     # empty-tuple row steps from 1 to 0 between 0 and 1, so a copy shifted by
     # s changes only at s + 1. 3 stays as the window's low end.
-    rep = strong_fptas_mtuples(GOLDEN, 7)
-    assert len(rep.stage_candidates) == GOLDEN.m
-    assert rep.stage_candidates[0].points == (3, 4, 8, 12)
-    assert fptas_mtuples(GOLDEN, 7).stage_candidates == []
+    candidates = stage_candidates(strong_fptas_mtuples(GOLDEN, 7), GOLDEN)
+    assert len(candidates) == GOLDEN.m
+    assert candidates[0] == (3, 4, 8, 12)
 
 
-def test_strong_candidates_are_the_piece_starts_in_the_domain():
+def test_strong_candidates_are_the_piece_starts_in_the_domain(monkeypatch):
     # Each strong stage's candidates are read off the piece table of the sum
     # it compresses: both ends of its window and every piece start between them.
     # Strong knapsack's stages are those of the m-tuples of the left-out items.
+    # The candidates each stage is converted over are recorded, and must be
+    # those recomputed from the stage before it, one evaluation each.
+    converted = []
+
+    def recording(phi, inc, k, *, below=None):
+        converted.append(inc.points)
+        return convert(phi, inc, k, below=below)
+
+    monkeypatch.setattr(approxcount.mtuples, "convert", recording)
     rng = random.Random(4242)
     for _ in range(60):
         scale = rng.choice((1, 10, 1000, 10**9))
@@ -156,18 +183,22 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain():
             for _ in range(rng.randint(1, 4))
         ]
         tuples = MTuplesInstance(sets=sets, bound=rng.randint(0, sum(map(max, sets))))
-        out = left_out(knap)
         runs = [
-            (strong_fptas_knapsack(knap, eps), _empty_tuple_row(out.bound), out.sets),
-            (strong_fptas_mtuples(tuples, eps), _empty_tuple_row(tuples.bound), tuples.sets),
+            (strong_fptas_knapsack, knap, left_out(knap)),
+            (strong_fptas_mtuples, tuples, tuples),
         ]
-        for rep, prev, shift_sets in runs:
-            assert len(rep.stage_candidates) == len(shift_sets)
-            for shifts, inc, func in zip(shift_sets, rep.stage_candidates, rep.stage_functions):
+        for counter, inst, out in runs:
+            converted.clear()
+            rep = counter(inst, eps)
+            candidates = stage_candidates(rep, out)
+            assert converted == candidates and len(candidates) == len(out.sets)
+            prev = _empty_tuple_row(out.bound)
+            for shifts, points, func in zip(out.sets, candidates, rep.stage_functions):
                 dom = func.domain
                 starts = shifted_sum([(prev, s) for s in shifts], dom).starts
-                assert set(inc.points) == {dom.lo, dom.hi} | {p for p in starts if p in dom}
+                assert set(points) == {dom.lo, dom.hi} | {p for p in starts if p in dom}
                 prev = func
+            assert rep.oracle_calls == sum(map(len, candidates))
 
 
 def _below_zero(rep):
@@ -276,13 +307,15 @@ def test_strong_stages_are_the_searched_windows():
     # starts at 0 has a value below it.
     for eps, rep, prev, stages in _strong_runs(rounds=100):
         ratio = ApproxRatio.for_stages(eps, max(sum(w.lo < w.hi for _, w in stages), 1))
+        candidates = 0
         for (shifts, window), func in zip(stages, rep.stage_functions):
             raw = shifted_sum([(prev, s) for s in shifts], window)
             below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
             expected = apx_set_nonincreasing(raw, window, ratio, below=below)
             assert func.to_json() == expected.to_json()
+            candidates += len(IncIndex.build(raw.starts, window))
             prev = func
-        assert rep.oracle_calls == sum(len(c) for c in rep.stage_candidates)
+        assert rep.oracle_calls == candidates
 
 
 def test_every_read_of_a_strong_stage_lands_in_its_window_or_below_zero():

@@ -7,7 +7,9 @@ worse of the two ratios. Everything is checked with exact rational
 arithmetic; no tolerance anywhere.
 """
 
+import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,14 @@ class TestApproxRatio:
         r = ApproxRatio.for_stages(Fraction(1, 10**9), 40)
         assert r.k > 1
         assert r.k**40 <= 1 + Fraction(1, 10**9)
+
+    def test_precision_doubles_while_the_root_rounds_down_to_one(self):
+        # at 96 bits the cube root of 1 + 2**-200 rounds down to exactly 1
+        eps = Fraction(1, 2**200)
+        r = ApproxRatio.for_stages(eps, 3)
+        assert r.k > 1
+        assert r.k**3 <= 1 + eps
+        assert r.k.denominator > 2**96
 
 
 class TestOracleCounter:
@@ -198,6 +208,19 @@ class TestStepFunctionQuery:
                 values=(1, value),
             )
             assert digits in f.to_json()
+
+    def test_json_positions_of_any_length_are_numbers(self):
+        # json.dumps refuses an int of more than 4300 digits; to_json writes it
+        big = 10**5000
+        f = StepFunction(IntInterval(0, big), Direction.NONINCREASING, (0, big), (2, 1))
+        obj = json.loads(f.to_json(), parse_int=lambda text: int(Decimal(text)))
+        assert obj == {
+            "domain": [0, big],
+            "direction": "nonincreasing",
+            "breakpoints": [[0, "2"], [big, "1"]],
+            "below": "0",
+            "above": "0",
+        }
 
 
 def test_identity_on_one_to_sixteen_with_k_two():
