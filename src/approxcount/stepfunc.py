@@ -89,25 +89,6 @@ def decimal_text(q: int | Fraction) -> str:
     return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
 
 
-def _iroot(n: int, k: int) -> int:
-    """Largest x with x**k <= n, by Newton iteration on integers."""
-    if n < 0 or k < 1:
-        raise InvalidInput("iroot expects n >= 0, k >= 1")
-    if n == 0:
-        return 0
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
-
-
 _PRECISION_BITS = 96  # of the dyadic k; doubled while the root rounds down to 1
 
 
@@ -115,9 +96,17 @@ _PRECISION_BITS = 96  # of the dyadic k; doubled while the root rounds down to 1
 class ApproxRatio:
     """A per-stage ratio k with an exact certificate k**stages <= 1 + epsilon.
 
-    k is the (1+epsilon)-th root for the given stage count, rounded DOWN to a
-    dyadic rational so the end-to-end guarantee never degrades; the invariants
-    are re-checked with exact Fraction arithmetic on construction.
+    k is the stages-th root of 1 + epsilon, rounded DOWN to a dyadic rational
+    so the end-to-end guarantee never degrades; the invariants are re-checked
+    with exact Fraction arithmetic on construction.
+
+    The integer root comes from Newton's step, which falls to the floor root
+    from any start at or above it. Bernoulli's inequality
+    (1 + epsilon/stages)**stages >= 1 + epsilon gives such a start within
+    about (epsilon - ln(1+epsilon))/stages of the root. The precision climbs
+    by doubling from 3 bits, and each root, plus one, starts the next, so a
+    large epsilon costs no more than a small one. Choosing k costs a few
+    powers of about 96*stages bits.
     """
 
     k: Fraction
@@ -139,16 +128,21 @@ class ApproxRatio:
             raise InvalidInput("epsilon must be positive")
         if stages < 1:
             raise InvalidInput("stages must be positive")
-        target = 1 + eps
-        prec = _PRECISION_BITS
+        a, b = eps.as_integer_ratio()
+        prec, starts = 3, ()
         while True:
             den = 1 << prec
-            scaled = target * den**stages
-            root = _iroot(scaled.numerator // scaled.denominator, stages)
-            k = Fraction(root, den)
-            if k > 1:
-                return cls(k=k, epsilon=eps, stages=stages)
-            # epsilon so small the root collapsed to 1 at this precision
+            n = ((a + b) << prec * stages) // b  # floor((1 + eps) * den**stages)
+            # Every start is at or above the floor root of n.
+            root = min(1 << -(-n.bit_length() // stages), den - (-a * den // (b * stages)), *starts)
+            while True:
+                y = ((stages - 1) * root + n // root ** (stages - 1)) // stages
+                if y >= root:
+                    break
+                root = y
+            if prec >= _PRECISION_BITS and root > den:
+                return cls(k=Fraction(root, den), epsilon=eps, stages=stages)
+            starts = ((root + 1) << prec,)
             prec *= 2
 
 

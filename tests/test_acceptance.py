@@ -2,11 +2,11 @@
 
 One test per shipping requirement, so a verbose run reads as a checklist:
 the worked walkthrough is reproduced byte for byte, every counter respects
-its two-sided bound on large seeded sweeps (the strong ones also on values
-up to 2^200, against meet-in-the-middle counts), the three exact contingency
-formulations cannot be told apart, operation counts ignore numeric
-magnitude for the strongly polynomial variants, and breakpoint sets stay
-logarithmic.
+its two-sided bound on large seeded sweeps (the knapsack and m-tuples ones
+also on values up to 2^200, against meet-in-the-middle counts), the three
+exact contingency formulations cannot be told apart, operation counts ignore
+numeric magnitude for the strongly polynomial variants, and breakpoint sets
+stay logarithmic.
 
 Comparisons are exact (integers and Fractions); wall-clock limits appear
 only where a requirement states one.
@@ -156,6 +156,23 @@ def test_strong_counters_stay_in_the_band_past_the_dps():
                 tuples = MTuplesInstance(sets=sets, bound=rng.randint(0, sum(map(max, sets))))
                 exact = mtuples_mitm(tuples.sets, tuples.bound)
                 assert in_band(exact, strong_fptas_mtuples(tuples, eps).count, eps), tuples
+
+
+def test_plain_counters_stay_in_the_band_past_the_dps():
+    # Plain fptas pays about one probe per bit of magnitude, so eps 1/10 (one
+    # to three seconds per knapsack run at 2^200) is left to the strong test.
+    rng = random.Random(74006)
+    for bits in (64, 200):
+        for eps in (Fraction(1, 2), Fraction(3)):
+            weights = tuple(rng.randint(1, 2**bits) for _ in range(rng.randint(16, 20)))
+            knap = KnapsackInstance(weights=weights, capacity=rng.randint(0, sum(weights)))
+            exact = knapsack_mitm(knap.weights, knap.capacity)
+            assert in_band(exact, fptas_knapsack(knap, eps).count, eps), knap
+            for _ in range(3):
+                sets = [[rng.randint(0, 2**bits) for _ in range(3)] for _ in range(rng.randint(8, 14))]
+                tuples = MTuplesInstance(sets=sets, bound=rng.randint(0, sum(map(max, sets))))
+                exact = mtuples_mitm(tuples.sets, tuples.bound)
+                assert in_band(exact, fptas_mtuples(tuples, eps).count, eps), tuples
 
 
 def test_contingency_formulations_agree_and_tables_are_structured():

@@ -6,6 +6,7 @@ executable as installed.
 """
 
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import approxcount
 from approxcount import cli, stagewise
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
 
@@ -553,13 +555,44 @@ def test_main_returns_argparse_exit_codes(capsys, argv, code):
     assert ("usage:" in out) == (code == 0) and ("usage:" in err) == (code == 2)
 
 
+@pytest.mark.parametrize(
+    "argv, text, code, counts, err",
+    [
+        (["count", "--mode", "exact-dp"], "\n  \n" + GOLDEN_LINE + "\n\t\n", 0, ["3"], ""),
+        (["verify", "--epsilon", "7"], "\n  \n" + GOLDEN_LINE + "\n\t\n", 0, ["12", None], ""),
+        (["count", "--mode", "exact-dp"], '["mtuples"]\n', 2, [], "FILE:1: expected a JSON object"),
+        (["count", "--mode", "exact-dp"], '{"problem": "mtuples", "payload": [1]}\n', 2, [],
+         "FILE:1: payload must be a JSON object"),
+        (["count", "--mode", "fptas", "--epsilon", "0"], GOLDEN_LINE + "\n", 2, [],
+         "epsilon must be positive"),
+        (["verify", "--epsilon", "1"], None, 2, [], "verify needs --input or --problem"),
+        (["bench", "--problem", "mtuples", "--scales", "0,-1"], None, 2, [],
+         "scale exponents must be nonnegative"),
+    ],
+    ids=["count-skips-blank-lines", "verify-skips-blank-lines", "array-line", "list-payload",
+         "zero-epsilon", "verify-without-input-or-problem", "negative-scale"],
+)
+def test_input_paths(tmp_path, capsys, argv, text, code, counts, err):
+    path = tmp_path / "in.ndjson"
+    if text is not None:
+        path.write_text(text)
+        argv = [*argv, "--input", str(path)]
+    got, out, stderr = run(capsys, argv)
+    assert got == code
+    assert [rec.get("count") for rec in json_lines(out)] == counts
+    assert err.replace("FILE", str(path)) in stderr and (stderr == "") == (code == 0)
+
+
 def test_module_is_runnable_as_subprocess(golden_file):
+    # the subprocess imports approxcount from where this process did
+    env = {**os.environ, "PYTHONPATH": str(Path(approxcount.__file__).parent.parent)}
     proc = subprocess.run(
         [sys.executable, "-m", "approxcount.cli", "count", "--input", golden_file,
          "--mode", "exact-dp"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[0])["count"] == "3"

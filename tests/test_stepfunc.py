@@ -101,12 +101,29 @@ class TestApproxRatio:
         assert r.k**40 <= 1 + Fraction(1, 10**9)
 
     def test_precision_doubles_while_the_root_rounds_down_to_one(self):
-        # at 96 bits the cube root of 1 + 2**-200 rounds down to exactly 1
-        eps = Fraction(1, 2**200)
+        # at 96 and 192 bits the cube root of 1 + 2**-200 rounds down to exactly 1
+        eps, step = Fraction(1, 2**200), Fraction(1, 2**384)
         r = ApproxRatio.for_stages(eps, 3)
         assert r.k > 1
         assert r.k**3 <= 1 + eps
         assert r.k.denominator > 2**96
+        # and at 384 bits k is the largest multiple of 2**-384 that fits
+        assert (r.k / step).denominator == 1
+        assert (r.k + step) ** 3 > 1 + eps
+
+    @pytest.mark.parametrize(
+        "eps",
+        [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7),
+         Fraction(12345, 67891), Fraction(10**50)],
+    )
+    def test_k_is_the_largest_dyadic_at_its_precision(self, eps):
+        step = Fraction(1, 2**96)
+        for stages in [*range(1, 61), 1000]:
+            k = ApproxRatio.for_stages(eps, stages).k
+            assert k > 1
+            assert (k / step).denominator == 1
+            assert k**stages <= 1 + eps
+            assert (k + step) ** stages > 1 + eps
 
 
 class TestOracleCounter:
