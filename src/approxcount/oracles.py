@@ -3,7 +3,20 @@
 Brute-force enumeration and pseudo-polynomial dynamic programs for the three
 counting problems handled by this package. Every approximate counter is
 validated against these. They are deliberately independent of the compression
-machinery: plain tables, plain loops, arbitrary-precision integers.
+machinery: they import nothing from it, and keep no table, only one row.
+
+The knapsack and m-tuples rows are packed into one integer by Kronecker
+substitution (von zur Gathen & Gerhard, *Modern Computer Algebra*): the
+coefficient of x^j in the generating function is the j-th digit of b bits,
+so adding an item or a set is a few shifts, adds and one mask over
+O(n*C) bits, done in C. No digit may carry into the next: knapsack digits
+count subsets, at most 2^n, so b = n + 1; m-tuples digits count tuples, at
+most the product of the set sizes, which fits in b - 1 bits. Since
+2^b = 1 modulo 2^b - 1, the count, the sum of the digits, is the packed row
+modulo 2^b - 1; it stays below 2^b - 1, so it does not wrap to 0. Values
+past the capacity or the bound are dropped before any shift. Contingency
+rows stay dense lists: packing them would need big-integer products, which
+CPython multiplies in superlinear time.
 
 Counting conventions:
 
@@ -21,8 +34,9 @@ Counting conventions:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+import math
 from dataclasses import dataclass
+from operator import sub
 
 from .errors import InvalidInput, TooLarge
 
@@ -106,33 +120,19 @@ def brute_mtuples(inst: MTuplesInstance) -> int:
     return sum(1 for combo in itertools.product(*inst.sets) if sum(combo) >= b)
 
 
-def dp_mtuples_table(inst: MTuplesInstance) -> list[list[int]]:
-    """Rows tuples_1..tuples_m on j = 0..bound.
-
-    tuples_i(j) counts prefixes (x_1..x_i), one element per set, with sum >= j.
-    Below-domain convention: tuples_i(j) for j < 0 is the product of the first
-    i set sizes, since sums are always nonnegative.
-    """
+def dp_mtuples(inst: MTuplesInstance) -> int:
     width = inst.bound + 1
     if width * sum(len(s) for s in inst.sets) > DP_CELL_CAP:
         raise TooLarge("table size exceeds cap")
-    first = sorted(inst.sets[0])
-    rows = [[len(first) - bisect_left(first, j) for j in range(width)]]
-    prefix_product = len(first)
-    for xs in inst.sets[1:]:
-        prev = rows[-1]
-        rows.append(
-            [
-                sum(prev[j - x] if j - x >= 0 else prefix_product for x in xs)
-                for j in range(width)
-            ]
-        )
-        prefix_product *= len(xs)
-    return rows
-
-
-def dp_mtuples(inst: MTuplesInstance) -> int:
-    return dp_mtuples_table(inst)[-1][inst.bound]
+    # digit j of poly counts the prefixes with sum j < bound; the digit sum is
+    # at most total < 2**(b-1), so no digit carries and the sum cannot wrap
+    total = math.prod(len(s) for s in inst.sets)
+    b = total.bit_length() + 1
+    keep = (1 << b * inst.bound) - 1
+    poly = 1
+    for xs in inst.sets:
+        poly = sum(poly << b * x for x in xs if x < inst.bound) & keep
+    return total - poly % ((1 << b) - 1)
 
 
 def brute_knapsack(inst: KnapsackInstance) -> int:
@@ -144,20 +144,19 @@ def brute_knapsack(inst: KnapsackInstance) -> int:
     return sum(1 for s in sums if s <= inst.capacity)
 
 
-def dp_knapsack_table(inst: KnapsackInstance) -> list[list[int]]:
-    """Rows subsets_0..subsets_n on j = 0..capacity (row 0 is all ones)."""
+def dp_knapsack(inst: KnapsackInstance) -> int:
     c = inst.capacity
     if (inst.n + 1) * (c + 1) > DP_CELL_CAP:
         raise TooLarge("table size exceeds cap")
-    rows = [[1] * (c + 1)]
+    # digit j of poly counts the subsets of weight j <= c; every digit and the
+    # digit sum are at most 2**n < 2**b - 1
+    b = inst.n + 1
+    keep = (1 << b * (c + 1)) - 1
+    poly = 1
     for w in inst.weights:
-        prev = rows[-1]
-        rows.append([prev[j] + (prev[j - w] if j >= w else 0) for j in range(c + 1)])
-    return rows
-
-
-def dp_knapsack(inst: KnapsackInstance) -> int:
-    return dp_knapsack_table(inst)[-1][inst.capacity]
+        if w <= c:
+            poly = (poly + (poly << b * w)) & keep
+    return poly % ((1 << b) - 1)
 
 
 def dp_contingency_sub(inst: Contingency2Instance) -> int:
@@ -183,23 +182,17 @@ def dp_contingency_sub(inst: Contingency2Instance) -> int:
     return prev[r]
 
 
-def dp_contingency_sum_table(
-    inst: Contingency2Instance, width: int | None = None
-) -> list[list[int]]:
-    """Rows fills_0..fills_n of the additive recurrence on j = 0..width.
+def dp_contingency_sum(inst: Contingency2Instance) -> int:
+    """Count via the additive recurrence, one row of j = 0..R at a time.
 
     fills_i(j) = sum of fills_{i-1}(j-k) over 0 <= k <= min(j, s_i), read off
-    as a difference of two prefix sums of row i-1, so each row costs O(width).
+    as a difference of two prefix sums of row i-1, so each row costs O(R).
     """
-    w = inst.pivot_sum if width is None else width
-    if (len(inst.col_sums) + 1) * (w + 1) > DP_CELL_CAP:
+    r = inst.pivot_sum
+    if (len(inst.col_sums) + 1) * (r + 1) > DP_CELL_CAP:
         raise TooLarge("table size exceeds cap")
-    rows = [[1] + [0] * w]
+    row = [1] + [0] * r
     for si in inst.col_sums:
-        prefix = list(itertools.accumulate(rows[-1], initial=0))
-        rows.append([prefix[j + 1] - prefix[max(j - si, 0)] for j in range(w + 1)])
-    return rows
-
-
-def dp_contingency_sum(inst: Contingency2Instance) -> int:
-    return dp_contingency_sum_table(inst)[-1][inst.pivot_sum]
+        prefix = list(itertools.accumulate(row, initial=0))
+        row = prefix[1 : si + 1] + list(map(sub, prefix[si + 1 :], prefix))
+    return row[r]

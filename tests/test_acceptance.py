@@ -27,14 +27,12 @@ from approxcount.oracles import (
     MTuplesInstance,
     dp_contingency_sub,
     dp_contingency_sum,
-    dp_contingency_sum_table,
     dp_knapsack,
-    dp_knapsack_table,
     dp_mtuples,
-    dp_mtuples_table,
 )
 from approxcount.stepfunc import ApproxRatio
 from contingency_binding import dp_contingency_binding
+from dp_tables import dp_contingency_sum_table, dp_knapsack_table, dp_mtuples_table
 from meet_in_the_middle import knapsack_mitm, mtuples_mitm
 
 EPSILONS = (Fraction(1, 10), Fraction(1, 2), Fraction(1))

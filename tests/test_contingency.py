@@ -19,7 +19,6 @@ from approxcount.oracles import (
     Contingency2Instance,
     dp_contingency_sub,
     dp_contingency_sum,
-    dp_contingency_sum_table,
 )
 from approxcount.stepfunc import (
     ApproxRatio,
@@ -29,6 +28,7 @@ from approxcount.stepfunc import (
     StepFunction,
 )
 from contingency_binding import dp_contingency_binding
+from dp_tables import dp_contingency_sum_table
 from mirrored_search import mirrored_search
 
 ANY_K = ApproxRatio.for_stages(Fraction(3), 1)

@@ -20,8 +20,9 @@ import pytest
 
 from approxcount.errors import InvalidInput
 from approxcount.knapsack import fptas_knapsack, left_out, strong_fptas_knapsack
-from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_knapsack_table, dp_mtuples
+from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
+from dp_tables import dp_knapsack_table
 from strong_candidates import stage_candidates
 
 

@@ -13,8 +13,9 @@ import pytest
 
 from approxcount.errors import InvalidInput
 from approxcount.mtuples import fptas_mtuples, strong_fptas_mtuples
-from approxcount.oracles import MTuplesInstance, dp_mtuples, dp_mtuples_table
+from approxcount.oracles import MTuplesInstance, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
+from dp_tables import dp_mtuples_table
 from strong_candidates import stage_candidates
 
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)

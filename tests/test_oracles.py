@@ -1,8 +1,11 @@
+import ast
+import inspect
 import itertools
 import random
 
 import pytest
 
+from approxcount import oracles
 from approxcount.errors import InvalidInput, TooLarge
 from approxcount.oracles import (
     Contingency2Instance,
@@ -12,13 +15,12 @@ from approxcount.oracles import (
     brute_mtuples,
     dp_contingency_sub,
     dp_contingency_sum,
-    dp_contingency_sum_table,
     dp_knapsack,
-    dp_knapsack_table,
     dp_mtuples,
-    dp_mtuples_table,
 )
 from contingency_binding import dp_contingency_binding
+from dp_tables import dp_contingency_sum_table, dp_knapsack_table, dp_mtuples_table
+from meet_in_the_middle import knapsack_mitm, mtuples_mitm
 
 GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 
@@ -191,3 +193,73 @@ def test_dp_cell_cap():
     with pytest.raises(TooLarge):
         dp_knapsack(KnapsackInstance(weights=(10**9, 10**9), capacity=10**12))
 
+
+
+def test_packed_digits_hold_the_whole_count():
+    # One bit narrower and the digit sum wraps: 2**3 subsets fit, and 8 is 1
+    # mod 2**3 - 1; all 3 = 2**2 - 1 tuples fall below 5, and 3 is 0 mod 3.
+    assert dp_knapsack(KnapsackInstance(weights=(1, 1, 1), capacity=3)) == 8
+    assert dp_mtuples(MTuplesInstance(sets=((0, 1, 2),), bound=5)) == 0
+
+
+def test_packed_counts_match_the_tables_and_brute_force():
+    # Zero capacities and bounds, duplicate elements, one-element sets and
+    # values past the capacity or bound all come up often.
+    rng = random.Random(404)
+    for _ in range(1500):
+        cap = max(0, rng.randint(-6, 40))
+        weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 8)))
+        inst = KnapsackInstance(weights=weights, capacity=cap)
+        exact = brute_knapsack(inst)
+        assert dp_knapsack(inst) == dp_knapsack_table(inst)[-1][cap] == exact, inst
+
+        bound = max(0, rng.randint(-6, 45))
+        sets = tuple(
+            tuple(rng.choices(range(25), k=rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 4))
+        )
+        inst = MTuplesInstance(sets=sets, bound=bound)
+        exact = brute_mtuples(inst)
+        assert dp_mtuples(inst) == dp_mtuples_table(inst)[-1][bound] == exact, inst
+    for _ in range(500):
+        cols = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 4)))
+        r1 = rng.randint(0, sum(cols))
+        inst = Contingency2Instance(row_sums=(r1, sum(cols) - r1), col_sums=cols)
+        row = dp_contingency_sum_table(inst)[-1]
+        assert dp_contingency_sum(inst) == row[inst.pivot_sum] == brute_tables(inst), inst
+
+
+def test_values_past_the_capacity_or_bound_are_skipped_before_any_shift():
+    # A weight or element of 10**18 would be a 10**18-bit shift.
+    huge = 10**18
+    knap = KnapsackInstance(weights=(3, huge, 5, huge), capacity=40)
+    assert dp_knapsack(knap) == brute_knapsack(knap) == 4
+    tuples = MTuplesInstance(sets=((huge, 2), (7, huge, 0)), bound=50)
+    assert dp_mtuples(tuples) == brute_mtuples(tuples) == 4
+    table = Contingency2Instance(row_sums=(3, huge), col_sums=(huge, 3))
+    assert dp_contingency_sum(table) == dp_contingency_sub(table) == 4
+
+
+def test_counts_near_the_cell_cap_match_meet_in_the_middle():
+    # Just under DP_CELL_CAP cells; a table of rows this size needs over 1 GB.
+    rng = random.Random(405)
+    for n, low, high, cap in ((30, 29_000, 31_000, 1_600_000), (36, 60_000, 90_000, 1_350_000)):
+        inst = KnapsackInstance(weights=[rng.randint(low, high) for _ in range(n)], capacity=cap)
+        assert dp_knapsack(inst) == knapsack_mitm(inst.weights, cap)
+    sets = [[rng.randint(0, 97_500) for _ in range(4)] for _ in range(16)]
+    inst = MTuplesInstance(sets=sets, bound=780_000)
+    assert dp_mtuples(inst) == mtuples_mitm(inst.sets, inst.bound)
+
+
+def test_the_oracles_import_nothing_from_the_package_but_errors():
+    # The exact counts check the compression code, so they share none of it.
+    tree = ast.parse(inspect.getsource(oracles))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.startswith("approxcount"):
+                package.add(module)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("approxcount"))
+    assert package == {".errors"}
