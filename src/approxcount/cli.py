@@ -20,12 +20,18 @@ Exit codes: 0 success, 1 verification violation, 2 bad input or usage,
 kept-breakpoint cap in stagewise), 4 an unexpected internal error. When
 loading or counting one instance of an input file fails, the message names
 its line as FILE:N; records already written stay written.
+
+``main(argv)`` runs one command and returns its exit code; a process may call
+it any number of times. The first call builds the parser (``build_parser``)
+and later calls reuse it. ``elapsed_ms`` times the counter call alone, never
+the parsing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -375,7 +381,11 @@ def _add_size_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{name}", type=decimal, default=default, help=text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call. Every later call
+    returns the same object, shared by every ``main`` call in the process:
+    parse with it, never mutate it."""
     parser = argparse.ArgumentParser(
         prog="approxcount",
         description="Deterministic approximate counting with verifiable accuracy.",

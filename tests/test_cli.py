@@ -555,6 +555,77 @@ def test_main_returns_argparse_exit_codes(capsys, argv, code):
     assert ("usage:" in out) == (code == 0) and ("usage:" in err) == (code == 2)
 
 
+def test_main_reuses_its_parser_as_if_built_fresh(golden_file, tmp_path, capsys, monkeypatch):
+    # Every flag set, then the same subcommand with none: the defaults must come
+    # back. Usage errors and --help at two widths sit in between.
+    monkeypatch.setattr(cli, "perf_counter", lambda: 0.0)  # elapsed_ms reads 0 on both sides
+    out = tmp_path / "out"
+    sizes = [arg for name in cli.SIZE_FLAGS for arg in (f"--{name}", "3")]
+    calls = [
+        ("120", ["count", "--input", golden_file, "--problem", "mtuples", "--mode",
+                 "strong-fptas", "--epsilon", "1/2", "--out", str(out)]),
+        ("120", ["gen", "--problem", "knapsack", "--seed", "5", "--trials", "2",
+                 "--out", str(out), *sizes]),
+        ("40", ["verify", "--help"]),
+        ("120", ["verify", "--problem", "knapsack", "--mode", "strong-fptas", "--epsilon", "1",
+                 "--seed", "5", "--trials", "2", "--out", str(out), *sizes]),
+        ("120", ["verify", "--problem", "knapsack"]),
+        ("120", ["bench", "--problem", "contingency2", "--epsilon", "1,1/2", "--scales", "0,1",
+                 "--seed", "5", "--out", str(out), *sizes]),
+        ("40", ["--help"]),
+        ("120", ["count", "--input", golden_file]),
+        ("120", ["verify", "--problem", "knapsack", "--epsilon", "1"]),
+        ("120", ["verify", "--help"]),
+        ("120", ["gen", "--problem", "knapsack"]),
+        ("120", ["--help"]),
+        ("40", ["gen", "--problem", "knapsack", "--n", "x"]),
+        ("120", ["bench", "--problem", "contingency2"]),
+    ]
+
+    def outcome(columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        code = cli.main(argv)
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return (code, *capsys.readouterr(), written)
+
+    fresh = []
+    for columns, argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(columns, argv))
+    cli.build_parser.cache_clear()
+    assert [outcome(columns, argv) for columns, argv in calls] == fresh
+    assert [got[0] for got in fresh] == [0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 2, 3]
+    assert "--epsilon is required for mode fptas" in fresh[7][2]  # --mode is back to fptas
+    assert fresh[8][1].splitlines()[-1].startswith('{"summary": "verify", "trials": 100,')
+    assert fresh[2][1] != fresh[9][1] and fresh[6][1] != fresh[11][1]  # help follows COLUMNS
+
+
+def test_parser_is_built_on_the_first_main_call_only(golden_file):
+    # counts every ArgumentParser constructed, subparsers included, in a fresh process
+    script = f"""
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from approxcount import cli
+on_import = list(built)
+for argv in [["count", "--input", {golden_file!r}, "--mode", "exact-dp"], ["--help"], ["count"]] * 3:
+    cli.main(argv)
+print(json.dumps([on_import, built]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(approxcount.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    on_import, built = json.loads(proc.stdout.splitlines()[-1])
+    assert on_import == []
+    assert built == ["approxcount", *(f"approxcount {c}" for c in ("count", "verify", "gen", "bench"))]
+
+
 @pytest.mark.parametrize(
     "argv, text, code, counts, err",
     [
