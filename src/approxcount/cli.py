@@ -33,7 +33,9 @@ import argparse
 import csv
 import functools
 import json
+import os
 import random
+import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -175,10 +177,23 @@ def load_instances(path: str, problem_override: str | None):
             yield lineno, problem, inst
 
 
+# Fraction()'s syntax in ASCII digits: "n/d", or a decimal with an optional exponent.
+_RATIONAL = re.compile(r"([-+]?\d+)/(\d+)|([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)", re.A | re.I)
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text) at any length; Fraction() refuses more digits than int() reads."""
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        return Fraction(text)
+    num, den, dec = match.groups()
+    return Fraction(Decimal(dec)) if dec else Fraction(int(Decimal(num)), int(Decimal(den)))
+
+
 def _parse_epsilon(text: str) -> Fraction:
     try:
-        eps = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        eps = _rational(text)
+    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, decimal.InvalidOperation
         raise InvalidInput(f"epsilon {text!r} is not a rational number") from exc
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
@@ -240,6 +255,8 @@ def _open_out(args):
 def _items(args):
     """(where, problem, instance) from ``--input``, or drawn from ``--seed``."""
     if args.input:
+        if args.out and os.path.exists(args.out) and os.path.samefile(args.input, args.out):
+            raise InvalidInput(f"--out {args.out} is the --input file; it would be overwritten")
         loaded = load_instances(args.input, args.problem)
         return ((f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded)
     if not args.problem:
@@ -269,7 +286,7 @@ def cmd_count(args) -> int:
                 return _report_error(exc, where)
             record = {"problem": problem, "mode": args.mode}
             if args.mode in APPROX_MODES:
-                record["epsilon"] = str(eps)
+                record["epsilon"] = decimal_text(eps)
             record["count"] = decimal_text(count)
             if verify:
                 record["exact"] = decimal_text(exact)
@@ -290,7 +307,7 @@ def cmd_count(args) -> int:
             _emit(out, record)
         if verify:
             summary = {"summary": "verify", "trials": trials, "violations": violations}
-            summary.update(max_ratio=decimal_text(max_ratio), bound=str(1 + eps))
+            summary.update(max_ratio=decimal_text(max_ratio), bound=decimal_text(1 + eps))
             _emit(out, summary)
     return 1 if violations else 0
 
@@ -367,7 +384,7 @@ def cmd_bench(args) -> int:
                         mode,
                         size,
                         decimal_text(scale),
-                        "" if eps is None else str(eps),
+                        "" if eps is None else decimal_text(eps),
                         calls,
                         f"{elapsed * 1000.0:.3f}",
                         max(sizes, default=0),
@@ -422,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="sweep magnitude scales, report oracle calls as CSV")
     p_bench.add_argument("--problem", choices=PROBLEMS, required=True)
     p_bench.add_argument("--epsilon", help="comma list, e.g. 0.25,1.0; empty runs exact-dp only")
-    p_bench.add_argument("--scales", default="0,3,6", help="comma list of powers of ten")
+    p_bench.add_argument("--scales", default="0,3", help="comma list of powers of ten")
     p_bench.add_argument("--seed", type=decimal, default=0)
     p_bench.add_argument("--out", help="write CSV here instead of stdout")
     _add_size_flags(p_bench)

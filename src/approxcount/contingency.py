@@ -9,8 +9,7 @@ symmetric around P_i/2, unimodal, and zero outside {0..P_i}. A column is
 therefore kept as its nondecreasing half only, a plain
 :class:`~approxcount.stepfunc.StepFunction` (:func:`compress_contingency`),
 and the stage carries P_i. The half's value above its domain is not the
-column's: only :func:`window_sum` and :func:`window_knots` read the mirror,
-from the half and P_i.
+column's: only :func:`window_sum` reads the mirror, from the half and P_i.
 
 Column i is read only at R minus the cells of the later columns, so at
 {P_i - (P_n - R)..R}, directly or mirrored: a point above P_i//2 mirrors
@@ -26,11 +25,12 @@ exact), P its pivot and s = s_i, the window sum W(j) = g(j) + ... + g(j - s)
 is evaluated exactly as G(j) - G(j - s - 1), G the prefix sum of g over its
 explicit pieces counted from the start of g's window (:func:`window_sum`),
 and W on column i's window is compressed with ratio k by a walk over W's
-linear pieces: W is evaluated through one FnOracle at the knots of
-:func:`window_knots` only, and each kept breakpoint is found by one exact
-floor division on its piece. A one-point window, such as column n's, is one
-evaluation and merges nothing, so k^m <= 1 + epsilon with m the number of
-windows of more than one point. Four facts make this sound:
+linear pieces (:func:`compress_contingency`): W's oracle is evaluated
+only at its knots, the oracle's ``starts``, and each kept breakpoint is
+found by one exact floor division on its piece. A one-point window, such
+as column n's, is one evaluation and merges nothing, so k^m <= 1 +
+epsilon with m the number of windows of more than one point. Four facts
+make this sound:
 
 1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
    the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
@@ -44,14 +44,13 @@ windows of more than one point. Four facts make this sound:
 3. Every point W reads on column i's window lies in g's window, mirrored
    onto it or below 0, since it is R minus the cells of columns i-1..n; so
    the part of g below its window cancels in G(j) - G(j-s-1).
-4. W is linear, with an integer slope, between consecutive knots. Its slope
-   W(j) - W(j-1) = g(j) - g(j-s-1) changes only where g changes at j or at
-   j-s-1, and g, a step function reflected about P/2, changes at O(len(g))
-   points. So the walk keeps exactly the breakpoints, with exactly the
-   values, that :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps
-   on W's mirror image j -> W(-j) (a merged low end holds the value of the
-   kept point above it), at O(len(g)) evaluations per column whatever the
-   cell sizes; the walk checks that every slope between knots is an integer.
+4. W is linear, with an integer slope, between consecutive knots, which
+   are O(len(g)) points (:func:`window_sum`). So the walk keeps exactly the
+   breakpoints, with exactly the values, that
+   :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps on W's mirror
+   image j -> W(-j) (a merged low end holds the value of the kept point
+   above it), at O(len(g)) evaluations per column whatever the cell sizes;
+   the walk checks that every slope between knots is an integer.
 
 Each column is one step of :func:`~approxcount.stagewise.run_stages`, the
 stage loop every counter shares, which also caps the breakpoints kept over
@@ -64,7 +63,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Callable, Sequence
 
 from .errors import InvalidInput
 from .oracles import Contingency2Instance
@@ -79,11 +77,13 @@ from .stepfunc import (
 )
 
 
-def window_sum(half: StepFunction, pivot: int, width: int) -> Callable[[int], int]:
-    """Exact oracle for j -> g(j) + g(j-1) + ... + g(j-width), where g is the
-    column symmetric about pivot/2 and 0 outside {0..pivot}, whose
-    nondecreasing half is known on the window ``half.domain`` {a..b}, inside
-    {0..pivot//2}.
+def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) -> FnOracle:
+    """Exact oracle on ``window``, a window of {0..(pivot+width)//2}, for
+    W(j) = g(j) + g(j-1) + ... + g(j-width), where g is the column symmetric
+    about pivot/2 and 0 outside {0..pivot}, whose nondecreasing half is
+    known on the window ``half.domain`` {a..b}, inside {0..pivot//2}. Its
+    ``starts`` are the knots: the points of ``window`` between which W is
+    linear, both ends included.
 
     The sum is G(j) - G(j-width-1) for the prefix sum G(j) = g(a) + ... +
     g(j), which counts from the window's start: the part below a cancels in
@@ -93,6 +93,14 @@ def window_sum(half: StepFunction, pivot: int, width: int) -> Callable[[int], in
     H(pivot-j-1). g is known on the window, on its mirror image when the
     window reaches h, below 0 when a = 0 and past pivot when the window is
     the whole half; a sum that reads g anywhere else raises InvalidInput.
+
+    W(j) - W(j-1) = g(j) - g(j-width-1), and on all of Z g changes value only
+    at the points c of C = {0, pivot+1, x+1 and pivot-x for each half
+    breakpoint x}; the last half breakpoint, pivot//2, covers the midpoint,
+    and where the half's window starts above 0 its first breakpoint covers
+    the start. So W's slope changes only where j or j-width-1 is in C, and W
+    is linear between consecutive points c-1, c in C or in C+width+1. That
+    is O(len(half)) points, whatever the cells are.
     """
     a, b = half.domain.lo, half.domain.hi
     h = pivot // 2
@@ -124,39 +132,23 @@ def window_sum(half: StepFunction, pivot: int, width: int) -> Callable[[int], in
             raise InvalidInput(f"the window sum at {j} reads the column outside {a}..{b}")
         return prefix(j) - prefix(j - width - 1)
 
-    return w
-
-
-def window_knots(half: StepFunction, pivot: int, width: int, window: IntInterval) -> list[int]:
-    """The points of ``window``, a window of W's half {0..(pivot+width)//2},
-    between which the window sum W of :func:`window_sum` is linear, both
-    ends included.
-
-    W(j) - W(j-1) = g(j) - g(j-width-1), and on all of Z g changes value only
-    at the points c of C = {0, pivot+1, x+1 and pivot-x for each half
-    breakpoint x}; the last half breakpoint, pivot//2, covers the midpoint,
-    and where the half's window starts above 0 its first breakpoint covers
-    the start. So W's slope changes only where j or j-width-1 is in C, and W
-    is linear between consecutive points c-1, c in C or in C+width+1. That
-    is O(len(half)) points, whatever the cells are.
-    """
     lo, hi = window.lo, window.hi
-    xs = half.xs
     changes = [0, pivot + 1, *[x + 1 for x in xs], *[pivot - x for x in xs]]
     knots = {lo, hi}
     knots.update([c - 1 for c in changes if lo < c <= hi + 1])
     knots.update([c + width for c in changes if lo <= c + width <= hi])
-    return sorted(knots)
+    return FnOracle(window, Direction.NONDECREASING, w, sorted(knots))
 
 
-def compress_contingency(phi: FnOracle, k: ApproxRatio, knots: Sequence[int]) -> StepFunction:
+def compress_contingency(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     """Compress a window of the nondecreasing half of a symmetric unimodal
     function to ratio k.
 
     ``phi`` is an oracle on the window {lo..hi} that is nondecreasing and
-    linear with an integer slope between consecutive ``knots``, which run
-    from lo to hi. It is evaluated once per knot only; InvalidInput is
-    raised unless the knot values are nondecreasing with integer slopes.
+    linear with an integer slope between consecutive knots, its ``starts``,
+    which run from lo to hi. It is evaluated once per knot only;
+    InvalidInput is raised unless it names such knots and their values are
+    nondecreasing with integer slopes.
 
     :func:`~approxcount.stepfunc.apx_set_linear` walks the window's linear
     pieces down from hi and keeps what
@@ -168,9 +160,9 @@ def compress_contingency(phi: FnOracle, k: ApproxRatio, knots: Sequence[int]) ->
     the original. Its value above hi is the value at hi, not the mirrored
     one, which only :func:`window_sum` reads.
     """
-    dom = phi.domain
+    dom, knots = phi.domain, phi.starts
     if not knots or (knots[0], knots[-1]) != (dom.lo, dom.hi):
-        raise InvalidInput("knots must run from one end of the window to the other")
+        raise InvalidInput("the oracle's knots must run from one end of its window to the other")
     ws = [phi(t) for t in knots]
     below = 0 if dom.lo == 0 else None
     return apx_set_linear(knots, ws, Direction.NONDECREASING, k, below=below)
@@ -182,10 +174,8 @@ def _column(half: StepFunction, stage: tuple[int, int, IntInterval], ratio: Appr
     pivot - s, on this column's window of its half.
     """
     s, pivot, window = stage
-    w = window_sum(half, pivot - s, s)
-    oracle = FnOracle(window, Direction.NONDECREASING, w)
-    knots = window_knots(half, pivot - s, s, window)
-    return oracle, compress_contingency(oracle, ratio, knots)
+    oracle = window_sum(half, pivot - s, s, window)
+    return oracle, compress_contingency(oracle, ratio)
 
 
 def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:

@@ -34,7 +34,14 @@ from typing import Sequence
 from .incpoints import IncIndex, convert
 from .oracles import MTuplesInstance
 from .stagewise import RunReport, run_stages, sum_stage
-from .stepfunc import ApproxRatio, Direction, FnOracle, IntInterval, StepFunction
+from .stepfunc import (
+    ApproxRatio,
+    Direction,
+    FnOracle,
+    IntInterval,
+    StepFunction,
+    apx_set_nonincreasing,
+)
 
 
 def _empty_tuple_row(bound: int) -> StepFunction:
@@ -67,7 +74,8 @@ def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over the numeric domain {0..bound}."""
     full = IntInterval(0, inst.bound)
     stages = [(s, full) for s in inst.sets]
-    return run_stages(_empty_tuple_row(inst.bound), stages, epsilon, inst.bound, sum_stage)
+    step = partial(sum_stage, compress=apx_set_nonincreasing)
+    return run_stages(_empty_tuple_row(inst.bound), stages, epsilon, inst.bound, step)
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:

@@ -18,13 +18,14 @@ knapsack and m-tuples share :func:`sum_stage`, for the recurrence
     f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
 
 over the domain each stage names: knapsack with S_i = (0, w_i), m-tuples
-with S_i the i-th set. The plain variants name {0..hi} for every stage and
-compress the sum (:func:`~approxcount.stepfunc.shifted_sum`) by binary
-search over it, :func:`sum_stage`'s default ``compress``. Strong m-tuples,
-which strong knapsack runs on the items a subset leaves out
-(:mod:`~approxcount.knapsack`), names each stage's reachable window and
-passes its own ``compress`` (:mod:`~approxcount.mtuples`), which keeps what
-the nonincreasing binary search over the window keeps.
+with S_i the i-th set. :func:`sum_stage` has no default compressor: each
+counter passes its own for the sum (:func:`~approxcount.stepfunc.shifted_sum`).
+The plain variants name {0..hi} for every stage and pass the binary search
+in their sums' direction. Strong m-tuples, which strong knapsack runs on
+the items a subset leaves out (:mod:`~approxcount.knapsack`), names each
+stage's reachable window and passes a ``compress``
+(:mod:`~approxcount.mtuples`) that keeps what the nonincreasing binary
+search over the window keeps.
 Shifts are nonnegative, so when a stage's domain starts where the previous
 one's does, every f_{i-1}(j - s) below it is the previous below-domain value
 and f_i there is |S_i| times it. A domain that starts higher has no value
@@ -38,17 +39,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import TooLarge
-from .stepfunc import (
-    ApproxRatio,
-    Direction,
-    FnOracle,
-    IntInterval,
-    StepFunction,
-    apx_set_nondecreasing,
-    apx_set_nonincreasing,
-    shifted_sum,
-    to_fraction,
-)
+from .stepfunc import ApproxRatio, StepFunction, shifted_sum, to_fraction
 
 
 # The report keeps every stage's function, so the kept breakpoints bound a run's
@@ -75,23 +66,16 @@ class RunReport:
     stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
 
 
-def _search(raw: FnOracle, dom: IntInterval, ratio: ApproxRatio, below: int | None) -> StepFunction:
-    """The binary search over dom in the direction of raw."""
-    up = raw.direction is Direction.NONDECREASING
-    search = apx_set_nondecreasing if up else apx_set_nonincreasing
-    return search(raw, dom, ratio, below=below)
-
-
-def sum_stage(prev: StepFunction, stage, ratio, compress: Callable = _search):
+def sum_stage(prev: StepFunction, stage, ratio, compress: Callable):
     """One stage of the shifted-sum recurrence, ``stage = (shifts, domain)``:
     returns the sum over the domain, an oracle, and ``compress(sum, domain,
-    ratio, below)``, by default the binary search in the sum's direction.
+    ratio, below=below)``, the counter's own compressor.
     """
     shifts, dom = stage
     raw = shifted_sum([(prev, s) for s in shifts], dom)
     low = prev.out_of_domain_low
     below = None if low is None or dom.lo > prev.domain.lo else low * len(shifts)
-    return raw, compress(raw, dom, ratio, below)
+    return raw, compress(raw, dom, ratio, below=below)
 
 
 def run_stages(

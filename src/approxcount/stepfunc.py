@@ -153,8 +153,9 @@ class FnOracle:
     searches below and spot-checked there, not enforced per call. ``calls``
     increments once per evaluation, repeats included, whatever one
     evaluation costs (one bisect for :func:`shifted_sum`); a single oracle
-    must not be shared across concurrent callers. ``starts``, when known,
-    are the sorted points where ``fn`` can change value; black boxes have None.
+    must not be shared across concurrent callers. ``starts`` are the sorted
+    points its compressor reads: where a :func:`shifted_sum` changes value,
+    or the knots a window sum is linear between; black boxes have None.
     """
 
     __slots__ = ("domain", "direction", "calls", "starts", "_fn")
@@ -445,10 +446,8 @@ def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
     return _function(dom, phi.direction, points, [phi(x) for x in points], None)
 
 
-def shifted_sum(
-    terms: Sequence[tuple[StepFunction, int]], domain: IntInterval | None = None
-) -> FnOracle:
-    """Oracle for j -> sum of f(j - shift) over the given (f, shift) pairs.
+def shifted_sum(terms: Sequence[tuple[StepFunction, int]], domain: IntInterval) -> FnOracle:
+    """Oracle on ``domain`` for j -> sum of f(j - shift) over the (f, shift) pairs.
 
     All functions must share a direction; shifting and adding preserve it.
     Out-of-domain queries hit each term's own boundary values, which is how
@@ -471,8 +470,6 @@ def shifted_sum(
     if len(directions) != 1:
         raise InvalidInput("terms must share a direction")
     direction = directions.pop()
-    if domain is None:
-        domain = terms[0][0].domain
     deltas: dict[int, int] = defaultdict(int)
     base = 0
     for f, s in terms:

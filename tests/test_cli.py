@@ -251,6 +251,50 @@ def test_bench_exact_only_when_no_epsilon(capsys):
     assert rows[0].startswith("exact-dp,")
 
 
+@pytest.mark.parametrize("problem", cli.PROBLEMS)
+def test_bench_runs_on_its_defaults(capsys, problem):
+    code, out, err = run(capsys, ["bench", "--problem", problem])
+    assert (code, err) == (0, "")
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["1", "1000"]
+
+
+TINY = Fraction(1, 10**4400)
+
+
+@pytest.mark.parametrize(
+    "text, eps",
+    [
+        ("1e-4400", TINY),
+        ("0." + "0" * 4399 + "1", TINY),
+        ("1/1" + "0" * 4400, TINY),
+        ("1" + "0" * 4400, Fraction(10**4400)),
+    ],
+    ids=["tiny-exponent", "tiny-decimal", "tiny-fraction", "huge-integer"],
+)
+def test_epsilon_of_any_length_in_and_out(golden_file, capsys, text, eps):
+    # Python's int/str conversions refuse more than 4300 digits by default.
+    code, out, _ = run(capsys, ["count", "--input", golden_file, "--epsilon", text])
+    assert code == 0
+    assert json_lines(out)[0]["epsilon"] == cli.decimal_text(eps)
+    code, out, _ = run(capsys, ["verify", "--input", golden_file, "--epsilon", text])
+    assert code == 0
+    rec, summary = json_lines(out)
+    assert (rec["epsilon"], summary["bound"]) == (cli.decimal_text(eps), cli.decimal_text(1 + eps))
+    argv = ["bench", "--problem", "knapsack", "--n", "3", "--scales", "0", "--epsilon", text]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert {row.split(",")[3] for row in out.splitlines()[1:]} == {cli.decimal_text(eps)}
+
+
+@pytest.mark.parametrize("command", [["count", "--mode", "exact-dp"], ["verify", "--epsilon", "1"]])
+def test_out_naming_the_input_is_refused(golden_file, capsys, command):
+    before = Path(golden_file).read_text()
+    code, out, err = run(capsys, [*command, "--input", golden_file, "--out", golden_file])
+    assert (code, out) == (2, "")
+    assert "--input" in err
+    assert Path(golden_file).read_text() == before
+
+
 def test_exit_two_on_bad_epsilon(golden_file, capsys):
     code, _, err = run(capsys, ["count", "--input", golden_file, "--mode", "fptas", "--epsilon", "zebra"])
     assert code == 2
@@ -595,7 +639,7 @@ def test_main_reuses_its_parser_as_if_built_fresh(golden_file, tmp_path, capsys,
         fresh.append(outcome(columns, argv))
     cli.build_parser.cache_clear()
     assert [outcome(columns, argv) for columns, argv in calls] == fresh
-    assert [got[0] for got in fresh] == [0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 2, 3]
+    assert [got[0] for got in fresh] == [0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0]
     assert "--epsilon is required for mode fptas" in fresh[7][2]  # --mode is back to fptas
     assert fresh[8][1].splitlines()[-1].startswith('{"summary": "verify", "trials": 100,')
     assert fresh[2][1] != fresh[9][1] and fresh[6][1] != fresh[11][1]  # help follows COLUMNS

@@ -8,12 +8,7 @@ from itertools import accumulate
 
 import pytest
 
-from approxcount.contingency import (
-    compress_contingency,
-    fptas_contingency2,
-    window_knots,
-    window_sum,
-)
+from approxcount.contingency import compress_contingency, fptas_contingency2, window_sum
 from approxcount.errors import InvalidInput
 from approxcount.oracles import (
     Contingency2Instance,
@@ -83,7 +78,7 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
 
     for a in range(h + 1):
         for b in range(a, h + 1):
-            w = window_sum(window_of(full, a, b), pivot, width)
+            w = window_sum(window_of(full, a, b), pivot, width, IntInterval(0, h))
             known = set(range(a, b + 1))
             if b == h:
                 known |= {pivot - t for t in known}
@@ -103,25 +98,25 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
 def test_window_sum_needs_the_half_of_its_pivot():
     # The half's window must lie inside {0..pivot//2}.
     half = StepFunction(IntInterval(0, 1), Direction.NONDECREASING, (0, 1), (1, 2))
+    window = IntInterval(0, 1)
     for pivot in (1, 0, -1):
         with pytest.raises(InvalidInput):
-            window_sum(half, pivot, 2)
+            window_sum(half, pivot, 2, window)
     negative = StepFunction(IntInterval(-1, 1), Direction.NONDECREASING, (-1, 1), (1, 2))
     with pytest.raises(InvalidInput):
-        window_sum(negative, 4, 2)
+        window_sum(negative, 4, 2, window)
     # {0..1} stops short of 4//2, so no sum may read past 1.
-    w = window_sum(half, 4, 2)
+    w = window_sum(half, 4, 2, window)
     assert [w(j) for j in (-1, 0, 1)] == [0, 1, 3]
     with pytest.raises(InvalidInput):
         w(2)
 
 
-def half_oracle(fn, pivot):
-    return FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, fn)
-
-
-def every_half_point(pivot):
-    return range(pivot // 2 + 1)
+def half_oracle(fn, pivot, knots=None):
+    """An oracle on {0..pivot//2} with the given knots, by default every point."""
+    if knots is None:
+        knots = range(pivot // 2 + 1)
+    return FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, fn, knots)
 
 
 class TestCompressOp:
@@ -132,49 +127,50 @@ class TestCompressOp:
             Contingency2Instance(row_sums=(1, 1), col_sums=(1, 1)), width=2
         )[-1]
         assert row == [1, 2, 1]
-        half = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K, every_half_point(2))
+        half = compress_contingency(half_oracle(lambda j: row[j], 2), ANY_K)
         assert half.domain == IntInterval(0, 1)
         assert (half.query(0), half.query(1)) == (2, 2)
         assert half.query(-1) == 0
 
     def test_the_half_is_zero_below_zero(self):
-        half = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K, every_half_point(6))
+        half = compress_contingency(half_oracle(lambda j: j + 1, 6), ANY_K)
         assert (half.direction, half.domain) == (Direction.NONDECREASING, IntInterval(0, 3))
         assert half.query(-1) == half.out_of_domain_low == 0
 
     def test_a_window_above_zero_has_no_value_below_it(self):
-        probe = FnOracle(IntInterval(3, 6), Direction.NONDECREASING, lambda j: j + 1)
-        half = compress_contingency(probe, ANY_K, range(3, 7))
+        probe = FnOracle(IntInterval(3, 6), Direction.NONDECREASING, lambda j: j + 1, range(3, 7))
+        half = compress_contingency(probe, ANY_K)
         assert (half.domain, half.out_of_domain_low) == (IntInterval(3, 6), None)
         with pytest.raises(InvalidInput):
             half.query(2)
 
     def test_a_one_point_window_is_one_exact_evaluation(self):
-        probe = FnOracle(IntInterval(9, 9), Direction.NONDECREASING, lambda j: 7 * j)
-        half = compress_contingency(probe, ANY_K, [9])
+        probe = FnOracle(IntInterval(9, 9), Direction.NONDECREASING, lambda j: 7 * j, [9])
+        half = compress_contingency(probe, ANY_K)
         assert (half.xs, half.values, probe.calls) == ((9,), (63,), 1)
 
     def test_oracle_calls_are_counted(self):
-        dom = IntInterval(0, 8)
-        probe = FnOracle(dom, Direction.NONDECREASING, lambda j: 1 + j)
-        compress_contingency(probe, ANY_K, every_half_point(16))
+        probe = half_oracle(lambda j: 1 + j, 16)
+        compress_contingency(probe, ANY_K)
         assert probe.calls == 9  # one evaluation per knot
 
     def test_rejects_non_monotone_half(self):
         with pytest.raises(InvalidInput):
-            compress_contingency(
-                half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K, every_half_point(6)
-            )
+            compress_contingency(half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K)
 
     def test_rejects_knots_that_skip_a_slope_change(self):
         # 1, 2, 4, 8 is not linear from 0 to 3: the slope 7/3 is no integer.
         with pytest.raises(InvalidInput):
-            compress_contingency(half_oracle(lambda j: [1, 2, 4, 8][j], 6), ANY_K, (0, 3))
+            compress_contingency(half_oracle(lambda j: [1, 2, 4, 8][j], 6, (0, 3)), ANY_K)
 
     def test_rejects_knots_that_do_not_span_the_half(self):
         for knots in [(0, 2), (1, 3), ()]:
             with pytest.raises(InvalidInput):
-                compress_contingency(half_oracle(lambda j: 1, 6), ANY_K, knots)
+                compress_contingency(half_oracle(lambda j: 1, 6, knots), ANY_K)
+        # a black box names no knots
+        black_box = FnOracle(IntInterval(0, 3), Direction.NONDECREASING, lambda j: 1)
+        with pytest.raises(InvalidInput):
+            compress_contingency(black_box, ANY_K)
 
 
 def test_small_worked_instance():
@@ -396,7 +392,7 @@ def test_walk_keeps_what_the_binary_search_keeps(cell_max):
             k = ApproxRatio.for_stages(eps, max(sum(w.lo < w.hi for w in windows), 1))
             for (g, pivot, s, got), dom in zip(columns_with_inputs(inst, rep), windows):
                 below = 0 if dom.lo == 0 else None
-                ref = mirrored_search(window_sum(g, pivot, s), dom, k, below=below)
+                ref = mirrored_search(window_sum(g, pivot, s, dom), dom, k, below=below)
                 assert got.to_json() == ref.to_json()
 
 
@@ -406,7 +402,7 @@ def test_column_evaluations_do_not_grow_with_the_cells():
         inst = random_instance(rng, n_max=8, cell_max=10**6, cell_min=10**6 - 1000)
         rep = fptas_contingency2(inst, Fraction(1, 2))
         columns = list(columns_with_inputs(inst, rep))
-        knots = [len(window_knots(g, pivot, s, got.domain)) for g, pivot, s, got in columns]
+        knots = [len(window_sum(g, pivot, s, got.domain).starts) for g, pivot, s, got in columns]
         assert rep.oracle_calls == sum(knots)  # one evaluation per knot
         assert all(n <= 4 * len(g) + 4 for (g, _, _, _), n in zip(columns, knots))
 

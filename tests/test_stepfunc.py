@@ -376,7 +376,7 @@ def test_shifted_sum_matches_manual_recurrence():
         values=(1, 2, 4),
         out_of_domain_low=0,
     )
-    combined = shifted_sum([(base, 0), (base, 4)])
+    combined = shifted_sum([(base, 0), (base, 4)], base.domain)
     for j in range(7):
         assert combined(j) == base.query(j) + base.query(j - 4)
     assert combined.calls == 7
@@ -393,10 +393,10 @@ def _step(direction, xs, values, below, above):
     )
 
 
-def assert_shifted_sum_is_per_term_sum(terms, domain=None):
+def assert_shifted_sum_is_per_term_sum(terms, domain):
     """Compare with sum(f.query(j - s)) at every j the table can turn at, and past it."""
     combined = shifted_sum(terms, domain)
-    spans = [f.domain for f, _ in terms] + ([domain] if domain else [])
+    spans = [f.domain for f, _ in terms] + [domain]
     max_shift = max(s for _, s in terms)
     lo = min(d.lo for d in spans) - max_shift - 2
     hi = max(d.hi for d in spans) + max_shift + 2
@@ -433,7 +433,7 @@ SHIFTED_SUM_CASES = {
         [(_step(UP, (0,), (3,), 1, 5), s) for s in (0, 1, 1, 12)],
         IntInterval(-4, 20),
     ),
-    "one term, default domain": ([(_step(DOWN, (1, 2), (6, 6), 7, 0), 0)], None),
+    "one term, its own domain": ([(_step(DOWN, (1, 2), (6, 6), 7, 0), 0)], IntInterval(1, 2)),
 }
 
 
@@ -479,7 +479,7 @@ def test_shifted_sum_rejects_mixed_directions():
         values=(2, 1),
     )
     with pytest.raises(InvalidInput):
-        shifted_sum([(up, 0), (down, 1)])
+        shifted_sum([(up, 0), (down, 1)], up.domain)
 
 
 def test_interval_validation():
