@@ -35,7 +35,6 @@ import functools
 import json
 import os
 import random
-import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -177,23 +176,18 @@ def load_instances(path: str, problem_override: str | None):
             yield lineno, problem, inst
 
 
-# Fraction()'s syntax in ASCII digits: "n/d", or a decimal with an optional exponent.
-_RATIONAL = re.compile(r"([-+]?\d+)/(\d+)|([-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)", re.A | re.I)
-
-
 def _rational(text: str) -> Fraction:
-    """Fraction(text) at any length; Fraction() refuses more digits than int() reads."""
-    match = _RATIONAL.fullmatch(text.strip())
-    if match is None:
-        return Fraction(text)
-    num, den, dec = match.groups()
-    return Fraction(Decimal(dec)) if dec else Fraction(int(Decimal(num)), int(Decimal(den)))
+    """Fraction(text) at any length: Decimal reads digits past int()'s limit."""
+    num, slash, den = text.partition("/")
+    if slash:
+        return Fraction(Decimal(num)) / Fraction(Decimal(den))
+    return Fraction(Decimal(text))
 
 
 def _parse_epsilon(text: str) -> Fraction:
     try:
         eps = _rational(text)
-    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, decimal.InvalidOperation
+    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, InvalidOperation, inf
         raise InvalidInput(f"epsilon {text!r} is not a rational number") from exc
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")
