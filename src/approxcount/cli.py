@@ -351,7 +351,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     eps_list = [_parse_epsilon(tok) for tok in (args.epsilon or "").split(",") if tok]
-    scales = [_as_int(tok, "--scales") for tok in args.scales.split(",") if tok != ""]
+    scales = [_as_int(tok, "--scales") for tok in args.scales.split(",")]
     if any(k < 0 for k in scales):
         raise InvalidInput("scale exponents must be nonnegative")
     (base,) = _drawn(args, 1)

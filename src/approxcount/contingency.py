@@ -63,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from operator import mul, sub
 
 from .errors import InvalidInput
 from .oracles import Contingency2Instance
@@ -93,6 +94,9 @@ def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) 
     H(pivot-j-1). g is known on the window, on its mirror image when the
     window reaches h, below 0 when a = 0 and past pivot when the window is
     the whole half; a sum that reads g anywhere else raises InvalidInput.
+    W is evaluated in one closure, with G inline at both points (one bisect
+    and one product each), so an evaluation is one Python frame below
+    ``FnOracle.__call__``.
 
     W(j) - W(j-1) = g(j) - g(j-width-1), and on all of Z g changes value only
     at the points c of C = {0, pivot+1, x+1 and pivot-x for each half
@@ -106,34 +110,30 @@ def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) 
     h = pivot // 2
     if a < 0 or b > h:
         raise InvalidInput("the half's window must lie inside {0..pivot//2}")
-    xs, vals = half.xs, half.values
-    # cum[i] = H(xs[i]); the piece ending at xs[i] holds vals[i] from xs[i-1]+1.
-    pieces = (v * (y - x) for x, y, v in zip(xs, xs[1:], vals[1:]))
-    cum = list(accumulate(pieces, initial=vals[0]))
-
-    def prefix_half(t: int) -> int:
-        if t < a:
-            return 0
-        i = bisect_left(xs, t)
-        return cum[i] - (xs[i] - t) * vals[i]
-
-    if b < h:  # no read is mirrored
-        prefix, top = prefix_half, b
-    else:
-        total = prefix_half(h) + prefix_half(pivot - h - 1)
-
-        def prefix(j: int) -> int:
-            return prefix_half(j) if j <= h else total - prefix_half(pivot - j - 1)
-
+    # H(u) = cum[i] - (xs[i] - u) * vals[i] for i = bisect_left(xs, u) and u <= b:
+    # the piece ending at xs[i] holds vals[i] from xs[i-1]+1, and a piece of
+    # value 0 ending at a-1 makes H 0 below a.
+    xs, vals = (a - 1, *half.xs), (0, *half.values)
+    cum = list(accumulate(map(mul, map(sub, xs[1:], xs), vals[1:]), initial=0))
+    top, total = b, None  # no read is mirrored
+    if b == h:  # total = G(pivot-a) = H(h) + H(pivot-h-1), and H(h-1) = H(h) - g(h)
         top = pivot - a if a else None
+        total = 2 * cum[-1] - (vals[-1] if pivot % 2 == 0 else 0)
 
     def w(j: int) -> int:
         if (a and j - width < a) or (top is not None and j > top):
             raise InvalidInput(f"the window sum at {j} reads the column outside {a}..{b}")
-        return prefix(j) - prefix(j - width - 1)
+        # G(j) - G(t), where G(u) = total - H(pivot-u-1) past h
+        t, base, sign = j - width - 1, 0, 1
+        if t > h:  # the totals cancel
+            j, t = pivot - t - 1, pivot - j - 1
+        elif j > h:
+            j, base, sign = pivot - j - 1, total, -1
+        i, l = bisect_left(xs, j), bisect_left(xs, t)
+        return base + sign * (cum[i] - (xs[i] - j) * vals[i]) - cum[l] + (xs[l] - t) * vals[l]
 
     lo, hi = window.lo, window.hi
-    changes = [0, pivot + 1, *[x + 1 for x in xs], *[pivot - x for x in xs]]
+    changes = [0, pivot + 1, *[x + 1 for x in half.xs], *[pivot - x for x in half.xs]]
     knots = {lo, hi}
     knots.update([c - 1 for c in changes if lo < c <= hi + 1])
     knots.update([c + width for c in changes if lo <= c + width <= hi])
@@ -163,7 +163,7 @@ def compress_contingency(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     dom, knots = phi.domain, phi.starts
     if not knots or (knots[0], knots[-1]) != (dom.lo, dom.hi):
         raise InvalidInput("the oracle's knots must run from one end of its window to the other")
-    ws = [phi(t) for t in knots]
+    ws = list(map(phi.__call__, knots))
     below = 0 if dom.lo == 0 else None
     return apx_set_linear(knots, ws, Direction.NONDECREASING, k, below=below)
 

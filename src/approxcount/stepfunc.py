@@ -156,6 +156,14 @@ class FnOracle:
     must not be shared across concurrent callers. ``starts`` are the sorted
     points its compressor reads: where a :func:`shifted_sum` changes value,
     or the knots a window sum is linear between; black boxes have None.
+
+    Every evaluation is one call of ``__call__``, never bypassed through
+    ``_fn`` or batched, because the tally and any wrapper patched onto the
+    class (a tracer's) count evaluations there. Each compressor binds
+    ``phi.__call__`` once per call and probes through it: CPython does not
+    specialize calling an instance whose class defines ``__call__``, but it
+    does a bound method, and binding per call, never at import, still sees a
+    patch made on the class before the compression.
     """
 
     __slots__ = ("domain", "direction", "calls", "starts", "_fn")
@@ -278,9 +286,10 @@ def apx_set_nondecreasing(
     domain the value is ``below``, by default None: no value, so a query
     there raises. Above it, the value is the high edge value.
     """
+    evaluate = phi.__call__
     num, den = k.k.numerator, k.k.denominator
     x = dom.hi
-    fx = phi(x)
+    fx = evaluate(x)
     xs, values = [x], [fx]
     while x > dom.lo:
         lo, hi = dom.lo, x  # phi(x) itself satisfies the predicate since k > 1
@@ -288,7 +297,7 @@ def apx_set_nondecreasing(
         bar = den * fx
         while lo < hi:
             mid = (lo + hi) // 2
-            v = phi(mid)
+            v = evaluate(mid)
             if not v_lo <= v <= v_hi:
                 raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONDECREASING)
             if num * v >= bar:
@@ -322,10 +331,11 @@ def apx_set_nonincreasing(
     it, the domain end against x before every merge decision. Out of domain
     values are as in :func:`apx_set_nondecreasing`.
     """
+    evaluate = phi.__call__
     num, den = k.k.numerator, k.k.denominator
     x = dom.lo
-    fx = phi(x)
-    v_end = phi(dom.hi) if dom.hi > x else fx
+    fx = evaluate(x)
+    v_end = evaluate(dom.hi) if dom.hi > x else fx
     xs, values = [x], [fx]
     while x < dom.hi:
         if v_end > fx:
@@ -339,7 +349,7 @@ def apx_set_nonincreasing(
         v_lo, v_hi = fx, v_end
         while lo < hi:
             mid = (lo + hi) // 2
-            v = phi(mid)
+            v = evaluate(mid)
             if not v_lo >= v >= v_hi:
                 raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONINCREASING)
             if num * v < bar:
@@ -443,7 +453,7 @@ def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
     dom = IntInterval(points[0], points[-1])
     if dom.lo not in phi.domain or dom.hi not in phi.domain:
         raise InvalidInput("points leave the oracle's domain")
-    return _function(dom, phi.direction, points, [phi(x) for x in points], None)
+    return _function(dom, phi.direction, points, list(map(phi.__call__, points)), None)
 
 
 def shifted_sum(terms: Sequence[tuple[StepFunction, int]], domain: IntInterval) -> FnOracle:

@@ -683,9 +683,14 @@ print(json.dumps([on_import, built]))
         (["verify", "--epsilon", "1"], None, 2, [], "verify needs --input or --problem"),
         (["bench", "--problem", "mtuples", "--scales", "0,-1"], None, 2, [],
          "scale exponents must be nonnegative"),
+        (["bench", "--problem", "knapsack", "--scales", ""], None, 2, [],
+         "--scales: '' is not a decimal integer"),
+        (["bench", "--problem", "knapsack", "--scales", ","], None, 2, [],
+         "--scales: '' is not a decimal integer"),
     ],
     ids=["count-skips-blank-lines", "verify-skips-blank-lines", "array-line", "list-payload",
-         "zero-epsilon", "verify-without-input-or-problem", "negative-scale"],
+         "zero-epsilon", "verify-without-input-or-problem", "negative-scale", "empty-scales",
+         "comma-scales"],
 )
 def test_input_paths(tmp_path, capsys, argv, text, code, counts, err):
     path = tmp_path / "in.ndjson"

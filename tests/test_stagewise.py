@@ -19,6 +19,7 @@ import approxcount
 from approxcount import (
     ApproxRatio,
     Contingency2Instance,
+    FnOracle,
     IntInterval,
     InvalidInput,
     KnapsackInstance,
@@ -435,3 +436,32 @@ def test_walked_stages_fall_by_more_than_k_at_every_kept_point():
 def test_seeded_sweep_output_is_unchanged():
     digest = hashlib.sha256(_sweep_text().encode()).hexdigest()
     assert digest == "11484fd07fb3a36765521ebd757c0efb5889c55fd7a5e27002c6f5a5aa7b931a"
+
+
+def test_a_wrapper_patched_on_the_class_counts_every_evaluation(monkeypatch):
+    # A tracer wraps FnOracle.__call__ on the class after import. Every
+    # evaluation a report tallies must pass through that wrapper, so no
+    # compressor may bind the call at import, read the oracle's function past
+    # it or add to its tally itself.
+    call, seen = FnOracle.__call__, [0]
+
+    def counting(oracle, x):
+        seen[0] += 1
+        return call(oracle, x)
+
+    monkeypatch.setattr(FnOracle, "__call__", counting)
+    total = 0
+    for eps, knap, tuples, table in _sweep_instances(rounds=200):
+        runs = [
+            (fptas_knapsack, knap),
+            (strong_fptas_knapsack, knap),
+            (fptas_mtuples, tuples),
+            (strong_fptas_mtuples, tuples),
+            (fptas_contingency2, table),
+        ]
+        for counter, inst in runs:
+            seen[0] = 0
+            rep = counter(inst, eps)
+            assert seen[0] == rep.oracle_calls, (counter.__name__, inst, eps)
+            total += seen[0]
+    assert total > 0
