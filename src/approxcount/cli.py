@@ -58,7 +58,7 @@ from .oracles import (
     dp_mtuples,
 )
 from .stagewise import RunReport
-from .stepfunc import decimal_text
+from .stepfunc import decimal_text, to_fraction
 
 
 # The generator's size flags: name -> (default, least value, help).
@@ -176,18 +176,10 @@ def load_instances(path: str, problem_override: str | None):
             yield lineno, problem, inst
 
 
-def _rational(text: str) -> Fraction:
-    """Fraction(text) at any length: Decimal reads digits past int()'s limit."""
-    num, slash, den = text.partition("/")
-    if slash:
-        return Fraction(Decimal(num)) / Fraction(Decimal(den))
-    return Fraction(Decimal(text))
-
-
 def _parse_epsilon(text: str) -> Fraction:
     try:
-        eps = _rational(text)
-    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, InvalidOperation, inf
+        eps = to_fraction(text)
+    except InvalidInput as exc:
         raise InvalidInput(f"epsilon {text!r} is not a rational number") from exc
     if eps <= 0:
         raise InvalidInput("epsilon must be positive")

@@ -8,8 +8,9 @@ bijects sums j onto sums P_i - j with P_i = s_1 + ... + s_i, so fills_i is
 symmetric around P_i/2, unimodal, and zero outside {0..P_i}. A column is
 therefore kept as its nondecreasing half only, a plain
 :class:`~approxcount.stepfunc.StepFunction` (:func:`compress_contingency`),
-and the stage carries P_i. The half's value above its domain is not the
-column's: only :func:`window_sum` reads the mirror, from the half and P_i.
+and the stage carries the pivot. The half's value above its domain is not
+the column's: only :func:`window_sum` reads the mirror, from the half and
+the pivot.
 
 Column i is read only at R minus the cells of the later columns, so at
 {P_i - (P_n - R)..R}, directly or mirrored: a point above P_i//2 mirrors
@@ -20,17 +21,17 @@ starts at 0 and with no value below it otherwise. Column n's window is
 {R}, where the count is read.
 
 :func:`fptas_contingency2` compresses once per column, one stage
-(s_i, P_i, window) each. With g the previous compressed column (column 1 is
-exact), P its pivot and s = s_i, the window sum W(j) = g(j) + ... + g(j - s)
-is evaluated exactly as G(j) - G(j - s - 1), G the prefix sum of g over its
-explicit pieces counted from the start of g's window (:func:`window_sum`),
-and W on column i's window is compressed with ratio k by a walk over W's
-linear pieces (:func:`compress_contingency`): W's oracle is evaluated
-only at its knots, the oracle's ``starts``, and each kept breakpoint is
-found by one exact floor division on its piece. A one-point window, such
-as column n's, is one evaluation and merges nothing, so k^m <= 1 +
-epsilon with m the number of windows of more than one point. Four facts
-make this sound:
+(P_{i-1}, s_i, window) each. With g the previous compressed column (column
+1 is exact), P = P_{i-1} its pivot and s = s_i, the window sum W(j) = g(j)
++ ... + g(j - s) is evaluated exactly as G(j) - G(j - s - 1), G the prefix
+sum of g over its explicit pieces counted from the start of g's window
+(:func:`window_sum`), and W on column i's window is compressed with ratio
+k by a walk over W's linear pieces (:func:`compress_contingency`): W's
+oracle is evaluated only at its knots, the oracle's ``starts``, and each
+kept breakpoint is found by one exact floor division on its piece. A
+one-point window, such as column n's, is one evaluation and merges
+nothing, so k^m <= 1 + epsilon with m the number of windows of more than
+one point. Four facts make this sound:
 
 1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
    the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
@@ -52,11 +53,12 @@ make this sound:
    above it), at O(len(g)) evaluations per column whatever the cell sizes;
    the walk checks that every slope between knots is an integer.
 
-Each column is one step of :func:`~approxcount.stagewise.run_stages`, the
-stage loop every counter shares, which also caps the breakpoints kept over
-all columns. Column n's one point is the count, within k^m <= 1 + epsilon
-of fills_n(R). With one column, or R = 0, no column is compressed and
-column 1 is queried exactly.
+Each column is one stage of :func:`~approxcount.stagewise.run_stages`, the
+stage loop every counter shares, which builds :func:`window_sum` from the
+stage, compresses it, and caps the breakpoints kept over all columns.
+Column n's one point is the count, within k^m <= 1 + epsilon of fills_n(R).
+With one column, or R = 0, no column is compressed and column 1 is queried
+exactly.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) 
     the whole half; a sum that reads g anywhere else raises InvalidInput.
     W is evaluated in one closure, with G inline at both points (one bisect
     and one product each), so an evaluation is one Python frame below
-    ``FnOracle.__call__``.
+    ``FnOracle.__call__``. The oracle's ``below`` is 0 when ``window``
+    starts at 0, where every read is below 0, and None otherwise.
 
     W(j) - W(j-1) = g(j) - g(j-width-1), and on all of Z g changes value only
     at the points c of C = {0, pivot+1, x+1 and pivot-x for each half
@@ -137,7 +140,7 @@ def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) 
     knots = {lo, hi}
     knots.update([c - 1 for c in changes if lo < c <= hi + 1])
     knots.update([c + width for c in changes if lo <= c + width <= hi])
-    return FnOracle(window, Direction.NONDECREASING, w, sorted(knots))
+    return FnOracle(window, Direction.NONDECREASING, w, sorted(knots), 0 if lo == 0 else None)
 
 
 def compress_contingency(phi: FnOracle, k: ApproxRatio) -> StepFunction:
@@ -155,27 +158,15 @@ def compress_contingency(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps on its mirror
     image; a one-point window is its one evaluation. The result is the
     compressed window, a StepFunction on {lo..hi} within ratio k of phi
-    there, 0 below it when lo = 0 and with no value below it otherwise;
-    compressing an L-approximation therefore yields a k*L-approximation of
-    the original. Its value above hi is the value at hi, not the mirrored
-    one, which only :func:`window_sum` reads.
+    there, ``phi.below`` below it; compressing an L-approximation therefore
+    yields a k*L-approximation of the original. Its value above hi is the
+    value at hi, not the mirrored one, which only :func:`window_sum` reads.
     """
     dom, knots = phi.domain, phi.starts
     if not knots or (knots[0], knots[-1]) != (dom.lo, dom.hi):
         raise InvalidInput("the oracle's knots must run from one end of its window to the other")
     ws = list(map(phi.__call__, knots))
-    below = 0 if dom.lo == 0 else None
-    return apx_set_linear(knots, ws, Direction.NONDECREASING, k, below=below)
-
-
-def _column(half: StepFunction, stage: tuple[int, int, IntInterval], ratio: ApproxRatio):
-    """One column of the stage loop, ``stage = (s, pivot, window)``: compress
-    the window sum of width s over the previous column, whose pivot is
-    pivot - s, on this column's window of its half.
-    """
-    s, pivot, window = stage
-    oracle = window_sum(half, pivot - s, s, window)
-    return oracle, compress_contingency(oracle, ratio)
+    return apx_set_linear(knots, ws, Direction.NONDECREASING, k, below=phi.below)
 
 
 def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
@@ -189,5 +180,5 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
     ends = (lo, hi) if lo < hi else (lo,)
     below = 0 if lo == 0 else None
     first = StepFunction(windows[0], Direction.NONDECREASING, ends, (1,) * len(ends), below)
-    stages = list(zip(s[1:], pivots[1:], windows[1:])) if target else []
-    return run_stages(first, stages, epsilon, target, _column)
+    stages = list(zip(pivots, s[1:], windows[1:])) if target else []
+    return run_stages(first, stages, epsilon, target, window_sum, compress_contingency)

@@ -16,12 +16,12 @@ superset of everywhere the stage function actually changes (an
 3. :func:`~approxcount.stepfunc.apx_set_linear` walks those pieces.
 
 The result is what :func:`~approxcount.stepfunc.apx_set_nonincreasing`
-keeps over the index's domain. Strong m-tuples, and strong knapsack
-through it, is the only user: its stage ``compress``
-(:func:`~approxcount.mtuples._over_piece_starts`) builds the index from
-the piece starts of the stage's sum in its reachable window; a window
-that starts above 0 gets ``below=None``, no value under it. The shared
-stage loop (:mod:`~approxcount.stagewise`) imports nothing from here.
+keeps over the index's domain, with the oracle's ``below`` under it.
+Strong m-tuples, and strong knapsack through it, is the only user: its
+stage ``compress`` (:func:`~approxcount.mtuples._over_piece_starts`)
+builds the index from the piece starts of the stage's sum in its reachable
+window. The shared stage loop (:mod:`~approxcount.stagewise`) imports
+nothing from here.
 Oracle cost is one evaluation per candidate and never depends on the
 width of the numeric domain; that is the whole point.
 """
@@ -86,17 +86,16 @@ def pad(s: Sequence[int], dom: IntInterval) -> tuple[int, ...]:
     return tuple(dict.fromkeys(merged))
 
 
-def convert(
-    phi: FnOracle, inc: IncIndex, k: ApproxRatio, *, below: int | None = None
-) -> StepFunction:
+def convert(phi: FnOracle, inc: IncIndex, k: ApproxRatio) -> StepFunction:
     """Compress phi, constant between the candidates of inc, to ratio k.
 
     Returns the step function of :func:`~approxcount.stepfunc.apx_set_linear`
-    over inc.domain, at one evaluation of phi per candidate.
+    over inc.domain, ``phi.below`` below it, at one evaluation of phi per
+    candidate.
     """
     exact = induce(phi, inc.points)
     pts, vals = exact.xs, exact.values
     at = dict(zip([c - 1 for c in pts[1:]], vals))  # c-1 holds the previous candidate's value
     at.update(zip(pts, vals))
     knots = pad(pts, inc.domain)
-    return apx_set_linear(knots, [at[t] for t in knots], phi.direction, k, below=below)
+    return apx_set_linear(knots, [at[t] for t in knots], phi.direction, k, below=phi.below)

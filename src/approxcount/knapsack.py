@@ -15,12 +15,10 @@ magnitude of the weights and the capacity.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .incpoints import convert  # noqa: F401 - perfbench's tracer test reads knapsack.convert
 from .mtuples import strong_fptas_mtuples
 from .oracles import KnapsackInstance, MTuplesInstance
-from .stagewise import RunReport, run_stages, sum_stage
+from .stagewise import RunReport, run_stages, shifted
 from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nondecreasing
 
 
@@ -50,5 +48,5 @@ def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
 def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
     full = IntInterval(0, inst.capacity)
     items = [((0, w), full) for w in inst.weights]
-    step = partial(sum_stage, compress=apx_set_nondecreasing)
-    return run_stages(_empty_subset_row(inst.capacity), items, epsilon, inst.capacity, step)
+    first = _empty_subset_row(inst.capacity)
+    return run_stages(first, items, epsilon, inst.capacity, shifted, apx_set_nondecreasing)

@@ -27,13 +27,12 @@ Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import accumulate
 from typing import Sequence
 
 from .incpoints import IncIndex, convert
 from .oracles import MTuplesInstance
-from .stagewise import RunReport, run_stages, sum_stage
+from .stagewise import RunReport, run_stages, shifted
 from .stepfunc import (
     ApproxRatio,
     Direction,
@@ -62,20 +61,18 @@ def sums_after(values: Sequence[int]) -> list[int]:
     return list(accumulate(reversed(values), initial=0))[-2::-1]
 
 
-def _over_piece_starts(
-    raw: FnOracle, dom: IntInterval, ratio: ApproxRatio, below: int | None
-) -> StepFunction:
+def _over_piece_starts(raw: FnOracle, ratio: ApproxRatio) -> StepFunction:
     """Compress the stage sum ``raw`` over the :class:`IncIndex` of its
-    piece starts in dom, at one evaluation per candidate."""
-    return convert(raw, IncIndex.build(raw.starts, dom), ratio, below=below)
+    piece starts in its domain, at one evaluation per candidate."""
+    return convert(raw, IncIndex.build(raw.starts, raw.domain), ratio)
 
 
 def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over the numeric domain {0..bound}."""
     full = IntInterval(0, inst.bound)
     stages = [(s, full) for s in inst.sets]
-    step = partial(sum_stage, compress=apx_set_nonincreasing)
-    return run_stages(_empty_tuple_row(inst.bound), stages, epsilon, inst.bound, step)
+    first = _empty_tuple_row(inst.bound)
+    return run_stages(first, stages, epsilon, inst.bound, shifted, apx_set_nonincreasing)
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
@@ -95,5 +92,5 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     highs = sums_after([max(s) for s in inst.sets])
     lows = sums_after([min(s) for s in inst.sets])
     windows = [IntInterval(max(0, b - hi), max(0, b - lo)) for hi, lo in zip(highs, lows)]
-    step = partial(sum_stage, compress=_over_piece_starts)
-    return run_stages(_empty_tuple_row(b), list(zip(inst.sets, windows)), epsilon, b, step)
+    stages = list(zip(inst.sets, windows))
+    return run_stages(_empty_tuple_row(b), stages, epsilon, b, shifted, _over_piece_starts)

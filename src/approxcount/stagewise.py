@@ -1,45 +1,42 @@
 """The stage loop every counter runs through.
 
-:func:`run_stages` starts from an exact first row f_0 and replaces each
-stage of the counting recurrence by a step of the counter: a function
-evaluated exactly from the previous compressed row, compressed with
-per-stage ratio k on the stage's domain. Compressing a K'-approximation
-with ratio k gives a kK'-approximation, and a one-point domain is one
-exact evaluation that merges nothing, so it gives a K'-approximation (the
-K-approximation set induction of Halman, Klabjan, Mostagir, Orlin and
-Simchi-Levi, Math. Oper. Res. 2009). So k is chosen with k^m <= 1+epsilon,
-m the number of stages whose domain has more than one point, and the final
-row is within 1+epsilon of the exact one. Every row is a
-:class:`~approxcount.stepfunc.StepFunction`. Contingency2's step is one
-column's window sum, with stages (s_i, P_i, window) and each row a
+:func:`run_stages` starts from an exact first row f_0 and repeats one step
+per stage of the counting recurrence: build the stage's oracle exactly from
+the previous compressed row, then compress it with per-stage ratio k.
+Every compressor takes ``(oracle, ratio)``, since the oracle carries its
+domain and its value below it. Compressing a K'-approximation with ratio k
+gives a kK'-approximation, and a one-point domain is one exact evaluation
+that merges nothing, so it gives a K'-approximation (the K-approximation
+set induction of Halman, Klabjan, Mostagir, Orlin and Simchi-Levi, Math.
+Oper. Res. 2009). So k is chosen with k^m <= 1+epsilon, m the number of
+stages whose domain has more than one point, and the final row is within
+1+epsilon of the exact one. Every row is a
+:class:`~approxcount.stepfunc.StepFunction`. Contingency2's exact stage is
+one column's window sum, with stages (P_{i-1}, s_i, window) and each row a
 column's nondecreasing half on its window (:mod:`approxcount.contingency`);
-knapsack and m-tuples share :func:`sum_stage`, for the recurrence
+knapsack and m-tuples build theirs with :func:`shifted`, for the recurrence
 
     f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
 
 over the domain each stage names: knapsack with S_i = (0, w_i), m-tuples
-with S_i the i-th set. :func:`sum_stage` has no default compressor: each
-counter passes its own for the sum (:func:`~approxcount.stepfunc.shifted_sum`).
-The plain variants name {0..hi} for every stage and pass the binary search
-in their sums' direction. Strong m-tuples, which strong knapsack runs on
-the items a subset leaves out (:mod:`~approxcount.knapsack`), names each
-stage's reachable window and passes a ``compress``
-(:mod:`~approxcount.mtuples`) that keeps what the nonincreasing binary
-search over the window keeps.
-Shifts are nonnegative, so when a stage's domain starts where the previous
-one's does, every f_{i-1}(j - s) below it is the previous below-domain value
-and f_i there is |S_i| times it. A domain that starts higher has no value
-below it (``out_of_domain_low`` is None).
+with S_i the i-th set. The plain variants name {0..hi} for every stage and
+compress by the binary search in their sums' direction. Strong m-tuples,
+which strong knapsack runs on the items a subset leaves out
+(:mod:`~approxcount.knapsack`), names each stage's reachable window and
+keeps what the nonincreasing binary search over it keeps
+(:mod:`~approxcount.mtuples`). Shifts are nonnegative, so a stage whose
+domain starts where the previous one's does is |S_i| times the previous
+below-domain value below it; a domain that starts higher has no value
+below it (:func:`~approxcount.stepfunc.shifted_sum`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import TooLarge
-from .stepfunc import ApproxRatio, StepFunction, shifted_sum, to_fraction
+from .stepfunc import ApproxRatio, FnOracle, IntInterval, StepFunction, shifted_sum
 
 
 # The report keeps every stage's function, so the kept breakpoints bound a run's
@@ -59,44 +56,35 @@ class RunReport:
     """
 
     count: int
-    epsilon: Fraction
     oracle_calls: int
     per_stage_set_sizes: list[int]
     chain_length: int
     stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
 
 
-def sum_stage(prev: StepFunction, stage, ratio, compress: Callable):
-    """One stage of the shifted-sum recurrence, ``stage = (shifts, domain)``:
-    returns the sum over the domain, an oracle, and ``compress(sum, domain,
-    ratio, below=below)``, the counter's own compressor.
-    """
-    shifts, dom = stage
-    raw = shifted_sum([(prev, s) for s in shifts], dom)
-    low = prev.out_of_domain_low
-    below = None if low is None or dom.lo > prev.domain.lo else low * len(shifts)
-    return raw, compress(raw, dom, ratio, below=below)
+def shifted(prev: StepFunction, shifts: Sequence[int], dom: IntInterval) -> FnOracle:
+    """The stage sum of ``prev`` shifted by each of ``shifts``, on ``dom``."""
+    return shifted_sum([(prev, s) for s in shifts], dom)
 
 
 def run_stages(
-    first: StepFunction, stages: Sequence, epsilon, query_at: int, step: Callable
+    first: StepFunction, stages: Sequence, epsilon, query_at: int, exact, compress
 ) -> RunReport:
-    """Run ``step(prev, stage, ratio)`` for every stage from ``first`` and
-    report the last row at ``query_at``. Each stage is a tuple that ends
-    with its domain. A step returns the oracle it evaluated and the
-    compressed function. Keeping more than KEPT_BREAKPOINT_CAP breakpoints
-    in all raises TooLarge.
+    """From ``first``, build each stage's oracle ``exact(prev, *stage)`` and
+    compress it, ``compress(oracle, ratio)``; report the last row at
+    ``query_at``. Each stage is a tuple that ends with its domain. Keeping
+    more than KEPT_BREAKPOINT_CAP breakpoints in all raises TooLarge.
     """
-    eps = to_fraction(epsilon)
     # a one-point stage is one exact evaluation: it merges nothing, adds no ratio
     merging = sum(dom.lo < dom.hi for *_, dom in stages)
-    ratio = ApproxRatio.for_stages(eps, max(merging, 1))
+    ratio = ApproxRatio.for_stages(epsilon, max(merging, 1))
     approx = first
     calls = kept = 0
     stage_functions = []
 
     for stage in stages:
-        oracle, approx = step(approx, stage, ratio)
+        oracle = exact(approx, *stage)
+        approx = compress(oracle, ratio)
         calls += oracle.calls
         kept += len(approx)
         if kept > KEPT_BREAKPOINT_CAP:
@@ -105,7 +93,6 @@ def run_stages(
 
     return RunReport(
         count=approx.query(query_at),
-        epsilon=eps,
         oracle_calls=calls,
         per_stage_set_sizes=[len(f) for f in stage_functions],
         chain_length=merging,

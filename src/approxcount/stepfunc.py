@@ -21,10 +21,12 @@ which it is linear, instead of searching, and returns what
 :func:`apx_set_nonincreasing` returns, on the mirror image x -> -x when phi
 is nondecreasing (so a low end it merges holds the value of the kept point
 above it); the strong counters and contingency tables compress that way.
-Construction probes phi through :class:`FnOracle` (which
-tallies calls), and every comparison is done in exact integer arithmetic:
-with k = p/q, "k*phi(y) >= phi(x)" is evaluated as p*phi(y) >= q*phi(x). No
-floats anywhere, so the bound survives any value magnitudes.
+Construction probes phi through :class:`FnOracle`, which tallies calls and
+carries phi's domain and its value below it, so every compressor that
+evaluates phi takes only phi and k. Every comparison is done in exact
+integer arithmetic: with k = p/q, "k*phi(y) >= phi(x)" is evaluated as
+p*phi(y) >= q*phi(x). No floats anywhere, so the bound survives any value
+magnitudes.
 
 Sums of same-direction step functions (``shifted_sum``) stay monotone and can
 be recompressed; compressing with ratio k1 a function that was itself within
@@ -73,14 +75,23 @@ class IntInterval:
 
 
 def to_fraction(value) -> Fraction:
-    """Exact rational from int, Fraction, or decimal string.
+    """Exact rational from int, Fraction, float, or text such as "0.25",
+    "1e-3" or "1/4", at any length.
 
     Floats are routed through their shortest decimal repr, so to_fraction(0.1)
     is exactly 1/10 rather than the binary float it would otherwise denote.
+    Text is read through Decimal, which takes digits past int()'s limit;
+    text that is not a rational raises InvalidInput.
     """
     if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+        value = str(value)
+    if not isinstance(value, str):
+        return Fraction(value)
+    num, slash, den = value.partition("/")
+    try:
+        return Fraction(Decimal(num)) / (Fraction(Decimal(den)) if slash else 1)
+    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, InvalidOperation, inf
+        raise InvalidInput(f"{value!r} is not a rational number") from exc
 
 
 def decimal_text(q: int | Fraction) -> str:
@@ -156,6 +167,8 @@ class FnOracle:
     must not be shared across concurrent callers. ``starts`` are the sorted
     points its compressor reads: where a :func:`shifted_sum` changes value,
     or the knots a window sum is linear between; black boxes have None.
+    ``below`` is the value below ``domain``, or None where there is none;
+    every compressor gives its function that ``out_of_domain_low``.
 
     Every evaluation is one call of ``__call__``, never bypassed through
     ``_fn`` or batched, because the tally and any wrapper patched onto the
@@ -166,13 +179,16 @@ class FnOracle:
     patch made on the class before the compression.
     """
 
-    __slots__ = ("domain", "direction", "calls", "starts", "_fn")
+    __slots__ = ("domain", "direction", "calls", "starts", "below", "_fn")
 
-    def __init__(self, domain: IntInterval, direction: Direction, fn: Callable, starts=None):
+    def __init__(
+        self, domain: IntInterval, direction: Direction, fn: Callable, starts=None, below=None
+    ):
         self.domain = domain
         self.direction = direction
         self._fn = fn
         self.starts = starts
+        self.below = below
         self.calls = 0
 
     def __call__(self, x: int) -> int:
@@ -267,14 +283,8 @@ def _out_of_order(x: int, v: int, left: int, right: int, direction: Direction):
     )
 
 
-def apx_set_nondecreasing(
-    phi: FnOracle,
-    dom: IntInterval,
-    k: ApproxRatio,
-    *,
-    below: int | None = None,
-) -> StepFunction:
-    """Compress a nondecreasing phi on dom to a step function within ratio k.
+def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
+    """Compress a nondecreasing phi on its domain to a step function within ratio k.
 
     Scans from the high end: from the current point x, binary-search the
     smallest y with k*phi(y) >= phi(x) (monotone predicate), step to
@@ -283,10 +293,10 @@ def apx_set_nondecreasing(
     search probed (y's probe, or x-1's when y = x), so the function is exact
     at every breakpoint without a second pass. Each probe is checked against
     the probes that bracket it. Oracle cost is O(|W| log |dom|). Below the
-    domain the value is ``below``, by default None: no value, so a query
-    there raises. Above it, the value is the high edge value.
+    domain the value is ``phi.below``; None means no value, so a query there
+    raises. Above it, the value is the high edge value.
     """
-    evaluate = phi.__call__
+    evaluate, dom = phi.__call__, phi.domain
     num, den = k.k.numerator, k.k.denominator
     x = dom.hi
     fx = evaluate(x)
@@ -310,17 +320,11 @@ def apx_set_nondecreasing(
         values.append(fx)
     xs.reverse()
     values.reverse()
-    return _function(dom, Direction.NONDECREASING, xs, values, below)
+    return _function(dom, Direction.NONDECREASING, xs, values, phi.below)
 
 
-def apx_set_nonincreasing(
-    phi: FnOracle,
-    dom: IntInterval,
-    k: ApproxRatio,
-    *,
-    below: int | None = None,
-) -> StepFunction:
-    """Compress a nonincreasing phi on dom to a step function within ratio k.
+def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
+    """Compress a nonincreasing phi on its domain to a step function within ratio k.
 
     Scans from the low end: from the current point x, binary-search the first
     y > x where k*phi(y) < phi(x) fails the ratio; every point before it is
@@ -331,7 +335,7 @@ def apx_set_nonincreasing(
     it, the domain end against x before every merge decision. Out of domain
     values are as in :func:`apx_set_nondecreasing`.
     """
-    evaluate = phi.__call__
+    evaluate, dom = phi.__call__, phi.domain
     num, den = k.k.numerator, k.k.denominator
     x = dom.lo
     fx = evaluate(x)
@@ -359,7 +363,7 @@ def apx_set_nonincreasing(
         x, fx = lo, v_hi
         xs.append(x)
         values.append(fx)
-    return _function(dom, Direction.NONINCREASING, xs, values, below)
+    return _function(dom, Direction.NONINCREASING, xs, values, phi.below)
 
 
 def _walk(knots, ws, slopes, num, den, step):
@@ -463,7 +467,10 @@ def shifted_sum(terms: Sequence[tuple[StepFunction, int]], domain: IntInterval) 
     Out-of-domain queries hit each term's own boundary values, which is how
     recurrences like "count(j - w) with count = 0 below zero" are realized.
     A term with no value below its domain is refused if the sum's domain
-    would read it there.
+    would read it there. The oracle's ``below`` is the sum of the terms' low
+    values when every term has one, every shift is nonnegative and the
+    domain starts no higher than any term's, so that every read below the
+    domain lands below every term's; otherwise it is None.
 
     The sum is built once as a piece table over every integer: each term
     changes value only where one of its pieces starts (the first point past
@@ -503,8 +510,11 @@ def shifted_sum(terms: Sequence[tuple[StepFunction, int]], domain: IntInterval) 
         deltas[xs[-1] + s + 1] += f.out_of_domain_high - prev
     starts = sorted(x for x, d in deltas.items() if d)
     values = list(accumulate((deltas[x] for x in starts), initial=base))
+    known = all(
+        f.out_of_domain_low is not None and s >= 0 and domain.lo <= f.domain.lo for f, s in terms
+    )
 
     def evaluate(j: int) -> int:
         return values[bisect_right(starts, j)]
 
-    return FnOracle(domain, direction, evaluate, starts)
+    return FnOracle(domain, direction, evaluate, starts, base if known else None)

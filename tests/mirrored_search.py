@@ -15,17 +15,19 @@ from approxcount.stepfunc import (
 )
 
 
-def mirrored_search(phi, dom: IntInterval, k, *, below=None) -> StepFunction:
+def mirrored_search(phi, k) -> StepFunction:
     """What apx_set_nonincreasing keeps on t -> phi(-t) over {-dom.hi..-dom.lo},
-    mapped back to a nondecreasing step function on dom."""
+    mapped back to a nondecreasing step function on phi's domain, with
+    phi.below below it."""
+    dom = phi.domain
     mirror = FnOracle(IntInterval(-dom.hi, -dom.lo), Direction.NONINCREASING, lambda t: phi(-t))
-    kept = apx_set_nonincreasing(mirror, mirror.domain, k)
+    kept = apx_set_nonincreasing(mirror, k)
     values = kept.values[::-1]
     return StepFunction(
         domain=dom,
         direction=Direction.NONDECREASING,
         xs=[-t for t in reversed(kept.xs)],
         values=values,
-        out_of_domain_low=below,
+        out_of_domain_low=phi.below,
         out_of_domain_high=values[-1],
     )

@@ -224,19 +224,46 @@ def test_bench_csv_shape(capsys):
     assert out.count("\r\n") >= len(rows)  # RFC 4180 line endings
 
 
-def test_readme_bench_sample_matches_a_fresh_run(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("$ approxcount bench ", 1)[1].split("```", 1)[0]
-    command, *sample = block.splitlines()
-    code, out, _ = run(capsys, ["bench", *shlex.split(command)])
-    assert code == 0
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
-    def without_timing(lines):
-        rows = [line.split(",") for line in lines if line]
+
+def without_timing(command, lines):
+    """The sample's CSV rows or JSON records, with ``elapsed_ms`` left out."""
+    lines = [line for line in lines if line]
+    if command == "bench":
+        rows = [line.split(",") for line in lines]
         column = rows[0].index("elapsed_ms")
         return [row[:column] + row[column + 1 :] for row in rows]
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        record.pop("elapsed_ms", None)
+    return records
 
-    assert without_timing(out.splitlines()) == without_timing(sample)
+
+def assert_readme_samples_match_a_fresh_run(capsys, command):
+    """Rerun every README sample of ``approxcount command`` and compare its
+    output, all but ``elapsed_ms``."""
+    blocks = README.split(f"$ approxcount {command} ")[1:]
+    assert blocks
+    for block in blocks:
+        args, *sample = block.split("```", 1)[0].splitlines()
+        code, out, _ = run(capsys, [command, *shlex.split(args)])
+        assert code == 0
+        assert without_timing(command, out.splitlines()) == without_timing(command, sample)
+
+
+def test_readme_bench_sample_matches_a_fresh_run(capsys):
+    assert_readme_samples_match_a_fresh_run(capsys, "bench")
+
+
+@pytest.mark.parametrize("command", ["gen", "count"])
+def test_readme_gen_and_count_samples_match_a_fresh_run(capsys, tmp_path, monkeypatch, command):
+    # the count samples read demo.ndjson: README's m-tuples payload line
+    mtuples = [line for line in README.splitlines() if line.startswith('{"problem": "mtuples"')]
+    payload = next(line for line in mtuples if '"payload"' in line)
+    (tmp_path / "demo.ndjson").write_text(payload + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert_readme_samples_match_a_fresh_run(capsys, command)
 
 
 def test_bench_exact_only_when_no_epsilon(capsys):

@@ -79,6 +79,7 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
     for a in range(h + 1):
         for b in range(a, h + 1):
             w = window_sum(window_of(full, a, b), pivot, width, IntInterval(0, h))
+            assert w.below == 0  # every read below the window is below 0
             known = set(range(a, b + 1))
             if b == h:
                 known |= {pivot - t for t in known}
@@ -108,6 +109,7 @@ def test_window_sum_needs_the_half_of_its_pivot():
     # {0..1} stops short of 4//2, so no sum may read past 1.
     w = window_sum(half, 4, 2, window)
     assert [w(j) for j in (-1, 0, 1)] == [0, 1, 3]
+    assert (w.below, window_sum(half, 4, 2, IntInterval(1, 1)).below) == (0, None)
     with pytest.raises(InvalidInput):
         w(2)
 
@@ -116,7 +118,7 @@ def half_oracle(fn, pivot, knots=None):
     """An oracle on {0..pivot//2} with the given knots, by default every point."""
     if knots is None:
         knots = range(pivot // 2 + 1)
-    return FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, fn, knots)
+    return FnOracle(IntInterval(0, pivot // 2), Direction.NONDECREASING, fn, knots, below=0)
 
 
 class TestCompressOp:
@@ -392,7 +394,9 @@ def test_walk_keeps_what_the_binary_search_keeps(cell_max):
             k = ApproxRatio.for_stages(eps, max(sum(w.lo < w.hi for w in windows), 1))
             for (g, pivot, s, got), dom in zip(columns_with_inputs(inst, rep), windows):
                 below = 0 if dom.lo == 0 else None
-                ref = mirrored_search(window_sum(g, pivot, s, dom), dom, k, below=below)
+                oracle = window_sum(g, pivot, s, dom)
+                assert oracle.below == below
+                ref = mirrored_search(oracle, k)
                 assert got.to_json() == ref.to_json()
 
 

@@ -26,9 +26,9 @@ K2 = ApproxRatio.for_stages(Fraction(7), 3)  # k = 2 exactly
 HALF = ApproxRatio.for_stages(Fraction(1, 2), 1)
 
 
-def table_oracle(values, direction=Direction.NONDECREASING):
+def table_oracle(values, direction=Direction.NONDECREASING, below=None):
     dom = IntInterval(0, len(values) - 1)
-    return FnOracle(dom, direction, lambda j: values[j])
+    return FnOracle(dom, direction, lambda j: values[j], below=below)
 
 
 def step_tables(max_len=60, max_value=40):
@@ -120,9 +120,9 @@ def test_convert_identity_with_full_inc():
 
 
 def test_convert_propagates_out_of_domain_fill():
-    phi = table_oracle([2, 2, 3, 9])
+    phi = table_oracle([2, 2, 3, 9], below=0)
     inc = IncIndex.build([0, 2, 3], IntInterval(0, 3))
-    f = convert(phi, inc, K2, below=0)
+    f = convert(phi, inc, K2)
     assert f.query(-3) == 0
     assert f.query(4) == 9  # the high edge value
 
@@ -200,12 +200,12 @@ def test_convert_scan_matches_binary_search(k, direction, values, extra):
     # convert's reference is the nonincreasing binary search over the whole
     # domain, on the mirror image for a nondecreasing table.
     table = values if direction is Direction.NONDECREASING else values[::-1]
-    phi = table_oracle(table, direction)
+    phi = table_oracle(table, direction, below=0)
     dom = phi.domain
     changes = strict_increase_points(table) | strict_decrease_points(table)
     inc = IncIndex.build(changes | {e for e in extra if e <= dom.hi}, dom)
     search = mirrored_search if direction is Direction.NONDECREASING else apx_set_nonincreasing
-    assert convert(phi, inc, k, below=0) == search(table_oracle(table, direction), dom, k, below=0)
+    assert convert(phi, inc, k) == search(table_oracle(table, direction, below=0), k)
 
 
 def test_convert_counts_one_call_per_candidate_and_padded_point():

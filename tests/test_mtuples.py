@@ -99,6 +99,13 @@ def test_rejects_nonpositive_epsilon(bad):
         strong_fptas_mtuples(GOLDEN, bad)
 
 
+def test_epsilon_text_of_any_length():
+    # The CLI reads such an epsilon; so must the library. Fraction(text)
+    # refuses more than 4300 digits.
+    for counter in (fptas_mtuples, strong_fptas_mtuples):
+        assert counter(GOLDEN, "1/" + "9" * 5000) == counter(GOLDEN, Fraction(1, 10**5000 - 1))
+
+
 def random_instance(rng):
     m = rng.randint(1, 4)
     sets = tuple(

@@ -168,9 +168,9 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain(monkeypatch):
     # those recomputed from the stage before it, one evaluation each.
     converted = []
 
-    def recording(phi, inc, k, *, below=None):
+    def recording(phi, inc, k):
         converted.append(inc.points)
-        return convert(phi, inc, k, below=below)
+        return convert(phi, inc, k)
 
     monkeypatch.setattr(approxcount.mtuples, "convert", recording)
     rng = random.Random(4242)
@@ -312,7 +312,8 @@ def test_strong_stages_are_the_searched_windows():
         for (shifts, window), func in zip(stages, rep.stage_functions):
             raw = shifted_sum([(prev, s) for s in shifts], window)
             below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
-            expected = apx_set_nonincreasing(raw, window, ratio, below=below)
+            assert raw.below == below
+            expected = apx_set_nonincreasing(raw, ratio)
             assert func.to_json() == expected.to_json()
             candidates += len(IncIndex.build(raw.starts, window))
             prev = func

@@ -41,8 +41,8 @@ def compress(values, direction, k):
     """Compress a dense value table with the search of its direction."""
     phi = oracle_from_values(values, direction)
     if direction is Direction.NONDECREASING:
-        return apx_set_nondecreasing(phi, phi.domain, k)
-    return apx_set_nonincreasing(phi, phi.domain, k)
+        return apx_set_nondecreasing(phi, k)
+    return apx_set_nonincreasing(phi, k)
 
 
 # Monotone tables built from nonnegative deltas; lets hypothesis shrink well.
@@ -72,6 +72,15 @@ class TestToFraction:
     def test_int_and_fraction_pass_through(self):
         assert to_fraction(7) == 7
         assert to_fraction(Fraction(3, 2)) == Fraction(3, 2)
+
+    def test_text_of_any_length(self):
+        assert to_fraction("1/" + "9" * 5000) == Fraction(1, 10**5000 - 1)
+        assert to_fraction("1.5/3") == to_fraction("1e-1/0.2") == Fraction(1, 2)
+
+    @pytest.mark.parametrize("text", ["zebra", "", "1/", "1/0", "inf", "nan", "1/2/3"])
+    def test_text_that_is_not_a_rational_is_refused(self, text):
+        with pytest.raises(InvalidInput):
+            to_fraction(text)
 
 
 class TestApproxRatio:
@@ -244,21 +253,21 @@ def test_identity_on_one_to_sixteen_with_k_two():
     # Doubling thresholds: the selected points are exactly the powers of two.
     dom = IntInterval(1, 16)
     phi = FnOracle(dom, Direction.NONDECREASING, lambda j: j)
-    f = apx_set_nondecreasing(phi, dom, ApproxRatio.for_stages(Fraction(7), 3))
+    f = apx_set_nondecreasing(phi, ApproxRatio.for_stages(Fraction(7), 3))
     assert list(f.xs) == [1, 2, 4, 8, 16]
 
 
 def test_constant_function_needs_only_endpoints():
     dom = IntInterval(0, 100)
     phi = FnOracle(dom, Direction.NONDECREASING, lambda j: 12)
-    f = apx_set_nondecreasing(phi, dom, ApproxRatio.for_stages(Fraction(1), 1))
+    f = apx_set_nondecreasing(phi, ApproxRatio.for_stages(Fraction(1), 1))
     assert list(f.xs) == [0, 100]
 
 
 def test_all_zero_function_keeps_endpoints_only():
     dom = IntInterval(0, 50)
     phi = FnOracle(dom, Direction.NONINCREASING, lambda j: 0)
-    f = apx_set_nonincreasing(phi, dom, ApproxRatio.for_stages(Fraction(1), 1))
+    f = apx_set_nonincreasing(phi, ApproxRatio.for_stages(Fraction(1), 1))
     assert list(f.xs) == [0, 50]
 
 
@@ -297,7 +306,7 @@ def test_sandwich_on_wide_domain():
     dom = IntInterval(0, 10**4)
     phi = FnOracle(dom, Direction.NONDECREASING, lambda j: 1 + j * j)
     k = ApproxRatio.for_stages(Fraction(1, 2), 4)
-    f = apx_set_nondecreasing(phi, dom, k)
+    f = apx_set_nondecreasing(phi, k)
     for j in range(0, 10**4 + 1, 37):
         exact = 1 + j * j
         assert exact <= f.query(j) <= k.k * exact
@@ -329,7 +338,7 @@ def test_compression_of_compression_multiplies_ratios(values, k1, k2):
     first = compress(values, Direction.NONDECREASING, k1)
     dom = IntInterval(0, len(values) - 1)
     second_oracle = FnOracle(dom, Direction.NONDECREASING, first.query)
-    second = apx_set_nondecreasing(second_oracle, dom, k2)
+    second = apx_set_nondecreasing(second_oracle, k2)
     combined = k1.k * k2.k
     for j, exact in enumerate(values):
         assert exact <= second.query(j) <= combined * exact
@@ -394,7 +403,8 @@ def _step(direction, xs, values, below, above):
 
 
 def assert_shifted_sum_is_per_term_sum(terms, domain):
-    """Compare with sum(f.query(j - s)) at every j the table can turn at, and past it."""
+    """Compare with sum(f.query(j - s)) at every j the table can turn at, and
+    past it; where the oracle names its value below the domain, compare that too."""
     combined = shifted_sum(terms, domain)
     spans = [f.domain for f, _ in terms] + [domain]
     max_shift = max(s for _, s in terms)
@@ -403,6 +413,10 @@ def assert_shifted_sum_is_per_term_sum(terms, domain):
     for j in range(lo, hi + 1):
         assert combined(j) == sum(f.query(j - s) for f, s in terms), j
     assert combined.calls == hi - lo + 1
+    if combined.below is not None:
+        for j in range(lo, domain.lo):
+            assert combined.below == sum(f.query(j - s) for f, s in terms), j
+    return combined
 
 
 UP = Direction.NONDECREASING
@@ -418,6 +432,7 @@ SHIFTED_SUM_CASES = {
             (_step(UP, (4,), (5,), 2, 8), 0),
         ],
         IntInterval(0, 10),
+        40,  # every read below 0 is below every term: the sum of their lows
     ),
     "nonincreasing": (
         [
@@ -428,18 +443,33 @@ SHIFTED_SUM_CASES = {
             (_step(DOWN, (6,), (2,), 9, 4), 0),
         ],
         IntInterval(0, 10),
+        None,  # the domain starts above the term on {-2..1}
     ),
     "single point terms": (
         [(_step(UP, (0,), (3,), 1, 5), s) for s in (0, 1, 1, 12)],
         IntInterval(-4, 20),
+        4,
     ),
-    "one term, its own domain": ([(_step(DOWN, (1, 2), (6, 6), 7, 0), 0)], IntInterval(1, 2)),
+    "one term, its own domain": ([(_step(DOWN, (1, 2), (6, 6), 7, 0), 0)], IntInterval(1, 2), 7),
+    "negative shift": (
+        [(_step(UP, (0, 3), (1, 4), 2, 6), 0), (_step(UP, (0, 3), (1, 4), 2, 6), -2)],
+        IntInterval(0, 5),
+        None,  # j - (-2) lands on the term's domain from j = -2
+    ),
 }
 
 
 @pytest.mark.parametrize("case", SHIFTED_SUM_CASES)
 def test_shifted_sum_is_the_per_term_sum_everywhere(case):
-    assert_shifted_sum_is_per_term_sum(*SHIFTED_SUM_CASES[case])
+    terms, domain, below = SHIFTED_SUM_CASES[case]
+    assert assert_shifted_sum_is_per_term_sum(terms, domain).below == below
+
+
+def test_shifted_sum_has_no_value_below_a_term_without_one():
+    known = _step(UP, (2, 5), (1, 3), 0, 3)
+    unknown = _step(UP, (2, 5), (1, 3), None, 3)
+    assert shifted_sum([(known, 0), (known, 1)], IntInterval(2, 6)).below == 0
+    assert shifted_sum([(known, 0), (unknown, 0)], IntInterval(2, 6)).below is None
 
 
 @st.composite
@@ -527,11 +557,11 @@ def test_linear_walk_keeps_what_the_search_keeps(pieces, k, direction, below):
     for a, b, wa, wb in zip(knots, knots[1:], values, values[1:]):
         dense.update((x, wa + (x - a) * (wb - wa) // (b - a)) for x in range(a + 1, b + 1))
     dom = IntInterval(knots[0], knots[-1])
-    phi = FnOracle(dom, direction, dense.__getitem__)
+    phi = FnOracle(dom, direction, dense.__getitem__, below=below)
     # a nondecreasing walk keeps what the nonincreasing search keeps on its mirror image
     search = mirrored_search if direction is Direction.NONDECREASING else apx_set_nonincreasing
     walked = apx_set_linear(knots, values, direction, k, below=below)
-    assert walked == search(phi, dom, k, below=below)
+    assert walked == search(phi, k)
 
 
 @pytest.mark.parametrize(
