@@ -24,16 +24,19 @@ above it); the strong counters and contingency tables compress that way.
 Construction probes phi through :class:`FnOracle`, which tallies calls and
 carries phi's domain and its value below it, so every compressor that
 evaluates phi takes only phi and k. Every comparison is done in exact
-integer arithmetic: with k = p/q, "k*phi(y) >= phi(x)" is evaluated as
-p*phi(y) >= q*phi(x). No floats anywhere, so the bound survives any value
+integer arithmetic: with k = p/q, "k*phi(y) >= phi(x)" is
+p*phi(y) >= q*phi(x), which the binary searches test as phi(y) >= need
+for need = ceil(q*phi(x)/p), computed once per search; for integer values
+the two tests agree. No floats anywhere, so the bound survives any value
 magnitudes.
 
 Sums of same-direction step functions (``shifted_sum``) stay monotone and can
 be recompressed; compressing with ratio k1 a function that was itself within
 ratio k2 of a reference gives ratio k1*k2 against the reference. There is no
 such rule for subtraction, and nothing in this module subtracts. A sum is
-built once per stage as an explicit piece table, so each oracle evaluation
-of it is one bisect.
+built once per stage as an explicit piece table that its oracle reads
+itself, so each evaluation is one bisect inside ``FnOracle.__call__``, with
+no interpreter frame below it.
 """
 
 from __future__ import annotations
@@ -158,41 +161,57 @@ class ApproxRatio:
 
 
 class FnOracle:
-    """Black-box access to an integer -> count function, with a call tally.
+    """Access to an integer -> count function, with a call tally.
 
-    The declared direction is a promise about ``fn``, relied on by the binary
-    searches below and spot-checked there, not enforced per call. ``calls``
-    increments once per evaluation, repeats included, whatever one
-    evaluation costs (one bisect for :func:`shifted_sum`); a single oracle
-    must not be shared across concurrent callers. ``starts`` are the sorted
-    points its compressor reads: where a :func:`shifted_sum` changes value,
-    or the knots a window sum is linear between; black boxes have None.
-    ``below`` is the value below ``domain``, or None where there is none;
-    every compressor gives its function that ``out_of_domain_low``.
+    The function is either a black box ``fn`` or a piece table: ``starts``
+    sorted and ``values`` one longer, with f(x) = values[bisect_right(starts,
+    x)], which :func:`shifted_sum` builds. ``__call__`` reads a table itself,
+    one bisect with no frame below it. Exactly one of ``fn`` and ``values``
+    is given, or InvalidInput is raised.
+
+    The declared direction is a promise about the function, relied on by
+    the binary searches below and spot-checked there, not enforced per
+    call. ``calls`` increments once per evaluation, repeats included; a
+    single oracle must not be shared across concurrent callers. ``starts``
+    are the sorted points its compressor reads: where a piece table changes
+    value, or the knots a window sum is linear between; other black boxes
+    have None. ``below`` is the value below ``domain``, or None where there
+    is none; every compressor gives its function that ``out_of_domain_low``.
 
     Every evaluation is one call of ``__call__``, never bypassed through
-    ``_fn`` or batched, because the tally and any wrapper patched onto the
-    class (a tracer's) count evaluations there. Each compressor binds
-    ``phi.__call__`` once per call and probes through it: CPython does not
-    specialize calling an instance whose class defines ``__call__``, but it
-    does a bound method, and binding per call, never at import, still sees a
-    patch made on the class before the compression.
+    ``_fn`` or the table or batched, because the tally and any wrapper
+    patched onto the class (a tracer's) count evaluations there. Each
+    compressor binds ``phi.__call__`` once per call and probes through it:
+    CPython does not specialize calling an instance whose class defines
+    ``__call__``, but it does a bound method, and binding per call, never
+    at import, still sees a patch made on the class before the compression.
     """
 
-    __slots__ = ("domain", "direction", "calls", "starts", "below", "_fn")
+    __slots__ = ("domain", "direction", "calls", "starts", "values", "below", "_fn")
 
     def __init__(
-        self, domain: IntInterval, direction: Direction, fn: Callable, starts=None, below=None
+        self,
+        domain: IntInterval,
+        direction: Direction,
+        fn: Callable | None = None,
+        starts=None,
+        below=None,
+        values=None,
     ):
+        if (fn is None) == (values is None):
+            raise InvalidInput("an oracle needs exactly one of fn and a piece table's values")
         self.domain = domain
         self.direction = direction
         self._fn = fn
         self.starts = starts
+        self.values = values
         self.below = below
         self.calls = 0
 
     def __call__(self, x: int) -> int:
         self.calls += 1
+        if self._fn is None:
+            return self.values[bisect_right(self.starts, x)]
         return self._fn(x)
 
 
@@ -304,13 +323,13 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     while x > dom.lo:
         lo, hi = dom.lo, x  # phi(x) itself satisfies the predicate since k > 1
         v_lo, v_hi = 0, fx  # counts are nonnegative
-        bar = den * fx
+        need = -(-den * fx // num)  # num*v >= den*fx exactly when v >= need
         while lo < hi:
             mid = (lo + hi) // 2
             v = evaluate(mid)
             if not v_lo <= v <= v_hi:
                 raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONDECREASING)
-            if num * v >= bar:
+            if v >= need:
                 hi, v_hi = mid, v
             else:
                 lo, v_lo = mid + 1, v
@@ -344,8 +363,8 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     while x < dom.hi:
         if v_end > fx:
             raise _out_of_order(dom.hi, v_end, fx, 0, Direction.NONINCREASING)
-        bar = den * fx
-        if num * v_end >= bar:
+        need = -(-den * fx // num)  # num*v < den*fx exactly when v < need
+        if v_end >= need:
             xs.append(dom.hi)
             values.append(fx)
             break
@@ -356,7 +375,7 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
             v = evaluate(mid)
             if not v_lo >= v >= v_hi:
                 raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONINCREASING)
-            if num * v < bar:
+            if v < need:
                 hi, v_hi = mid, v
             else:
                 lo, v_lo = mid + 1, v
@@ -476,8 +495,10 @@ def shifted_sum(terms: Sequence[tuple[StepFunction, int]], domain: IntInterval) 
     changes value only where one of its pieces starts (the first point past
     a breakpoint when nondecreasing, the breakpoint itself when
     nonincreasing) and where its domain begins and ends. Building costs
-    O(P log P) for P pieces in all terms, independent of the domain width;
-    each evaluation is then one bisect. Points where the terms' changes
+    O(P log P) for P pieces in all terms, independent of the domain width.
+    The oracle holds the table (``starts`` and ``values``) and reads it
+    itself: each evaluation is one bisect inside ``FnOracle.__call__``, with
+    no closure or other frame below it. Points where the terms' changes
     cancel start no piece, so the oracle's ``starts`` are exactly the points
     where the sum changes value.
     """
@@ -513,8 +534,4 @@ def shifted_sum(terms: Sequence[tuple[StepFunction, int]], domain: IntInterval) 
     known = all(
         f.out_of_domain_low is not None and s >= 0 and domain.lo <= f.domain.lo for f, s in terms
     )
-
-    def evaluate(j: int) -> int:
-        return values[bisect_right(starts, j)]
-
-    return FnOracle(domain, direction, evaluate, starts, base if known else None)
+    return FnOracle(domain, direction, starts=starts, below=base if known else None, values=values)

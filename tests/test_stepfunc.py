@@ -29,6 +29,7 @@ from approxcount.stepfunc import (
     shifted_sum,
     to_fraction,
 )
+from dense_keep_rule import dense_keep
 from mirrored_search import mirrored_search
 
 
@@ -58,6 +59,14 @@ ratios = st.sampled_from(
         ApproxRatio.for_stages(Fraction(1, 2), 2),
         ApproxRatio.for_stages(Fraction(1), 1),
         ApproxRatio.for_stages(Fraction(7), 3),
+    ]
+)
+# k = 3/2, 2 and 5/4: small numerators, so den*f(x) is often a multiple of num
+exact_ratios = st.sampled_from(
+    [
+        ApproxRatio.for_stages(Fraction(1, 2), 1),
+        ApproxRatio.for_stages(1, 1),
+        ApproxRatio.for_stages(Fraction(1, 4), 1),
     ]
 )
 
@@ -143,6 +152,13 @@ class TestOracleCounter:
         phi(2)
         phi(2)
         assert phi.calls == 3
+
+    def test_takes_exactly_one_of_fn_and_a_table(self):
+        dom = IntInterval(0, 2)
+        with pytest.raises(InvalidInput):
+            FnOracle(dom, Direction.NONDECREASING)
+        with pytest.raises(InvalidInput):
+            FnOracle(dom, Direction.NONDECREASING, abs, starts=[1], values=[0, 1])
 
 
 def step_on(xs, domain):
@@ -377,6 +393,46 @@ def test_induce_exact_at_breakpoints(values, k, direction):
             assert v == table[x]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=nondecreasing_tables(max_len=120),
+    k=ratios | exact_ratios,
+    direction=st.sampled_from(list(Direction)),
+    lo=st.integers(-5, 5),
+)
+# k = 2: each kept y after the first meets num*f(y) = den*f(x) exactly
+@example(
+    values=[1, 1, 2, 2, 4, 4, 8, 8], k=ApproxRatio.for_stages(1, 1),
+    direction=Direction.NONDECREASING, lo=0,
+)
+@example(
+    values=[1, 1, 2, 2, 4, 4, 8, 8], k=ApproxRatio.for_stages(1, 1),
+    direction=Direction.NONINCREASING, lo=0,
+)
+# k = 3/2: 3*6 = 2*9 and 3*2 = 2*3 on the way down
+@example(
+    values=[0, 2, 2, 3, 3, 6, 6, 9, 9], k=ApproxRatio.for_stages(Fraction(1, 2), 1),
+    direction=Direction.NONDECREASING, lo=3,
+)
+# a kept f(x) = 0, which nothing fails
+@example(
+    values=[0, 0, 0, 0, 3, 7], k=ApproxRatio.for_stages(1, 1),
+    direction=Direction.NONDECREASING, lo=0,
+)
+@example(
+    values=[0, 0, 0, 0, 3, 7], k=ApproxRatio.for_stages(1, 1),
+    direction=Direction.NONINCREASING, lo=0,
+)
+def test_searches_keep_what_the_product_form_rule_keeps(values, k, direction, lo):
+    up = direction is Direction.NONDECREASING
+    if not up:
+        values = values[::-1]
+    phi = FnOracle(IntInterval(lo, lo + len(values) - 1), direction, lambda j: values[j - lo])
+    kept = (apx_set_nondecreasing if up else apx_set_nonincreasing)(phi, k)
+    expected = dense_keep(values, lo, up, k.k.numerator, k.k.denominator)
+    assert (list(kept.xs), list(kept.values)) == expected
+
+
 def test_shifted_sum_matches_manual_recurrence():
     base = StepFunction(
         domain=IntInterval(0, 6),
@@ -493,6 +549,34 @@ def step_terms(draw):
 @given(terms=step_terms())
 def test_shifted_sum_is_the_per_term_sum_on_random_terms(terms):
     assert_shifted_sum_is_per_term_sum(terms, IntInterval(0, 8))
+
+
+def monotone_through_its_ends(f):
+    """f with its low and high values moved to follow its direction."""
+    low, high = (min, max) if f.direction is Direction.NONDECREASING else (max, min)
+    below = low(f.out_of_domain_low, f.values[0])
+    above = high(f.out_of_domain_high, f.values[-1])
+    return _step(f.direction, f.xs, f.values, below, above)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=step_terms().map(lambda terms: [(monotone_through_its_ends(f), s) for f, s in terms]),
+    k=ratios | exact_ratios,
+)
+def test_a_table_oracle_searches_like_a_black_box_of_the_same_sum(terms, k):
+    domain = IntInterval(0, 30)
+    table = shifted_sum(terms, domain)
+    box = FnOracle(
+        domain,
+        table.direction,
+        lambda j: sum(f.query(j - s) for f, s in terms),
+        below=table.below,
+    )
+    up = table.direction is Direction.NONDECREASING
+    search = apx_set_nondecreasing if up else apx_set_nonincreasing
+    assert search(table, k) == search(box, k)
+    assert table.calls == box.calls
 
 
 def test_shifted_sum_rejects_mixed_directions():
