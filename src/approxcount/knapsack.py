@@ -18,8 +18,8 @@ from __future__ import annotations
 from .incpoints import convert  # noqa: F401 - perfbench's tracer test reads knapsack.convert
 from .mtuples import strong_fptas_mtuples
 from .oracles import KnapsackInstance, MTuplesInstance
-from .stagewise import RunReport, run_stages, shifted
-from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nondecreasing
+from .stagewise import RunReport, run_stages
+from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nondecreasing, shifted_sum
 
 
 def _empty_subset_row(capacity: int) -> StepFunction:
@@ -49,4 +49,4 @@ def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
     full = IntInterval(0, inst.capacity)
     items = [((0, w), full) for w in inst.weights]
     first = _empty_subset_row(inst.capacity)
-    return run_stages(first, items, epsilon, inst.capacity, shifted, apx_set_nondecreasing)
+    return run_stages(first, items, epsilon, inst.capacity, shifted_sum, apx_set_nondecreasing)

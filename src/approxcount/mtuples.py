@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .incpoints import IncIndex, convert
 from .oracles import MTuplesInstance
-from .stagewise import RunReport, run_stages, shifted
+from .stagewise import RunReport, run_stages
 from .stepfunc import (
     ApproxRatio,
     Direction,
@@ -40,6 +40,7 @@ from .stepfunc import (
     IntInterval,
     StepFunction,
     apx_set_nonincreasing,
+    shifted_sum,
 )
 
 
@@ -72,7 +73,7 @@ def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     full = IntInterval(0, inst.bound)
     stages = [(s, full) for s in inst.sets]
     first = _empty_tuple_row(inst.bound)
-    return run_stages(first, stages, epsilon, inst.bound, shifted, apx_set_nonincreasing)
+    return run_stages(first, stages, epsilon, inst.bound, shifted_sum, apx_set_nonincreasing)
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
@@ -93,4 +94,4 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     lows = sums_after([min(s) for s in inst.sets])
     windows = [IntInterval(max(0, b - hi), max(0, b - lo)) for hi, lo in zip(highs, lows)]
     stages = list(zip(inst.sets, windows))
-    return run_stages(_empty_tuple_row(b), stages, epsilon, b, shifted, _over_piece_starts)
+    return run_stages(_empty_tuple_row(b), stages, epsilon, b, shifted_sum, _over_piece_starts)

@@ -13,8 +13,10 @@ stages whose domain has more than one point, and the final row is within
 1+epsilon of the exact one. Every row is a
 :class:`~approxcount.stepfunc.StepFunction`. Contingency2's exact stage is
 one column's window sum, with stages (P_{i-1}, s_i, window) and each row a
-column's nondecreasing half on its window (:mod:`approxcount.contingency`);
-knapsack and m-tuples build theirs with :func:`shifted`, for the recurrence
+column's nondecreasing half on its window (:mod:`approxcount.contingency`).
+Knapsack and m-tuples build theirs with
+:func:`~approxcount.stepfunc.shifted_sum` itself, from stages (S_i, domain),
+for the recurrence
 
     f_i(j) = sum of f_{i-1}(j - s) over the shifts s in S_i,
 
@@ -27,7 +29,7 @@ keeps what the nonincreasing binary search over it keeps
 (:mod:`~approxcount.mtuples`). Shifts are nonnegative, so a stage whose
 domain starts where the previous one's does is |S_i| times the previous
 below-domain value below it; a domain that starts higher has no value
-below it (:func:`~approxcount.stepfunc.shifted_sum`).
+below it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import TooLarge
-from .stepfunc import ApproxRatio, FnOracle, IntInterval, StepFunction, shifted_sum
+from .stepfunc import ApproxRatio, StepFunction
 
 
 # The report keeps every stage's function, so the kept breakpoints bound a run's
@@ -60,11 +62,6 @@ class RunReport:
     per_stage_set_sizes: list[int]
     chain_length: int
     stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
-
-
-def shifted(prev: StepFunction, shifts: Sequence[int], dom: IntInterval) -> FnOracle:
-    """The stage sum of ``prev`` shifted by each of ``shifts``, on ``dom``."""
-    return shifted_sum([(prev, s) for s in shifts], dom)
 
 
 def run_stages(

@@ -30,13 +30,13 @@ for need = ceil(q*phi(x)/p), computed once per search; for integer values
 the two tests agree. No floats anywhere, so the bound survives any value
 magnitudes.
 
-Sums of same-direction step functions (``shifted_sum``) stay monotone and can
-be recompressed; compressing with ratio k1 a function that was itself within
+A sum of one step function's shifted copies (``shifted_sum``, one stage of
+the knapsack and m-tuples recurrences) stays monotone and can be
+recompressed; compressing with ratio k1 a function that was itself within
 ratio k2 of a reference gives ratio k1*k2 against the reference. There is no
 such rule for subtraction, and nothing in this module subtracts. A sum is
-built once per stage as an explicit piece table that its oracle reads
-itself, so each evaluation is one bisect inside ``FnOracle.__call__``, with
-no interpreter frame below it.
+built once per stage as a piece table that its oracle reads itself, so each
+evaluation is one bisect inside ``FnOracle.__call__``.
 """
 
 from __future__ import annotations
@@ -227,8 +227,8 @@ class StepFunction:
     below 0" (tuple counting) without special cases in callers. A low value
     of None means there is no value below the domain: a stage kept only on
     a window that starts above 0 does not know the values under it, so a
-    query there raises InvalidInput, and so does :func:`shifted_sum` when a
-    term would be read there.
+    query there raises InvalidInput, and so does :func:`shifted_sum` when it
+    would read the function there.
     """
 
     domain: IntInterval
@@ -479,59 +479,45 @@ def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
     return _function(dom, phi.direction, points, list(map(phi.__call__, points)), None)
 
 
-def shifted_sum(terms: Sequence[tuple[StepFunction, int]], domain: IntInterval) -> FnOracle:
-    """Oracle on ``domain`` for j -> sum of f(j - shift) over the (f, shift) pairs.
+def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> FnOracle:
+    """Oracle on ``domain`` for j -> sum of f(j - s) over the ``shifts``, repeats included.
 
-    All functions must share a direction; shifting and adding preserve it.
-    Out-of-domain queries hit each term's own boundary values, which is how
-    recurrences like "count(j - w) with count = 0 below zero" are realized.
-    A term with no value below its domain is refused if the sum's domain
-    would read it there. The oracle's ``below`` is the sum of the terms' low
-    values when every term has one, every shift is nonnegative and the
-    domain starts no higher than any term's, so that every read below the
-    domain lands below every term's; otherwise it is None.
+    Shifting and adding keep f's direction. Reads outside f's domain hit its
+    boundary values, which is how recurrences like "count(j - w) with count
+    = 0 below zero" are realized; if f has no value below its domain, a sum
+    that would read f there is refused. The oracle's ``below`` is
+    len(shifts) times f's low value when f has one, no shift is negative and
+    the domain starts no higher than f's, so that every read below the
+    domain lands below f's; otherwise it is None.
 
-    The sum is built once as a piece table over every integer: each term
-    changes value only where one of its pieces starts (the first point past
-    a breakpoint when nondecreasing, the breakpoint itself when
-    nonincreasing) and where its domain begins and ends. Building costs
-    O(P log P) for P pieces in all terms, independent of the domain width.
-    The oracle holds the table (``starts`` and ``values``) and reads it
-    itself: each evaluation is one bisect inside ``FnOracle.__call__``, with
-    no closure or other frame below it. Points where the terms' changes
-    cancel start no piece, so the oracle's ``starts`` are exactly the points
-    where the sum changes value.
+    The sum is built once as a piece table over every integer: f changes
+    value only where one of its pieces starts (the first point past a
+    breakpoint when nondecreasing, the breakpoint itself when nonincreasing)
+    and where its domain begins and ends. Those changes are listed once and
+    added at each shift, at O(P log P) for P = len(f) * len(shifts),
+    whatever the domain's width. The oracle reads its table (``starts`` and
+    ``values``) itself, one bisect inside ``FnOracle.__call__`` with no
+    frame below it. Points where shifted changes cancel start no piece, so
+    ``starts`` are exactly the points where the sum changes value.
     """
-    if not terms:
-        raise InvalidInput("need at least one term")
-    directions = {f.direction for f, _ in terms}
-    if len(directions) != 1:
-        raise InvalidInput("terms must share a direction")
-    direction = directions.pop()
+    if not shifts:
+        raise InvalidInput("need at least one shift")
+    xs, values, low = f.xs, f.values, f.out_of_domain_low
+    if low is None and domain.lo - max(shifts) < xs[0]:
+        raise InvalidInput(
+            f"the sum reads f at {domain.lo - max(shifts)}, below its domain from {xs[0]}, "
+            "where it has no value"
+        )
+    base = values[0] if low is None else low  # with no low value, no read falls below f
+    opens = (xs[0], *[x + 1 for x in xs[:-1]]) if f.direction is Direction.NONDECREASING else xs
+    steps = zip((*opens, xs[-1] + 1), (base, *values), (*values, f.out_of_domain_high))
+    changes = [(x, v - u) for x, u, v in steps if v != u]
     deltas: dict[int, int] = defaultdict(int)
-    base = 0
-    for f, s in terms:
-        xs = f.xs
-        if direction is Direction.NONDECREASING:
-            opens = (xs[0], *[x + 1 for x in xs[:-1]])
-        else:
-            opens = xs
-        prev = f.out_of_domain_low
-        if prev is None:  # no value below f's domain: the sum must not read there
-            if domain.lo - s < xs[0]:
-                raise InvalidInput(
-                    f"the sum reads a term shifted by {s} at {domain.lo - s}, below its "
-                    f"domain from {xs[0]}, where it has no value"
-                )
-            prev = f.values[0]
-        base += prev
-        for x, v in zip(opens, f.values):
-            deltas[x + s] += v - prev
-            prev = v
-        deltas[xs[-1] + s + 1] += f.out_of_domain_high - prev
+    for s in shifts:
+        for x, d in changes:
+            deltas[x + s] += d
     starts = sorted(x for x, d in deltas.items() if d)
-    values = list(accumulate((deltas[x] for x in starts), initial=base))
-    known = all(
-        f.out_of_domain_low is not None and s >= 0 and domain.lo <= f.domain.lo for f, s in terms
-    )
-    return FnOracle(domain, direction, starts=starts, below=base if known else None, values=values)
+    table = list(accumulate((deltas[x] for x in starts), initial=len(shifts) * base))
+    known = low is not None and min(shifts) >= 0 and domain.lo <= f.domain.lo
+    below = table[0] if known else None
+    return FnOracle(domain, f.direction, starts=starts, below=below, values=table)

@@ -17,6 +17,6 @@ def stage_candidates(rep, tuples) -> list[tuple[int, ...]]:
     prev, out = _empty_tuple_row(tuples.bound), []
     for shifts, func in zip(tuples.sets, rep.stage_functions):
         dom = func.domain
-        out.append(IncIndex.build(shifted_sum([(prev, s) for s in shifts], dom).starts, dom).points)
+        out.append(IncIndex.build(shifted_sum(prev, shifts, dom).starts, dom).points)
         prev = func
     return out

@@ -13,7 +13,7 @@ import pytest
 
 from approxcount.errors import InvalidInput
 from approxcount.mtuples import fptas_mtuples, strong_fptas_mtuples
-from approxcount.oracles import MTuplesInstance, dp_mtuples
+from approxcount.oracles import MTuplesInstance, brute_mtuples, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
 from dp_tables import dp_mtuples_table
 from strong_candidates import stage_candidates
@@ -114,12 +114,23 @@ def random_instance(rng):
     return MTuplesInstance(sets=sets, bound=rng.randint(0, 45))
 
 
+def repeated_instance(rng):
+    """Every set repeats an element; each copy counts as a distinct tuple."""
+    sets = []
+    for _ in range(rng.randint(1, 4)):
+        xs = rng.choices(range(31), k=rng.randint(1, 4))
+        sets.append(tuple(sorted(xs + [rng.choice(xs)])))
+    return MTuplesInstance(sets=tuple(sets), bound=rng.randint(0, 45))
+
+
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1)])
 def test_sandwich_randomized(eps):
-    rng = random.Random(515)
-    for _ in range(100):
-        inst = random_instance(rng)
-        exact = dp_mtuples(inst)
+    rng, repeats = random.Random(515), random.Random(5150)
+    instances = [random_instance(rng) for _ in range(100)]
+    instances += [repeated_instance(repeats) for _ in range(40)]
+    for inst in instances:
+        exact = brute_mtuples(inst)
+        assert dp_mtuples(inst) == exact
         for runner in (fptas_mtuples, strong_fptas_mtuples):
             got = runner(inst, eps).count
             if exact == 0:

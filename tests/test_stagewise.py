@@ -196,7 +196,7 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain(monkeypatch):
             prev = _empty_tuple_row(out.bound)
             for shifts, points, func in zip(out.sets, candidates, rep.stage_functions):
                 dom = func.domain
-                starts = shifted_sum([(prev, s) for s in shifts], dom).starts
+                starts = shifted_sum(prev, shifts, dom).starts
                 assert set(points) == {dom.lo, dom.hi} | {p for p in starts if p in dom}
                 prev = func
             assert rep.oracle_calls == sum(map(len, candidates))
@@ -310,7 +310,7 @@ def test_strong_stages_are_the_searched_windows():
         ratio = ApproxRatio.for_stages(eps, max(sum(w.lo < w.hi for _, w in stages), 1))
         candidates = 0
         for (shifts, window), func in zip(stages, rep.stage_functions):
-            raw = shifted_sum([(prev, s) for s in shifts], window)
+            raw = shifted_sum(prev, shifts, window)
             below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
             assert raw.below == below
             expected = apx_set_nonincreasing(raw, ratio)
@@ -362,11 +362,11 @@ def test_a_window_above_zero_refuses_reads_below_it():
     with pytest.raises(InvalidInput):
         stage.query(2)
     window = IntInterval(12, 12)
-    assert shifted_sum([(stage, 0), (stage, 9)], window)(12) == stage.query(12) + stage.query(3)
+    assert shifted_sum(stage, (0, 9), window)(12) == stage.query(12) + stage.query(3)
     with pytest.raises(InvalidInput):
-        shifted_sum([(stage, 0), (stage, 10)], window)
+        shifted_sum(stage, (0, 10), window)
     with pytest.raises(InvalidInput):
-        shifted_sum([(stage, 1)], stage.domain)
+        shifted_sum(stage, (1,), stage.domain)
 
 
 def _positive_values(func):

@@ -441,7 +441,7 @@ def test_shifted_sum_matches_manual_recurrence():
         values=(1, 2, 4),
         out_of_domain_low=0,
     )
-    combined = shifted_sum([(base, 0), (base, 4)], base.domain)
+    combined = shifted_sum(base, (0, 4), base.domain)
     for j in range(7):
         assert combined(j) == base.query(j) + base.query(j - 4)
     assert combined.calls == 7
@@ -458,97 +458,110 @@ def _step(direction, xs, values, below, above):
     )
 
 
-def assert_shifted_sum_is_per_term_sum(terms, domain):
+def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
     """Compare with sum(f.query(j - s)) at every j the table can turn at, and
-    past it; where the oracle names its value below the domain, compare that too."""
-    combined = shifted_sum(terms, domain)
-    spans = [f.domain for f, _ in terms] + [domain]
-    max_shift = max(s for _, s in terms)
-    lo = min(d.lo for d in spans) - max_shift - 2
-    hi = max(d.hi for d in spans) + max_shift + 2
+    past it, wherever f can be read; check that the table starts exactly
+    where that sum changes value, and that where the oracle names its value
+    below the domain, it is that sum there. No shifts is refused."""
+    with pytest.raises(InvalidInput):
+        shifted_sum(f, (), domain)
+    combined = shifted_sum(f, shifts, domain)
+    lo = min(f.domain.lo, domain.lo) + min(shifts) - 2
+    hi = max(f.domain.hi, domain.hi) + max(shifts) + 2
+    if f.out_of_domain_low is None:  # f is read at j - max(shifts), from j = lo - 1
+        lo = max(lo, f.domain.lo + max(shifts) + 1)
+    dense = {j: sum(f.query(j - s) for s in shifts) for j in range(lo - 1, hi + 1)}
     for j in range(lo, hi + 1):
-        assert combined(j) == sum(f.query(j - s) for f, s in terms), j
+        assert combined(j) == dense[j], j
     assert combined.calls == hi - lo + 1
+    changes = [j for j in range(lo, hi + 1) if dense[j] != dense[j - 1]]
+    starts = combined.starts
+    if f.out_of_domain_low is None:  # the table goes on below where f can be read
+        starts = [x for x in starts if x >= lo]
+    assert starts == changes
     if combined.below is not None:
-        for j in range(lo, domain.lo):
-            assert combined.below == sum(f.query(j - s) for f, s in terms), j
+        for j in range(lo - 1, domain.lo):
+            assert combined.below == dense[j], j
     return combined
 
 
 UP = Direction.NONDECREASING
 DOWN = Direction.NONINCREASING
+# (f, shifts, domain, the oracle's below); the low and high values of the
+# first two go against their direction, and each has a shift past the domain
 SHIFTED_SUM_CASES = {
     "nondecreasing": (
-        [
-            (_step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 13), 0),
-            (_step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 13), 0),
-            (_step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 13), 4),
-            (_step(UP, (2, 7), (0, 6), 3, 2), 25),
-            (_step(UP, (4,), (5,), 2, 8), 1),
-            (_step(UP, (4,), (5,), 2, 8), 0),
-        ],
+        _step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 2),
+        (0, 0, 4, 25),
         IntInterval(0, 10),
-        40,  # every read below 0 is below every term: the sum of their lows
+        44,  # every read below 0 is below f: four times its low value
     ),
     "nonincreasing": (
-        [
-            (_step(DOWN, (0, 3, 5, 10), (9, 4, 4, 1), 11, 13), 0),
-            (_step(DOWN, (0, 3, 5, 10), (9, 4, 4, 1), 11, 13), 3),
-            (_step(DOWN, (0, 3, 5, 10), (9, 4, 4, 1), 11, 13), 3),
-            (_step(DOWN, (-2, 1), (7, 0), 1, 5), 17),
-            (_step(DOWN, (6,), (2,), 9, 4), 0),
-        ],
+        _step(DOWN, (-2, 1, 3, 6), (7, 4, 4, 0), 1, 5),
+        (0, 3, 3, 17),
         IntInterval(0, 10),
-        None,  # the domain starts above the term on {-2..1}
+        None,  # the domain starts above f's, on {-2..6}
     ),
-    "single point terms": (
-        [(_step(UP, (0,), (3,), 1, 5), s) for s in (0, 1, 1, 12)],
-        IntInterval(-4, 20),
-        4,
-    ),
-    "one term, its own domain": ([(_step(DOWN, (1, 2), (6, 6), 7, 0), 0)], IntInterval(1, 2), 7),
+    "single point terms": (_step(UP, (0,), (3,), 1, 5), (0, 1, 1, 12), IntInterval(-4, 20), 4),
+    "one term, its own domain": (_step(DOWN, (1, 2), (6, 6), 7, 0), (0,), IntInterval(1, 2), 7),
     "negative shift": (
-        [(_step(UP, (0, 3), (1, 4), 2, 6), 0), (_step(UP, (0, 3), (1, 4), 2, 6), -2)],
+        _step(UP, (0, 3), (1, 4), 2, 6),
+        (0, -2),
         IntInterval(0, 5),
-        None,  # j - (-2) lands on the term's domain from j = -2
+        None,  # j - (-2) lands on f's domain from j = -2
+    ),
+    "changes that cancel": (
+        _step(UP, (0, 2), (1, 3), 0, 1),
+        (0, 2),
+        IntInterval(0, 4),
+        0,  # at 3 the copy shifted by 2 rises by 2 where the other falls to its high value
+    ),
+    "no value below f": (
+        _step(DOWN, (2, 5, 9), (8, 3, 1), None, 0),
+        (0, 2, 2),
+        IntInterval(4, 14),
+        None,
     ),
 }
 
 
 @pytest.mark.parametrize("case", SHIFTED_SUM_CASES)
 def test_shifted_sum_is_the_per_term_sum_everywhere(case):
-    terms, domain, below = SHIFTED_SUM_CASES[case]
-    assert assert_shifted_sum_is_per_term_sum(terms, domain).below == below
+    f, shifts, domain, below = SHIFTED_SUM_CASES[case]
+    assert assert_shifted_sum_is_the_dense_sum(f, shifts, domain).below == below
 
 
 def test_shifted_sum_has_no_value_below_a_term_without_one():
     known = _step(UP, (2, 5), (1, 3), 0, 3)
     unknown = _step(UP, (2, 5), (1, 3), None, 3)
-    assert shifted_sum([(known, 0), (known, 1)], IntInterval(2, 6)).below == 0
-    assert shifted_sum([(known, 0), (unknown, 0)], IntInterval(2, 6)).below is None
+    assert shifted_sum(known, (0, 1), IntInterval(2, 6)).below == 0
+    assert shifted_sum(unknown, (0,), IntInterval(2, 6)).below is None
+    with pytest.raises(InvalidInput):  # reads unknown at 1
+        shifted_sum(unknown, (0, 1), IntInterval(2, 6))
 
 
 @st.composite
-def step_terms(draw):
+def shifted_terms(draw, lows=st.none() | st.integers(0, 9)):
+    """(f, shifts): a step function and one to five shifts, repeats likely."""
     direction = draw(st.sampled_from(list(Direction)))
-    terms = []
-    for _ in range(draw(st.integers(1, 5))):
-        lo = draw(st.integers(-3, 3))
-        hi = lo + draw(st.integers(0, 12))
-        inner = draw(st.sets(st.integers(lo, hi), max_size=5))
-        xs = tuple(sorted(inner | {lo, hi}))
-        values = sorted(draw(st.lists(st.integers(0, 50), min_size=len(xs), max_size=len(xs))))
-        if direction is Direction.NONINCREASING:
-            values.reverse()
-        below, above = draw(st.integers(0, 60)), draw(st.integers(0, 60))
-        terms.append((_step(direction, xs, tuple(values), below, above), draw(st.integers(0, 20))))
-    return terms
+    lo = draw(st.integers(-3, 3))
+    hi = lo + draw(st.integers(0, 12))
+    inner = draw(st.sets(st.integers(lo, hi), max_size=5))
+    xs = tuple(sorted(inner | {lo, hi}))
+    # small values, so that shifted changes often cancel
+    values = sorted(draw(st.lists(st.integers(0, 9), min_size=len(xs), max_size=len(xs))))
+    if direction is Direction.NONINCREASING:
+        values.reverse()
+    f = _step(direction, xs, tuple(values), draw(lows), draw(st.integers(0, 9)))
+    return f, draw(st.lists(st.integers(0, 4) | st.integers(0, 20), min_size=1, max_size=5))
 
 
 @settings(max_examples=150, deadline=None)
-@given(terms=step_terms())
+@given(terms=shifted_terms())
 def test_shifted_sum_is_the_per_term_sum_on_random_terms(terms):
-    assert_shifted_sum_is_per_term_sum(terms, IntInterval(0, 8))
+    f, shifts = terms
+    lo = 0 if f.out_of_domain_low is not None else f.domain.lo + max(shifts)
+    assert_shifted_sum_is_the_dense_sum(f, shifts, IntInterval(lo, lo + 8))
 
 
 def monotone_through_its_ends(f):
@@ -561,39 +574,25 @@ def monotone_through_its_ends(f):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    terms=step_terms().map(lambda terms: [(monotone_through_its_ends(f), s) for f, s in terms]),
+    terms=shifted_terms(lows=st.integers(0, 9)).map(
+        lambda terms: (monotone_through_its_ends(terms[0]), terms[1])
+    ),
     k=ratios | exact_ratios,
 )
 def test_a_table_oracle_searches_like_a_black_box_of_the_same_sum(terms, k):
+    f, shifts = terms
     domain = IntInterval(0, 30)
-    table = shifted_sum(terms, domain)
+    table = shifted_sum(f, shifts, domain)
     box = FnOracle(
         domain,
         table.direction,
-        lambda j: sum(f.query(j - s) for f, s in terms),
+        lambda j: sum(f.query(j - s) for s in shifts),
         below=table.below,
     )
     up = table.direction is Direction.NONDECREASING
     search = apx_set_nondecreasing if up else apx_set_nonincreasing
     assert search(table, k) == search(box, k)
     assert table.calls == box.calls
-
-
-def test_shifted_sum_rejects_mixed_directions():
-    up = StepFunction(
-        domain=IntInterval(0, 2),
-        direction=Direction.NONDECREASING,
-        xs=(0, 2),
-        values=(1, 2),
-    )
-    down = StepFunction(
-        domain=IntInterval(0, 2),
-        direction=Direction.NONINCREASING,
-        xs=(0, 2),
-        values=(2, 1),
-    )
-    with pytest.raises(InvalidInput):
-        shifted_sum([(up, 0), (down, 1)], up.domain)
 
 
 def test_interval_validation():
