@@ -179,6 +179,6 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
     # column 1, exact: its half is 1 on its window
     ends = (lo, hi) if lo < hi else (lo,)
     below = 0 if lo == 0 else None
-    first = StepFunction(windows[0], Direction.NONDECREASING, ends, (1,) * len(ends), below)
+    first = StepFunction(Direction.NONDECREASING, ends, (1,) * len(ends), below)
     stages = list(zip(pivots, s[1:], windows[1:])) if target else []
-    return run_stages(first, stages, epsilon, target, window_sum, compress_contingency)
+    return run_stages(first, stages, epsilon, window_sum, compress_contingency)

@@ -15,13 +15,12 @@ superset of everywhere the stage function actually changes (an
    and c-1 takes the previous candidate's value without an evaluation;
 3. :func:`~approxcount.stepfunc.apx_set_linear` walks those pieces.
 
-The result is what :func:`~approxcount.stepfunc.apx_set_nonincreasing`
-keeps over the index's domain, with the oracle's ``below`` under it.
-Strong m-tuples, and strong knapsack through it, is the only user: its
-stage ``compress`` (:func:`~approxcount.mtuples._over_piece_starts`)
-builds the index from the piece starts of the stage's sum in its reachable
-window. The shared stage loop (:mod:`~approxcount.stagewise`) imports
-nothing from here.
+The candidates are the oracle's ``starts`` in its domain, so :func:`convert`
+is ``compress(oracle, ratio)`` like every compressor, and returns what
+:func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps over that domain,
+with the oracle's ``below`` under it. Strong m-tuples, and strong knapsack
+through it, is the only user: each stage's sum names its piece starts. The
+shared stage loop (:mod:`~approxcount.stagewise`) imports nothing from here.
 Oracle cost is one evaluation per candidate and never depends on the
 width of the numeric domain; that is the whole point.
 """
@@ -38,22 +37,20 @@ from .stepfunc import ApproxRatio, FnOracle, IntInterval, StepFunction, apx_set_
 
 @dataclass(frozen=True)
 class IncIndex:
-    """Sorted candidate change points of a monotone function over a domain.
+    """Sorted candidate change points of a monotone function; its ends are
+    the ends of the domain it is compressed on.
 
     Soundness requirement on the caller: every point where the underlying
     function actually changes must be present. Extra points are harmless.
     """
 
     points: tuple[int, ...]
-    domain: IntInterval
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         pts = self.points
         if not pts or not all(map(lt, pts, pts[1:])):
             raise InvalidInput("candidate points must be strictly increasing")
-        if pts[0] != self.domain.lo or pts[-1] != self.domain.hi:
-            raise InvalidInput("candidate points must include both domain endpoints")
 
     @classmethod
     def build(cls, candidates: Iterable[int], domain: IntInterval) -> "IncIndex":
@@ -64,38 +61,39 @@ class IncIndex:
         """
         lo, hi = domain.lo, domain.hi
         inner = sorted(p for p in candidates if lo < p < hi)
-        return cls(tuple(dict.fromkeys([lo, *inner, hi])), domain)
+        return cls(tuple(dict.fromkeys([lo, *inner, hi])))
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def pad(s: Sequence[int], dom: IntInterval) -> tuple[int, ...]:
-    """The points of s with the predecessor of every point but the first.
+def pad(points: Sequence[int]) -> tuple[int, ...]:
+    """The points with the predecessor of every point but the first.
 
-    s must run from dom.lo to dom.hi, so the result stays in the domain.
-    Returns a sorted tuple without duplicates, at most doubling the input
-    size (|pad(s)| <= 2|s| - 1).
+    The result stays within the points' ends. Returns a sorted tuple
+    without duplicates, at most doubling the input size
+    (|pad(points)| <= 2|points| - 1).
     """
-    pts = list(s)
+    pts = list(points)
     if not pts or not all(map(lt, pts, pts[1:])):
         raise InvalidInput("pad expects a strictly increasing sequence")
-    if pts[0] != dom.lo or pts[-1] != dom.hi:
-        raise InvalidInput("pad expects both domain endpoints present")
     merged = sorted(pts + [x - 1 for x in pts[1:]])  # a linear merge of two sorted runs
     return tuple(dict.fromkeys(merged))
 
 
-def convert(phi: FnOracle, inc: IncIndex, k: ApproxRatio) -> StepFunction:
-    """Compress phi, constant between the candidates of inc, to ratio k.
+def convert(phi: FnOracle, k: ApproxRatio) -> StepFunction:
+    """Compress phi, constant between its ``starts``, to ratio k.
 
     Returns the step function of :func:`~approxcount.stepfunc.apx_set_linear`
-    over inc.domain, ``phi.below`` below it, at one evaluation of phi per
-    candidate.
+    over phi.domain, ``phi.below`` below it, at one evaluation of phi per
+    candidate of the :class:`IncIndex` of its starts there. InvalidInput is
+    raised when phi names no starts.
     """
-    exact = induce(phi, inc.points)
+    if phi.starts is None:
+        raise InvalidInput("the oracle names no starts to take as candidate change points")
+    exact = induce(phi, IncIndex.build(phi.starts, phi.domain).points)
     pts, vals = exact.xs, exact.values
     at = dict(zip([c - 1 for c in pts[1:]], vals))  # c-1 holds the previous candidate's value
     at.update(zip(pts, vals))
-    knots = pad(pts, inc.domain)
+    knots = pad(pts)
     return apx_set_linear(knots, [at[t] for t in knots], phi.direction, k, below=phi.below)

@@ -26,7 +26,6 @@ def _empty_subset_row(capacity: int) -> StepFunction:
     """subsets_0: constantly 1 on {0..capacity}, 0 below it."""
     xs = (0,) if capacity == 0 else (0, capacity)
     return StepFunction(
-        domain=IntInterval(0, capacity),
         direction=Direction.NONDECREASING,
         xs=xs,
         values=(1,) * len(xs),
@@ -49,4 +48,4 @@ def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
     full = IntInterval(0, inst.capacity)
     items = [((0, w), full) for w in inst.weights]
     first = _empty_subset_row(inst.capacity)
-    return run_stages(first, items, epsilon, inst.capacity, shifted_sum, apx_set_nondecreasing)
+    return run_stages(first, items, epsilon, shifted_sum, apx_set_nondecreasing)

@@ -16,7 +16,8 @@ where a one-point stage is exact and does not count in m:
   starts above 0 has no value below it, and a read there raises. Inside the
   window a stage is evaluated only at its candidate change points, both
   window ends and the starts of its piece table between them, which cover
-  every change by construction (:func:`_over_piece_starts`), so the work is
+  every change by construction (:func:`~approxcount.incpoints.convert`
+  reads them off the stage's oracle), so the work is
   independent of the magnitude of B. The window's low end keeps its exact
   value, so the count need not equal the plain one.
   :func:`~approxcount.knapsack.strong_fptas_knapsack` is this counter on the
@@ -30,25 +31,16 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from .incpoints import IncIndex, convert
+from .incpoints import convert
 from .oracles import MTuplesInstance
 from .stagewise import RunReport, run_stages
-from .stepfunc import (
-    ApproxRatio,
-    Direction,
-    FnOracle,
-    IntInterval,
-    StepFunction,
-    apx_set_nonincreasing,
-    shifted_sum,
-)
+from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nonincreasing, shifted_sum
 
 
 def _empty_tuple_row(bound: int) -> StepFunction:
     """tuples_0: the empty tuple has sum 0 >= j exactly when j <= 0."""
     xs = tuple(sorted({0, min(1, bound), bound}))
     return StepFunction(
-        domain=IntInterval(0, bound),
         direction=Direction.NONINCREASING,
         xs=xs,
         values=tuple(1 if x <= 0 else 0 for x in xs),
@@ -62,18 +54,12 @@ def sums_after(values: Sequence[int]) -> list[int]:
     return list(accumulate(reversed(values), initial=0))[-2::-1]
 
 
-def _over_piece_starts(raw: FnOracle, ratio: ApproxRatio) -> StepFunction:
-    """Compress the stage sum ``raw`` over the :class:`IncIndex` of its
-    piece starts in its domain, at one evaluation per candidate."""
-    return convert(raw, IncIndex.build(raw.starts, raw.domain), ratio)
-
-
 def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over the numeric domain {0..bound}."""
     full = IntInterval(0, inst.bound)
     stages = [(s, full) for s in inst.sets]
     first = _empty_tuple_row(inst.bound)
-    return run_stages(first, stages, epsilon, inst.bound, shifted_sum, apx_set_nonincreasing)
+    return run_stages(first, stages, epsilon, shifted_sum, apx_set_nonincreasing)
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
@@ -86,12 +72,12 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     starts from the empty-tuple row, which steps from 1 to 0 between 0 and
     1, so its candidates are the successors of the first set's elements
     that lie in its window, and the window's ends. Each stage is then
-    compressed by :func:`~approxcount.incpoints.convert`
-    (:func:`_over_piece_starts`).
+    compressed by :func:`~approxcount.incpoints.convert`, which takes the
+    candidates from the sum's ``starts`` in the stage's window.
     """
     b = inst.bound
     highs = sums_after([max(s) for s in inst.sets])
     lows = sums_after([min(s) for s in inst.sets])
     windows = [IntInterval(max(0, b - hi), max(0, b - lo)) for hi, lo in zip(highs, lows)]
     stages = list(zip(inst.sets, windows))
-    return run_stages(_empty_tuple_row(b), stages, epsilon, b, shifted_sum, _over_piece_starts)
+    return run_stages(_empty_tuple_row(b), stages, epsilon, shifted_sum, convert)

@@ -10,7 +10,8 @@ that merges nothing, so it gives a K'-approximation (the K-approximation
 set induction of Halman, Klabjan, Mostagir, Orlin and Simchi-Levi, Math.
 Oper. Res. 2009). So k is chosen with k^m <= 1+epsilon, m the number of
 stages whose domain has more than one point, and the final row is within
-1+epsilon of the exact one. Every row is a
+1+epsilon of the exact one; the count is its value at its domain's high
+end, the query point every counter's stages end at. Every row is a
 :class:`~approxcount.stepfunc.StepFunction`. Contingency2's exact stage is
 one column's window sum, with stages (P_{i-1}, s_i, window) and each row a
 column's nondecreasing half on its window (:mod:`approxcount.contingency`).
@@ -64,13 +65,12 @@ class RunReport:
     stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
 
 
-def run_stages(
-    first: StepFunction, stages: Sequence, epsilon, query_at: int, exact, compress
-) -> RunReport:
+def run_stages(first: StepFunction, stages: Sequence, epsilon, exact, compress) -> RunReport:
     """From ``first``, build each stage's oracle ``exact(prev, *stage)`` and
-    compress it, ``compress(oracle, ratio)``; report the last row at
-    ``query_at``. Each stage is a tuple that ends with its domain. Keeping
-    more than KEPT_BREAKPOINT_CAP breakpoints in all raises TooLarge.
+    compress it, ``compress(oracle, ratio)``; the count is the last row at
+    its domain's high end, where every counter's stages end. Each stage is
+    a tuple that ends with its domain. Keeping more than
+    KEPT_BREAKPOINT_CAP breakpoints in all raises TooLarge.
     """
     # a one-point stage is one exact evaluation: it merges nothing, adds no ratio
     merging = sum(dom.lo < dom.hi for *_, dom in stages)
@@ -89,7 +89,7 @@ def run_stages(
         stage_functions.append(approx)
 
     return RunReport(
-        count=approx.query(query_at),
+        count=approx.values[-1],  # the value at domain.hi, the last breakpoint
         oracle_calls=calls,
         per_stage_set_sizes=[len(f) for f in stage_functions],
         chain_length=merging,

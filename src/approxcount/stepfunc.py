@@ -231,7 +231,6 @@ class StepFunction:
     would read the function there.
     """
 
-    domain: IntInterval
     direction: Direction
     xs: tuple[int, ...]
     values: tuple[int, ...]
@@ -246,8 +245,6 @@ class StepFunction:
         xs, values = self.xs, self.values
         if not all(map(lt, xs, xs[1:])):
             raise InvalidInput("breakpoint positions must be strictly increasing")
-        if xs[0] != self.domain.lo or xs[-1] != self.domain.hi:
-            raise InvalidInput("breakpoints must span the domain")
         if min(values) < 0:
             raise InvalidInput("values must be nonnegative")
         ordered = le if self.direction is Direction.NONDECREASING else ge
@@ -258,16 +255,22 @@ class StepFunction:
         """The number of breakpoints."""
         return len(self.xs)
 
+    @property
+    def domain(self) -> IntInterval:
+        """{xs[0]..xs[-1]}, the span of the breakpoints."""
+        return IntInterval(self.xs[0], self.xs[-1])
+
     def query(self, x: int) -> int:
-        if x < self.domain.lo:
+        xs = self.xs
+        if x < xs[0]:
             if self.out_of_domain_low is None:
-                raise InvalidInput(f"no value at {x}, below the domain from {self.domain.lo}")
+                raise InvalidInput(f"no value at {x}, below the domain from {xs[0]}")
             return self.out_of_domain_low
-        if x > self.domain.hi:
+        if x > xs[-1]:
             return self.out_of_domain_high
         if self.direction is Direction.NONDECREASING:
-            return self.values[bisect_left(self.xs, x)]
-        return self.values[bisect_right(self.xs, x) - 1]
+            return self.values[bisect_left(xs, x)]
+        return self.values[bisect_right(xs, x) - 1]
 
     def to_json(self) -> str:
         """One JSON object, laid out as json.dumps lays it out: positions are
@@ -277,16 +280,15 @@ class StepFunction:
         pos, val = decimal_text, lambda v: f'"{decimal_text(v)}"'
         points = ", ".join(f"[{pos(x)}, {val(v)}]" for x, v in zip(self.xs, self.values))
         return (
-            f'{{"domain": [{pos(self.domain.lo)}, {pos(self.domain.hi)}], '
+            f'{{"domain": [{pos(self.xs[0])}, {pos(self.xs[-1])}], '
             f'"direction": "{self.direction.value}", "breakpoints": [{points}], '
             f'"below": {"null" if low is None else val(low)}, '
             f'"above": {val(self.out_of_domain_high)}}}'
         )
 
 
-def _function(dom, direction, xs, values, below) -> StepFunction:
+def _function(direction, xs, values, below) -> StepFunction:
     return StepFunction(
-        domain=dom,
         direction=direction,
         xs=xs,
         values=values,
@@ -339,7 +341,7 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
         values.append(fx)
     xs.reverse()
     values.reverse()
-    return _function(dom, Direction.NONDECREASING, xs, values, phi.below)
+    return _function(Direction.NONDECREASING, xs, values, phi.below)
 
 
 def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
@@ -382,7 +384,7 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
         x, fx = lo, v_hi
         xs.append(x)
         values.append(fx)
-    return _function(dom, Direction.NONINCREASING, xs, values, phi.below)
+    return _function(Direction.NONINCREASING, xs, values, phi.below)
 
 
 def _walk(knots, ws, slopes, num, den, step):
@@ -462,7 +464,7 @@ def apx_set_linear(
     xs, fxs = _walk(knots, values, slopes, k.k.numerator, k.k.denominator, -sign)
     if up:  # walked down from the top
         xs, fxs = xs[::-1], fxs[::-1]
-    return _function(IntInterval(knots[0], knots[-1]), direction, xs, fxs, below)
+    return _function(direction, xs, fxs, below)
 
 
 def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
@@ -473,10 +475,9 @@ def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
     The points' ends are the function's domain. Above it the high edge value
     continues; below it there is no value.
     """
-    dom = IntInterval(points[0], points[-1])
-    if dom.lo not in phi.domain or dom.hi not in phi.domain:
+    if points[0] not in phi.domain or points[-1] not in phi.domain:
         raise InvalidInput("points leave the oracle's domain")
-    return _function(dom, phi.direction, points, list(map(phi.__call__, points)), None)
+    return _function(phi.direction, points, list(map(phi.__call__, points)), None)
 
 
 def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> FnOracle:
@@ -518,6 +519,6 @@ def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> 
             deltas[x + s] += d
     starts = sorted(x for x, d in deltas.items() if d)
     table = list(accumulate((deltas[x] for x in starts), initial=len(shifts) * base))
-    known = low is not None and min(shifts) >= 0 and domain.lo <= f.domain.lo
+    known = low is not None and min(shifts) >= 0 and domain.lo <= xs[0]
     below = table[0] if known else None
     return FnOracle(domain, f.direction, starts=starts, below=below, values=table)

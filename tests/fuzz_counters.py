@@ -21,17 +21,32 @@ up to 10**40, whose rows are too wide to tabulate, and checks only the
 count, with epsilon at least 1/10 for the table, whose kept breakpoints
 grow as log(values)/epsilon. Bounds and capacities are 0, 1, the total,
 the total +-1 or random.
+
+A second loop runs the command line, ``cli.main``, in process. Each round
+writes one line per problem to a file in a temporary directory: a random
+payload, or one broken by wrong types and bools, empty lists,
+inconsistent margins, missing fields, or values of 0, 1, 2, 2**64 and
+10**40, negative ones included. It runs ``count`` on that file in every
+mode and ``verify`` in every approximate mode, for every problem, at an
+epsilon of 1/10 or more, or at one that does not parse. Every exit code
+must be 0, 2 or 3: 1 would be a count outside its band and 4 an internal
+error. The two loops take turns, one round each, on their own seeds.
+
 On the first failure the script prints the instance as one JSON line that
-``approxcount count`` reads, names the counter, epsilon and the failed
-check on stderr, and exits 1. It exits 0 when the time is up.
+``approxcount count`` reads, names the counter or command, epsilon and the
+failed check on stderr, and exits 1. It exits 0 when the time is up.
 """
 
 import argparse
+import io
 import json
+import os
 import random
 import sys
+import tempfile
 import time
 import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -48,6 +63,7 @@ from approxcount import (
     strong_fptas_knapsack,
     strong_fptas_mtuples,
 )
+from approxcount import cli
 from approxcount.cli import payload_from_instance
 from approxcount.knapsack import left_out
 from approxcount.oracles import brute_knapsack, brute_mtuples
@@ -139,29 +155,119 @@ def check(counter, inst, exact, rows, eps) -> str | None:
     return None
 
 
+EDGES = (0, 1, 2, 2**64, 10**40)
+BAD_LEAVES = (True, False, None, 1.5, 1e40, "", "abc", "1e40", " 5", "1_0", {}, [], [[]])
+EPSILONS = ("1/10", "1/4", "1/2", "1", "3", "0.5")
+BAD_EPSILONS = ("0", "-1/2", "x", "1/0", "inf")
+ALLOWED_EXITS = {0, 2, 3}
+
+
+def _leaves(rng, count):
+    """Numbers of a payload: edge values, some negative, or small ones; each
+    a decimal string or a bare JSON integer."""
+    out = []
+    for _ in range(count):
+        v = rng.choice((*EDGES, rng.randint(0, SMALL)))
+        v = -v if rng.random() < 0.05 else v
+        out.append(str(v) if rng.random() < 0.7 else v)
+    return out
+
+
+def _payload(rng, problem):
+    """A random payload of ``problem``, its margins usually consistent."""
+    if problem == "mtuples":
+        sets = [_leaves(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        return {"sets": sets, "bound": _leaves(rng, 1)[0]}
+    if problem == "knapsack":
+        return {"weights": _leaves(rng, rng.randint(1, 4)), "capacity": _leaves(rng, 1)[0]}
+    cols = _leaves(rng, rng.randint(1, 4))
+    total = sum(int(c) for c in cols)
+    r1 = rng.choice((0, total // 2, total, rng.randint(0, max(total, 0))))
+    rows = [r1, total - r1]
+    if rng.random() < 0.3:  # inconsistent margins
+        rows[rng.randrange(2)] += rng.choice((-1, 1, 2**64))
+    return {"row_sums": [str(r) for r in rows], "col_sums": cols}
+
+
+def _break(rng, node):
+    """``node`` with one field, list or leaf replaced by something malformed."""
+    if isinstance(node, dict) and node:
+        key = rng.choice(sorted(node))
+        if rng.random() < 0.1:
+            return {k: v for k, v in node.items() if k != key}  # a missing field
+        return {**node, key: _break(rng, node[key])}
+    if isinstance(node, list) and node and rng.random() < 0.7:
+        i = rng.randrange(len(node))
+        return node[:i] + [_break(rng, node[i])] + node[i + 1:]
+    return rng.choice((*BAD_LEAVES, [node], str(node)))
+
+
+def cli_round(rng, folder) -> tuple[int, str | None]:
+    """One round of the command line on every problem: the commands run, and
+    what went wrong, or None."""
+    calls = 0
+    for problem in cli.PROBLEMS:
+        payload = _payload(rng, problem)
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            payload = _break(rng, payload)
+        line = json.dumps({"problem": problem, "payload": payload})
+        path = os.path.join(folder, "instance.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        eps = rng.choice(BAD_EPSILONS) if rng.random() < 0.05 else rng.choice(EPSILONS)
+        runs = [["count", "--mode", mode] for mode in cli.MODES]
+        runs += [["verify", "--mode", mode] for mode in cli.APPROX_MODES]
+        for run in runs:
+            argv = [*run, "--input", path, "--problem", problem, "--epsilon", eps]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(argv)
+            calls += 1
+            if code not in ALLOWED_EXITS:
+                print(line)
+                said = (err.getvalue() or out.getvalue()).strip()[-2000:]
+                return calls, f"{' '.join(argv)} exited {code}: {said}"
+    return calls, None
+
+
+def library_round(rng) -> tuple[int, str | None]:
+    """One round of the counters on every problem: the runs made, and what
+    went wrong, or None."""
+    runs = 0
+    for problem, inst, exact, eps, counters in draw(rng):
+        for counter, rows in counters:
+            try:
+                wrong = check(counter, inst, exact, rows, eps)
+            except Exception:  # a valid instance must not raise
+                wrong = traceback.format_exc()
+            runs += 1
+            if wrong:
+                print(json.dumps({"problem": problem, "payload": payload_from_instance(inst)}))
+                return runs, f"{counter.__name__} at epsilon {eps}: {wrong}"
+    return runs, None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=60.0)
     args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
+    rng, cli_rng = random.Random(args.seed), random.Random(f"cli {args.seed}")
     end = time.monotonic() + args.seconds
-    rounds = runs = 0
-    while time.monotonic() < end:
-        for problem, inst, exact, eps, counters in draw(rng):
-            for counter, rows in counters:
-                try:
-                    wrong = check(counter, inst, exact, rows, eps)
-                except Exception:  # a valid instance must not raise
-                    wrong = traceback.format_exc()
-                runs += 1
-                if wrong:
-                    print(json.dumps({"problem": problem, "payload": payload_from_instance(inst)}))
-                    where = f"round {rounds}, {counter.__name__} at epsilon {eps}"
-                    print(f"{where}: {wrong}", file=sys.stderr)
-                    return 1
-        rounds += 1
-    print(f"{rounds} rounds, {runs} runs, every stage and count in its band")
+    rounds = runs = calls = 0
+    with tempfile.TemporaryDirectory() as folder:
+        while time.monotonic() < end:
+            made, wrong = library_round(rng)
+            runs += made
+            if not wrong:
+                made, wrong = cli_round(cli_rng, folder)
+                calls += made
+            if wrong:
+                print(f"round {rounds}, {wrong}", file=sys.stderr)
+                return 1
+            rounds += 1
+    print(f"{rounds} rounds: {runs} runs, every stage and count in its band; "
+          f"{calls} commands, each exited 0, 2 or 3")
     return 0
 
 

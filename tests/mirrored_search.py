@@ -24,7 +24,6 @@ def mirrored_search(phi, k) -> StepFunction:
     kept = apx_set_nonincreasing(mirror, k)
     values = kept.values[::-1]
     return StepFunction(
-        domain=dom,
         direction=Direction.NONDECREASING,
         xs=[-t for t in reversed(kept.xs)],
         values=values,

@@ -32,7 +32,6 @@ ANY_K = ApproxRatio.for_stages(Fraction(3), 1)
 def half_function(values):
     """Nondecreasing StepFunction holding the given dense half values."""
     return StepFunction(
-        domain=IntInterval(0, len(values) - 1),
         direction=Direction.NONDECREASING,
         xs=tuple(range(len(values))),
         values=tuple(values),
@@ -44,9 +43,7 @@ def window_of(half, lo, hi):
     """The half kept on {lo..hi} only, with no value below it unless lo = 0."""
     xs = sorted({lo, hi} | {x for x in half.xs if lo <= x <= hi})
     below = 0 if lo == 0 else None
-    return StepFunction(
-        IntInterval(lo, hi), Direction.NONDECREASING, xs, [half.query(x) for x in xs], below
-    )
+    return StepFunction(Direction.NONDECREASING, xs, [half.query(x) for x in xs], below)
 
 
 @pytest.mark.parametrize(
@@ -70,7 +67,7 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
     # wherever it reads the column only on the window, on its mirror image
     # when b = pivot//2, below 0 when a = 0, or past pivot when the window is
     # the whole half; any other read raises.
-    full = StepFunction(IntInterval(0, pivot // 2), Direction.NONDECREASING, xs, values)
+    full = StepFunction(Direction.NONDECREASING, xs, values)
     h = pivot // 2
 
     def column(j):
@@ -98,12 +95,12 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
 
 def test_window_sum_needs_the_half_of_its_pivot():
     # The half's window must lie inside {0..pivot//2}.
-    half = StepFunction(IntInterval(0, 1), Direction.NONDECREASING, (0, 1), (1, 2))
+    half = StepFunction(Direction.NONDECREASING, (0, 1), (1, 2))
     window = IntInterval(0, 1)
     for pivot in (1, 0, -1):
         with pytest.raises(InvalidInput):
             window_sum(half, pivot, 2, window)
-    negative = StepFunction(IntInterval(-1, 1), Direction.NONDECREASING, (-1, 1), (1, 2))
+    negative = StepFunction(Direction.NONDECREASING, (-1, 1), (1, 2))
     with pytest.raises(InvalidInput):
         window_sum(negative, 4, 2, window)
     # {0..1} stops short of 4//2, so no sum may read past 1.
@@ -373,7 +370,7 @@ def first_column(inst):
     window = column_windows(inst)[0]
     ends = sorted({window.lo, window.hi})
     below = 0 if window.lo == 0 else None
-    return StepFunction(window, Direction.NONDECREASING, ends, (1,) * len(ends), below)
+    return StepFunction(Direction.NONDECREASING, ends, (1,) * len(ends), below)
 
 
 def columns_with_inputs(inst, rep):

@@ -26,9 +26,12 @@ K2 = ApproxRatio.for_stages(Fraction(7), 3)  # k = 2 exactly
 HALF = ApproxRatio.for_stages(Fraction(1, 2), 1)
 
 
-def table_oracle(values, direction=Direction.NONDECREASING, below=None):
+def table_oracle(values, direction=Direction.NONDECREASING, below=None, starts=None):
+    """A black box over the table; ``starts``, when given, are the candidates
+    convert evaluates it at."""
     dom = IntInterval(0, len(values) - 1)
-    return FnOracle(dom, direction, lambda j: values[j], below=below)
+    starts = None if starts is None else sorted(starts)
+    return FnOracle(dom, direction, lambda j: values[j], starts=starts, below=below)
 
 
 def step_tables(max_len=60, max_value=40):
@@ -52,18 +55,15 @@ def strict_decrease_points(values):
 def test_build_clips_dedupes_and_adds_endpoints():
     inc = IncIndex.build([12, 3, 3, -5, 99], IntInterval(0, 10))
     assert list(inc.points) == [0, 3, 10]
+    with pytest.raises(InvalidInput):
+        IncIndex((5, 1))
 
 
 def test_build_and_pad_a_one_point_window():
     # The last strong stage's window is the query point alone.
     inc = IncIndex.build([9, 5, 5, 4], IntInterval(5, 5))
     assert inc.points == (5,)
-    assert pad(inc.points, inc.domain) == (5,)
-
-
-def test_endpoints_required():
-    with pytest.raises(InvalidInput):
-        IncIndex(points=(1, 5), domain=IntInterval(0, 5))
+    assert pad(inc.points) == (5,)
 
 
 def test_len_is_rank_count():
@@ -75,15 +75,15 @@ def test_len_is_rank_count():
 
 
 def test_pad_unrolls_definition():
-    assert pad([0, 7, 10], IntInterval(0, 10)) == (0, 6, 7, 9, 10)
+    assert pad([0, 7, 10]) == (0, 6, 7, 9, 10)
 
 
 def test_pad_collapses_adjacent_duplicates():
-    assert pad([0, 1], IntInterval(0, 1)) == (0, 1)
+    assert pad([0, 1]) == (0, 1)
 
 
 def test_pad_matches_example_set():
-    assert pad([0, 4, 8, 17], IntInterval(0, 17)) == (0, 3, 4, 7, 8, 16, 17)
+    assert pad([0, 4, 8, 17]) == (0, 3, 4, 7, 8, 16, 17)
 
 
 @settings(max_examples=80, deadline=None)
@@ -91,9 +91,8 @@ def test_pad_matches_example_set():
     raw=st.sets(st.integers(min_value=0, max_value=50), min_size=0, max_size=12)
 )
 def test_pad_at_most_doubles(raw):
-    dom = IntInterval(0, 50)
     pts = sorted(raw | {0, 50})
-    assert len(pad(pts, dom)) <= 2 * len(pts) - 1
+    assert len(pad(pts)) <= 2 * len(pts) - 1
 
 
 # ---------------------------------------------------------------- convert
@@ -102,27 +101,24 @@ def test_pad_at_most_doubles(raw):
 def test_convert_constant_keeps_three_points():
     # Named when convert padded every kept point with its predecessor (0, 10,
     # 11); it now keeps what the binary search keeps, the two domain ends.
-    phi = table_oracle([6] * 12)
-    inc = IncIndex.build([0, 11], IntInterval(0, 11))
-    f = convert(phi, inc, HALF)
+    phi = table_oracle([6] * 12, starts=[0, 11])
+    f = convert(phi, HALF)
     assert list(f.xs) == [0, 11]
     assert all(f.query(j) == 6 for j in range(12))
 
 
 def test_convert_identity_with_full_inc():
     values = list(range(16))
-    phi = table_oracle(values)
-    inc = IncIndex.build(range(16), IntInterval(0, 15))
-    f = convert(phi, inc, K2)
+    phi = table_oracle(values, starts=range(16))
+    f = convert(phi, K2)
     assert f.xs == (0, 1, 3, 7, 15)  # each the first point below the last with 2*y < last
     for j in range(16):
         assert values[j] <= f.query(j) <= 2 * values[j]
 
 
 def test_convert_propagates_out_of_domain_fill():
-    phi = table_oracle([2, 2, 3, 9], below=0)
-    inc = IncIndex.build([0, 2, 3], IntInterval(0, 3))
-    f = convert(phi, inc, K2)
+    phi = table_oracle([2, 2, 3, 9], below=0, starts=[0, 2, 3])
+    f = convert(phi, K2)
     assert f.query(-3) == 0
     assert f.query(4) == 9  # the high edge value
 
@@ -130,11 +126,8 @@ def test_convert_propagates_out_of_domain_fill():
 @settings(max_examples=70, deadline=None)
 @given(values=step_tables())
 def test_convert_sandwich_nondecreasing(values):
-    phi = table_oracle(values)
-    dom = phi.domain
-    candidates = {0, dom.hi} | strict_increase_points(values)
-    inc = IncIndex.build(candidates, dom)
-    f = convert(phi, inc, HALF)
+    candidates = {0, len(values) - 1} | strict_increase_points(values)
+    f = convert(table_oracle(values, starts=candidates), HALF)
     for j, exact in enumerate(values):
         assert exact <= f.query(j)
         assert 2 * f.query(j) <= 3 * exact
@@ -144,11 +137,8 @@ def test_convert_sandwich_nondecreasing(values):
 @given(values=step_tables())
 def test_convert_sandwich_mirrored(values):
     table = values[::-1]
-    phi = table_oracle(table, Direction.NONINCREASING)
-    dom = phi.domain
-    candidates = {0, dom.hi} | strict_decrease_points(table)
-    inc = IncIndex.build(candidates, dom)
-    f = convert(phi, inc, HALF)
+    candidates = {0, len(table) - 1} | strict_decrease_points(table)
+    f = convert(table_oracle(table, Direction.NONINCREASING, starts=candidates), HALF)
     for j, exact in enumerate(table):
         assert exact <= f.query(j)
         assert 2 * f.query(j) <= 3 * exact
@@ -158,11 +148,9 @@ def test_convert_sandwich_mirrored(values):
 @given(values=step_tables(), extra=st.sets(st.integers(0, 59), max_size=6))
 def test_convert_tolerates_slack_in_inc(values, extra):
     # Inc may be any superset of the strict-change points.
-    phi = table_oracle(values)
-    dom = phi.domain
-    candidates = {0, dom.hi} | strict_increase_points(values) | {e for e in extra if e <= dom.hi}
-    inc = IncIndex.build(candidates, dom)
-    f = convert(phi, inc, HALF)
+    hi = len(values) - 1
+    candidates = {0, hi} | strict_increase_points(values) | {e for e in extra if e <= hi}
+    f = convert(table_oracle(values, starts=candidates), HALF)
     for j, exact in enumerate(values):
         assert exact <= f.query(j)
         assert 2 * f.query(j) <= 3 * exact
@@ -171,10 +159,8 @@ def test_convert_tolerates_slack_in_inc(values, extra):
 @settings(max_examples=60, deadline=None)
 @given(values=step_tables())
 def test_breakpoints_plus_one_cover_increases_of_induced(values):
-    phi = table_oracle(values)
-    dom = phi.domain
-    inc = IncIndex.build({0, dom.hi} | strict_increase_points(values), dom)
-    f = convert(phi, inc, HALF)
+    candidates = {0, len(values) - 1} | strict_increase_points(values)
+    f = convert(table_oracle(values, starts=candidates), HALF)
     dense = [f.query(j) for j in range(len(values))]
     shifted = {x + 1 for x in f.xs}
     for j in strict_increase_points(dense):
@@ -200,21 +186,19 @@ def test_convert_scan_matches_binary_search(k, direction, values, extra):
     # convert's reference is the nonincreasing binary search over the whole
     # domain, on the mirror image for a nondecreasing table.
     table = values if direction is Direction.NONDECREASING else values[::-1]
-    phi = table_oracle(table, direction, below=0)
-    dom = phi.domain
     changes = strict_increase_points(table) | strict_decrease_points(table)
-    inc = IncIndex.build(changes | {e for e in extra if e <= dom.hi}, dom)
+    candidates = changes | {e for e in extra if e < len(table)}
+    phi = table_oracle(table, direction, below=0, starts=candidates)
     search = mirrored_search if direction is Direction.NONDECREASING else apx_set_nonincreasing
-    assert convert(phi, inc, k) == search(table_oracle(table, direction, below=0), k)
+    assert convert(phi, k) == search(table_oracle(table, direction, below=0), k)
 
 
 def test_convert_counts_one_call_per_candidate_and_padded_point():
     # Named when every padded breakpoint was evaluated again; now only the
     # candidates are.
-    phi = table_oracle([1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32])
-    inc = IncIndex.build(range(0, 11, 2), phi.domain)
-    f = convert(phi, inc, K2)
-    assert phi.calls == len(inc)
+    phi = table_oracle([1, 1, 2, 2, 4, 4, 8, 8, 16, 16, 32], starts=range(0, 11, 2))
+    f = convert(phi, K2)
+    assert phi.calls == 6  # the candidates 0, 2, ..., 10
     assert [f.query(j) for j in range(11)] == [2, 2, 2, 2, 8, 8, 8, 8, 32, 32, 32]
 
 
@@ -223,7 +207,14 @@ def test_convert_rejects_a_table_that_dips_at_one_rank(direction):
     # The dip is inside one certified piece, so no padded breakpoint sees it.
     table = [8] * 12
     table[5 if direction is Direction.NONDECREASING else 6] = 7
-    phi = table_oracle(table, direction)
-    inc = IncIndex.build(range(len(table)), phi.domain)
+    phi = table_oracle(table, direction, starts=range(len(table)))
     with pytest.raises(MonotonicityViolation):
-        convert(phi, inc, HALF)
+        convert(phi, HALF)
+
+
+def test_convert_needs_the_oracles_starts():
+    # A black box that names no starts gives convert no candidates.
+    phi = FnOracle(IntInterval(0, 3), Direction.NONDECREASING, lambda j: j)
+    with pytest.raises(InvalidInput):
+        convert(phi, HALF)
+    assert phi.calls == 0

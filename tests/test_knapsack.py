@@ -175,7 +175,8 @@ class TestStageInvariants:
                 assert e <= dense[j] <= power * e
             assert all(dense[j] >= dense[j + 1] for j in window[:-1])
 
-            # (3) restricted to the candidate ranks the same sandwich holds.
+            # (3) at the piece-start candidates the stage is evaluated at, the
+            # same sandwich holds.
             for p in sorted(inc):
                 assert raw[p] <= dense[p]
                 assert dense[p] * k.denominator <= raw[p] * k.numerator

@@ -175,8 +175,9 @@ def test_stages_stay_nonincreasing():
 
 
 def test_candidates_cover_strict_decreases():
-    # The rank-space compression is only sound if every change point of the
-    # raw stage function in its window appears among the candidates.
+    # A strong stage is evaluated only at its candidates, the piece starts of
+    # its sum in its window, so it is only sound if every change point of the
+    # raw stage function in its window appears among them.
     rng = random.Random(818)
     for _ in range(25):
         inst = random_instance(rng)

@@ -34,7 +34,7 @@ from approxcount import (
     strong_fptas_knapsack,
     strong_fptas_mtuples,
 )
-from approxcount.incpoints import IncIndex, convert
+from approxcount.incpoints import IncIndex
 from approxcount.knapsack import left_out
 from approxcount.mtuples import _empty_tuple_row
 from strong_candidates import stage_candidates
@@ -164,15 +164,16 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain(monkeypatch):
     # Each strong stage's candidates are read off the piece table of the sum
     # it compresses: both ends of its window and every piece start between them.
     # Strong knapsack's stages are those of the m-tuples of the left-out items.
-    # The candidates each stage is converted over are recorded, and must be
+    # The candidates convert builds for each stage are recorded, and must be
     # those recomputed from the stage before it, one evaluation each.
-    converted = []
+    converted, build = [], IncIndex.__dict__["build"].__func__
 
-    def recording(phi, inc, k):
+    def recording(cls, candidates, domain):
+        inc = build(cls, candidates, domain)
         converted.append(inc.points)
-        return convert(phi, inc, k)
+        return inc
 
-    monkeypatch.setattr(approxcount.mtuples, "convert", recording)
+    monkeypatch.setattr(IncIndex, "build", classmethod(recording))
     rng = random.Random(4242)
     for _ in range(60):
         scale = rng.choice((1, 10, 1000, 10**9))
@@ -191,8 +192,9 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain(monkeypatch):
         for counter, inst, out in runs:
             converted.clear()
             rep = counter(inst, eps)
+            recorded = list(converted)  # stage_candidates builds its own indexes
             candidates = stage_candidates(rep, out)
-            assert converted == candidates and len(candidates) == len(out.sets)
+            assert recorded == candidates and len(candidates) == len(out.sets)
             prev = _empty_tuple_row(out.bound)
             for shifts, points, func in zip(out.sets, candidates, rep.stage_functions):
                 dom = func.domain
@@ -352,6 +354,27 @@ def test_chain_length_counts_the_stages_that_can_merge():
                 assert last.lo == last.hi
         assert plain_knap.chain_length == (knap.n if knap.capacity else 0)
         assert plain_tuples.chain_length == (tuples.m if tuples.bound else 0)
+
+
+def test_the_count_is_the_last_row_at_the_query_point():
+    # Every counter's stages end at its query point, the high end of the
+    # last row's domain, and the stage loop reads the count there. With no
+    # stage (one column, or R = 0) the count is column 1, exactly 1 there.
+    for eps, knap, tuples, table in _sweep_instances(rounds=100):
+        runs = [
+            (fptas_knapsack, knap, knap.capacity),
+            (strong_fptas_knapsack, knap, left_out(knap).bound),
+            (fptas_mtuples, tuples, tuples.bound),
+            (strong_fptas_mtuples, tuples, tuples.bound),
+            (fptas_contingency2, table, table.pivot_sum),
+        ]
+        for counter, inst, point in runs:
+            rep = counter(inst, eps)
+            if rep.stage_functions:
+                last = rep.stage_functions[-1]
+                assert last.domain.hi == point and rep.count == last.query(point)
+            else:
+                assert counter is fptas_contingency2 and rep.count == 1
 
 
 def test_a_window_above_zero_refuses_reads_below_it():

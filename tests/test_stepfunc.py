@@ -161,33 +161,26 @@ class TestOracleCounter:
             FnOracle(dom, Direction.NONDECREASING, abs, starts=[1], values=[0, 1])
 
 
-def step_on(xs, domain):
-    return StepFunction(domain, Direction.NONDECREASING, xs, (1,) * len(xs))
+def step_on(xs):
+    return StepFunction(Direction.NONDECREASING, xs, (1,) * len(xs))
 
 
 class TestApproxSetValidation:
     """The approximation set of a step function is its breakpoints."""
 
-    def test_requires_domain_endpoints(self):
-        dom = IntInterval(0, 9)
-        with pytest.raises(InvalidInput):
-            step_on((0, 4), dom)
-        with pytest.raises(InvalidInput):
-            step_on((2, 9), dom)
-
     def test_requires_strictly_increasing(self):
         with pytest.raises(InvalidInput):
-            step_on((0, 4, 4, 9), IntInterval(0, 9))
+            step_on((0, 4, 4, 9))
 
     def test_degenerate_domain_single_point(self):
-        f = step_on((5,), IntInterval(5, 5))
+        f = step_on((5,))
         assert list(f.xs) == [5] and len(f) == 1
+        assert f.domain == IntInterval(5, 5)
 
 
 class TestStepFunctionQuery:
     def test_gap_takes_right_value_when_nondecreasing(self):
         f = StepFunction(
-            domain=IntInterval(0, 10),
             direction=Direction.NONDECREASING,
             xs=(0, 5, 10),
             values=(1, 4, 9),
@@ -196,7 +189,6 @@ class TestStepFunctionQuery:
 
     def test_gap_takes_left_value_when_nonincreasing(self):
         f = StepFunction(
-            domain=IntInterval(0, 10),
             direction=Direction.NONINCREASING,
             xs=(0, 5, 10),
             values=(9, 4, 1),
@@ -205,7 +197,6 @@ class TestStepFunctionQuery:
 
     def test_out_of_domain_values(self):
         f = StepFunction(
-            domain=IntInterval(0, 3),
             direction=Direction.NONDECREASING,
             xs=(0, 3),
             values=(2, 5),
@@ -217,7 +208,6 @@ class TestStepFunctionQuery:
 
     def test_no_value_below_unless_one_is_given(self):
         f = StepFunction(
-            domain=IntInterval(2, 3),
             direction=Direction.NONDECREASING,
             xs=(2, 3),
             values=(2, 5),
@@ -234,7 +224,6 @@ class TestStepFunctionQuery:
     def test_rejects_wrong_direction_values(self):
         with pytest.raises(MonotonicityViolation):
             StepFunction(
-                domain=IntInterval(0, 4),
                 direction=Direction.NONDECREASING,
                 xs=(0, 4),
                 values=(5, 2),
@@ -244,7 +233,6 @@ class TestStepFunctionQuery:
         # 10**5000 has more digits than str() converts by default
         for value, digits in ((2**100, str(2**100)), (10**5000, "1" + "0" * 5000)):
             f = StepFunction(
-                domain=IntInterval(0, 1),
                 direction=Direction.NONDECREASING,
                 xs=(0, 1),
                 values=(1, value),
@@ -254,7 +242,8 @@ class TestStepFunctionQuery:
     def test_json_positions_of_any_length_are_numbers(self):
         # json.dumps refuses an int of more than 4300 digits; to_json writes it
         big = 10**5000
-        f = StepFunction(IntInterval(0, big), Direction.NONINCREASING, (0, big), (2, 1))
+        f = StepFunction(Direction.NONINCREASING, (0, big), (2, 1))
+        assert f.domain == IntInterval(0, big)  # the span of the breakpoints
         obj = json.loads(f.to_json(), parse_int=lambda text: int(Decimal(text)))
         assert obj == {
             "domain": [0, big],
@@ -435,7 +424,6 @@ def test_searches_keep_what_the_product_form_rule_keeps(values, k, direction, lo
 
 def test_shifted_sum_matches_manual_recurrence():
     base = StepFunction(
-        domain=IntInterval(0, 6),
         direction=Direction.NONDECREASING,
         xs=(0, 3, 6),
         values=(1, 2, 4),
@@ -449,7 +437,6 @@ def test_shifted_sum_matches_manual_recurrence():
 
 def _step(direction, xs, values, below, above):
     return StepFunction(
-        domain=IntInterval(xs[0], xs[-1]),
         direction=direction,
         xs=xs,
         values=values,
