@@ -44,7 +44,7 @@ from time import perf_counter
 from typing import NamedTuple
 
 from .contingency import fptas_contingency2
-from .errors import InvalidInput, MonotonicityViolation, TooLarge
+from .errors import InvalidInput, TooLarge
 from .knapsack import fptas_knapsack, strong_fptas_knapsack
 from .mtuples import fptas_mtuples, strong_fptas_mtuples
 from .oracles import (
@@ -101,7 +101,8 @@ def _as_int(value, label: str) -> int:
         raise InvalidInput(f"{label}: {value!r} is not a decimal integer")
     if type(value) is int:  # not bool, a subclass
         return value
-    raise InvalidInput(f"{label}: expected an integer or decimal string, got {value!r}")
+    kind = type(value).__name__  # not its repr, which fails on a list of long ints
+    raise InvalidInput(f"{label}: expected an integer or decimal string, got {kind}")
 
 
 def decimal(text: str) -> int:  # the integer flags' type; argparse names it on a bad value
@@ -113,7 +114,7 @@ _JSON = json.JSONDecoder(parse_int=decimal)  # plain JSON integers of any length
 
 def _trials(args) -> int:
     if args.trials < 0:
-        raise InvalidInput(f"--trials must be at least 0, got {args.trials}")
+        raise InvalidInput(f"--trials must be at least 0, got {decimal_text(args.trials)}")
     return args.trials
 
 
@@ -163,7 +164,8 @@ def load_instances(path: str, problem_override: str | None):
                     raise InvalidInput("expected a JSON object")
                 problem = obj.get("problem")
                 if not isinstance(problem, str) or problem not in PROBLEMS:
-                    raise InvalidInput(f"unknown problem {problem!r}")
+                    shown = repr(problem) if isinstance(problem, str) else type(problem).__name__
+                    raise InvalidInput(f"unknown problem {shown}")
                 if problem_override and problem != problem_override:
                     raise InvalidInput(
                         f"instance is {problem!r} but --problem says {problem_override!r}"
@@ -304,7 +306,7 @@ def _drawn(args, count: int):
     for name in PROBLEMS[args.problem].sizes:
         value, least = getattr(args, name), SIZE_FLAGS[name][1]
         if value is not None and value < least:
-            raise InvalidInput(f"--{name} must be at least {least}, got {value}")
+            raise InvalidInput(f"--{name} must be at least {least}, got {decimal_text(value)}")
     rng = random.Random(args.seed)
     return (_generated(args.problem, rng, args) for _ in range(count))
 
@@ -435,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Checked in order; any other exception is an internal error, exit code 4.
-EXIT_CODES = ((TooLarge, 3), ((InvalidInput, MonotonicityViolation, OSError, ValueError), 2))
+# An input file that is not UTF-8 fails as it is read, a UnicodeDecodeError.
+EXIT_CODES = ((TooLarge, 3), ((InvalidInput, OSError, UnicodeDecodeError), 2))
 
 
 def _report_error(exc: Exception, where: str = "") -> int:

@@ -30,7 +30,6 @@ def _empty_subset_row(capacity: int) -> StepFunction:
         xs=xs,
         values=(1,) * len(xs),
         out_of_domain_low=0,
-        out_of_domain_high=1,
     )
 
 

@@ -45,7 +45,6 @@ def _empty_tuple_row(bound: int) -> StepFunction:
         xs=xs,
         values=tuple(1 if x <= 0 else 0 for x in xs),
         out_of_domain_low=1,
-        out_of_domain_high=0,
     )
 
 

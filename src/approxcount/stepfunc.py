@@ -221,21 +221,20 @@ class StepFunction:
 
     Stores a value at every breakpoint. Between breakpoints the value of the
     larger adjacent breakpoint applies: the right one for nondecreasing
-    functions, the left one for nonincreasing. Outside the domain the fixed
-    ``out_of_domain_low`` / ``out_of_domain_high`` values apply; these carry
-    boundary conventions such as "0 below 0" (knapsack) or "the full product
-    below 0" (tuple counting) without special cases in callers. A low value
-    of None means there is no value below the domain: a stage kept only on
-    a window that starts above 0 does not know the values under it, so a
-    query there raises InvalidInput, and so does :func:`shifted_sum` when it
-    would read the function there.
+    functions, the left one for nonincreasing. Above the domain the last
+    breakpoint's value continues. Below it the fixed ``out_of_domain_low``
+    applies; it carries boundary conventions such as "0 below 0" (knapsack)
+    or "the full product below 0" (tuple counting) without special cases in
+    callers. A low value of None means there is no value below the domain:
+    a stage kept only on a window that starts above 0 does not know the
+    values under it, so a query there raises InvalidInput, and so does
+    :func:`shifted_sum` when it would read the function there.
     """
 
     direction: Direction
     xs: tuple[int, ...]
     values: tuple[int, ...]
     out_of_domain_low: int | None = 0
-    out_of_domain_high: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(self.xs))
@@ -267,7 +266,7 @@ class StepFunction:
                 raise InvalidInput(f"no value at {x}, below the domain from {xs[0]}")
             return self.out_of_domain_low
         if x > xs[-1]:
-            return self.out_of_domain_high
+            return self.values[-1]
         if self.direction is Direction.NONDECREASING:
             return self.values[bisect_left(xs, x)]
         return self.values[bisect_right(xs, x) - 1]
@@ -283,18 +282,8 @@ class StepFunction:
             f'{{"domain": [{pos(self.xs[0])}, {pos(self.xs[-1])}], '
             f'"direction": "{self.direction.value}", "breakpoints": [{points}], '
             f'"below": {"null" if low is None else val(low)}, '
-            f'"above": {val(self.out_of_domain_high)}}}'
+            f'"above": {val(self.values[-1])}}}'
         )
-
-
-def _function(direction, xs, values, below) -> StepFunction:
-    return StepFunction(
-        direction=direction,
-        xs=xs,
-        values=values,
-        out_of_domain_low=below,
-        out_of_domain_high=values[-1],
-    )
 
 
 def _out_of_order(x: int, v: int, left: int, right: int, direction: Direction):
@@ -315,7 +304,7 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     at every breakpoint without a second pass. Each probe is checked against
     the probes that bracket it. Oracle cost is O(|W| log |dom|). Below the
     domain the value is ``phi.below``; None means no value, so a query there
-    raises. Above it, the value is the high edge value.
+    raises.
     """
     evaluate, dom = phi.__call__, phi.domain
     num, den = k.k.numerator, k.k.denominator
@@ -341,7 +330,7 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
         values.append(fx)
     xs.reverse()
     values.reverse()
-    return _function(Direction.NONDECREASING, xs, values, phi.below)
+    return StepFunction(Direction.NONDECREASING, xs, values, phi.below)
 
 
 def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
@@ -384,7 +373,7 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
         x, fx = lo, v_hi
         xs.append(x)
         values.append(fx)
-    return _function(Direction.NONINCREASING, xs, values, phi.below)
+    return StepFunction(Direction.NONINCREASING, xs, values, phi.below)
 
 
 def _walk(knots, ws, slopes, num, den, step):
@@ -464,7 +453,7 @@ def apx_set_linear(
     xs, fxs = _walk(knots, values, slopes, k.k.numerator, k.k.denominator, -sign)
     if up:  # walked down from the top
         xs, fxs = xs[::-1], fxs[::-1]
-    return _function(direction, xs, fxs, below)
+    return StepFunction(direction, xs, fxs, below)
 
 
 def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
@@ -472,12 +461,11 @@ def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
     larger adjacent point's value in between. Evaluates phi once per point;
     MonotonicityViolation is raised if the values contradict its direction.
 
-    The points' ends are the function's domain. Above it the high edge value
-    continues; below it there is no value.
+    The points' ends are the function's domain; below it there is no value.
     """
     if points[0] not in phi.domain or points[-1] not in phi.domain:
         raise InvalidInput("points leave the oracle's domain")
-    return _function(phi.direction, points, list(map(phi.__call__, points)), None)
+    return StepFunction(phi.direction, points, list(map(phi.__call__, points)), None)
 
 
 def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> FnOracle:
@@ -494,7 +482,7 @@ def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> 
     The sum is built once as a piece table over every integer: f changes
     value only where one of its pieces starts (the first point past a
     breakpoint when nondecreasing, the breakpoint itself when nonincreasing)
-    and where its domain begins and ends. Those changes are listed once and
+    and where its domain begins. Those changes are listed once and
     added at each shift, at O(P log P) for P = len(f) * len(shifts),
     whatever the domain's width. The oracle reads its table (``starts`` and
     ``values``) itself, one bisect inside ``FnOracle.__call__`` with no
@@ -511,7 +499,7 @@ def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> 
         )
     base = values[0] if low is None else low  # with no low value, no read falls below f
     opens = (xs[0], *[x + 1 for x in xs[:-1]]) if f.direction is Direction.NONDECREASING else xs
-    steps = zip((*opens, xs[-1] + 1), (base, *values), (*values, f.out_of_domain_high))
+    steps = zip(opens, (base, *values), values)
     changes = [(x, v - u) for x, u, v in steps if v != u]
     deltas: dict[int, int] = defaultdict(int)
     for s in shifts:

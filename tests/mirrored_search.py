@@ -22,11 +22,9 @@ def mirrored_search(phi, k) -> StepFunction:
     dom = phi.domain
     mirror = FnOracle(IntInterval(-dom.hi, -dom.lo), Direction.NONINCREASING, lambda t: phi(-t))
     kept = apx_set_nonincreasing(mirror, k)
-    values = kept.values[::-1]
     return StepFunction(
         direction=Direction.NONDECREASING,
         xs=[-t for t in reversed(kept.xs)],
-        values=values,
+        values=kept.values[::-1],
         out_of_domain_low=phi.below,
-        out_of_domain_high=values[-1],
     )

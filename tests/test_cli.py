@@ -17,6 +17,7 @@ import pytest
 
 import approxcount
 from approxcount import cli, stagewise
+from approxcount.errors import MonotonicityViolation
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
 
 GOLDEN_LINE = json.dumps(
@@ -447,17 +448,37 @@ def test_count_failure_names_the_line_and_keeps_earlier_records(tmp_path, capsys
         ({"problem": "contingency2", "payload": {"row_sums": ["0", "0"], "col_sums": ["0"]}},
          "column sums must be positive"),
         ({"problem": ["knapsack"], "payload": {}}, "unknown problem"),
+        # LONG is written as a JSON integer of 5000 digits, past what repr() writes
+        ({"problem": "LONG", "payload": {}}, "unknown problem int"),
+        ({"problem": "knapsack", "payload": {"weights": [["LONG"]], "capacity": "1"}},
+         "weights: expected an integer or decimal string, got list"),
     ],
-    ids=["sets-not-a-list", "set-not-a-list", "one-row-sum", "zero-column-sum", "unhashable-problem"],
+    ids=[
+        "sets-not-a-list",
+        "set-not-a-list",
+        "one-row-sum",
+        "zero-column-sum",
+        "unhashable-problem",
+        "long-int-problem",
+        "long-int-in-a-list",
+    ],
 )
 def test_payload_error_names_its_line_and_keeps_earlier_records(tmp_path, capsys, bad, message):
     path = tmp_path / "two.ndjson"
-    path.write_text(GOLDEN_LINE + "\n" + json.dumps(bad) + "\n")
+    path.write_text(GOLDEN_LINE + "\n" + json.dumps(bad).replace('"LONG"', "9" * 5000) + "\n")
     code, out, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-dp"])
     assert code == 2
     assert err.startswith(f"error: {path}:2: {message}")
     (rec,) = json_lines(out)
     assert rec["count"] == "3"
+
+
+def test_exit_two_on_an_input_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.ndjson"
+    path.write_bytes(GOLDEN_LINE.replace("mtuples", "mtupl\xe9s").encode("latin-1") + b"\n")
+    code, out, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-dp"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_verify_streams_and_keeps_records_before_a_failing_line(tmp_path, capsys):
@@ -505,17 +526,25 @@ def test_long_numbers_parse_as_strings_and_plain_integers(tmp_path, capsys):
 
 
 def test_exit_four_on_internal_error(golden_file, capsys, monkeypatch):
-    def overflowing(inst, eps):
-        raise RecursionError("maximum recursion depth exceeded")
+    # a counter's own ValueError or an oracle out of order is not bad input
+    for exc in (
+        RecursionError("maximum recursion depth exceeded"),
+        ValueError("negative shift count"),
+        MonotonicityViolation("oracle value 3 at 2 is not between 0 and 1"),
+    ):
 
-    monkeypatch.setattr(cli, "fptas_mtuples", overflowing)
-    code, out, err = run(capsys, ["count", "--input", golden_file, "--mode", "fptas", "--epsilon", "1/2"])
-    assert code == 4
-    assert out == ""
-    assert err == f"error: {golden_file}:1: internal: RecursionError: maximum recursion depth exceeded\n"
-    code, _, err = run(capsys, ["verify", "--input", golden_file, "--epsilon", "1/2"])
-    assert code == 4
-    assert f"{golden_file}:1: internal: RecursionError" in err
+        def failing(inst, eps, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "fptas_mtuples", failing)
+        argv = ["count", "--input", golden_file, "--mode", "fptas", "--epsilon", "1/2"]
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert err == f"error: {golden_file}:1: internal: {type(exc).__name__}: {exc}\n"
+        code, _, err = run(capsys, ["verify", "--input", golden_file, "--epsilon", "1/2"])
+        assert code == 4
+        assert f"{golden_file}:1: internal: {type(exc).__name__}" in err
 
 
 def test_huge_numbers_round_trip(tmp_path, capsys):
@@ -569,6 +598,9 @@ def test_exit_two_on_numbers_that_are_not_ascii_decimal(tmp_path, capsys, text):
         # checked once per command, before the first draw, so also with no draws
         (["gen", "--problem", "knapsack", "--n", "0", "--trials", "0"], "--n"),
         (["verify", "--problem", "knapsack", "--n", "0", "--trials", "0", "--epsilon", "1"], "--n"),
+        # longer than str() writes; the message still names it
+        (["gen", "--problem", "knapsack", "--n", "-" + "9" * 5000], "--n"),
+        (["gen", "--problem", "knapsack", "--trials", "-" + "9" * 5000], "--trials"),
     ],
 )
 def test_exit_two_names_an_out_of_range_size_flag(capsys, argv, flag):

@@ -200,11 +200,11 @@ class TestStepFunctionQuery:
             direction=Direction.NONDECREASING,
             xs=(0, 3),
             values=(2, 5),
-            out_of_domain_low=0,
-            out_of_domain_high=7,
+            out_of_domain_low=4,
         )
-        assert f.query(-1) == 0
-        assert f.query(4) == 7
+        assert [f.query(j) for j in (-1, 3, 4, 10**9)] == [4, 5, 5, 5]
+        g = StepFunction(direction=Direction.NONINCREASING, xs=(0, 3), values=(5, 2))
+        assert [g.query(j) for j in (-1, 3, 4, 10**9)] == [0, 2, 2, 2]
 
     def test_no_value_below_unless_one_is_given(self):
         f = StepFunction(
@@ -250,7 +250,7 @@ class TestStepFunctionQuery:
             "direction": "nonincreasing",
             "breakpoints": [[0, "2"], [big, "1"]],
             "below": "0",
-            "above": "0",
+            "above": "1",  # the last breakpoint's value continues above the domain
         }
 
 
@@ -435,14 +435,8 @@ def test_shifted_sum_matches_manual_recurrence():
     assert combined.calls == 7
 
 
-def _step(direction, xs, values, below, above):
-    return StepFunction(
-        direction=direction,
-        xs=xs,
-        values=values,
-        out_of_domain_low=below,
-        out_of_domain_high=above,
-    )
+def _step(direction, xs, values, below):
+    return StepFunction(direction=direction, xs=xs, values=values, out_of_domain_low=below)
 
 
 def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
@@ -474,37 +468,37 @@ def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
 
 UP = Direction.NONDECREASING
 DOWN = Direction.NONINCREASING
-# (f, shifts, domain, the oracle's below); the low and high values of the
-# first two go against their direction, and each has a shift past the domain
+# (f, shifts, domain, the oracle's below); the low values of the first two
+# go against their direction, and each has a shift past the domain
 SHIFTED_SUM_CASES = {
     "nondecreasing": (
-        _step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11, 2),
+        _step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11),
         (0, 0, 4, 25),
         IntInterval(0, 10),
         44,  # every read below 0 is below f: four times its low value
     ),
     "nonincreasing": (
-        _step(DOWN, (-2, 1, 3, 6), (7, 4, 4, 0), 1, 5),
+        _step(DOWN, (-2, 1, 3, 6), (7, 4, 4, 0), 1),
         (0, 3, 3, 17),
         IntInterval(0, 10),
         None,  # the domain starts above f's, on {-2..6}
     ),
-    "single point terms": (_step(UP, (0,), (3,), 1, 5), (0, 1, 1, 12), IntInterval(-4, 20), 4),
-    "one term, its own domain": (_step(DOWN, (1, 2), (6, 6), 7, 0), (0,), IntInterval(1, 2), 7),
+    "single point terms": (_step(UP, (0,), (3,), 1), (0, 1, 1, 12), IntInterval(-4, 20), 4),
+    "one term, its own domain": (_step(DOWN, (1, 2), (6, 6), 7), (0,), IntInterval(1, 2), 7),
     "negative shift": (
-        _step(UP, (0, 3), (1, 4), 2, 6),
+        _step(UP, (0, 3), (1, 4), 2),
         (0, -2),
         IntInterval(0, 5),
         None,  # j - (-2) lands on f's domain from j = -2
     ),
     "changes that cancel": (
-        _step(UP, (0, 2), (1, 3), 0, 1),
-        (0, 2),
+        _step(UP, (0, 2), (1, 3), 3),
+        (0, 1),
         IntInterval(0, 4),
-        0,  # at 3 the copy shifted by 2 rises by 2 where the other falls to its high value
+        6,  # at 1 the copy shifted by 1 falls to its first value where the other rises
     ),
     "no value below f": (
-        _step(DOWN, (2, 5, 9), (8, 3, 1), None, 0),
+        _step(DOWN, (2, 5, 9), (8, 3, 1), None),
         (0, 2, 2),
         IntInterval(4, 14),
         None,
@@ -519,8 +513,8 @@ def test_shifted_sum_is_the_per_term_sum_everywhere(case):
 
 
 def test_shifted_sum_has_no_value_below_a_term_without_one():
-    known = _step(UP, (2, 5), (1, 3), 0, 3)
-    unknown = _step(UP, (2, 5), (1, 3), None, 3)
+    known = _step(UP, (2, 5), (1, 3), 0)
+    unknown = _step(UP, (2, 5), (1, 3), None)
     assert shifted_sum(known, (0, 1), IntInterval(2, 6)).below == 0
     assert shifted_sum(unknown, (0,), IntInterval(2, 6)).below is None
     with pytest.raises(InvalidInput):  # reads unknown at 1
@@ -539,7 +533,7 @@ def shifted_terms(draw, lows=st.none() | st.integers(0, 9)):
     values = sorted(draw(st.lists(st.integers(0, 9), min_size=len(xs), max_size=len(xs))))
     if direction is Direction.NONINCREASING:
         values.reverse()
-    f = _step(direction, xs, tuple(values), draw(lows), draw(st.integers(0, 9)))
+    f = _step(direction, xs, tuple(values), draw(lows))
     return f, draw(st.lists(st.integers(0, 4) | st.integers(0, 20), min_size=1, max_size=5))
 
 
@@ -552,11 +546,9 @@ def test_shifted_sum_is_the_per_term_sum_on_random_terms(terms):
 
 
 def monotone_through_its_ends(f):
-    """f with its low and high values moved to follow its direction."""
-    low, high = (min, max) if f.direction is Direction.NONDECREASING else (max, min)
-    below = low(f.out_of_domain_low, f.values[0])
-    above = high(f.out_of_domain_high, f.values[-1])
-    return _step(f.direction, f.xs, f.values, below, above)
+    """f with its low value moved to follow its direction."""
+    low = min if f.direction is Direction.NONDECREASING else max
+    return _step(f.direction, f.xs, f.values, low(f.out_of_domain_low, f.values[0]))
 
 
 @settings(max_examples=150, deadline=None)
