@@ -37,7 +37,8 @@ one point. Four facts make this sound:
    the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
    symmetric and nondecreasing on its own half and j is at least as close
    to P/2 as j-s-1 is. So W can be compressed as it stands; the walk still
-   checks that the knot values are nondecreasing.
+   checks that the knot values are nondecreasing, and a dip is an internal
+   MonotonicityViolation, not bad input.
 2. G(j) - G(j-s-1) is an exact sum of s+1 values of one approximation, so
    if g is within ratio K of fills_{i-1}, W is within ratio K of fills_i and
    its compression within ratio k*K. The approximate path never forms the
@@ -46,12 +47,12 @@ one point. Four facts make this sound:
    onto it or below 0, since it is R minus the cells of columns i-1..n; so
    the part of g below its window cancels in G(j) - G(j-s-1).
 4. W is linear, with an integer slope, between consecutive knots, which
-   are O(len(g)) points (:func:`window_sum`). So the walk keeps exactly the
-   breakpoints, with exactly the values, that
-   :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps on W's mirror
-   image j -> W(-j) (a merged low end holds the value of the kept point
-   above it), at O(len(g)) evaluations per column whatever the cell sizes;
-   the walk checks that every slope between knots is an integer.
+   are O(len(g)) points (:func:`window_sum`). The walk runs up W's mirror
+   image j -> W(-j), so it keeps exactly the breakpoints, with exactly the
+   values, that :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps
+   there (a merged low end holds the value of the kept point above it), at
+   O(len(g)) evaluations per column whatever the cell sizes; the walk
+   checks that every slope between knots is an integer.
 
 Each column is one stage of :func:`~approxcount.stagewise.run_stages`, the
 stage loop every counter shares, which builds :func:`window_sum` from the
@@ -150,13 +151,13 @@ def compress_contingency(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     ``phi`` is an oracle on the window {lo..hi} that is nondecreasing and
     linear with an integer slope between consecutive knots, its ``starts``,
     which run from lo to hi. It is evaluated once per knot only;
-    InvalidInput is raised unless it names such knots and their values are
-    nondecreasing with integer slopes.
+    InvalidInput is raised unless it names such knots with integer slopes
+    between them, and MonotonicityViolation if their values decrease.
 
-    :func:`~approxcount.stepfunc.apx_set_linear` walks the window's linear
-    pieces down from hi and keeps what
-    :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps on its mirror
-    image; a one-point window is its one evaluation. The result is the
+    :func:`~approxcount.stepfunc.apx_set_linear` walks the linear pieces of
+    the window's mirror image up from -hi and keeps what
+    :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps there; a
+    one-point window is its one evaluation. The result is the
     compressed window, a StepFunction on {lo..hi} within ratio k of phi
     there, ``phi.below`` below it; compressing an L-approximation therefore
     yields a k*L-approximation of the original. Its value above hi is the

@@ -1,9 +1,9 @@
 """The binary-search witness for walked nondecreasing functions.
 
-:func:`approxcount.stepfunc.apx_set_linear` walks a nondecreasing function
-down from its top by the keep rule of
-:func:`approxcount.stepfunc.apx_set_nonincreasing` on the mirror image
-x -> -x. The tests compare every nondecreasing walk against that search.
+:func:`approxcount.stepfunc.apx_set_linear` walks a nondecreasing function's
+mirror image x -> -x up from its top, by the keep rule of
+:func:`approxcount.stepfunc.apx_set_nonincreasing`. The tests compare every
+nondecreasing walk against that search on the mirror image.
 """
 
 from approxcount.stepfunc import (

@@ -16,9 +16,10 @@ from pathlib import Path
 import pytest
 
 import approxcount
-from approxcount import cli, stagewise
+from approxcount import cli, contingency, stagewise
 from approxcount.errors import MonotonicityViolation
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
+from approxcount.stepfunc import FnOracle
 
 GOLDEN_LINE = json.dumps(
     {
@@ -545,6 +546,25 @@ def test_exit_four_on_internal_error(golden_file, capsys, monkeypatch):
         code, _, err = run(capsys, ["verify", "--input", golden_file, "--epsilon", "1/2"])
         assert code == 4
         assert f"{golden_file}:1: internal: {type(exc).__name__}" in err
+
+
+def test_exit_four_when_a_walked_oracle_breaks_its_direction(tmp_path, capsys, monkeypatch):
+    # a window sum that drops to 0 at the top of its window is the oracle's fault
+    window_sum = contingency.window_sum
+
+    def dipping(half, pivot, width, window):
+        phi = window_sum(half, pivot, width, window)
+        top = window.hi if window.lo < window.hi else None
+        return FnOracle(window, phi.direction, lambda j: 0 if j == top else phi(j), phi.starts, phi.below)
+
+    monkeypatch.setattr(contingency, "window_sum", dipping)
+    path = tmp_path / "table.ndjson"
+    payload = {"row_sums": ["9", "12"], "col_sums": ["5", "6", "4", "6"]}
+    path.write_text(json.dumps({"problem": "contingency2", "payload": payload}) + "\n")
+    argv = ["count", "--input", str(path), "--mode", "fptas", "--epsilon", "1/2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: {path}:1: internal: MonotonicityViolation: not nondecreasing")
 
 
 def test_huge_numbers_round_trip(tmp_path, capsys):

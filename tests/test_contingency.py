@@ -9,7 +9,7 @@ from itertools import accumulate
 import pytest
 
 from approxcount.contingency import compress_contingency, fptas_contingency2, window_sum
-from approxcount.errors import InvalidInput
+from approxcount.errors import InvalidInput, MonotonicityViolation
 from approxcount.oracles import (
     Contingency2Instance,
     dp_contingency_sub,
@@ -154,7 +154,7 @@ class TestCompressOp:
         assert probe.calls == 9  # one evaluation per knot
 
     def test_rejects_non_monotone_half(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(MonotonicityViolation):
             compress_contingency(half_oracle(lambda j: [5, 2, 3, 9][j], 6), ANY_K)
 
     def test_rejects_knots_that_skip_a_slope_change(self):
