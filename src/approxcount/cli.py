@@ -15,11 +15,12 @@ by problem (the PROBLEMS table):
 (accepts "0.25", "1/4", "7") and the verify sandwich check is exact
 rational arithmetic, never floating point.
 
-Exit codes: 0 success, 1 verification violation, 2 bad input or usage,
-3 a resource cap tripped (the exact oracles' caps are in oracles, the
-kept-breakpoint cap in stagewise), 4 an unexpected internal error. When
-loading or counting one instance of an input file fails, the message names
-its line as FILE:N; records already written stay written.
+Exit codes: 0 success, 1 verification violation, 2 bad input or usage, 3 a
+resource cap tripped (the exact oracles' caps are in oracles, the
+kept-breakpoint cap in stagewise, the ratio's bit cap in stepfunc), 4 an
+unexpected internal error. When loading or counting one instance of an input
+file fails, the message names its line as FILE:N; records already written stay
+written.
 
 ``main(argv)`` runs one command and returns its exit code; a process may call
 it any number of times. The first call builds the parser (``build_parser``)
@@ -112,12 +113,6 @@ def decimal(text: str) -> int:  # the integer flags' type; argparse names it on 
 _JSON = json.JSONDecoder(parse_int=decimal)  # plain JSON integers of any length, too
 
 
-def _trials(args) -> int:
-    if args.trials < 0:
-        raise InvalidInput(f"--trials must be at least 0, got {decimal_text(args.trials)}")
-    return args.trials
-
-
 def _parsed(value, depth: int, label: str):
     """A payload field as ints nested ``depth`` lists deep."""
     if depth == 0:
@@ -130,10 +125,11 @@ def _parsed(value, depth: int, label: str):
 
 
 def instance_from_payload(problem: str, payload) -> object:
+    if not isinstance(problem, str) or problem not in PROBLEMS:
+        shown = repr(problem) if isinstance(problem, str) else type(problem).__name__
+        raise InvalidInput(f"unknown problem {shown}")
     if not isinstance(payload, dict):
         raise InvalidInput("payload must be a JSON object")
-    if problem not in PROBLEMS:
-        raise InvalidInput(f"unknown problem {problem!r}")
     instance, depths, _ = PROBLEMS[problem]
     return instance(**{name: _parsed(payload.get(name), d, name) for name, d in depths.items()})
 
@@ -163,14 +159,11 @@ def load_instances(path: str, problem_override: str | None):
                 if not isinstance(obj, dict):
                     raise InvalidInput("expected a JSON object")
                 problem = obj.get("problem")
-                if not isinstance(problem, str) or problem not in PROBLEMS:
-                    shown = repr(problem) if isinstance(problem, str) else type(problem).__name__
-                    raise InvalidInput(f"unknown problem {shown}")
+                inst = instance_from_payload(problem, obj.get("payload"))
                 if problem_override and problem != problem_override:
                     raise InvalidInput(
                         f"instance is {problem!r} but --problem says {problem_override!r}"
                     )
-                inst = instance_from_payload(problem, obj.get("payload"))
             except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
                 raise InvalidInput(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             except InvalidInput as exc:
@@ -249,7 +242,7 @@ def _items(args):
         return ((f"{args.input}:{n}: ", p, inst) for n, p, inst in loaded)
     if not args.problem:
         raise InvalidInput("verify needs --input or --problem to generate instances")
-    return (("", args.problem, inst) for inst in _drawn(args, _trials(args)))
+    return (("", args.problem, inst) for inst in _drawn(args, args.trials))
 
 
 def cmd_count(args) -> int:
@@ -301,8 +294,10 @@ def cmd_count(args) -> int:
 
 
 def _drawn(args, count: int):
-    """``count`` instances of ``--problem`` drawn from ``--seed``. The size
-    flags are checked once, before the first draw."""
+    """``count`` instances of ``--problem`` drawn from ``--seed``. The count
+    (``--trials``) and the size flags are checked once, before the first draw."""
+    if count < 0:
+        raise InvalidInput(f"--trials must be at least 0, got {decimal_text(count)}")
     for name in PROBLEMS[args.problem].sizes:
         value, least = getattr(args, name), SIZE_FLAGS[name][1]
         if value is not None and value < least:
@@ -336,7 +331,7 @@ def _generated(problem: str, rng: random.Random, args):
 
 
 def cmd_gen(args) -> int:
-    drawn = _drawn(args, _trials(args))
+    drawn = _drawn(args, args.trials)
     with _open_out(args) as out:
         for inst in drawn:
             _emit(out, {"problem": args.problem, "payload": payload_from_instance(inst)})

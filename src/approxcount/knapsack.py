@@ -1,10 +1,11 @@
 """Approximate counting of 0/1 knapsack solutions.
 
 subsets_i(j), the number of subsets of the first i items weighing at most j,
-obeys subsets_i(j) = subsets_{i-1}(j) + subsets_{i-1}(j - w_i).
-:func:`fptas_knapsack` replaces each row by a step function compressed by
-binary search over {0..C} with per-stage ratio k, k^n <= 1+epsilon, so
-exact <= count <= (1+epsilon)*exact; its oracle work grows with log C.
+obeys subsets_i(j) = subsets_{i-1}(j) + subsets_{i-1}(j - w_i). From
+subsets_0, the one constant row EMPTY_SUBSET_ROW, :func:`fptas_knapsack`
+replaces each row by a step function compressed by binary search over
+{0..C} with per-stage ratio k, k^n <= 1+epsilon, so exact <= count <=
+(1+epsilon)*exact; its oracle work grows with log C.
 
 :func:`strong_fptas_knapsack` counts the items left out: a subset weighs at
 most C exactly when they weigh at least W - C, W the total weight. So it is
@@ -22,15 +23,8 @@ from .stagewise import RunReport, run_stages
 from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nondecreasing, shifted_sum
 
 
-def _empty_subset_row(capacity: int) -> StepFunction:
-    """subsets_0: constantly 1 on {0..capacity}, 0 below it."""
-    xs = (0,) if capacity == 0 else (0, capacity)
-    return StepFunction(
-        direction=Direction.NONDECREASING,
-        xs=xs,
-        values=(1,) * len(xs),
-        out_of_domain_low=0,
-    )
+# subsets_0, the empty subset alone: 0 below 0 and 1 from 0 on, for every capacity
+EMPTY_SUBSET_ROW = StepFunction(Direction.NONDECREASING, (0,), (1,), 0)
 
 
 def left_out(inst: KnapsackInstance) -> MTuplesInstance:
@@ -46,5 +40,4 @@ def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
 def fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:
     full = IntInterval(0, inst.capacity)
     items = [((0, w), full) for w in inst.weights]
-    first = _empty_subset_row(inst.capacity)
-    return run_stages(first, items, epsilon, shifted_sum, apx_set_nondecreasing)
+    return run_stages(EMPTY_SUBSET_ROW, items, epsilon, shifted_sum, apx_set_nondecreasing)

@@ -1,27 +1,27 @@
 """Approximate counting of m-tuples whose elements sum to at least a bound.
 
 Exact counting multiplies set sizes through a convolution-like recurrence and
-is pseudo-polynomial in the bound B. Both counters below replace each exact
-stage by a compressed step function with per-stage ratio k, k^m <= 1+epsilon,
-where a one-point stage is exact and does not count in m:
+is pseudo-polynomial in the bound B. Both counters start from tuples_0, the
+one constant row EMPTY_TUPLE_ROW, and replace each exact stage by a
+compressed step function with per-stage ratio k, k^m <= 1+epsilon, where a
+one-point stage is exact and does not count in m:
 
 * :func:`fptas_mtuples` compresses over the numeric domain {0..B} directly,
   so its work grows with log B;
-* :func:`strong_fptas_mtuples` compresses stage i only on its reachable
-  window {max(0, B - later maxima)..max(0, B - later minima)}, the later
-  maxima and minima being the sums of the maxima and minima of the sets
-  after set i, so the last stage is {B}. Stage i+1 reads j - s for its
-  elements s, which from its window land in window i or below 0, where the
-  count is exactly the product of the set sizes so far; a window that
-  starts above 0 has no value below it, and a read there raises. Inside the
-  window a stage is evaluated only at its candidate change points, both
-  window ends and the starts of its piece table between them, which cover
-  every change by construction (:func:`~approxcount.incpoints.convert`
-  reads them off the stage's oracle), so the work is
-  independent of the magnitude of B. The window's low end keeps its exact
-  value, so the count need not equal the plain one.
-  :func:`~approxcount.knapsack.strong_fptas_knapsack` is this counter on the
-  items a knapsack subset leaves out.
+* :func:`strong_fptas_mtuples` compresses stage i only on its reachable window
+  {max(0, B - later maxima)..max(0, B - later minima)}, the later maxima and
+  minima being the sums of the maxima and minima of the sets after set i, so
+  the last stage is {B}. Stage 1 reads tuples_0, known everywhere; stage i+1
+  reads j - s for its elements s, which from its window land in window i or
+  below 0, where the count is exactly the product of the set sizes so far; a
+  window that starts above 0 has no value below it, and a read there raises.
+  Inside the window a stage is evaluated only at its candidate change points,
+  both window ends and the starts of its piece table between them, which cover
+  every change by construction (:func:`~approxcount.incpoints.convert` reads
+  them off the stage's oracle), so the work is independent of the magnitude of
+  B. The window's low end keeps its exact value, so the count need not equal
+  the plain one. :func:`~approxcount.knapsack.strong_fptas_knapsack` is this
+  counter on the items a knapsack subset leaves out.
 
 Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
 """
@@ -37,15 +37,8 @@ from .stagewise import RunReport, run_stages
 from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nonincreasing, shifted_sum
 
 
-def _empty_tuple_row(bound: int) -> StepFunction:
-    """tuples_0: the empty tuple has sum 0 >= j exactly when j <= 0."""
-    xs = tuple(sorted({0, min(1, bound), bound}))
-    return StepFunction(
-        direction=Direction.NONINCREASING,
-        xs=xs,
-        values=tuple(1 if x <= 0 else 0 for x in xs),
-        out_of_domain_low=1,
-    )
+# tuples_0: the empty tuple's sum 0 is at least j exactly when j <= 0, for every bound
+EMPTY_TUPLE_ROW = StepFunction(Direction.NONINCREASING, (0, 1), (1, 0), 1)
 
 
 def sums_after(values: Sequence[int]) -> list[int]:
@@ -57,8 +50,7 @@ def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over the numeric domain {0..bound}."""
     full = IntInterval(0, inst.bound)
     stages = [(s, full) for s in inst.sets]
-    first = _empty_tuple_row(inst.bound)
-    return run_stages(first, stages, epsilon, shifted_sum, apx_set_nonincreasing)
+    return run_stages(EMPTY_TUPLE_ROW, stages, epsilon, shifted_sum, apx_set_nonincreasing)
 
 
 def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
@@ -79,4 +71,4 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     lows = sums_after([min(s) for s in inst.sets])
     windows = [IntInterval(max(0, b - hi), max(0, b - lo)) for hi, lo in zip(highs, lows)]
     stages = list(zip(inst.sets, windows))
-    return run_stages(_empty_tuple_row(b), stages, epsilon, shifted_sum, convert)
+    return run_stages(EMPTY_TUPLE_ROW, stages, epsilon, shifted_sum, convert)

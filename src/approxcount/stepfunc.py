@@ -54,7 +54,7 @@ from itertools import accumulate
 from operator import floordiv, ge, le, lt, mul, sub
 from typing import Callable, Sequence
 
-from .errors import InvalidInput, MonotonicityViolation
+from .errors import InvalidInput, MonotonicityViolation, TooLarge
 
 
 class Direction(Enum):
@@ -105,6 +105,10 @@ def decimal_text(q: int | Fraction) -> str:
 
 _PRECISION_BITS = 96  # of the dyadic k; doubled while the root rounds down to 1
 
+# The bits of (a + b) << prec*stages, for epsilon = a/b, the integer k's root is
+# taken from at precision prec; 1000 stages at epsilon 1/2 reach 96,002.
+RATIO_BIT_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class ApproxRatio:
@@ -120,7 +124,9 @@ class ApproxRatio:
     about (epsilon - ln(1+epsilon))/stages of the root. The precision climbs
     by doubling from 3 bits, and each root, plus one, starts the next, so a
     large epsilon costs no more than a small one. Choosing k costs a few
-    powers of about 96*stages bits.
+    powers of about 96*stages bits. An epsilon of many digits, or many
+    stages, needs longer integers: TooLarge is raised before a precision
+    step whose integer would pass RATIO_BIT_CAP bits.
     """
 
     k: Fraction
@@ -143,8 +149,10 @@ class ApproxRatio:
         if stages < 1:
             raise InvalidInput("stages must be positive")
         a, b = eps.as_integer_ratio()
-        prec, starts = 3, ()
+        prec, starts, width = 3, (), (a + b).bit_length()
         while True:
+            if width + prec * stages > RATIO_BIT_CAP:
+                raise TooLarge(f"choosing k for {stages} stages passes the {RATIO_BIT_CAP}-bit cap")
             den = 1 << prec
             n = ((a + b) << prec * stages) // b  # floor((1 + eps) * den**stages)
             # Every start is at or above the floor root of n.

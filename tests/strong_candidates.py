@@ -7,14 +7,14 @@ candidates follow from the stage before it and the stage's shifts.
 """
 
 from approxcount.incpoints import IncIndex
-from approxcount.mtuples import _empty_tuple_row
+from approxcount.mtuples import EMPTY_TUPLE_ROW
 from approxcount.stepfunc import shifted_sum
 
 
 def stage_candidates(rep, tuples) -> list[tuple[int, ...]]:
     """The candidate points of every stage of a strong m-tuples report on
     ``tuples`` (for strong knapsack, on its left-out items)."""
-    prev, out = _empty_tuple_row(tuples.bound), []
+    prev, out = EMPTY_TUPLE_ROW, []
     for shifts, func in zip(tuples.sets, rep.stage_functions):
         dom = func.domain
         out.append(IncIndex.build(shifted_sum(prev, shifts, dom).starts, dom).points)

@@ -12,11 +12,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import approxcount
-from approxcount import cli, contingency, stagewise
+from approxcount import cli, contingency, oracles, stagewise
 from approxcount.errors import MonotonicityViolation
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
 from approxcount.stepfunc import FnOracle
@@ -376,6 +377,27 @@ def test_exit_two_on_problem_mismatch(golden_file, capsys):
     assert "mtuples" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ({"problem": "frob", "payload": {}}, "unknown problem 'frob'"),
+        ({"problem": 7, "payload": {}}, "unknown problem int"),
+        ({"problem": "knapsack", "payload": {"weights": ["1"], "capacity": "1"}},
+         "instance is 'knapsack' but --problem says 'mtuples'"),
+        # the name is checked first, then the payload, then the --problem match
+        ({"problem": "knapsack", "payload": []}, "payload must be a JSON object"),
+    ],
+    ids=["unknown", "not-a-string", "mismatch", "mismatch-and-bad-payload"],
+)
+def test_exit_two_names_the_first_fault_of_a_line_under_problem(tmp_path, capsys, line, message):
+    path = tmp_path / "one.ndjson"
+    path.write_text(json.dumps(line) + "\n")
+    argv = ["count", "--input", str(path), "--problem", "mtuples", "--mode", "exact-dp"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:1: {message}\n"
+
+
 def test_exit_three_on_blown_cap(tmp_path, capsys):
     inst = KnapsackInstance(weights=(1,) * 40, capacity=40)
     path = tmp_path / "big.ndjson"
@@ -385,6 +407,21 @@ def test_exit_three_on_blown_cap(tmp_path, capsys):
     code, _, err = run(capsys, ["count", "--input", str(path), "--mode", "exact-brute"])
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("mode", ["fptas", "strong-fptas"])
+def test_exit_three_at_once_on_an_epsilon_past_the_ratio_cap(tmp_path, capsys, mode):
+    # k needs about a million bits of precision here; without the cap,
+    # choosing it took 48 s and the count exited 0
+    code, out, _ = run(capsys, ["gen", "--problem", "knapsack", "--n", "3", "--seed", "1"])
+    path = tmp_path / "three.ndjson"
+    path.write_text(out)
+    t0 = perf_counter()
+    argv = ["count", "--input", str(path), "--mode", mode, "--epsilon", "1e-300000"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}:1: ") and "cap" in err
+    assert perf_counter() - t0 < 1
 
 
 def assert_cap_exits_three(tmp_path, capsys, monkeypatch, problem, payload, mode):
@@ -421,6 +458,29 @@ def test_exit_three_when_any_counter_keeps_too_many_breakpoints(
     tmp_path, capsys, monkeypatch, problem, payload, mode
 ):
     assert assert_cap_exits_three(tmp_path, capsys, monkeypatch, problem, payload, mode) > 1
+
+
+@pytest.mark.parametrize(
+    "problem, payload, cells",
+    [
+        ("mtuples", json.loads(GOLDEN_LINE)["payload"], 18 * 7),
+        ("contingency2", {"row_sums": ["9", "12"], "col_sums": ["5", "6", "4", "6"]}, 5 * 10),
+    ],
+    ids=["mtuples", "contingency2"],
+)
+def test_exit_three_when_an_exact_dp_passes_its_cell_cap(
+    tmp_path, capsys, monkeypatch, problem, payload, cells
+):
+    """Count within the cap, then again with the cap one below the DP's cells."""
+    path = tmp_path / "inst.ndjson"
+    path.write_text(json.dumps({"problem": problem, "payload": payload}) + "\n")
+    argv = ["count", "--input", str(path), "--mode", "exact-dp"]
+    monkeypatch.setattr(oracles, "DP_CELL_CAP", cells)
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(oracles, "DP_CELL_CAP", cells - 1)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}:1: ") and "cap" in err
 
 
 def test_count_failure_names_the_line_and_keeps_earlier_records(tmp_path, capsys):

@@ -86,6 +86,12 @@ def test_pad_matches_example_set():
     assert pad([0, 4, 8, 17]) == (0, 3, 4, 7, 8, 16, 17)
 
 
+@pytest.mark.parametrize("points", [(), (3, 1), (1, 1)], ids=["empty", "falling", "repeated"])
+def test_pad_refuses_a_sequence_that_is_not_increasing(points):
+    with pytest.raises(InvalidInput):
+        pad(points)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     raw=st.sets(st.integers(min_value=0, max_value=50), min_size=0, max_size=12)

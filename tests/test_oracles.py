@@ -44,6 +44,8 @@ def test_mtuples_instance_validation():
 
 def test_knapsack_instance_validation():
     with pytest.raises(InvalidInput):
+        KnapsackInstance(weights=(), capacity=5)
+    with pytest.raises(InvalidInput):
         KnapsackInstance(weights=(0, 2), capacity=5)
     with pytest.raises(InvalidInput):
         KnapsackInstance(weights=(1,), capacity=-1)
@@ -193,6 +195,24 @@ def test_dp_cell_cap():
     with pytest.raises(TooLarge):
         dp_knapsack(KnapsackInstance(weights=(10**9, 10**9), capacity=10**12))
 
+
+
+@pytest.mark.parametrize(
+    "dp, inst, cells",
+    [
+        (dp_knapsack, KnapsackInstance(weights=(3, 5, 8, 9), capacity=17), 5 * 18),
+        (dp_mtuples, GOLDEN, 18 * 7),
+        (dp_contingency_sum, Contingency2Instance(row_sums=(9, 12), col_sums=(5, 6, 4, 6)), 5 * 10),
+        (dp_contingency_sub, Contingency2Instance(row_sums=(9, 12), col_sums=(5, 6, 4, 6)), 4 * 10),
+    ],
+    ids=["knapsack", "mtuples", "contingency-sum", "contingency-sub"],
+)
+def test_each_dp_counts_at_its_cell_cap_and_refuses_one_cell_past_it(monkeypatch, dp, inst, cells):
+    monkeypatch.setattr(oracles, "DP_CELL_CAP", cells)
+    dp(inst)
+    monkeypatch.setattr(oracles, "DP_CELL_CAP", cells - 1)
+    with pytest.raises(TooLarge):
+        dp(inst)
 
 
 def test_packed_digits_hold_the_whole_count():

@@ -36,7 +36,7 @@ from approxcount import (
 )
 from approxcount.incpoints import IncIndex
 from approxcount.knapsack import left_out
-from approxcount.mtuples import _empty_tuple_row
+from approxcount.mtuples import EMPTY_TUPLE_ROW
 from strong_candidates import stage_candidates
 
 README_KNAPSACK = KnapsackInstance(weights=(3, 5, 8, 9), capacity=17)
@@ -195,7 +195,7 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain(monkeypatch):
             recorded = list(converted)  # stage_candidates builds its own indexes
             candidates = stage_candidates(rep, out)
             assert recorded == candidates and len(candidates) == len(out.sets)
-            prev = _empty_tuple_row(out.bound)
+            prev = EMPTY_TUPLE_ROW
             for shifts, points, func in zip(out.sets, candidates, rep.stage_functions):
                 dom = func.domain
                 starts = shifted_sum(prev, shifts, dom).starts
@@ -286,21 +286,22 @@ def _sweep_text():
 
 
 def _windowed(tuples):
-    """(first row, [(shifts, window)]) of strong m-tuples on ``tuples``."""
+    """[(shifts, window)] of strong m-tuples on ``tuples``."""
     b, stages = tuples.bound, []
     for i, shifts in enumerate(tuples.sets):
         later = tuples.sets[i + 1 :]
         hi, lo = sum(map(max, later)), sum(map(min, later))
         stages.append((shifts, IntInterval(max(0, b - hi), max(0, b - lo))))
-    return _empty_tuple_row(b), stages
+    return stages
 
 
 def _strong_runs(rounds):
-    """(eps, report, first row, [(shifts, window)]) of both strong counters per
-    sweep round; strong knapsack's stages are those of its left-out items."""
+    """(eps, report, m-tuples instance, [(shifts, window)]) of both strong
+    counters per sweep round; strong knapsack's are its left-out items'."""
     for eps, knap, tuples, _ in _sweep_instances(rounds):
-        yield eps, strong_fptas_knapsack(knap, eps), *_windowed(left_out(knap))
-        yield eps, strong_fptas_mtuples(tuples, eps), *_windowed(tuples)
+        out = left_out(knap)
+        yield eps, strong_fptas_knapsack(knap, eps), out, _windowed(out)
+        yield eps, strong_fptas_mtuples(tuples, eps), tuples, _windowed(tuples)
 
 
 def test_strong_stages_are_the_searched_windows():
@@ -308,9 +309,9 @@ def test_strong_stages_are_the_searched_windows():
     # window keeps, at one evaluation per candidate change point, with k
     # chosen for the windows of more than one point. Only a window that
     # starts at 0 has a value below it.
-    for eps, rep, prev, stages in _strong_runs(rounds=100):
+    for eps, rep, _, stages in _strong_runs(rounds=100):
         ratio = ApproxRatio.for_stages(eps, max(sum(w.lo < w.hi for _, w in stages), 1))
-        candidates = 0
+        candidates, prev = 0, EMPTY_TUPLE_ROW
         for (shifts, window), func in zip(stages, rep.stage_functions):
             raw = shifted_sum(prev, shifts, window)
             below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
@@ -324,15 +325,17 @@ def test_strong_stages_are_the_searched_windows():
 
 def test_every_read_of_a_strong_stage_lands_in_its_window_or_below_zero():
     # Stage i+1 reads stage i at j - s; the reads are monotone in j, so the
-    # two ends of window i+1 bound them all.
-    for _, rep, first, stages in _strong_runs(rounds=100):
-        windows = [first.domain] + [f.domain for f in rep.stage_functions]
-        for (shifts, window), prev in zip(stages, windows):
+    # two ends of window i+1 bound them all. Stage 1 reads the empty-tuple
+    # row, which is known everywhere (1 up to 0, 0 from 1 on), so its reads
+    # are not checked.
+    for _, rep, tuples, stages in _strong_runs(rounds=100):
+        windows = [f.domain for f in rep.stage_functions]
+        for (shifts, window), prev in zip(stages[1:], windows):
             for s in shifts:
                 for j in (window.lo, window.hi):
                     assert j - s < 0 or j - s in prev
         last = rep.stage_functions[-1].domain
-        assert last.lo == last.hi == first.domain.hi
+        assert last.lo == last.hi == tuples.bound
 
 
 def test_chain_length_counts_the_stages_that_can_merge():

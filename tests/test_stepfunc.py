@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from approxcount.errors import InvalidInput, MonotonicityViolation
+from approxcount.errors import InvalidInput, MonotonicityViolation, TooLarge
 from approxcount.stepfunc import (
     ApproxRatio,
     Direction,
@@ -26,6 +26,7 @@ from approxcount.stepfunc import (
     apx_set_linear,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
+    induce,
     shifted_sum,
     to_fraction,
 )
@@ -112,6 +113,33 @@ class TestApproxRatio:
             ApproxRatio.for_stages(Fraction(0), 2)
         with pytest.raises(InvalidInput):
             ApproxRatio.for_stages(Fraction(-1, 2), 2)
+
+    @pytest.mark.parametrize("stages", [0, -1])
+    def test_rejects_no_stages(self, stages):
+        with pytest.raises(InvalidInput):
+            ApproxRatio.for_stages(Fraction(1, 2), stages)
+
+    @pytest.mark.parametrize(
+        "k, eps, stages",
+        [(Fraction(2), Fraction(7), 0), (Fraction(1), Fraction(7), 3), (Fraction(3), Fraction(7), 2)],
+        ids=["no-stages", "k-not-above-one", "certificate-fails"],
+    )
+    def test_construction_rechecks_its_invariants(self, k, eps, stages):
+        with pytest.raises(InvalidInput):
+            ApproxRatio(k=k, epsilon=eps, stages=stages)
+
+    # k is the root of an integer whose bits grow with the precision times
+    # the stages, and the precision k needs grows with the bits of
+    # stages/epsilon. Each pair of stage counts is the last that fits under
+    # RATIO_BIT_CAP and the first past it.
+    @pytest.mark.parametrize(
+        "eps, fits, past",
+        [(Fraction(1, 2), 10416, 10417), ("1e-1000", 162, 163), ("1e-5000", 40, 41)],
+    )
+    def test_too_large_past_the_bit_cap(self, eps, fits, past):
+        assert ApproxRatio.for_stages(eps, fits).k > 1
+        with pytest.raises(TooLarge):
+            ApproxRatio.for_stages(eps, past)
 
     def test_tiny_epsilon_still_above_one(self):
         r = ApproxRatio.for_stages(Fraction(1, 10**9), 40)
@@ -220,6 +248,15 @@ class TestStepFunctionQuery:
         for direction in Direction:
             values = [1, 2, 4] if direction is Direction.NONDECREASING else [4, 2, 1]
             assert compress(values, direction, ApproxRatio.for_stages(1, 1)).out_of_domain_low is None
+
+    @pytest.mark.parametrize(
+        "xs, values",
+        [((0, 1), (1,)), ((), ()), ((0, 1), (-1, 0))],
+        ids=["unequal", "empty", "negative"],
+    )
+    def test_rejects_what_is_not_a_step_function(self, xs, values):
+        with pytest.raises(InvalidInput):
+            StepFunction(Direction.NONDECREASING, xs, values)
 
     def test_rejects_wrong_direction_values(self):
         with pytest.raises(MonotonicityViolation):
@@ -420,6 +457,12 @@ def test_searches_keep_what_the_product_form_rule_keeps(values, k, direction, lo
     kept = (apx_set_nondecreasing if up else apx_set_nonincreasing)(phi, k)
     expected = dense_keep(values, lo, up, k.k.numerator, k.k.denominator)
     assert (list(kept.xs), list(kept.values)) == expected
+
+
+@pytest.mark.parametrize("points", [(-1, 2), (0, 4), (-2, 5)], ids=["low", "high", "both"])
+def test_induce_refuses_points_outside_the_oracles_domain(points):
+    with pytest.raises(InvalidInput):
+        induce(oracle_from_values([1, 2, 3, 4], Direction.NONDECREASING), points)
 
 
 def test_shifted_sum_matches_manual_recurrence():
