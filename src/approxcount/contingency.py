@@ -24,14 +24,14 @@ starts at 0 and with no value below it otherwise. Column n's window is
 (P_{i-1}, s_i, window) each. With g the previous compressed column (column
 1 is exact), P = P_{i-1} its pivot and s = s_i, the window sum W(j) = g(j)
 + ... + g(j - s) is evaluated exactly as G(j) - G(j - s - 1), G the prefix
-sum of g over its explicit pieces counted from the start of g's window
-(:func:`window_sum`), and W on column i's window is compressed with ratio
-k by a walk over W's linear pieces (:func:`compress_contingency`): W's
-oracle is evaluated only at its knots, the oracle's ``starts``, and each
-kept breakpoint is found by one exact floor division on its piece. A
-one-point window, such as column n's, is one evaluation and merges
-nothing, so k^m <= 1 + epsilon with m the number of windows of more than
-one point. Four facts make this sound:
+sum over one list of g's pieces on Z, its half and, when the half reaches
+P//2, its mirror image (:func:`window_sum`). W on column i's window is
+compressed with ratio k by a walk over W's linear pieces
+(:func:`compress_contingency`): W's oracle is evaluated only at its knots,
+the oracle's ``starts``, and each kept breakpoint is found by one exact
+floor division on its piece. A one-point window, such as column n's, is
+one evaluation and merges nothing, so k^m <= 1 + epsilon with m the number
+of windows of more than one point. Four facts make this sound:
 
 1. W is exactly symmetric about (P+s)/2 and nondecreasing on its half. On
    the half, W(j) - W(j-1) = g(j) - g(j-s-1) >= 0, because g is exactly
@@ -46,13 +46,15 @@ one point. Four facts make this sound:
 3. Every point W reads on column i's window lies in g's window, mirrored
    onto it or below 0, since it is R minus the cells of columns i-1..n; so
    the part of g below its window cancels in G(j) - G(j-s-1).
-4. W is linear, with an integer slope, between consecutive knots, which
-   are O(len(g)) points (:func:`window_sum`). The walk runs up W's mirror
-   image j -> W(-j), so it keeps exactly the breakpoints, with exactly the
-   values, that :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps
-   there (a merged low end holds the value of the kept point above it), at
-   O(len(g)) evaluations per column whatever the cell sizes; the walk
-   checks that every slope between knots is an integer.
+4. W is linear, with an integer slope, between consecutive knots: the
+   window's ends, each end e of a piece of g's list inside it and each
+   e + s + 1 inside it, O(len(g)) points (:func:`window_sum`). The walk
+   runs up W's mirror image j -> W(-j), so it keeps exactly the
+   breakpoints, with exactly the values, that
+   :func:`~approxcount.stepfunc.apx_set_nonincreasing` keeps there (a
+   merged low end holds the value of the kept point above it), at O(len(g))
+   evaluations per column whatever the cell sizes; the walk checks that
+   every slope between knots is an integer.
 
 Each column is one stage of :func:`~approxcount.stagewise.run_stages`, the
 stage loop every counter shares, which builds :func:`window_sum` from the
@@ -89,58 +91,48 @@ def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) 
     ``starts`` are the knots: the points of ``window`` between which W is
     linear, both ends included.
 
-    The sum is G(j) - G(j-width-1) for the prefix sum G(j) = g(a) + ... +
-    g(j), which counts from the window's start: the part below a cancels in
-    the difference. G comes from the half's prefix sum H, a cumulative sum
-    per piece plus one bisect per query: G(j) = H(j) up to the midpoint h,
-    and past it, when the window reaches h, by symmetry, G(j) = G(pivot-a) -
-    H(pivot-j-1). g is known on the window, on its mirror image when the
-    window reaches h, below 0 when a = 0 and past pivot when the window is
-    the whole half; a sum that reads g anywhere else raises InvalidInput.
-    W is evaluated in one closure, with G inline at both points (one bisect
-    and one product each), so an evaluation is one Python frame below
-    ``FnOracle.__call__``. The oracle's ``below`` is 0 when ``window``
-    starts at 0, where every read is below 0, and None otherwise.
+    g is one list of pieces on Z, the piece ending at ends[i] holding
+    vals[i] from ends[i-1]+1: a piece of value 0 ending at a-1, the half's
+    breakpoints and, when the half reaches h = pivot//2, their mirror images
+    pivot-e-1 in reverse, up to pivot-a (at an even pivot the first can end
+    at h again, an empty piece; bisect_left reads the first of equal ends).
+    With G its prefix sum, which counts from a, W(j) = G(j) - G(j-width-1)
+    is two bisects in one closure, one Python frame below
+    ``FnOracle.__call__``; the part of g below a cancels. g is known on the
+    list, below 0 when a = 0 and past pivot when the window is the whole
+    half, where reads clamp to the last piece; a sum that reads g anywhere
+    else raises InvalidInput. ``below`` is 0 when ``window`` starts at 0,
+    where every read is below 0, and None otherwise.
 
-    W(j) - W(j-1) = g(j) - g(j-width-1), and on all of Z g changes value only
-    at the points c of C = {0, pivot+1, x+1 and pivot-x for each half
-    breakpoint x}; the last half breakpoint, pivot//2, covers the midpoint,
-    and where the half's window starts above 0 its first breakpoint covers
-    the start. So W's slope changes only where j or j-width-1 is in C, and W
-    is linear between consecutive points c-1, c in C or in C+width+1. That
-    is O(len(half)) points, whatever the cells are.
+    g changes value only past the end e of a piece, and W(j) - W(j-1) =
+    g(j) - g(j-width-1), so W is linear between consecutive knots: the
+    window's ends, each e in it short of its end and each e+width+1 in it,
+    O(len(half)) points whatever the cells are.
     """
     a, b = half.domain.lo, half.domain.hi
     h = pivot // 2
     if a < 0 or b > h:
         raise InvalidInput("the half's window must lie inside {0..pivot//2}")
-    # H(u) = cum[i] - (xs[i] - u) * vals[i] for i = bisect_left(xs, u) and u <= b:
-    # the piece ending at xs[i] holds vals[i] from xs[i-1]+1, and a piece of
-    # value 0 ending at a-1 makes H 0 below a.
-    xs, vals = (a - 1, *half.xs), (0, *half.values)
-    cum = list(accumulate(map(mul, map(sub, xs[1:], xs), vals[1:]), initial=0))
-    top, total = b, None  # no read is mirrored
-    if b == h:  # total = G(pivot-a) = H(h) + H(pivot-h-1), and H(h-1) = H(h) - g(h)
-        top = pivot - a if a else None
-        total = 2 * cum[-1] - (vals[-1] if pivot % 2 == 0 else 0)
+    # G(u) = cum[i] - (ends[i] - u) * vals[i] for i = bisect_left(ends, u)
+    ends, vals = [a - 1, *half.xs], [0, *half.values]
+    if b == h:
+        ends += [pivot - e - 1 for e in ends[-2::-1]]
+        vals += vals[:0:-1]
+    cum = list(accumulate(map(mul, map(sub, ends[1:], ends), vals[1:]), initial=0))
+    last, whole = ends[-1], a == 0 and b == h
 
     def w(j: int) -> int:
-        if (a and j - width < a) or (top is not None and j > top):
+        if (a and j - width < a) or (j > last and not whole):
             raise InvalidInput(f"the window sum at {j} reads the column outside {a}..{b}")
-        # G(j) - G(t), where G(u) = total - H(pivot-u-1) past h
-        t, base, sign = j - width - 1, 0, 1
-        if t > h:  # the totals cancel
-            j, t = pivot - t - 1, pivot - j - 1
-        elif j > h:
-            j, base, sign = pivot - j - 1, total, -1
-        i, l = bisect_left(xs, j), bisect_left(xs, t)
-        return base + sign * (cum[i] - (xs[i] - j) * vals[i]) - cum[l] + (xs[l] - t) * vals[l]
+        t = j - width - 1
+        if j > last:  # g is 0 past pivot
+            j, t = last, min(t, last)
+        i, l = bisect_left(ends, j), bisect_left(ends, t)
+        return cum[i] - (ends[i] - j) * vals[i] - cum[l] + (ends[l] - t) * vals[l]
 
     lo, hi = window.lo, window.hi
-    changes = [0, pivot + 1, *[x + 1 for x in half.xs], *[pivot - x for x in half.xs]]
-    knots = {lo, hi}
-    knots.update([c - 1 for c in changes if lo < c <= hi + 1])
-    knots.update([c + width for c in changes if lo <= c + width <= hi])
+    knots = {lo, hi, *[e for e in ends if lo <= e < hi]}
+    knots.update([e + width + 1 for e in ends if lo <= e + width + 1 <= hi])
     return FnOracle(window, Direction.NONDECREASING, w, sorted(knots), 0 if lo == 0 else None)
 
 

@@ -110,6 +110,19 @@ _PRECISION_BITS = 96  # of the dyadic k; doubled while the root rounds down to 1
 RATIO_BIT_CAP = 1_000_000
 
 
+def _root(n: int, s: int) -> int:
+    """The floor s-th root of n >= 1, by Newton's step, which falls to it from
+    any start at or above it. The start is (root(n >> s*q) + 1) << q, above
+    the root, for q about half the root's bits, so the recursion halves them."""
+    q = n.bit_length() // (2 * s)
+    r = (_root(n >> s * q, s) + 1) << q if q else 1 << -(-n.bit_length() // s)
+    while True:
+        y = ((s - 1) * r + n // r ** (s - 1)) // s
+        if y >= r:
+            return r
+        r = y
+
+
 @dataclass(frozen=True)
 class ApproxRatio:
     """A per-stage ratio k with an exact certificate k**stages <= 1 + epsilon.
@@ -118,15 +131,14 @@ class ApproxRatio:
     so the end-to-end guarantee never degrades; the invariants are re-checked
     with exact Fraction arithmetic on construction.
 
-    The integer root comes from Newton's step, which falls to the floor root
-    from any start at or above it. Bernoulli's inequality
-    (1 + epsilon/stages)**stages >= 1 + epsilon gives such a start within
-    about (epsilon - ln(1+epsilon))/stages of the root. The precision climbs
-    by doubling from 3 bits, and each root, plus one, starts the next, so a
-    large epsilon costs no more than a small one. Choosing k costs a few
-    powers of about 96*stages bits. An epsilon of many digits, or many
-    stages, needs longer integers: TooLarge is raised before a precision
-    step whose integer would pass RATIO_BIT_CAP bits.
+    The integer root comes from Newton's step started from the root of the
+    integer's top bits, scaled up, which takes about half the root's bits,
+    so a large epsilon costs a few divisions at each of about log2 of the
+    root's bits. The precision is 96 bits, doubled while the root rounds
+    down to 1. Choosing k costs a few powers of about 96*stages bits. An
+    epsilon of many digits, or many stages, needs longer integers: TooLarge
+    is raised before a precision step whose integer would pass
+    RATIO_BIT_CAP bits.
     """
 
     k: Fraction
@@ -149,22 +161,14 @@ class ApproxRatio:
         if stages < 1:
             raise InvalidInput("stages must be positive")
         a, b = eps.as_integer_ratio()
-        prec, starts, width = 3, (), (a + b).bit_length()
+        prec, width = _PRECISION_BITS, (a + b).bit_length()
         while True:
             if width + prec * stages > RATIO_BIT_CAP:
                 raise TooLarge(f"choosing k for {stages} stages passes the {RATIO_BIT_CAP}-bit cap")
             den = 1 << prec
-            n = ((a + b) << prec * stages) // b  # floor((1 + eps) * den**stages)
-            # Every start is at or above the floor root of n.
-            root = min(1 << -(-n.bit_length() // stages), den - (-a * den // (b * stages)), *starts)
-            while True:
-                y = ((stages - 1) * root + n // root ** (stages - 1)) // stages
-                if y >= root:
-                    break
-                root = y
-            if prec >= _PRECISION_BITS and root > den:
+            root = _root(((a + b) << prec * stages) // b, stages)  # of floor((1+eps) * den**stages)
+            if root > den:
                 return cls(k=Fraction(root, den), epsilon=eps, stages=stages)
-            starts = ((root + 1) << prec,)
             prec *= 2
 
 

@@ -30,7 +30,9 @@ inconsistent margins, missing fields, or values of 0, 1, 2, 2**64 and
 mode and ``verify`` in every approximate mode, for every problem, at an
 epsilon of 1/10 or more, or at one that does not parse. Every exit code
 must be 0, 2 or 3: 1 would be a count outside its band and 4 an internal
-error. The two loops take turns, one round each, on their own seeds.
+error. A table whose margins disagree, and that nothing else broke, must
+exit 2 on every command. The two loops take turns, one round each, on their
+own seeds.
 
 On the first failure the script prints the instance as one JSON line that
 ``approxcount count`` reads, names the counter or command, epsilon and the
@@ -174,19 +176,21 @@ def _leaves(rng, count):
 
 
 def _payload(rng, problem):
-    """A random payload of ``problem``, its margins usually consistent."""
+    """A random payload of ``problem``, its margins usually consistent, and
+    whether they are."""
     if problem == "mtuples":
         sets = [_leaves(rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        return {"sets": sets, "bound": _leaves(rng, 1)[0]}
+        return {"sets": sets, "bound": _leaves(rng, 1)[0]}, True
     if problem == "knapsack":
-        return {"weights": _leaves(rng, rng.randint(1, 4)), "capacity": _leaves(rng, 1)[0]}
+        return {"weights": _leaves(rng, rng.randint(1, 4)), "capacity": _leaves(rng, 1)[0]}, True
     cols = _leaves(rng, rng.randint(1, 4))
     total = sum(int(c) for c in cols)
     r1 = rng.choice((0, total // 2, total, rng.randint(0, max(total, 0))))
     rows = [r1, total - r1]
-    if rng.random() < 0.3:  # inconsistent margins
+    consistent = rng.random() >= 0.3
+    if not consistent:
         rows[rng.randrange(2)] += rng.choice((-1, 1, 2**64))
-    return {"row_sums": [str(r) for r in rows], "col_sums": cols}
+    return {"row_sums": [str(r) for r in rows], "col_sums": cols}, consistent
 
 
 def _break(rng, node):
@@ -207,9 +211,12 @@ def cli_round(rng, folder) -> tuple[int, str | None]:
     what went wrong, or None."""
     calls = 0
     for problem in cli.PROBLEMS:
-        payload = _payload(rng, problem)
-        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        payload, consistent = _payload(rng, problem)
+        breaks = rng.choice((0, 0, 0, 1, 2))
+        for _ in range(breaks):
             payload = _break(rng, payload)
+        # margins that disagree, with nothing else broken, are refused outright
+        allowed = ALLOWED_EXITS if consistent or breaks else {2}
         line = json.dumps({"problem": problem, "payload": payload})
         path = os.path.join(folder, "instance.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
@@ -223,7 +230,7 @@ def cli_round(rng, folder) -> tuple[int, str | None]:
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main(argv)
             calls += 1
-            if code not in ALLOWED_EXITS:
+            if code not in allowed:
                 print(line)
                 said = (err.getvalue() or out.getvalue()).strip()[-2000:]
                 return calls, f"{' '.join(argv)} exited {code}: {said}"
@@ -267,7 +274,7 @@ def main(argv=None) -> int:
                 return 1
             rounds += 1
     print(f"{rounds} rounds: {runs} runs, every stage and count in its band; "
-          f"{calls} commands, each exited 0, 2 or 3")
+          f"{calls} commands, each exited 0, 2 or 3, and 2 on disagreeing margins")
     return 0
 
 

@@ -9,6 +9,7 @@ arithmetic; no tolerance anywhere.
 
 import json
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -140,6 +141,13 @@ class TestApproxRatio:
         assert ApproxRatio.for_stages(eps, fits).k > 1
         with pytest.raises(TooLarge):
             ApproxRatio.for_stages(eps, past)
+
+    def test_huge_epsilon_takes_its_root_quickly(self):
+        # a million-bit 1 + epsilon; its cube root is started from the root of
+        # its top bits, not climbed to from a few bits
+        start = time.perf_counter()
+        assert ApproxRatio.for_stages("1e300000", 3).k > 1
+        assert time.perf_counter() - start < 4
 
     def test_tiny_epsilon_still_above_one(self):
         r = ApproxRatio.for_stages(Fraction(1, 10**9), 40)
