@@ -7,10 +7,10 @@ exact <= c <= (1 + epsilon) * exact, checkable against the exact oracles in
 machinery lives in :mod:`approxcount.stepfunc` and
 :mod:`approxcount.incpoints`, and the stage loop every counter runs through
 in :mod:`approxcount.stagewise`. Every stage of every counter is a
-:class:`StepFunction`; a contingency column is kept as its nondecreasing half,
-its stage being (P_{i-1}, s_i, window): the previous column's pivot, its
-column sum and its window. The command line entry point is ``approxcount``
-(see :mod:`approxcount.cli`).
+:class:`StepFunction`; a contingency column is kept as its nonincreasing
+upper half, its stage being (P_{i-1}, s_i, window): the previous column's
+pivot, its column sum and its window. The command line entry point is
+``approxcount`` (see :mod:`approxcount.cli`).
 """
 
 from .contingency import compress_contingency, fptas_contingency2

@@ -255,6 +255,7 @@ def cmd_count(args) -> int:
     if args.problem:  # checked once, even when no instance arrives
         _counter(args.problem, args.mode)
     items = _items(args)
+    eps_text = functools.cache(decimal_text)  # written out once, at the first record
 
     trials = violations = 0
     max_ratio = Fraction(0)
@@ -267,7 +268,7 @@ def cmd_count(args) -> int:
                 return _report_error(exc, where)
             record = {"problem": problem, "mode": args.mode}
             if args.mode in APPROX_MODES:
-                record["epsilon"] = decimal_text(eps)
+                record["epsilon"] = eps_text(eps)
             record["count"] = decimal_text(count)
             if verify:
                 record["exact"] = decimal_text(exact)
@@ -351,6 +352,7 @@ def cmd_bench(args) -> int:
         runs = [(m, e) for e in eps_list for m in modes]
     else:
         runs = [("exact-dp", None)]
+    eps_text = functools.cache(decimal_text)  # each epsilon written out once
 
     with _open_out(args) as out:
         writer = csv.writer(out)
@@ -360,14 +362,15 @@ def cmd_bench(args) -> int:
         for k in scales:
             scale = 10**k
             inst = type(base)(**_mapped(base, scale.__mul__))
+            scale_text = decimal_text(scale)
             for mode, eps in runs:
                 count, calls, sizes, elapsed = run_mode(args.problem, inst, mode, eps)
                 writer.writerow(
                     [
                         mode,
                         size,
-                        decimal_text(scale),
-                        "" if eps is None else decimal_text(eps),
+                        scale_text,
+                        "" if eps is None else eps_text(eps),
                         calls,
                         f"{elapsed * 1000.0:.3f}",
                         max(sizes, default=0),

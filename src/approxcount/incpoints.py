@@ -96,4 +96,4 @@ def convert(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     at = dict(zip([c - 1 for c in pts[1:]], vals))  # c-1 holds the previous candidate's value
     at.update(zip(pts, vals))
     knots = pad(pts)
-    return apx_set_linear(knots, [at[t] for t in knots], phi.direction, k, below=phi.below)
+    return apx_set_linear(knots, [at[t] for t in knots], k, below=phi.below)

@@ -14,7 +14,7 @@ stages whose domain has more than one point, and the final row is within
 end, the query point every counter's stages end at. Every row is a
 :class:`~approxcount.stepfunc.StepFunction`. Contingency2's exact stage is
 one column's window sum, with stages (P_{i-1}, s_i, window) and each row a
-column's nondecreasing half on its window (:mod:`approxcount.contingency`).
+column's nonincreasing upper half on its window (:mod:`approxcount.contingency`).
 Knapsack and m-tuples build theirs with
 :func:`~approxcount.stepfunc.shifted_sum` itself, from stages (S_i, domain),
 for the recurrence

@@ -16,14 +16,12 @@ here they are one object: the compressors :func:`apx_set_nondecreasing` and
 :func:`apx_set_nonincreasing` return the :class:`StepFunction`, each
 breakpoint holding the value its own binary search probed, so the function
 is read off the searches without evaluating phi again.
-:func:`apx_set_linear` walks the pieces of a phi known at knots between
-which it is linear, instead of searching, and returns what
-:func:`apx_set_nonincreasing` returns, on the mirror image x -> -x when phi
-is nondecreasing (so a low end it merges holds the value of the kept point
-above it); the strong counters and contingency tables compress that way.
-It mirrors a nondecreasing phi once, so the walk runs in one orientation,
-up from phi's largest value, and a piece whose values go against phi's
-direction raises MonotonicityViolation, as a probe out of order does.
+:func:`apx_set_linear` walks the pieces of a nonincreasing phi known at
+knots between which it is linear, instead of searching, up from phi's
+largest value, and returns what :func:`apx_set_nonincreasing` returns; the
+strong counters and contingency tables, whose every walked function is
+nonincreasing, compress that way. A piece whose values rise raises
+MonotonicityViolation, as a probe out of order does.
 Construction probes phi through :class:`FnOracle`, which tallies calls and
 carries phi's domain and its value below it, so every compressor that
 evaluates phi takes only phi and k. Every comparison is done in exact
@@ -388,81 +386,68 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     return StepFunction(Direction.NONINCREASING, xs, values, phi.below)
 
 
-def _walk(knots, ws, slopes, num, den):
-    """apx_set_nonincreasing's scan over linear pieces, up from knots[0]."""
-    # invariant: knots[j] is the first knot at or past x; slopes[j - 1] ends there
-    j, end, top = 0, knots[-1], num * ws[-1]
-    x, fx = knots[0], ws[0]
-    xs, values = [x], [fx]
-    while x != end:
-        bar = den * fx
-        if top >= bar:  # the rest is certified against x: merge it
-            xs.append(end)
-            values.append(fx)
-            break
-        if knots[j] == x:
-            j += 1
-        v = ws[j] - (knots[j] - x - 1) * slopes[j - 1]
-        if num * v < bar:  # the next point already fails
-            x, fx = x + 1, v
-        else:
-            while num * ws[j] >= bar:
-                j += 1
-            a, wa, d = knots[j - 1], ws[j - 1], slopes[j - 1]
-            x = a + (num * wa - bar) // (-num * d) + 1  # the first failing point past a
-            fx = wa + (x - a) * d
-        xs.append(x)
-        values.append(fx)
-    return xs, values
-
-
 def apx_set_linear(
     knots: Sequence[int],
     values: Sequence[int],
-    direction: Direction,
     k: ApproxRatio,
     *,
     below: int | None = None,
 ) -> StepFunction:
     """What :func:`apx_set_nonincreasing` returns on {knots[0]..knots[-1]}
-    for a function f known by its ``values`` at the sorted ``knots``,
-    linear with an integer slope between them; for a nondecreasing f, what
-    it returns on the mirror image x -> -x, mapped back.
+    for a nonincreasing f known by its ``values`` at the sorted ``knots``,
+    linear with an integer slope between them.
 
-    Nothing is evaluated. A nondecreasing f is mirrored once, here, so the
-    checks and the walk see only a nonincreasing function and scan up from
-    its largest value. From each kept point x the walk merges the rest into
-    x if the far end passes num*f(end) >= den*f(x); otherwise it keeps the
-    first y past x with num*f(y) < den*f(x), found on its piece by one floor
-    division. The cost is O(len(knots)) plus one step per kept point.
-    InvalidInput is raised unless the values are nonnegative and linear
-    with an integer slope on every piece; MonotonicityViolation is raised
-    for a piece whose integer slope goes against ``direction``. Either
-    error names the piece by the knots and values as given.
+    Nothing is evaluated. The walk scans up from knots[0], where f is
+    largest. From each kept point x it merges the rest into x if the far
+    end passes num*f(end) >= den*f(x); otherwise it keeps the first y past
+    x with num*f(y) < den*f(x), found on its piece by one floor division.
+    The cost is O(len(knots)) plus one step per kept point. InvalidInput is
+    raised unless the values are nonnegative and linear with an integer
+    slope on every piece; MonotonicityViolation is raised for a piece whose
+    integer slope rises. Either error names the piece by its knots and
+    values.
     """
     if not knots or len(knots) != len(values):
         raise InvalidInput("need equally many knots and values, at least one")
-    up = direction is Direction.NONDECREASING
-    ts, ws = ([-x for x in knots[::-1]], values[::-1]) if up else (knots, values)
-    widths = list(map(sub, ts[1:], ts[:-1]))
-    rises = list(map(sub, ws[1:], ws[:-1]))
+    widths = list(map(sub, knots[1:], knots[:-1]))
+    rises = list(map(sub, values[1:], values[:-1]))
     if min(widths, default=1) <= 0:
         raise InvalidInput("knots must be strictly increasing")
-    slopes = list(map(floordiv, rises, widths))  # slopes[i]: from ts[i] to ts[i+1]
+    slopes = list(map(floordiv, rises, widths))  # slopes[i]: from knots[i] to knots[i+1]
     if max(slopes, default=0) > 0 or list(map(mul, slopes, widths)) != rises:
         i = next(i for i, d in enumerate(slopes) if d * widths[i] != rises[i] or d > 0)
         error = InvalidInput if slopes[i] * widths[i] != rises[i] else MonotonicityViolation
-        i = len(knots) - 2 - i if up else i  # the same piece as given
         raise error(
-            f"not {direction.value} and linear with integer slope from {knots[i]} to "
+            f"not nonincreasing and linear with integer slope from {knots[i]} to "
             f"{knots[i + 1]}: {values[i]}, {values[i + 1]}"
         )
-    if ws[-1] < 0:
-        raise InvalidInput(f"negative value {ws[-1]} at {knots[0] if up else knots[-1]}")
-    xs, fxs = _walk(ts, ws, slopes, k.k.numerator, k.k.denominator)
-    if up:
-        xs, fxs = [-x for x in xs[::-1]], fxs[::-1]
-    return StepFunction(direction, xs, fxs, below)
+    if values[-1] < 0:
+        raise InvalidInput(f"negative value {values[-1]} at {knots[-1]}")
+    num, den = k.k.numerator, k.k.denominator
+    # invariant: knots[j] is the first knot at or past x; slopes[j - 1] ends there
+    j, end, top = 0, knots[-1], num * values[-1]
+    x, fx = knots[0], values[0]
+    xs, fxs = [x], [fx]
+    while x != end:
+        bar = den * fx
+        if top >= bar:  # the rest is certified against x: merge it
+            xs.append(end)
+            fxs.append(fx)
+            break
+        if knots[j] == x:
+            j += 1
+        v = values[j] - (knots[j] - x - 1) * slopes[j - 1]
+        if num * v < bar:  # the next point already fails
+            x, fx = x + 1, v
+        else:
+            while num * values[j] >= bar:
+                j += 1
+            a, wa, d = knots[j - 1], values[j - 1], slopes[j - 1]
+            x = a + (num * wa - bar) // (-num * d) + 1  # the first failing point past a
+            fx = wa + (x - a) * d
+        xs.append(x)
+        fxs.append(fx)
+    return StepFunction(Direction.NONINCREASING, xs, fxs, below)
 
 
 def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:

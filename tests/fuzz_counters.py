@@ -11,7 +11,9 @@ Each round draws one valid instance of each problem and an epsilon from
   ratio for the run's merging stages (those whose domain has more than one
   point) and i the merging stages up to this one; where f names a value
   below its domain, that value is the row's below 0. Strong knapsack's
-  stages are checked against the rows of its left-out m-tuples instance;
+  stages are checked against the rows of its left-out m-tuples instance,
+  and a contingency column's upper half at y against its row at P_i - y,
+  with no value below its domain;
 * the count against the band, exact <= count <= (1+eps)*exact, with the
   exact count from brute force (knapsack, m-tuples) or inclusion-exclusion
   (contingency tables).
@@ -124,7 +126,11 @@ def draw(rng):
     knap_rows = (dp_knapsack_table(knap)[1:], [0] * n) if dense else None
     left_rows = _mtuples_rows(left_out(knap)) if dense else None
     tuple_rows = _mtuples_rows(tuples) if dense else None
-    table_rows = (dp_contingency_sum_table(table)[2:], [0] * len(cols)) if dense else None
+    table_rows = None
+    if dense:  # column i is kept as its upper half: its value at y is row i's at P_i - y
+        rows = zip(list(accumulate(cols))[1:], dp_contingency_sum_table(table)[2:])
+        halves = [{p - j: v for j, v in enumerate(row)} for p, row in rows]
+        table_rows = (halves, [None] * len(cols))
     return [
         ("knapsack", knap, brute_knapsack(knap), eps, [
             (fptas_knapsack, knap_rows), (strong_fptas_knapsack, left_rows)]),

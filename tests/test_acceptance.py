@@ -323,10 +323,11 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         for half, pivot, row in zip(rep.stage_functions, pivots, rows[2:]):
             dom = half.domain
             power *= k if dom.lo < dom.hi else 1
-            mirrored = dom.hi == pivot // 2
+            mirrored = dom.lo == pivot - pivot // 2
             for j, exact in enumerate(row):
-                # column i keeps its half on the window later columns read,
-                # and mirrors it about P_i/2 when the window reaches P_i//2
+                # column i keeps its upper half on the window later columns
+                # read, and mirrors it about P_i/2 when the window reaches
+                # P_i - P_i//2
                 if j in dom or mirrored and pivot - j in dom:
-                    assert exact <= half.query(min(j, pivot - j)) <= power * exact
+                    assert exact <= half.query(max(j, pivot - j)) <= power * exact
 

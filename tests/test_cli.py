@@ -316,6 +316,31 @@ def test_epsilon_of_any_length_in_and_out(golden_file, capsys, text, eps):
     assert {row.split(",")[3] for row in out.splitlines()[1:]} == {cli.decimal_text(eps)}
 
 
+def test_each_epsilon_is_written_out_once_per_command(tmp_path, capsys, monkeypatch):
+    # Writing out an epsilon of many digits takes seconds, so a command
+    # writes each epsilon once, however many records or rows carry it.
+    eps, text, written = Fraction(1, 4), cli.decimal_text, []
+
+    def counting(q):
+        written.extend([q] if q == eps else [])
+        return text(q)
+
+    monkeypatch.setattr(cli, "decimal_text", counting)
+    path = tmp_path / "three.ndjson"
+    path.write_text((GOLDEN_LINE + "\n") * 3)
+    argv = ["count", "--input", str(path), "--mode", "fptas", "--epsilon", "1/4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert [r["epsilon"] for r in json_lines(out)] == ["1/4"] * 3
+    assert len(written) == 1
+    written.clear()
+    argv = ["bench", "--problem", "knapsack", "--n", "3", "--scales", "0,1", "--epsilon", "1/4"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["1/4"] * 4  # 2 scales x 2 modes
+    assert len(written) == 1
+
+
 @pytest.mark.parametrize("command", [["count", "--mode", "exact-dp"], ["verify", "--epsilon", "1"]])
 def test_out_naming_the_input_is_refused(golden_file, capsys, command):
     before = Path(golden_file).read_text()
@@ -609,13 +634,14 @@ def test_exit_four_on_internal_error(golden_file, capsys, monkeypatch):
 
 
 def test_exit_four_when_a_walked_oracle_breaks_its_direction(tmp_path, capsys, monkeypatch):
-    # a window sum that drops to 0 at the top of its window is the oracle's fault
+    # a window sum that is 0 at the low end of its window, where it is
+    # largest, is the oracle's fault
     window_sum = contingency.window_sum
 
     def dipping(half, pivot, width, window):
         phi = window_sum(half, pivot, width, window)
-        top = window.hi if window.lo < window.hi else None
-        return FnOracle(window, phi.direction, lambda j: 0 if j == top else phi(j), phi.starts, phi.below)
+        low = window.lo if window.lo < window.hi else None
+        return FnOracle(window, phi.direction, lambda j: 0 if j == low else phi(j), phi.starts, phi.below)
 
     monkeypatch.setattr(contingency, "window_sum", dipping)
     path = tmp_path / "table.ndjson"
@@ -624,7 +650,7 @@ def test_exit_four_when_a_walked_oracle_breaks_its_direction(tmp_path, capsys, m
     argv = ["count", "--input", str(path), "--mode", "fptas", "--epsilon", "1/2"]
     code, out, err = run(capsys, argv)
     assert (code, out) == (4, "")
-    assert err.startswith(f"error: {path}:1: internal: MonotonicityViolation: not nondecreasing")
+    assert err.startswith(f"error: {path}:1: internal: MonotonicityViolation: not nonincreasing")
 
 
 def test_huge_numbers_round_trip(tmp_path, capsys):

@@ -32,7 +32,6 @@ from approxcount.stepfunc import (
     to_fraction,
 )
 from dense_keep_rule import dense_keep
-from mirrored_search import mirrored_search
 
 
 def oracle_from_values(values, direction):
@@ -634,85 +633,64 @@ def test_interval_validation():
 
 @st.composite
 def linear_pieces(draw):
-    """(lo, knots, values) of a nondecreasing function, linear with an integer
+    """(knots, values) of a nonincreasing function, linear with an integer
     slope between knots; some slopes repeat, so some knots are redundant."""
-    lo = draw(st.integers(-20, 20))
-    knots, values = [lo], [draw(st.integers(0, 8) | st.integers(0, 10**6))]
+    knots, values = [draw(st.integers(-20, 20))], [draw(st.integers(0, 8) | st.integers(0, 10**6))]
     for _ in range(draw(st.integers(0, 12))):
         width = draw(st.integers(1, 12))
         slope = draw(st.integers(0, 4) | st.integers(0, 10**12))
         knots.append(knots[-1] + width)
         values.append(values[-1] + slope * width)
-    return lo, knots, values
+    # built rising from the low end; mirrored, knot t moves to lo+hi-t
+    return [knots[0] + knots[-1] - t for t in reversed(knots)], values[::-1]
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    pieces=linear_pieces(),
-    k=ratios,
-    direction=st.sampled_from(list(Direction)),
-    below=st.none() | st.integers(0, 9),
-)
+@given(pieces=linear_pieces(), k=ratios, below=st.none() | st.integers(0, 9))
 # the search's bar (8 at x = 0) is met exactly at the knot where the slope changes
-@example(
-    pieces=(0, [0, 1, 3], [0, 4, 8]),
-    k=ApproxRatio.for_stages(Fraction(7), 3),
-    direction=Direction.NONINCREASING,
-    below=None,
-)
-@example(
-    pieces=(0, [0, 1, 3], [0, 4, 8]),
-    k=ApproxRatio.for_stages(Fraction(7), 3),
-    direction=Direction.NONDECREASING,
-    below=None,
-)
-def test_linear_walk_keeps_what_the_search_keeps(pieces, k, direction, below):
-    lo, knots, values = pieces
-    if direction is Direction.NONINCREASING:  # mirror: knot t moves to lo+hi-t
-        knots = [lo + knots[-1] - t for t in reversed(knots)]
-        values = values[::-1]
+@example(pieces=([0, 2, 3], [8, 4, 0]), k=ApproxRatio.for_stages(Fraction(7), 3), below=None)
+def test_linear_walk_keeps_what_the_search_keeps(pieces, k, below):
+    knots, values = pieces
     dense = {knots[0]: values[0]}
     for a, b, wa, wb in zip(knots, knots[1:], values, values[1:]):
         dense.update((x, wa + (x - a) * (wb - wa) // (b - a)) for x in range(a + 1, b + 1))
     dom = IntInterval(knots[0], knots[-1])
-    phi = FnOracle(dom, direction, dense.__getitem__, below=below)
-    # a nondecreasing walk keeps what the nonincreasing search keeps on its mirror image
-    search = mirrored_search if direction is Direction.NONDECREASING else apx_set_nonincreasing
-    walked = apx_set_linear(knots, values, direction, k, below=below)
-    assert walked == search(phi, k)
+    phi = FnOracle(dom, Direction.NONINCREASING, dense.__getitem__, below=below)
+    walked = apx_set_linear(knots, values, k, below=below)
+    assert walked == apx_set_nonincreasing(phi, k)
 
 
 @pytest.mark.parametrize(
-    "knots, values, direction",
+    "knots, values",
     [
-        ([0, 3], [1, 8], Direction.NONDECREASING),  # slope 7/3
-        ([0, 2, 4], [1, 3, 2], Direction.NONDECREASING),
-        ([0, 2, 4], [3, 1, 2], Direction.NONINCREASING),
-        ([0, 0], [1, 1], Direction.NONDECREASING),
-        ([0, 1], [-1, 0], Direction.NONDECREASING),
-        ([0, 1], [0, -1], Direction.NONINCREASING),
-        ([], [], Direction.NONDECREASING),
+        ([0, 3], [8, 1]),  # slope -7/3
+        ([0, 2, 4], [2, 3, 1]),
+        ([0, 2, 4], [3, 1, 2]),
+        ([0, 0], [1, 1]),
+        ([0, 1], [-1, -2]),
+        ([0, 1], [0, -1]),
+        ([], []),
     ],
     ids=[
         "fractional-slope", "dips", "rises", "repeated-knot", "negative-low", "negative-high", "empty"
     ],
 )
-def test_linear_walk_rejects_what_it_cannot_walk(knots, values, direction):
+def test_linear_walk_rejects_what_it_cannot_walk(knots, values):
     with pytest.raises(InvalidInput):
-        apx_set_linear(knots, values, direction, ApproxRatio.for_stages(1, 1))
+        apx_set_linear(knots, values, ApproxRatio.for_stages(1, 1))
 
 
 @pytest.mark.parametrize(
-    "knots, values, direction, error, piece",
+    "knots, values, error, piece",
     [
-        ([0, 2, 3, 5], [1, 3, 1, 3], Direction.NONDECREASING, MonotonicityViolation, "2 to 3: 3, 1"),
-        ([0, 2, 3, 5], [3, 1, 3, 1], Direction.NONINCREASING, MonotonicityViolation, "2 to 3: 1, 3"),
-        ([0, 2, 5, 6], [1, 3, 4, 9], Direction.NONDECREASING, InvalidInput, "2 to 5: 3, 4"),
+        ([0, 2, 3, 5], [5, 3, 1, 3], MonotonicityViolation, "3 to 5: 1, 3"),
+        ([0, 2, 3, 5], [3, 1, 3, 1], MonotonicityViolation, "2 to 3: 1, 3"),
+        ([0, 2, 5, 6], [9, 7, 6, 1], InvalidInput, "2 to 5: 7, 6"),
     ],
     ids=["dips", "rises", "fractional-slope"],
 )
-def test_linear_walk_names_the_rejected_piece_as_given(knots, values, direction, error, piece):
-    # a piece against the direction with an integer slope is the oracle's fault;
-    # either error names the knots and values as the caller gave them
+def test_linear_walk_names_the_rejected_piece_as_given(knots, values, error, piece):
+    # a rising piece with an integer slope is the oracle's fault; either
+    # error names the knots and values as the caller gave them
     with pytest.raises(error, match=f"from {piece}$"):
-        apx_set_linear(knots, values, direction, ApproxRatio.for_stages(1, 1))
+        apx_set_linear(knots, values, ApproxRatio.for_stages(1, 1))
