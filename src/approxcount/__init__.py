@@ -32,7 +32,6 @@ from .oracles import (
 from .stagewise import RunReport
 from .stepfunc import (
     ApproxRatio,
-    Direction,
     FnOracle,
     IntInterval,
     StepFunction,
@@ -47,7 +46,6 @@ from .stepfunc import (
 __all__ = [
     "ApproxRatio",
     "Contingency2Instance",
-    "Direction",
     "FnOracle",
     "IncIndex",
     "IntInterval",

@@ -73,14 +73,7 @@ from operator import mul, sub
 from .errors import InvalidInput
 from .oracles import Contingency2Instance
 from .stagewise import RunReport, run_stages
-from .stepfunc import (
-    ApproxRatio,
-    Direction,
-    FnOracle,
-    IntInterval,
-    StepFunction,
-    apx_set_linear,
-)
+from .stepfunc import ApproxRatio, FnOracle, IntInterval, StepFunction, apx_set_linear
 
 
 def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) -> FnOracle:
@@ -136,7 +129,7 @@ def window_sum(half: StepFunction, pivot: int, width: int, window: IntInterval) 
     lo, hi = window.lo, window.hi
     knots = {lo, hi, *[e for e in ends if lo <= e < hi]}
     knots.update([e + width + 1 for e in ends if lo <= e + width + 1 <= hi])
-    return FnOracle(window, Direction.NONINCREASING, w, sorted(knots))
+    return FnOracle(window, w, sorted(knots))
 
 
 def compress_contingency(phi: FnOracle, k: ApproxRatio) -> StepFunction:
@@ -174,6 +167,6 @@ def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
     lo, hi = windows[0].lo, windows[0].hi
     # column 1, exact: its half is 1 on its window
     ends = (lo, hi) if lo < hi else (lo,)
-    first = StepFunction(Direction.NONINCREASING, ends, (1,) * len(ends), None)
+    first = StepFunction(ends, (1,) * len(ends), None)
     stages = list(zip(pivots, s[1:], windows[1:])) if target else []
     return run_stages(first, stages, epsilon, window_sum, compress_contingency)

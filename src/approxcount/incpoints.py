@@ -8,7 +8,7 @@ superset of everywhere the stage function actually changes (an
 :func:`convert` then compresses it in three steps:
 
 1. :func:`~approxcount.stepfunc.induce` evaluates the function once at every
-   candidate and checks that the values follow its direction;
+   candidate and checks that the values are monotone;
 2. :func:`pad` adds c-1 beside every candidate c. The function is constant
    from the previous candidate up to c-1 and steps only from c-1 to c, so
    it is linear with an integer slope between consecutive padded points,

@@ -20,11 +20,11 @@ from .incpoints import convert  # noqa: F401 - perfbench's tracer test reads kna
 from .mtuples import strong_fptas_mtuples
 from .oracles import KnapsackInstance, MTuplesInstance
 from .stagewise import RunReport, run_stages
-from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nondecreasing, shifted_sum
+from .stepfunc import IntInterval, StepFunction, apx_set_nondecreasing, shifted_sum
 
 
 # subsets_0, the empty subset alone: 0 below 0 and 1 from 0 on, for every capacity
-EMPTY_SUBSET_ROW = StepFunction(Direction.NONDECREASING, (0,), (1,), 0)
+EMPTY_SUBSET_ROW = StepFunction((0,), (1,), 0)
 
 
 def left_out(inst: KnapsackInstance) -> MTuplesInstance:

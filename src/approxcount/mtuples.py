@@ -34,11 +34,11 @@ from typing import Sequence
 from .incpoints import convert
 from .oracles import MTuplesInstance
 from .stagewise import RunReport, run_stages
-from .stepfunc import Direction, IntInterval, StepFunction, apx_set_nonincreasing, shifted_sum
+from .stepfunc import IntInterval, StepFunction, apx_set_nonincreasing, shifted_sum
 
 
 # tuples_0: the empty tuple's sum 0 is at least j exactly when j <= 0, for every bound
-EMPTY_TUPLE_ROW = StepFunction(Direction.NONINCREASING, (0, 1), (1, 0), 1)
+EMPTY_TUPLE_ROW = StepFunction((0, 1), (1, 0), 1)
 
 
 def sums_after(values: Sequence[int]) -> list[int]:

@@ -23,10 +23,10 @@ for the recurrence
 
 over the domain each stage names: knapsack with S_i = (0, w_i), m-tuples
 with S_i the i-th set. The plain variants name {0..hi} for every stage and
-compress by the binary search in their sums' direction. Strong m-tuples,
-which strong knapsack runs on the items a subset leaves out
-(:mod:`~approxcount.knapsack`), names each stage's reachable window and
-keeps what the nonincreasing binary search over it keeps
+compress by binary search: nondecreasing for knapsack, nonincreasing for
+m-tuples. Strong m-tuples, which strong knapsack runs on the items a subset
+leaves out (:mod:`~approxcount.knapsack`), names each stage's reachable
+window and keeps what the nonincreasing binary search over it keeps
 (:mod:`~approxcount.mtuples`). Shifts are nonnegative, so a stage whose
 domain starts where the previous one's does is |S_i| times the previous
 below-domain value below it; a domain that starts higher has no value
@@ -36,15 +36,20 @@ below it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooLarge
-from .stepfunc import ApproxRatio, StepFunction
+from .stepfunc import ApproxRatio, StepFunction, to_fraction
 
 
 # The report keeps every stage's function, so the kept breakpoints bound a run's
 # memory. A 60-column contingency table with cells up to 1e6 at eps 1/2 keeps 640k.
 KEPT_BREAKPOINT_CAP = 10_000_000
+
+# A process chooses k once per (epsilon's exact value, stages): a long epsilon's
+# root takes seconds. TooLarge is not cached, so it is raised every time.
+_ratio = lru_cache(maxsize=16)(ApproxRatio.for_stages)
 
 
 @dataclass
@@ -74,7 +79,7 @@ def run_stages(first: StepFunction, stages: Sequence, epsilon, exact, compress) 
     """
     # a one-point stage is one exact evaluation: it merges nothing, adds no ratio
     merging = sum(dom.lo < dom.hi for *_, dom in stages)
-    ratio = ApproxRatio.for_stages(epsilon, max(merging, 1))
+    ratio = _ratio(to_fraction(epsilon), max(merging, 1))
     approx = first
     calls = kept = 0
     stage_functions = []

@@ -15,13 +15,14 @@ set and the step function the K-approximation function of Halman et al.;
 here they are one object: the compressors :func:`apx_set_nondecreasing` and
 :func:`apx_set_nonincreasing` return the :class:`StepFunction`, each
 breakpoint holding the value its own binary search probed, so the function
-is read off the searches without evaluating phi again.
-:func:`apx_set_linear` walks the pieces of a nonincreasing phi known at
-knots between which it is linear, instead of searching, up from phi's
-largest value, and returns what :func:`apx_set_nonincreasing` returns; the
-strong counters and contingency tables, whose every walked function is
-nonincreasing, compress that way. A piece whose values rise raises
-MonotonicityViolation, as a probe out of order does.
+is read off the searches without evaluating phi again. :func:`apx_set_linear`
+walks the pieces of a nonincreasing phi known at knots between which it is
+linear, instead of searching, up from phi's largest value, and returns what
+:func:`apx_set_nonincreasing` returns; the strong counters and contingency
+tables, whose every walked function is nonincreasing, compress that way. A
+piece whose values rise raises MonotonicityViolation, as a probe out of
+order does. No direction is declared: each compressor's name says the one it
+takes phi to have, and a step function's values fix its own.
 Construction probes phi through :class:`FnOracle`, which tallies calls and
 carries phi's domain and its value below it, so every compressor that
 evaluates phi takes only phi and k. Every comparison is done in exact
@@ -46,18 +47,12 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from operator import floordiv, ge, le, lt, mul, sub
 from typing import Callable, Sequence
 
 from .errors import InvalidInput, MonotonicityViolation, TooLarge
-
-
-class Direction(Enum):
-    NONDECREASING = "nondecreasing"
-    NONINCREASING = "nonincreasing"
 
 
 @dataclass(frozen=True)
@@ -179,14 +174,14 @@ class FnOracle:
     one bisect with no frame below it. Exactly one of ``fn`` and ``values``
     is given, or InvalidInput is raised.
 
-    The declared direction is a promise about the function, relied on by
-    the binary searches below and spot-checked there, not enforced per
-    call. ``calls`` increments once per evaluation, repeats included; a
-    single oracle must not be shared across concurrent callers. ``starts``
-    are the sorted points its compressor reads: where a piece table changes
-    value, or the knots a window sum is linear between; other black boxes
-    have None. ``below`` is the value below ``domain``, or None where there
-    is none; every compressor gives its function that ``out_of_domain_low``.
+    No check is made per call; each compressor spot-checks its probes
+    against the direction its name says. ``calls`` increments once per
+    evaluation, repeats included; a single oracle must not be shared across
+    concurrent callers. ``starts`` are the sorted points its compressor
+    reads: where a piece table changes value, or the knots a window sum is
+    linear between; other black boxes have None. ``below`` is the value
+    below ``domain``, or None where there is none; every compressor gives
+    its function that ``out_of_domain_low``.
 
     Every evaluation is one call of ``__call__``, never bypassed through
     ``_fn`` or the table or batched, because the tally and any wrapper
@@ -197,12 +192,11 @@ class FnOracle:
     at import, still sees a patch made on the class before the compression.
     """
 
-    __slots__ = ("domain", "direction", "calls", "starts", "values", "below", "_fn")
+    __slots__ = ("domain", "calls", "starts", "values", "below", "_fn")
 
     def __init__(
         self,
         domain: IntInterval,
-        direction: Direction,
         fn: Callable | None = None,
         starts=None,
         below=None,
@@ -211,7 +205,6 @@ class FnOracle:
         if (fn is None) == (values is None):
             raise InvalidInput("an oracle needs exactly one of fn and a piece table's values")
         self.domain = domain
-        self.direction = direction
         self._fn = fn
         self.starts = starts
         self.values = values
@@ -229,19 +222,19 @@ class FnOracle:
 class StepFunction:
     """Piecewise-constant monotone function, queryable anywhere.
 
-    Stores a value at every breakpoint. Between breakpoints the value of the
-    larger adjacent breakpoint applies: the right one for nondecreasing
-    functions, the left one for nonincreasing. Above the domain the last
+    Stores a value at every breakpoint. Between breakpoints the larger
+    adjacent breakpoint value applies. Above the domain the last
     breakpoint's value continues. Below it the fixed ``out_of_domain_low``
     applies; it carries boundary conventions such as "0 below 0" (knapsack)
     or "the full product below 0" (tuple counting) without special cases in
     callers. A low value of None means there is no value below the domain:
     a stage kept only on a window that starts above 0 does not know the
     values under it, so a query there raises InvalidInput, and so does
-    :func:`shifted_sum` when it would read the function there.
+    :func:`shifted_sum` when it would read the function there. The value
+    below, if any, then the values are one monotone sequence, rising or
+    falling as its ends say, or MonotonicityViolation is raised.
     """
 
-    direction: Direction
     xs: tuple[int, ...]
     values: tuple[int, ...]
     out_of_domain_low: int | None = 0
@@ -256,9 +249,10 @@ class StepFunction:
             raise InvalidInput("breakpoint positions must be strictly increasing")
         if min(values) < 0:
             raise InvalidInput("values must be nonnegative")
-        ordered = le if self.direction is Direction.NONDECREASING else ge
-        if not all(map(ordered, values, values[1:])):
-            raise MonotonicityViolation("breakpoint values contradict declared direction")
+        run = values if self.out_of_domain_low is None else (self.out_of_domain_low, *values)
+        ordered = le if run[0] <= run[-1] else ge
+        if not all(map(ordered, run, run[1:])):
+            raise MonotonicityViolation("the value below and the values are not monotone")
 
     def __len__(self) -> int:
         """The number of breakpoints."""
@@ -277,9 +271,8 @@ class StepFunction:
             return self.out_of_domain_low
         if x > xs[-1]:
             return self.values[-1]
-        if self.direction is Direction.NONDECREASING:
-            return self.values[bisect_left(xs, x)]
-        return self.values[bisect_right(xs, x) - 1]
+        i = bisect_left(xs, x)
+        return self.values[i] if xs[i] == x else max(self.values[i - 1], self.values[i])
 
     def to_json(self) -> str:
         """One JSON object, laid out as json.dumps lays it out: positions are
@@ -290,16 +283,15 @@ class StepFunction:
         points = ", ".join(f"[{pos(x)}, {val(v)}]" for x, v in zip(self.xs, self.values))
         return (
             f'{{"domain": [{pos(self.xs[0])}, {pos(self.xs[-1])}], '
-            f'"direction": "{self.direction.value}", "breakpoints": [{points}], '
-            f'"below": {"null" if low is None else val(low)}, '
+            f'"breakpoints": [{points}], "below": {"null" if low is None else val(low)}, '
             f'"above": {val(self.values[-1])}}}'
         )
 
 
-def _out_of_order(x: int, v: int, left: int, right: int, direction: Direction):
+def _out_of_order(x: int, v: int, left: int, right: int, direction: str):
     return MonotonicityViolation(
         f"oracle value {v} at {x} is not between {left} and {right}, the values of the "
-        f"probes around it; that contradicts the declared {direction.value} direction"
+        f"probes around it; that contradicts the {direction} direction"
     )
 
 
@@ -329,7 +321,7 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
             mid = (lo + hi) // 2
             v = evaluate(mid)
             if not v_lo <= v <= v_hi:
-                raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONDECREASING)
+                raise _out_of_order(mid, v, v_lo, v_hi, "nondecreasing")
             if v >= need:
                 hi, v_hi = mid, v
             else:
@@ -340,7 +332,7 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
         values.append(fx)
     xs.reverse()
     values.reverse()
-    return StepFunction(Direction.NONDECREASING, xs, values, phi.below)
+    return StepFunction(xs, values, phi.below)
 
 
 def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
@@ -363,7 +355,7 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     xs, values = [x], [fx]
     while x < dom.hi:
         if v_end > fx:
-            raise _out_of_order(dom.hi, v_end, fx, 0, Direction.NONINCREASING)
+            raise _out_of_order(dom.hi, v_end, fx, 0, "nonincreasing")
         need = -(-den * fx // num)  # num*v < den*fx exactly when v < need
         if v_end >= need:
             xs.append(dom.hi)
@@ -375,7 +367,7 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
             mid = (lo + hi) // 2
             v = evaluate(mid)
             if not v_lo >= v >= v_hi:
-                raise _out_of_order(mid, v, v_lo, v_hi, Direction.NONINCREASING)
+                raise _out_of_order(mid, v, v_lo, v_hi, "nonincreasing")
             if v < need:
                 hi, v_hi = mid, v
             else:
@@ -383,7 +375,7 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
         x, fx = lo, v_hi
         xs.append(x)
         values.append(fx)
-    return StepFunction(Direction.NONINCREASING, xs, values, phi.below)
+    return StepFunction(xs, values, phi.below)
 
 
 def apx_set_linear(
@@ -447,25 +439,25 @@ def apx_set_linear(
             fx = wa + (x - a) * d
         xs.append(x)
         fxs.append(fx)
-    return StepFunction(Direction.NONINCREASING, xs, fxs, below)
+    return StepFunction(xs, fxs, below)
 
 
 def induce(phi: FnOracle, points: Sequence[int]) -> StepFunction:
     """The step function phi induces on the sorted points: exact at each one,
     larger adjacent point's value in between. Evaluates phi once per point;
-    MonotonicityViolation is raised if the values contradict its direction.
+    MonotonicityViolation is raised unless the values are monotone.
 
     The points' ends are the function's domain; below it there is no value.
     """
     if points[0] not in phi.domain or points[-1] not in phi.domain:
         raise InvalidInput("points leave the oracle's domain")
-    return StepFunction(phi.direction, points, list(map(phi.__call__, points)), None)
+    return StepFunction(points, list(map(phi.__call__, points)), None)
 
 
 def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> FnOracle:
     """Oracle on ``domain`` for j -> sum of f(j - s) over the ``shifts``, repeats included.
 
-    Shifting and adding keep f's direction. Reads outside f's domain hit its
+    Shifting and adding keep f monotone. Reads outside f's domain hit its
     boundary values, which is how recurrences like "count(j - w) with count
     = 0 below zero" are realized; if f has no value below its domain, a sum
     that would read f there is refused. The oracle's ``below`` is
@@ -474,14 +466,14 @@ def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> 
     domain lands below f's; otherwise it is None.
 
     The sum is built once as a piece table over every integer: f changes
-    value only where one of its pieces starts (the first point past a
-    breakpoint when nondecreasing, the breakpoint itself when nonincreasing)
-    and where its domain begins. Those changes are listed once and
-    added at each shift, at O(P log P) for P = len(f) * len(shifts),
-    whatever the domain's width. The oracle reads its table (``starts`` and
-    ``values``) itself, one bisect inside ``FnOracle.__call__`` with no
-    frame below it. Points where shifted changes cancel start no piece, so
-    ``starts`` are exactly the points where the sum changes value.
+    value only where its domain begins and where each piece starts, past
+    its left breakpoint if it rises, at its right one if it falls. Those
+    changes, all of one sign since f is monotone through its value below,
+    are listed once and added at each shift, at O(P log P) for P = len(f) *
+    len(shifts), whatever the domain's width; none cancel, so ``starts``
+    are exactly the points where the sum changes value. The oracle reads
+    its table (``starts`` and ``values``) itself, one bisect inside
+    ``FnOracle.__call__`` with no frame below it.
     """
     if not shifts:
         raise InvalidInput("need at least one shift")
@@ -492,15 +484,15 @@ def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> 
             "where it has no value"
         )
     base = values[0] if low is None else low  # with no low value, no read falls below f
-    opens = (xs[0], *[x + 1 for x in xs[:-1]]) if f.direction is Direction.NONDECREASING else xs
-    steps = zip(opens, (base, *values), values)
-    changes = [(x, v - u) for x, u, v in steps if v != u]
+    # piece i runs from xs[i-1] to xs[i]; the first from below the domain to xs[0]
+    pieces = zip((xs[0] - 1, *xs), xs, (base, *values), values)
+    changes = [(a + 1 if v > u else b, v - u) for a, b, u, v in pieces if v != u]
     deltas: dict[int, int] = defaultdict(int)
     for s in shifts:
         for x, d in changes:
             deltas[x + s] += d
-    starts = sorted(x for x, d in deltas.items() if d)
+    starts = sorted(deltas)
     table = list(accumulate((deltas[x] for x in starts), initial=len(shifts) * base))
     known = low is not None and min(shifts) >= 0 and domain.lo <= xs[0]
     below = table[0] if known else None
-    return FnOracle(domain, f.direction, starts=starts, below=below, values=table)
+    return FnOracle(domain, starts=starts, below=below, values=table)

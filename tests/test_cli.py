@@ -17,7 +17,7 @@ from time import perf_counter
 import pytest
 
 import approxcount
-from approxcount import cli, contingency, oracles, stagewise
+from approxcount import cli, contingency, oracles, stagewise, stepfunc
 from approxcount.errors import MonotonicityViolation
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
 from approxcount.stepfunc import FnOracle
@@ -341,6 +341,27 @@ def test_each_epsilon_is_written_out_once_per_command(tmp_path, capsys, monkeypa
     assert len(written) == 1
 
 
+def test_k_is_chosen_once_per_epsilon_and_stage_count(tmp_path, capsys, monkeypatch):
+    # Choosing k for a long epsilon takes seconds, so a command over many
+    # instances of one stage count takes each root once. Each choice makes
+    # one top-level root call, of an integer larger than any of its
+    # recursive calls take.
+    root, roots = stepfunc._root, []
+
+    def counting(n, s):
+        roots.append(n)
+        return root(n, s)
+
+    monkeypatch.setattr(stepfunc, "_root", counting)
+    path = tmp_path / "four.ndjson"
+    path.write_text((GOLDEN_LINE + "\n") * 4)
+    argv = ["count", "--input", str(path), "--mode", "fptas", "--epsilon", "1/997"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert len(json_lines(out)) == 4
+    assert roots.count(max(roots)) == 1
+
+
 @pytest.mark.parametrize("command", [["count", "--mode", "exact-dp"], ["verify", "--epsilon", "1"]])
 def test_out_naming_the_input_is_refused(golden_file, capsys, command):
     before = Path(golden_file).read_text()
@@ -641,7 +662,7 @@ def test_exit_four_when_a_walked_oracle_breaks_its_direction(tmp_path, capsys, m
     def dipping(half, pivot, width, window):
         phi = window_sum(half, pivot, width, window)
         low = window.lo if window.lo < window.hi else None
-        return FnOracle(window, phi.direction, lambda j: 0 if j == low else phi(j), phi.starts, phi.below)
+        return FnOracle(window, lambda j: 0 if j == low else phi(j), phi.starts, phi.below)
 
     monkeypatch.setattr(contingency, "window_sum", dipping)
     path = tmp_path / "table.ndjson"

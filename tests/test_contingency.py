@@ -17,7 +17,6 @@ from approxcount.oracles import (
 )
 from approxcount.stepfunc import (
     ApproxRatio,
-    Direction,
     FnOracle,
     IntInterval,
     StepFunction,
@@ -32,7 +31,7 @@ ANY_K = ApproxRatio.for_stages(Fraction(3), 1)
 def window_of(half, lo, hi):
     """The half kept on {lo..hi} only, with no value below it."""
     xs = sorted({lo, hi} | {x for x in half.xs if lo <= x <= hi})
-    return StepFunction(Direction.NONINCREASING, xs, [half.query(x) for x in xs], None)
+    return StepFunction(xs, [half.query(x) for x in xs], None)
 
 
 @pytest.mark.parametrize(
@@ -57,7 +56,7 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
     # window, on its mirror image when c = pivot - pivot//2, past pivot when
     # d = pivot, or below 0 when the window is the whole half; any other
     # read raises.
-    full = StepFunction(Direction.NONINCREASING, xs, values, None)
+    full = StepFunction(xs, values, None)
     middle = pivot - pivot // 2
 
     def column(j):
@@ -86,12 +85,12 @@ def test_window_sum_matches_dense_sum(xs, values, pivot, width):
 
 def test_window_sum_needs_the_half_of_its_pivot():
     # The half's window must lie inside {pivot - pivot//2..pivot}.
-    half = StepFunction(Direction.NONINCREASING, (3, 4), (2, 1), None)
+    half = StepFunction((3, 4), (2, 1), None)
     window = IntInterval(5, 6)
     for pivot in (3, 7, 9):
         with pytest.raises(InvalidInput):
             window_sum(half, pivot, 2, window)
-    past = StepFunction(Direction.NONINCREASING, (3, 5), (2, 1), None)
+    past = StepFunction((3, 5), (2, 1), None)
     with pytest.raises(InvalidInput):
         window_sum(past, 4, 2, window)
     # {3..4} starts above 4 - 4//2, so no sum may read below 3.
@@ -106,7 +105,7 @@ def test_an_even_pivot_adds_no_knot_where_the_column_is_flat():
     # At pivot 8 the half's first piece covers 4..5, so the column is 5 on
     # 3..5 and does not change at 4 or 5; W(j) = g(j) + g(j-1) is linear on
     # 5..7, and 6 is no knot.
-    half = StepFunction(Direction.NONINCREASING, (4, 6, 8), (5, 2, 1), None)
+    half = StepFunction((4, 6, 8), (5, 2, 1), None)
     w = window_sum(half, 8, 1, IntInterval(5, 9))
     assert w.starts == [5, 7, 8, 9]
     assert [w(j) for j in range(5, 10)] == [10, 7, 4, 3, 1]
@@ -117,7 +116,7 @@ def half_oracle(fn, pivot, knots=None):
     lo = pivot - pivot // 2
     if knots is None:
         knots = range(lo, pivot + 1)
-    return FnOracle(IntInterval(lo, pivot), Direction.NONINCREASING, fn, knots)
+    return FnOracle(IntInterval(lo, pivot), fn, knots)
 
 
 class TestCompressOp:
@@ -138,20 +137,21 @@ class TestCompressOp:
         # No half has a value below its window; the column's 0 below 0 is
         # read through the window sum, from a half on {P - P//2..P}.
         half = compress_contingency(half_oracle(lambda j: 7 - j, 6), ANY_K)
-        assert (half.direction, half.domain) == (Direction.NONINCREASING, IntInterval(3, 6))
+        assert half.domain == IntInterval(3, 6)
+        assert list(half.values) == sorted(half.values, reverse=True)
         assert half.out_of_domain_low is None
         w = window_sum(half, 6, 10, IntInterval(8, 16))
         assert w(8) == sum(half.query(max(t, 6 - t)) for t in range(7))  # g(-2) = g(-1) = 0
 
     def test_a_window_above_zero_has_no_value_below_it(self):
-        probe = FnOracle(IntInterval(3, 6), Direction.NONINCREASING, lambda j: 10 - j, range(3, 7))
+        probe = FnOracle(IntInterval(3, 6), lambda j: 10 - j, range(3, 7))
         half = compress_contingency(probe, ANY_K)
         assert (half.domain, half.out_of_domain_low) == (IntInterval(3, 6), None)
         with pytest.raises(InvalidInput):
             half.query(2)
 
     def test_a_one_point_window_is_one_exact_evaluation(self):
-        probe = FnOracle(IntInterval(9, 9), Direction.NONINCREASING, lambda j: 7 * j, [9])
+        probe = FnOracle(IntInterval(9, 9), lambda j: 7 * j, [9])
         half = compress_contingency(probe, ANY_K)
         assert (half.xs, half.values, probe.calls) == ((9,), (63,), 1)
 
@@ -174,7 +174,7 @@ class TestCompressOp:
             with pytest.raises(InvalidInput):
                 compress_contingency(half_oracle(lambda j: 1, 6, knots), ANY_K)
         # a black box names no knots
-        black_box = FnOracle(IntInterval(3, 6), Direction.NONINCREASING, lambda j: 1)
+        black_box = FnOracle(IntInterval(3, 6), lambda j: 1)
         with pytest.raises(InvalidInput):
             compress_contingency(black_box, ANY_K)
 
@@ -253,7 +253,7 @@ def test_every_compressed_function_keeps_the_structure():
         assert len(rep.stage_functions) == (len(windows) if inst.pivot_sum else 0)
         for half, window in zip(rep.stage_functions, windows):
             assert isinstance(half, StepFunction)
-            assert half.direction is Direction.NONINCREASING
+            assert list(half.values) == sorted(half.values, reverse=True)
             assert half.domain == window
             assert half.out_of_domain_low is None
         if rep.stage_functions:
@@ -381,7 +381,7 @@ def first_column(inst):
     """Column 1's half exactly, as the counter starts it: 1 on its window."""
     window = column_windows(inst)[0]
     ends = sorted({window.lo, window.hi})
-    return StepFunction(Direction.NONINCREASING, ends, (1,) * len(ends), None)
+    return StepFunction(ends, (1,) * len(ends), None)
 
 
 def columns_with_inputs(inst, rep):

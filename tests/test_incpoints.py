@@ -15,7 +15,6 @@ from approxcount.errors import InvalidInput, MonotonicityViolation
 from approxcount.incpoints import IncIndex, convert, pad
 from approxcount.stepfunc import (
     ApproxRatio,
-    Direction,
     FnOracle,
     IntInterval,
     apx_set_nonincreasing,
@@ -25,12 +24,12 @@ K2 = ApproxRatio.for_stages(Fraction(7), 3)  # k = 2 exactly
 HALF = ApproxRatio.for_stages(Fraction(1, 2), 1)
 
 
-def table_oracle(values, direction=Direction.NONINCREASING, below=None, starts=None):
+def table_oracle(values, below=None, starts=None):
     """A black box over the table; ``starts``, when given, are the candidates
     convert evaluates it at."""
     dom = IntInterval(0, len(values) - 1)
     starts = None if starts is None else sorted(starts)
-    return FnOracle(dom, direction, lambda j: values[j], starts=starts, below=below)
+    return FnOracle(dom, lambda j: values[j], starts=starts, below=below)
 
 
 def step_tables(max_len=60, max_value=40):
@@ -176,14 +175,13 @@ def test_sum_increases_exactly_where_either_term_does(a, b):
 
 
 @pytest.mark.parametrize("k", [K2, HALF], ids=["K2", "HALF"])
-@pytest.mark.parametrize("direction", [Direction.NONINCREASING], ids=lambda d: d.value)
 @settings(max_examples=60, deadline=None)
 @given(values=step_tables(), extra=st.sets(st.integers(0, 59), max_size=8))
-def test_convert_scan_matches_binary_search(k, direction, values, extra):
+def test_convert_scan_matches_binary_search(k, values, extra):
     # convert's reference is the nonincreasing binary search over the whole domain.
     candidates = strict_decrease_points(values) | {e for e in extra if e < len(values)}
-    phi = table_oracle(values, direction, below=0, starts=candidates)
-    assert convert(phi, k) == apx_set_nonincreasing(table_oracle(values, direction, below=0), k)
+    phi = table_oracle(values, below=values[0], starts=candidates)
+    assert convert(phi, k) == apx_set_nonincreasing(table_oracle(values, below=values[0]), k)
 
 
 def test_convert_counts_one_call_per_candidate_and_padded_point():
@@ -195,19 +193,25 @@ def test_convert_counts_one_call_per_candidate_and_padded_point():
     assert [f.query(j) for j in range(11)] == [32, 32, 32, 32, 8, 8, 8, 8, 2, 2, 2]
 
 
-@pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
-def test_convert_rejects_a_table_that_dips_at_one_rank(direction):
-    # The dip is inside one certified piece, so no padded breakpoint sees it.
+@pytest.mark.parametrize("shape", ["nondecreasing", "nonincreasing"])
+def test_convert_rejects_a_table_that_dips_at_one_rank(shape):
     table = [8] * 12
-    table[5 if direction is Direction.NONDECREASING else 6] = 7
-    phi = table_oracle(table, direction, starts=range(len(table)))
-    with pytest.raises(MonotonicityViolation):
+    if shape == "nonincreasing":
+        # The dip is inside one certified piece, so no padded breakpoint sees
+        # it; the step function of the candidates refuses it.
+        table[6], message = 7, "not monotone"
+    else:
+        # A rising table is a monotone step function; the walk, which takes
+        # only falling ones, refuses its rise.
+        table[:6], message = [7] * 6, "not nonincreasing"
+    phi = table_oracle(table, starts=range(len(table)))
+    with pytest.raises(MonotonicityViolation, match=message):
         convert(phi, HALF)
 
 
 def test_convert_needs_the_oracles_starts():
     # A black box that names no starts gives convert no candidates.
-    phi = FnOracle(IntInterval(0, 3), Direction.NONDECREASING, lambda j: j)
+    phi = FnOracle(IntInterval(0, 3), lambda j: j)
     with pytest.raises(InvalidInput):
         convert(phi, HALF)
     assert phi.calls == 0

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from approxcount.errors import InvalidInput, MonotonicityViolation, TooLarge
 from approxcount.stepfunc import (
     ApproxRatio,
-    Direction,
     FnOracle,
     IntInterval,
     StepFunction,
@@ -34,17 +33,18 @@ from approxcount.stepfunc import (
 from dense_keep_rule import dense_keep
 
 
-def oracle_from_values(values, direction):
+UP, DOWN = "nondecreasing", "nonincreasing"
+SEARCH = {UP: apx_set_nondecreasing, DOWN: apx_set_nonincreasing}
+
+
+def oracle_from_values(values):
     dom = IntInterval(0, len(values) - 1)
-    return FnOracle(dom, direction, lambda j: values[j])
+    return FnOracle(dom, lambda j: values[j])
 
 
 def compress(values, direction, k):
-    """Compress a dense value table with the search of its direction."""
-    phi = oracle_from_values(values, direction)
-    if direction is Direction.NONDECREASING:
-        return apx_set_nondecreasing(phi, k)
-    return apx_set_nonincreasing(phi, k)
+    """Compress a dense value table with the search of the named direction."""
+    return SEARCH[direction](oracle_from_values(values), k)
 
 
 # Monotone tables built from nonnegative deltas; lets hypothesis shrink well.
@@ -181,7 +181,7 @@ class TestApproxRatio:
 
 class TestOracleCounter:
     def test_one_increment_per_eval(self):
-        phi = oracle_from_values([1, 2, 3], Direction.NONDECREASING)
+        phi = oracle_from_values([1, 2, 3])
         assert phi.calls == 0
         phi(0)
         phi(2)
@@ -191,13 +191,13 @@ class TestOracleCounter:
     def test_takes_exactly_one_of_fn_and_a_table(self):
         dom = IntInterval(0, 2)
         with pytest.raises(InvalidInput):
-            FnOracle(dom, Direction.NONDECREASING)
+            FnOracle(dom)
         with pytest.raises(InvalidInput):
-            FnOracle(dom, Direction.NONDECREASING, abs, starts=[1], values=[0, 1])
+            FnOracle(dom, abs, starts=[1], values=[0, 1])
 
 
 def step_on(xs):
-    return StepFunction(Direction.NONDECREASING, xs, (1,) * len(xs))
+    return StepFunction(xs, (1,) * len(xs))
 
 
 class TestApproxSetValidation:
@@ -215,45 +215,27 @@ class TestApproxSetValidation:
 
 class TestStepFunctionQuery:
     def test_gap_takes_right_value_when_nondecreasing(self):
-        f = StepFunction(
-            direction=Direction.NONDECREASING,
-            xs=(0, 5, 10),
-            values=(1, 4, 9),
-        )
+        f = StepFunction(xs=(0, 5, 10), values=(1, 4, 9))
         assert [f.query(j) for j in (0, 1, 4, 5, 6, 10)] == [1, 4, 4, 4, 9, 9]
 
     def test_gap_takes_left_value_when_nonincreasing(self):
-        f = StepFunction(
-            direction=Direction.NONINCREASING,
-            xs=(0, 5, 10),
-            values=(9, 4, 1),
-        )
+        f = StepFunction(xs=(0, 5, 10), values=(9, 4, 1), out_of_domain_low=None)
         assert [f.query(j) for j in (0, 1, 4, 5, 6, 10)] == [9, 9, 9, 4, 4, 1]
 
     def test_out_of_domain_values(self):
-        f = StepFunction(
-            direction=Direction.NONDECREASING,
-            xs=(0, 3),
-            values=(2, 5),
-            out_of_domain_low=4,
-        )
-        assert [f.query(j) for j in (-1, 3, 4, 10**9)] == [4, 5, 5, 5]
-        g = StepFunction(direction=Direction.NONINCREASING, xs=(0, 3), values=(5, 2))
-        assert [g.query(j) for j in (-1, 3, 4, 10**9)] == [0, 2, 2, 2]
+        f = StepFunction(xs=(0, 3), values=(2, 5), out_of_domain_low=1)
+        assert [f.query(j) for j in (-1, 3, 4, 10**9)] == [1, 5, 5, 5]
+        g = StepFunction(xs=(0, 3), values=(5, 2), out_of_domain_low=7)
+        assert [g.query(j) for j in (-1, 3, 4, 10**9)] == [7, 2, 2, 2]
 
     def test_no_value_below_unless_one_is_given(self):
-        f = StepFunction(
-            direction=Direction.NONDECREASING,
-            xs=(2, 3),
-            values=(2, 5),
-            out_of_domain_low=None,
-        )
+        f = StepFunction(xs=(2, 3), values=(2, 5), out_of_domain_low=None)
         with pytest.raises(InvalidInput):
             f.query(1)
         assert (f.query(2), f.query(3)) == (2, 5)
         assert '"below": null' in f.to_json()
-        for direction in Direction:
-            values = [1, 2, 4] if direction is Direction.NONDECREASING else [4, 2, 1]
+        for direction in (UP, DOWN):
+            values = [1, 2, 4] if direction == UP else [4, 2, 1]
             assert compress(values, direction, ApproxRatio.for_stages(1, 1)).out_of_domain_low is None
 
     @pytest.mark.parametrize(
@@ -263,37 +245,35 @@ class TestStepFunctionQuery:
     )
     def test_rejects_what_is_not_a_step_function(self, xs, values):
         with pytest.raises(InvalidInput):
-            StepFunction(Direction.NONDECREASING, xs, values)
+            StepFunction(xs, values)
 
     def test_rejects_wrong_direction_values(self):
         with pytest.raises(MonotonicityViolation):
-            StepFunction(
-                direction=Direction.NONDECREASING,
-                xs=(0, 4),
-                values=(5, 2),
-            )
+            StepFunction(xs=(0, 4, 6), values=(5, 2, 3), out_of_domain_low=None)
+
+    @pytest.mark.parametrize("values, below", [((5, 3), 2), ((5, 7), 9)], ids=["falls", "rises"])
+    def test_the_value_below_continues_the_order_of_the_values(self, values, below):
+        # below 2 a fall from 5 to 3 would read 2 at -1 and 5 at 0: a shifted
+        # sum of it would rise where its values fall
+        with pytest.raises(MonotonicityViolation):
+            StepFunction((0, 1), values, below)
 
     def test_json_uses_decimal_strings(self):
         # 10**5000 has more digits than str() converts by default
         for value, digits in ((2**100, str(2**100)), (10**5000, "1" + "0" * 5000)):
-            f = StepFunction(
-                direction=Direction.NONDECREASING,
-                xs=(0, 1),
-                values=(1, value),
-            )
+            f = StepFunction(xs=(0, 1), values=(1, value))
             assert digits in f.to_json()
 
     def test_json_positions_of_any_length_are_numbers(self):
         # json.dumps refuses an int of more than 4300 digits; to_json writes it
         big = 10**5000
-        f = StepFunction(Direction.NONINCREASING, (0, big), (2, 1))
+        f = StepFunction((0, big), (2, 1), 3)
         assert f.domain == IntInterval(0, big)  # the span of the breakpoints
         obj = json.loads(f.to_json(), parse_int=lambda text: int(Decimal(text)))
         assert obj == {
             "domain": [0, big],
-            "direction": "nonincreasing",
             "breakpoints": [[0, "2"], [big, "1"]],
-            "below": "0",
+            "below": "3",
             "above": "1",  # the last breakpoint's value continues above the domain
         }
 
@@ -301,21 +281,21 @@ class TestStepFunctionQuery:
 def test_identity_on_one_to_sixteen_with_k_two():
     # Doubling thresholds: the selected points are exactly the powers of two.
     dom = IntInterval(1, 16)
-    phi = FnOracle(dom, Direction.NONDECREASING, lambda j: j)
+    phi = FnOracle(dom, lambda j: j)
     f = apx_set_nondecreasing(phi, ApproxRatio.for_stages(Fraction(7), 3))
     assert list(f.xs) == [1, 2, 4, 8, 16]
 
 
 def test_constant_function_needs_only_endpoints():
     dom = IntInterval(0, 100)
-    phi = FnOracle(dom, Direction.NONDECREASING, lambda j: 12)
+    phi = FnOracle(dom, lambda j: 12)
     f = apx_set_nondecreasing(phi, ApproxRatio.for_stages(Fraction(1), 1))
     assert list(f.xs) == [0, 100]
 
 
 def test_all_zero_function_keeps_endpoints_only():
     dom = IntInterval(0, 50)
-    phi = FnOracle(dom, Direction.NONINCREASING, lambda j: 0)
+    phi = FnOracle(dom, lambda j: 0)
     f = apx_set_nonincreasing(phi, ApproxRatio.for_stages(Fraction(1), 1))
     assert list(f.xs) == [0, 50]
 
@@ -323,7 +303,7 @@ def test_all_zero_function_keeps_endpoints_only():
 @settings(max_examples=60, deadline=None)
 @given(values=nondecreasing_tables(), k=ratios)
 def test_sandwich_nondecreasing(values, k):
-    f = compress(values, Direction.NONDECREASING, k)
+    f = compress(values, UP, k)
     for j, exact in enumerate(values):
         got = f.query(j)
         assert exact <= got
@@ -334,7 +314,7 @@ def test_sandwich_nondecreasing(values, k):
 @given(values=nondecreasing_tables(), k=ratios)
 def test_sandwich_nonincreasing(values, k):
     table = values[::-1]
-    f = compress(table, Direction.NONINCREASING, k)
+    f = compress(table, DOWN, k)
     for j, exact in enumerate(table):
         got = f.query(j)
         assert exact <= got
@@ -344,7 +324,7 @@ def test_sandwich_nonincreasing(values, k):
 @settings(max_examples=60, deadline=None)
 @given(values=nondecreasing_tables(), k=ratios)
 def test_set_size_within_four_log(values, k):
-    f = compress(values, Direction.NONDECREASING, k)
+    f = compress(values, UP, k)
     top = max(values[-1], 1)
     bound = 4 * (1 + math.log(max(top, 2)) / math.log(float(k.k)))
     assert len(f) <= bound
@@ -353,7 +333,7 @@ def test_set_size_within_four_log(values, k):
 def test_sandwich_on_wide_domain():
     # One deterministic large case: domain size 10^4, doubling growth pattern.
     dom = IntInterval(0, 10**4)
-    phi = FnOracle(dom, Direction.NONDECREASING, lambda j: 1 + j * j)
+    phi = FnOracle(dom, lambda j: 1 + j * j)
     k = ApproxRatio.for_stages(Fraction(1, 2), 4)
     f = apx_set_nondecreasing(phi, k)
     for j in range(0, 10**4 + 1, 37):
@@ -372,8 +352,8 @@ def test_sandwich_on_wide_domain():
 def test_sum_of_approximations_keeps_worse_ratio(values_a, values_b, k1, k2):
     n = min(len(values_a), len(values_b))
     a, b = values_a[:n], values_b[:n]
-    fa = compress(a, Direction.NONDECREASING, k1)
-    fb = compress(b, Direction.NONDECREASING, k2)
+    fa = compress(a, UP, k1)
+    fb = compress(b, UP, k2)
     worse = max(k1.k, k2.k)
     for j in range(n):
         exact = a[j] + b[j]
@@ -384,9 +364,9 @@ def test_sum_of_approximations_keeps_worse_ratio(values_a, values_b, k1, k2):
 @settings(max_examples=40, deadline=None)
 @given(values=nondecreasing_tables(max_len=200), k1=ratios, k2=ratios)
 def test_compression_of_compression_multiplies_ratios(values, k1, k2):
-    first = compress(values, Direction.NONDECREASING, k1)
+    first = compress(values, UP, k1)
     dom = IntInterval(0, len(values) - 1)
-    second_oracle = FnOracle(dom, Direction.NONDECREASING, first.query)
+    second_oracle = FnOracle(dom, first.query)
     second = apx_set_nondecreasing(second_oracle, k2)
     combined = k1.k * k2.k
     for j, exact in enumerate(values):
@@ -396,11 +376,11 @@ def test_compression_of_compression_multiplies_ratios(values, k1, k2):
 @pytest.mark.parametrize(
     "direction, table, eps",
     [
-        (Direction.NONDECREASING, [1, 5, 2, 2, 2, 2, 2, 9], Fraction(1, 10)),
-        (Direction.NONINCREASING, [9, 2, 2, 2, 2, 2, 5, 1], Fraction(1, 10)),
+        (UP, [1, 5, 2, 2, 2, 2, 2, 9], Fraction(1, 10)),
+        (DOWN, [9, 2, 2, 2, 2, 2, 5, 1], Fraction(1, 10)),
         # the domain end rises above x = 0; merging the tail into x's piece
         # would rest on a comparison that passes only because of the rise
-        (Direction.NONINCREASING, [4, 4, 4, 5], Fraction(1)),
+        (DOWN, [4, 4, 4, 5], Fraction(1)),
     ],
     ids=["nondecreasing", "nonincreasing", "nonincreasing-merged-tail"],
 )
@@ -411,15 +391,15 @@ def test_monotonicity_violation_detected_on_scan(direction, table, eps):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    values=nondecreasing_tables(max_len=120), k=ratios, direction=st.sampled_from(list(Direction))
+    values=nondecreasing_tables(max_len=120), k=ratios, direction=st.sampled_from([UP, DOWN])
 )
 def test_induce_exact_at_breakpoints(values, k, direction):
-    table = values if direction is Direction.NONDECREASING else values[::-1]
+    table = values if direction == UP else values[::-1]
     f = compress(table, direction, k)
     hi = len(table) - 1
     num, den = k.k.numerator, k.k.denominator
     for x, v in zip(f.xs, f.values):
-        if x == hi and direction is Direction.NONINCREASING and v != table[hi]:
+        if x == hi and direction == DOWN and v != table[hi]:
             # the merged tail keeps its start's value, certified within k
             assert v == f.values[-2] and num * table[hi] >= den * v
         else:
@@ -430,38 +410,38 @@ def test_induce_exact_at_breakpoints(values, k, direction):
 @given(
     values=nondecreasing_tables(max_len=120),
     k=ratios | exact_ratios,
-    direction=st.sampled_from(list(Direction)),
+    direction=st.sampled_from([UP, DOWN]),
     lo=st.integers(-5, 5),
 )
 # k = 2: each kept y after the first meets num*f(y) = den*f(x) exactly
 @example(
     values=[1, 1, 2, 2, 4, 4, 8, 8], k=ApproxRatio.for_stages(1, 1),
-    direction=Direction.NONDECREASING, lo=0,
+    direction=UP, lo=0,
 )
 @example(
     values=[1, 1, 2, 2, 4, 4, 8, 8], k=ApproxRatio.for_stages(1, 1),
-    direction=Direction.NONINCREASING, lo=0,
+    direction=DOWN, lo=0,
 )
 # k = 3/2: 3*6 = 2*9 and 3*2 = 2*3 on the way down
 @example(
     values=[0, 2, 2, 3, 3, 6, 6, 9, 9], k=ApproxRatio.for_stages(Fraction(1, 2), 1),
-    direction=Direction.NONDECREASING, lo=3,
+    direction=UP, lo=3,
 )
 # a kept f(x) = 0, which nothing fails
 @example(
     values=[0, 0, 0, 0, 3, 7], k=ApproxRatio.for_stages(1, 1),
-    direction=Direction.NONDECREASING, lo=0,
+    direction=UP, lo=0,
 )
 @example(
     values=[0, 0, 0, 0, 3, 7], k=ApproxRatio.for_stages(1, 1),
-    direction=Direction.NONINCREASING, lo=0,
+    direction=DOWN, lo=0,
 )
 def test_searches_keep_what_the_product_form_rule_keeps(values, k, direction, lo):
-    up = direction is Direction.NONDECREASING
+    up = direction == UP
     if not up:
         values = values[::-1]
-    phi = FnOracle(IntInterval(lo, lo + len(values) - 1), direction, lambda j: values[j - lo])
-    kept = (apx_set_nondecreasing if up else apx_set_nonincreasing)(phi, k)
+    phi = FnOracle(IntInterval(lo, lo + len(values) - 1), lambda j: values[j - lo])
+    kept = SEARCH[direction](phi, k)
     expected = dense_keep(values, lo, up, k.k.numerator, k.k.denominator)
     assert (list(kept.xs), list(kept.values)) == expected
 
@@ -469,24 +449,19 @@ def test_searches_keep_what_the_product_form_rule_keeps(values, k, direction, lo
 @pytest.mark.parametrize("points", [(-1, 2), (0, 4), (-2, 5)], ids=["low", "high", "both"])
 def test_induce_refuses_points_outside_the_oracles_domain(points):
     with pytest.raises(InvalidInput):
-        induce(oracle_from_values([1, 2, 3, 4], Direction.NONDECREASING), points)
+        induce(oracle_from_values([1, 2, 3, 4]), points)
 
 
 def test_shifted_sum_matches_manual_recurrence():
-    base = StepFunction(
-        direction=Direction.NONDECREASING,
-        xs=(0, 3, 6),
-        values=(1, 2, 4),
-        out_of_domain_low=0,
-    )
+    base = StepFunction(xs=(0, 3, 6), values=(1, 2, 4), out_of_domain_low=0)
     combined = shifted_sum(base, (0, 4), base.domain)
     for j in range(7):
         assert combined(j) == base.query(j) + base.query(j - 4)
     assert combined.calls == 7
 
 
-def _step(direction, xs, values, below):
-    return StepFunction(direction=direction, xs=xs, values=values, out_of_domain_low=below)
+def _step(xs, values, below):
+    return StepFunction(xs=xs, values=values, out_of_domain_low=below)
 
 
 def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
@@ -516,39 +491,36 @@ def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
     return combined
 
 
-UP = Direction.NONDECREASING
-DOWN = Direction.NONINCREASING
-# (f, shifts, domain, the oracle's below); the low values of the first two
-# go against their direction, and each has a shift past the domain
+# (f, shifts, domain, the oracle's below); each has a shift past the domain
 SHIFTED_SUM_CASES = {
     "nondecreasing": (
-        _step(UP, (0, 3, 5, 10), (1, 4, 4, 9), 11),
+        _step((0, 3, 5, 10), (1, 4, 4, 9), 1),
         (0, 0, 4, 25),
         IntInterval(0, 10),
-        44,  # every read below 0 is below f: four times its low value
+        4,  # every read below 0 is below f: four times its low value
     ),
     "nonincreasing": (
-        _step(DOWN, (-2, 1, 3, 6), (7, 4, 4, 0), 1),
+        _step((-2, 1, 3, 6), (7, 4, 4, 0), 9),
         (0, 3, 3, 17),
         IntInterval(0, 10),
         None,  # the domain starts above f's, on {-2..6}
     ),
-    "single point terms": (_step(UP, (0,), (3,), 1), (0, 1, 1, 12), IntInterval(-4, 20), 4),
-    "one term, its own domain": (_step(DOWN, (1, 2), (6, 6), 7), (0,), IntInterval(1, 2), 7),
+    "single point terms": (_step((0,), (3,), 1), (0, 1, 1, 12), IntInterval(-4, 20), 4),
+    "one term, its own domain": (_step((1, 2), (6, 6), 7), (0,), IntInterval(1, 2), 7),
     "negative shift": (
-        _step(UP, (0, 3), (1, 4), 2),
+        _step((0, 3), (1, 4), 0),
         (0, -2),
         IntInterval(0, 5),
         None,  # j - (-2) lands on f's domain from j = -2
     ),
-    "changes that cancel": (
-        _step(UP, (0, 2), (1, 3), 3),
+    "changes at one point": (
+        _step((0, 2), (1, 3), 0),
         (0, 1),
         IntInterval(0, 4),
-        6,  # at 1 the copy shifted by 1 falls to its first value where the other rises
+        0,  # at 1 the copy shifted by 1 rises to its first value where the other rises
     ),
     "no value below f": (
-        _step(DOWN, (2, 5, 9), (8, 3, 1), None),
+        _step((2, 5, 9), (8, 3, 1), None),
         (0, 2, 2),
         IntInterval(4, 14),
         None,
@@ -563,8 +535,8 @@ def test_shifted_sum_is_the_per_term_sum_everywhere(case):
 
 
 def test_shifted_sum_has_no_value_below_a_term_without_one():
-    known = _step(UP, (2, 5), (1, 3), 0)
-    unknown = _step(UP, (2, 5), (1, 3), None)
+    known = _step((2, 5), (1, 3), 0)
+    unknown = _step((2, 5), (1, 3), None)
     assert shifted_sum(known, (0, 1), IntInterval(2, 6)).below == 0
     assert shifted_sum(unknown, (0,), IntInterval(2, 6)).below is None
     with pytest.raises(InvalidInput):  # reads unknown at 1
@@ -573,17 +545,21 @@ def test_shifted_sum_has_no_value_below_a_term_without_one():
 
 @st.composite
 def shifted_terms(draw, lows=st.none() | st.integers(0, 9)):
-    """(f, shifts): a step function and one to five shifts, repeats likely."""
-    direction = draw(st.sampled_from(list(Direction)))
+    """(f, shifts): a step function and one to five shifts, repeats likely.
+    A drawn low value is moved to continue the order of f's values."""
+    up = draw(st.booleans())
     lo = draw(st.integers(-3, 3))
     hi = lo + draw(st.integers(0, 12))
     inner = draw(st.sets(st.integers(lo, hi), max_size=5))
     xs = tuple(sorted(inner | {lo, hi}))
-    # small values, so that shifted changes often cancel
+    # small values, so that shifted changes often coincide
     values = sorted(draw(st.lists(st.integers(0, 9), min_size=len(xs), max_size=len(xs))))
-    if direction is Direction.NONINCREASING:
+    if not up:
         values.reverse()
-    f = _step(direction, xs, tuple(values), draw(lows))
+    low = draw(lows)
+    if low is not None:
+        low = (min if up else max)(low, values[0])
+    f = _step(xs, tuple(values), low)
     return f, draw(st.lists(st.integers(0, 4) | st.integers(0, 20), min_size=1, max_size=5))
 
 
@@ -595,31 +571,15 @@ def test_shifted_sum_is_the_per_term_sum_on_random_terms(terms):
     assert_shifted_sum_is_the_dense_sum(f, shifts, IntInterval(lo, lo + 8))
 
 
-def monotone_through_its_ends(f):
-    """f with its low value moved to follow its direction."""
-    low = min if f.direction is Direction.NONDECREASING else max
-    return _step(f.direction, f.xs, f.values, low(f.out_of_domain_low, f.values[0]))
-
-
 @settings(max_examples=150, deadline=None)
-@given(
-    terms=shifted_terms(lows=st.integers(0, 9)).map(
-        lambda terms: (monotone_through_its_ends(terms[0]), terms[1])
-    ),
-    k=ratios | exact_ratios,
-)
+@given(terms=shifted_terms(lows=st.integers(0, 9)), k=ratios | exact_ratios)
 def test_a_table_oracle_searches_like_a_black_box_of_the_same_sum(terms, k):
     f, shifts = terms
     domain = IntInterval(0, 30)
     table = shifted_sum(f, shifts, domain)
-    box = FnOracle(
-        domain,
-        table.direction,
-        lambda j: sum(f.query(j - s) for s in shifts),
-        below=table.below,
-    )
-    up = table.direction is Direction.NONDECREASING
-    search = apx_set_nondecreasing if up else apx_set_nonincreasing
+    box = FnOracle(domain, lambda j: sum(f.query(j - s) for s in shifts), below=table.below)
+    # the sum moves the way f does, from its value below to its last value
+    search = SEARCH[UP if f.out_of_domain_low <= f.values[-1] else DOWN]
     assert search(table, k) == search(box, k)
     assert table.calls == box.calls
 
@@ -646,16 +606,17 @@ def linear_pieces(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pieces=linear_pieces(), k=ratios, below=st.none() | st.integers(0, 9))
+@given(pieces=linear_pieces(), k=ratios, lift=st.none() | st.integers(0, 9))
 # the search's bar (8 at x = 0) is met exactly at the knot where the slope changes
-@example(pieces=([0, 2, 3], [8, 4, 0]), k=ApproxRatio.for_stages(Fraction(7), 3), below=None)
-def test_linear_walk_keeps_what_the_search_keeps(pieces, k, below):
+@example(pieces=([0, 2, 3], [8, 4, 0]), k=ApproxRatio.for_stages(Fraction(7), 3), lift=None)
+def test_linear_walk_keeps_what_the_search_keeps(pieces, k, lift):
     knots, values = pieces
+    below = None if lift is None else values[0] + lift  # the value below continues the fall
     dense = {knots[0]: values[0]}
     for a, b, wa, wb in zip(knots, knots[1:], values, values[1:]):
         dense.update((x, wa + (x - a) * (wb - wa) // (b - a)) for x in range(a + 1, b + 1))
     dom = IntInterval(knots[0], knots[-1])
-    phi = FnOracle(dom, Direction.NONINCREASING, dense.__getitem__, below=below)
+    phi = FnOracle(dom, dense.__getitem__, below=below)
     walked = apx_set_linear(knots, values, k, below=below)
     assert walked == apx_set_nonincreasing(phi, k)
 
