@@ -11,7 +11,7 @@ class InvalidInput(ValueError):
 
 
 class MonotonicityViolation(RuntimeError):
-    """An oracle declared monotone returned out-of-order values."""
+    """Values that must be monotone, an oracle's or a step function's, are out of order."""
 
 
 class TooLarge(RuntimeError):

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
@@ -165,6 +165,7 @@ class ApproxRatio:
             prec *= 2
 
 
+@dataclass(slots=True, eq=False)
 class FnOracle:
     """Access to an integer -> count function, with a call tally.
 
@@ -181,10 +182,10 @@ class FnOracle:
     reads: where a piece table changes value, or the knots a window sum is
     linear between; other black boxes have None. ``below`` is the value
     below ``domain``, or None where there is none; every compressor gives
-    its function that ``out_of_domain_low``.
+    its function that ``out_of_domain_low``. An oracle equals only itself.
 
     Every evaluation is one call of ``__call__``, never bypassed through
-    ``_fn`` or the table or batched, because the tally and any wrapper
+    ``fn`` or the table or batched, because the tally and any wrapper
     patched onto the class (a tracer's) count evaluations there. Each
     compressor binds ``phi.__call__`` once per call and probes through it:
     CPython does not specialize calling an instance whose class defines
@@ -192,30 +193,22 @@ class FnOracle:
     at import, still sees a patch made on the class before the compression.
     """
 
-    __slots__ = ("domain", "calls", "starts", "values", "below", "_fn")
+    domain: IntInterval
+    fn: Callable | None = None
+    starts: Sequence[int] | None = None
+    below: int | None = None
+    values: Sequence[int] | None = None
+    calls: int = field(default=0, init=False)
 
-    def __init__(
-        self,
-        domain: IntInterval,
-        fn: Callable | None = None,
-        starts=None,
-        below=None,
-        values=None,
-    ):
-        if (fn is None) == (values is None):
+    def __post_init__(self):
+        if (self.fn is None) == (self.values is None):
             raise InvalidInput("an oracle needs exactly one of fn and a piece table's values")
-        self.domain = domain
-        self._fn = fn
-        self.starts = starts
-        self.values = values
-        self.below = below
-        self.calls = 0
 
     def __call__(self, x: int) -> int:
         self.calls += 1
-        if self._fn is None:
+        if self.fn is None:
             return self.values[bisect_right(self.starts, x)]
-        return self._fn(x)
+        return self.fn(x)
 
 
 @dataclass(frozen=True)
@@ -225,19 +218,21 @@ class StepFunction:
     Stores a value at every breakpoint. Between breakpoints the larger
     adjacent breakpoint value applies. Above the domain the last
     breakpoint's value continues. Below it the fixed ``out_of_domain_low``
-    applies; it carries boundary conventions such as "0 below 0" (knapsack)
-    or "the full product below 0" (tuple counting) without special cases in
-    callers. A low value of None means there is no value below the domain:
-    a stage kept only on a window that starts above 0 does not know the
-    values under it, so a query there raises InvalidInput, and so does
-    :func:`shifted_sum` when it would read the function there. The value
-    below, if any, then the values are one monotone sequence, rising or
-    falling as its ends say, or MonotonicityViolation is raised.
+    applies, if one is given; it carries boundary conventions such as "0
+    below 0" (knapsack) or "the full product below 0" (tuple counting)
+    without special cases in callers. A low value of None, the default,
+    means there is no value below the domain: a stage kept only on a window
+    that starts above 0 does not know the values under it, so a query there
+    raises InvalidInput, and so does :func:`shifted_sum` when it would read
+    the function there. The value below, if any, then the values are one
+    monotone sequence, rising or falling as its ends say, or
+    MonotonicityViolation is raised; all are counts, nonnegative, or
+    InvalidInput is raised.
     """
 
     xs: tuple[int, ...]
     values: tuple[int, ...]
-    out_of_domain_low: int | None = 0
+    out_of_domain_low: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(self.xs))
@@ -247,12 +242,12 @@ class StepFunction:
         xs, values = self.xs, self.values
         if not all(map(lt, xs, xs[1:])):
             raise InvalidInput("breakpoint positions must be strictly increasing")
-        if min(values) < 0:
-            raise InvalidInput("values must be nonnegative")
         run = values if self.out_of_domain_low is None else (self.out_of_domain_low, *values)
         ordered = le if run[0] <= run[-1] else ge
         if not all(map(ordered, run, run[1:])):
             raise MonotonicityViolation("the value below and the values are not monotone")
+        if min(run[0], run[-1]) < 0:  # the ends of a monotone run hold its least value
+            raise InvalidInput("the value below and the values must be nonnegative")
 
     def __len__(self) -> int:
         """The number of breakpoints."""
@@ -416,7 +411,6 @@ def apx_set_linear(
     if values[-1] < 0:
         raise InvalidInput(f"negative value {values[-1]} at {knots[-1]}")
     num, den = k.k.numerator, k.k.denominator
-    # invariant: knots[j] is the first knot at or past x; slopes[j - 1] ends there
     j, end, top = 0, knots[-1], num * values[-1]
     x, fx = knots[0], values[0]
     xs, fxs = [x], [fx]
@@ -426,17 +420,12 @@ def apx_set_linear(
             xs.append(end)
             fxs.append(fx)
             break
-        if knots[j] == x:
+        while num * values[j] >= bar:  # x passes, so j moves past x: j - 1 >= 0
             j += 1
-        v = values[j] - (knots[j] - x - 1) * slopes[j - 1]
-        if num * v < bar:  # the next point already fails
-            x, fx = x + 1, v
-        else:
-            while num * values[j] >= bar:
-                j += 1
-            a, wa, d = knots[j - 1], values[j - 1], slopes[j - 1]
-            x = a + (num * wa - bar) // (-num * d) + 1  # the first failing point past a
-            fx = wa + (x - a) * d
+        # knots[j] is the first knot that fails; its piece holds the first point that does
+        a, wa, d = knots[j - 1], values[j - 1], slopes[j - 1]
+        x = a + (num * wa - bar) // (-num * d) + 1  # the first failing point past a
+        fx = wa + (x - a) * d
         xs.append(x)
         fxs.append(fx)
     return StepFunction(xs, fxs, below)

@@ -15,14 +15,17 @@ Each round draws one valid instance of each problem and an epsilon from
   and a contingency column's upper half at y against its row at P_i - y,
   with no value below its domain;
 * the count against the band, exact <= count <= (1+eps)*exact, with the
-  exact count from brute force (knapsack, m-tuples) or inclusion-exclusion
-  (contingency tables).
+  exact count from brute force or meet in the middle (knapsack, m-tuples)
+  or inclusion-exclusion (contingency tables).
 
 Values are 0 or 1 at the edges, else small; one round in five draws values
 up to 10**40, whose rows are too wide to tabulate, and checks only the
-count, with epsilon at least 1/10 for the table, whose kept breakpoints
-grow as log(values)/epsilon. Bounds and capacities are 0, 1, the total,
-the total +-1 or random.
+count, with epsilon at least 1/10 for the table and for a knapsack of 9-24
+items and an m-tuples instance of 5-10 sets, drawn in these rounds only and
+counted by meet in the middle; kept breakpoints grow as
+log(values)/epsilon. Bounds and capacities are 0, 1, the total, the total
+-1, random, or past the total: by 1, or in the count-only rounds by up to
+10**30.
 
 A second loop runs the command line, ``cli.main``, in process. Each round
 writes one line per problem to a file in a temporary directory: a random
@@ -72,16 +75,17 @@ from approxcount.cli import payload_from_instance
 from approxcount.knapsack import left_out
 from approxcount.oracles import brute_knapsack, brute_mtuples
 from dp_tables import dp_contingency_sum_table, dp_knapsack_table, dp_mtuples_table
+from meet_in_the_middle import knapsack_mitm, mtuples_mitm
 
-SMALL, HUGE = 30, 10**40
+SMALL, HUGE, PAST = 30, 10**40, 10**30
 
 
 def _values(rng, count, least, top):
     return [rng.choice((least, least + 1, rng.randint(least, top))) for _ in range(count)]
 
 
-def _bound(rng, total):
-    return max(0, rng.choice((0, 1, total - 1, total, total + 1, rng.randint(0, total))))
+def _bound(rng, total, past=1):
+    return max(0, rng.choice((0, 1, total - 1, total, total + past, rng.randint(0, total))))
 
 
 def _epsilon(rng):
@@ -108,20 +112,30 @@ def _mtuples_rows(inst: MTuplesInstance):
 
 def draw(rng):
     """[(problem, instance, exact count, epsilon, [(counter, rows)])], one per
-    problem; rows are the exact rows and the values below 0, or None where
+    problem and, in a count-only round, a wider knapsack and m-tuples
+    instance; rows are the exact rows and the values below 0, or None where
     only the count is checked."""
     eps, dense = _epsilon(rng), rng.random() >= 0.2
     top = SMALL if dense else HUGE
+    # the dense rounds tabulate every row over {0..C}; only a count may pass C by far
+    past = (lambda: 1) if dense else (lambda: rng.randint(1, PAST))
+
+    def knapsack(items):
+        weights = _values(rng, items, 1, top)
+        return KnapsackInstance(tuple(weights), _bound(rng, sum(weights), past()))
+
+    def mtuples(sets):
+        sets = tuple(tuple(_values(rng, rng.randint(1, 4), 0, top)) for _ in range(sets))
+        return MTuplesInstance(sets, _bound(rng, sum(map(max, sets)), past()))
+
     n = rng.randint(1, 8)
-    weights = _values(rng, n, 1, top)
-    knap = KnapsackInstance(tuple(weights), _bound(rng, sum(weights)))
-    sets = tuple(tuple(_values(rng, rng.randint(1, 4), 0, top)) for _ in range(rng.randint(1, 4)))
-    tuples = MTuplesInstance(sets, _bound(rng, sum(map(max, sets))))
+    knap = knapsack(n)
+    tuples = mtuples(rng.randint(1, 4))
     cols = _values(rng, rng.randint(1, 6), 1, top)
     r1 = min(_bound(rng, sum(cols)), sum(cols))
     table = Contingency2Instance((r1, sum(cols) - r1), tuple(cols))
-    # a table keeps about log(values)/epsilon breakpoints: 1e40 at 1/10 takes 0.2 s
-    table_eps = eps if dense else max(eps, Fraction(1, 10))
+    # a run keeps about log(values)/epsilon breakpoints: a table of 1e40 at 1/10 takes 0.2 s
+    wide_eps = eps if dense else max(eps, Fraction(1, 10))
 
     knap_rows = (dp_knapsack_table(knap)[1:], [0] * n) if dense else None
     left_rows = _mtuples_rows(left_out(knap)) if dense else None
@@ -131,13 +145,23 @@ def draw(rng):
         rows = zip(list(accumulate(cols))[1:], dp_contingency_sum_table(table)[2:])
         halves = [{p - j: v for j, v in enumerate(row)} for p, row in rows]
         table_rows = (halves, [None] * len(cols))
-    return [
+    drawn = [
         ("knapsack", knap, brute_knapsack(knap), eps, [
             (fptas_knapsack, knap_rows), (strong_fptas_knapsack, left_rows)]),
         ("mtuples", tuples, brute_mtuples(tuples), eps, [
             (fptas_mtuples, tuple_rows), (strong_fptas_mtuples, tuple_rows)]),
-        ("contingency2", table, contingency_count(table), table_eps, [
+        ("contingency2", table, contingency_count(table), wide_eps, [
             (fptas_contingency2, table_rows)]),
+    ]
+    if dense:
+        return drawn
+    # up to 2^24 subsets or 4^10 tuples, too many to list each round: meet in the middle
+    wide_knap, wide_tuples = knapsack(rng.randint(9, 24)), mtuples(rng.randint(5, 10))
+    return drawn + [
+        ("knapsack", wide_knap, knapsack_mitm(wide_knap.weights, wide_knap.capacity), wide_eps, [
+            (fptas_knapsack, None), (strong_fptas_knapsack, None)]),
+        ("mtuples", wide_tuples, mtuples_mitm(wide_tuples.sets, wide_tuples.bound), wide_eps, [
+            (fptas_mtuples, None), (strong_fptas_mtuples, None)]),
     ]
 
 

@@ -195,6 +195,15 @@ class TestOracleCounter:
         with pytest.raises(InvalidInput):
             FnOracle(dom, abs, starts=[1], values=[0, 1])
 
+    def test_keeps_no_instance_dict_and_equals_only_itself(self):
+        dom = IntInterval(0, 2)
+        phi, twin = FnOracle(dom, abs), FnOracle(dom, abs)
+        assert not hasattr(phi, "__dict__")
+        with pytest.raises(AttributeError):
+            phi.tally = 0
+        assert phi == phi and phi != twin
+        assert len({phi, twin}) == 2  # eq=False keeps the identity hash
+
 
 def step_on(xs):
     return StepFunction(xs, (1,) * len(xs))
@@ -246,6 +255,17 @@ class TestStepFunctionQuery:
     def test_rejects_what_is_not_a_step_function(self, xs, values):
         with pytest.raises(InvalidInput):
             StepFunction(xs, values)
+
+    def test_a_falling_function_has_no_value_below_unless_one_is_given(self):
+        f = StepFunction((0, 3), (5, 2))
+        assert f.out_of_domain_low is None
+        with pytest.raises(InvalidInput):
+            f.query(-1)
+
+    def test_the_value_below_is_a_count(self):
+        # a sum of its shifts would read -4 at 0 and -10 below
+        with pytest.raises(InvalidInput):
+            StepFunction((0,), (1,), -5)
 
     def test_rejects_wrong_direction_values(self):
         with pytest.raises(MonotonicityViolation):
@@ -609,6 +629,10 @@ def linear_pieces(draw):
 @given(pieces=linear_pieces(), k=ratios, lift=st.none() | st.integers(0, 9))
 # the search's bar (8 at x = 0) is met exactly at the knot where the slope changes
 @example(pieces=([0, 2, 3], [8, 4, 0]), k=ApproxRatio.for_stages(Fraction(7), 3), lift=None)
+# unit drops: each kept point's successor already fails, some of them at a knot
+@example(pieces=([0, 3, 5], [9, 6, 0]), k=ApproxRatio.for_stages(Fraction(1, 10), 3), lift=None)
+# long flat pieces: the scan crosses a whole flat piece before the drop
+@example(pieces=([0, 500, 501, 1000], [40, 40, 2, 2]), k=ApproxRatio.for_stages(Fraction(1, 10), 3), lift=0)
 def test_linear_walk_keeps_what_the_search_keeps(pieces, k, lift):
     knots, values = pieces
     below = None if lift is None else values[0] + lift  # the value below continues the fall
