@@ -13,9 +13,8 @@ pivot, its column sum and its window. The command line entry point is
 ``approxcount`` (see :mod:`approxcount.cli`).
 """
 
-from .contingency import compress_contingency, fptas_contingency2
+from .contingency import fptas_contingency2
 from .errors import InvalidInput, MonotonicityViolation, TooLarge
-from .incpoints import IncIndex, convert, pad
 from .knapsack import fptas_knapsack, strong_fptas_knapsack
 from .mtuples import fptas_mtuples, strong_fptas_mtuples
 from .oracles import (
@@ -38,7 +37,6 @@ from .stepfunc import (
     apx_set_linear,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
-    induce,
     shifted_sum,
     to_fraction,
 )
@@ -47,7 +45,6 @@ __all__ = [
     "ApproxRatio",
     "Contingency2Instance",
     "FnOracle",
-    "IncIndex",
     "IntInterval",
     "InvalidInput",
     "KnapsackInstance",
@@ -61,8 +58,6 @@ __all__ = [
     "apx_set_nonincreasing",
     "brute_knapsack",
     "brute_mtuples",
-    "compress_contingency",
-    "convert",
     "dp_contingency_sub",
     "dp_contingency_sum",
     "dp_knapsack",
@@ -70,8 +65,6 @@ __all__ = [
     "fptas_contingency2",
     "fptas_knapsack",
     "fptas_mtuples",
-    "induce",
-    "pad",
     "shifted_sum",
     "strong_fptas_knapsack",
     "strong_fptas_mtuples",

@@ -218,7 +218,7 @@ def run_mode(problem: str, inst, mode: str, eps: Fraction | None):
     result = counter(inst, eps)
     elapsed = perf_counter() - t0
     if isinstance(result, RunReport):
-        return result.count, result.oracle_calls, list(result.per_stage_set_sizes), elapsed
+        return result.count, result.oracle_calls, list(result.set_sizes), elapsed
     return result, 0, [], elapsed
 
 
@@ -340,7 +340,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    eps_list = [_parse_epsilon(tok) for tok in (args.epsilon or "").split(",") if tok]
+    eps_list = [_parse_epsilon(tok) for tok in args.epsilon.split(",")] if args.epsilon else []
     scales = [_as_int(tok, "--scales") for tok in args.scales.split(",")]
     if any(k < 0 for k in scales):
         raise InvalidInput("scale exponents must be nonnegative")

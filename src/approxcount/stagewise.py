@@ -59,13 +59,13 @@ class RunReport:
     ``chain_length`` is the exponent the per-stage ratio was chosen for:
     the number of stages whose domain has more than one point (0 when no
     stage has). ``stage_functions`` holds each compression's compressed
-    function in the order they were built; ``per_stage_set_sizes`` are
+    function in the order they were built; ``set_sizes`` are
     their breakpoint counts.
     """
 
     count: int
     oracle_calls: int
-    per_stage_set_sizes: list[int]
+    set_sizes: list[int]
     chain_length: int
     stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
 
@@ -96,7 +96,7 @@ def run_stages(first: StepFunction, stages: Sequence, epsilon, exact, compress) 
     return RunReport(
         count=approx.values[-1],  # the value at domain.hi, the last breakpoint
         oracle_calls=calls,
-        per_stage_set_sizes=[len(f) for f in stage_functions],
+        set_sizes=[len(f) for f in stage_functions],
         chain_length=merging,
         stage_functions=stage_functions,
     )

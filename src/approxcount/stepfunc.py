@@ -175,14 +175,14 @@ class FnOracle:
     one bisect with no frame below it. Exactly one of ``fn`` and ``values``
     is given, or InvalidInput is raised.
 
-    No check is made per call; each compressor spot-checks its probes
-    against the direction its name says. ``calls`` increments once per
-    evaluation, repeats included; a single oracle must not be shared across
-    concurrent callers. ``starts`` are the sorted points its compressor
-    reads: where a piece table changes value, or the knots a window sum is
-    linear between; other black boxes have None. ``below`` is the value
-    below ``domain``, or None where there is none; every compressor gives
-    its function that ``out_of_domain_low``. An oracle equals only itself.
+    No check is made per call; each compressor spot-checks its probes, and
+    ``below``, the value below ``domain`` or None where there is none,
+    against the direction its name says, and gives its function that
+    ``below``. ``calls`` increments once per evaluation, repeats included; a
+    single oracle must not be shared across concurrent callers. ``starts``
+    are the sorted points its compressor reads: where a piece table changes
+    value, or the knots a window sum is linear between; other black boxes
+    have None. An oracle equals only itself.
 
     Every evaluation is one call of ``__call__``, never bypassed through
     ``fn`` or the table or batched, because the tally and any wrapper
@@ -217,10 +217,10 @@ class StepFunction:
 
     Stores a value at every breakpoint. Between breakpoints the larger
     adjacent breakpoint value applies. Above the domain the last
-    breakpoint's value continues. Below it the fixed ``out_of_domain_low``
-    applies, if one is given; it carries boundary conventions such as "0
-    below 0" (knapsack) or "the full product below 0" (tuple counting)
-    without special cases in callers. A low value of None, the default,
+    breakpoint's value continues. Below it the fixed ``below`` applies, if
+    one is given; it carries boundary conventions such as "0 below 0"
+    (knapsack) or "the full product below 0" (tuple counting) without
+    special cases in callers. A ``below`` of None, the default,
     means there is no value below the domain: a stage kept only on a window
     that starts above 0 does not know the values under it, so a query there
     raises InvalidInput, and so does :func:`shifted_sum` when it would read
@@ -232,7 +232,7 @@ class StepFunction:
 
     xs: tuple[int, ...]
     values: tuple[int, ...]
-    out_of_domain_low: int | None = None
+    below: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(self.xs))
@@ -242,7 +242,7 @@ class StepFunction:
         xs, values = self.xs, self.values
         if not all(map(lt, xs, xs[1:])):
             raise InvalidInput("breakpoint positions must be strictly increasing")
-        run = values if self.out_of_domain_low is None else (self.out_of_domain_low, *values)
+        run = values if self.below is None else (self.below, *values)
         ordered = le if run[0] <= run[-1] else ge
         if not all(map(ordered, run, run[1:])):
             raise MonotonicityViolation("the value below and the values are not monotone")
@@ -261,9 +261,9 @@ class StepFunction:
     def query(self, x: int) -> int:
         xs = self.xs
         if x < xs[0]:
-            if self.out_of_domain_low is None:
+            if self.below is None:
                 raise InvalidInput(f"no value at {x}, below the domain from {xs[0]}")
-            return self.out_of_domain_low
+            return self.below
         if x > xs[-1]:
             return self.values[-1]
         i = bisect_left(xs, x)
@@ -273,7 +273,7 @@ class StepFunction:
         """One JSON object, laid out as json.dumps lays it out: positions are
         JSON numbers, values decimal strings, both at any length (json.dumps
         refuses an int past sys.get_int_max_str_digits())."""
-        low = self.out_of_domain_low
+        low = self.below
         pos, val = decimal_text, lambda v: f'"{decimal_text(v)}"'
         points = ", ".join(f"[{pos(x)}, {val(v)}]" for x, v in zip(self.xs, self.values))
         return (
@@ -300,8 +300,8 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     search probed (y's probe, or x-1's when y = x), so the function is exact
     at every breakpoint without a second pass. Each probe is checked against
     the probes that bracket it. Oracle cost is O(|W| log |dom|). Below the
-    domain the value is ``phi.below``; None means no value, so a query there
-    raises.
+    domain the value is ``phi.below``, at most phi(lo) or MonotonicityViolation
+    is raised; None means no value, so a query there raises.
     """
     evaluate, dom = phi.__call__, phi.domain
     num, den = k.k.numerator, k.k.denominator
@@ -325,6 +325,8 @@ def apx_set_nondecreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
         x, fx = (x - 1, v_lo) if lo == x else (lo, v_hi)
         xs.append(x)
         values.append(fx)
+    if phi.below is not None and phi.below > fx:  # the scan ended at x = dom.lo, fx its probe
+        raise MonotonicityViolation(f"value below {phi.below} > {fx} at {x}: not nondecreasing")
     xs.reverse()
     values.reverse()
     return StepFunction(xs, values, phi.below)
@@ -339,14 +341,16 @@ def apx_set_nonincreasing(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     search probed. If no failure exists up to the domain end, the scan stops
     and the tail is merged: it is certified against x, so the domain end
     takes x's value. Each probe is checked against the probes that bracket
-    it, the domain end against x before every merge decision. Out of domain
-    values are as in :func:`apx_set_nondecreasing`.
+    it, the domain end against x before every merge decision, ``phi.below``
+    against phi(lo). Out of domain values are as in :func:`apx_set_nondecreasing`.
     """
     evaluate, dom = phi.__call__, phi.domain
     num, den = k.k.numerator, k.k.denominator
     x = dom.lo
     fx = evaluate(x)
     v_end = evaluate(dom.hi) if dom.hi > x else fx
+    if phi.below is not None and phi.below < fx:
+        raise MonotonicityViolation(f"value below {phi.below} < {fx} at {x}: not nonincreasing")
     xs, values = [x], [fx]
     while x < dom.hi:
         if v_end > fx:
@@ -391,8 +395,8 @@ def apx_set_linear(
     The cost is O(len(knots)) plus one step per kept point. InvalidInput is
     raised unless the values are nonnegative and linear with an integer
     slope on every piece; MonotonicityViolation is raised for a piece whose
-    integer slope rises. Either error names the piece by its knots and
-    values.
+    integer slope rises, naming it by its knots and values as InvalidInput
+    does, and for a ``below`` under values[0].
     """
     if not knots or len(knots) != len(values):
         raise InvalidInput("need equally many knots and values, at least one")
@@ -410,6 +414,8 @@ def apx_set_linear(
         )
     if values[-1] < 0:
         raise InvalidInput(f"negative value {values[-1]} at {knots[-1]}")
+    if below is not None and below < values[0]:
+        raise MonotonicityViolation(f"value below {below} < {values[0]}: not nonincreasing")
     num, den = k.k.numerator, k.k.denominator
     j, end, top = 0, knots[-1], num * values[-1]
     x, fx = knots[0], values[0]
@@ -466,7 +472,7 @@ def shifted_sum(f: StepFunction, shifts: Sequence[int], domain: IntInterval) -> 
     """
     if not shifts:
         raise InvalidInput("need at least one shift")
-    xs, values, low = f.xs, f.values, f.out_of_domain_low
+    xs, values, low = f.xs, f.values, f.below
     if low is None and domain.lo - max(shifts) < xs[0]:
         raise InvalidInput(
             f"the sum reads f at {domain.lo - max(shifts)}, below its domain from {xs[0]}, "

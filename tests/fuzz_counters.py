@@ -182,8 +182,8 @@ def check(counter, inst, exact, rows, eps) -> str | None:
             v = f.query(j)
             if not (row[j] <= v and v * den <= num * row[j]):
                 return f"stage {t} holds {v} at {j}, outside [{row[j]}, k**i * {row[j]}]"
-        if f.out_of_domain_low not in (None, below):
-            return f"stage {t} holds {f.out_of_domain_low} below its domain, not {below}"
+        if f.below not in (None, below):
+            return f"stage {t} holds {f.below} below its domain, not {below}"
     return None
 
 

@@ -270,15 +270,16 @@ def test_readme_gen_and_count_samples_match_a_fresh_run(capsys, tmp_path, monkey
 
 
 def test_bench_exact_only_when_no_epsilon(capsys):
-    code, out, _ = run(
-        capsys,
-        ["bench", "--problem", "mtuples", "--m", "2", "--valmax", "12", "--seed", "5",
-         "--scales", "0"],
-    )
-    assert code == 0
-    rows = [line for line in out.splitlines()[1:] if line]
-    assert len(rows) == 1
-    assert rows[0].startswith("exact-dp,")
+    for epsilon in ([], ["--epsilon", ""]):  # absent or empty
+        code, out, _ = run(
+            capsys,
+            ["bench", "--problem", "mtuples", "--m", "2", "--valmax", "12", "--seed", "5",
+             "--scales", "0", *epsilon],
+        )
+        assert code == 0
+        rows = [line for line in out.splitlines()[1:] if line]
+        assert len(rows) == 1
+        assert rows[0].startswith("exact-dp,")
 
 
 @pytest.mark.parametrize("problem", cli.PROBLEMS)
@@ -873,10 +874,15 @@ print(json.dumps([on_import, built]))
          "--scales: '' is not a decimal integer"),
         (["bench", "--problem", "knapsack", "--scales", ","], None, 2, [],
          "--scales: '' is not a decimal integer"),
+        # --epsilon is read entry by entry, as --scales is
+        (["bench", "--problem", "knapsack", "--epsilon", ","], None, 2, [],
+         "epsilon '' is not a rational number"),
+        (["bench", "--problem", "knapsack", "--epsilon", "1,,1/2"], None, 2, [],
+         "epsilon '' is not a rational number"),
     ],
     ids=["count-skips-blank-lines", "verify-skips-blank-lines", "array-line", "list-payload",
          "zero-epsilon", "verify-without-input-or-problem", "negative-scale", "empty-scales",
-         "comma-scales"],
+         "comma-scales", "comma-epsilon", "empty-epsilon-entry"],
 )
 def test_input_paths(tmp_path, capsys, argv, text, code, counts, err):
     path = tmp_path / "in.ndjson"

@@ -139,14 +139,14 @@ class TestCompressOp:
         half = compress_contingency(half_oracle(lambda j: 7 - j, 6), ANY_K)
         assert half.domain == IntInterval(3, 6)
         assert list(half.values) == sorted(half.values, reverse=True)
-        assert half.out_of_domain_low is None
+        assert half.below is None
         w = window_sum(half, 6, 10, IntInterval(8, 16))
         assert w(8) == sum(half.query(max(t, 6 - t)) for t in range(7))  # g(-2) = g(-1) = 0
 
     def test_a_window_above_zero_has_no_value_below_it(self):
         probe = FnOracle(IntInterval(3, 6), lambda j: 10 - j, range(3, 7))
         half = compress_contingency(probe, ANY_K)
-        assert (half.domain, half.out_of_domain_low) == (IntInterval(3, 6), None)
+        assert (half.domain, half.below) == (IntInterval(3, 6), None)
         with pytest.raises(InvalidInput):
             half.query(2)
 
@@ -197,14 +197,14 @@ def test_degenerate_second_row():
     rep = fptas_contingency2(inst, Fraction(1))
     assert rep.count == 1
     assert len(rep.stage_functions) == 0
-    assert (rep.oracle_calls, rep.chain_length, rep.per_stage_set_sizes) == (0, 0, [])
+    assert (rep.oracle_calls, rep.chain_length, rep.set_sizes) == (0, 0, [])
 
 
 def test_single_column():
     ok = Contingency2Instance(row_sums=(2, 3), col_sums=(5,))
     rep = fptas_contingency2(ok, Fraction(1))
     assert rep.count == 1
-    assert (rep.oracle_calls, rep.chain_length, rep.per_stage_set_sizes) == (0, 0, [])
+    assert (rep.oracle_calls, rep.chain_length, rep.set_sizes) == (0, 0, [])
 
 
 def test_rejects_nonpositive_epsilon():
@@ -255,7 +255,7 @@ def test_every_compressed_function_keeps_the_structure():
             assert isinstance(half, StepFunction)
             assert list(half.values) == sorted(half.values, reverse=True)
             assert half.domain == window
-            assert half.out_of_domain_low is None
+            assert half.below is None
         if rep.stage_functions:
             last = sum(inst.col_sums) - inst.pivot_sum
             assert rep.stage_functions[-1].domain == IntInterval(last, last)
@@ -321,7 +321,7 @@ def test_report_counts_oracle_traffic():
     inst = Contingency2Instance(row_sums=(9, 12), col_sums=(5, 6, 4, 6))
     rep = fptas_contingency2(inst, Fraction(1, 2))
     assert rep.oracle_calls > 0
-    assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
+    assert rep.set_sizes == [len(f.xs) for f in rep.stage_functions]
 
 
 # The ids keep the oracle calls of the binary-search scans before they kept
@@ -355,7 +355,7 @@ def test_report_values_are_pinned(rows, cols, eps, count, calls, sizes, chain):
     rep = fptas_contingency2(Contingency2Instance(row_sums=rows, col_sums=cols), eps)
     assert rep.count == count
     assert rep.oracle_calls == calls
-    assert rep.per_stage_set_sizes == sizes
+    assert rep.set_sizes == sizes
     assert rep.chain_length == chain
 
 

@@ -66,9 +66,9 @@ def test_rejects_nonpositive_epsilon(bad):
 def test_report_shape():
     inst = KnapsackInstance(weights=(4, 4, 9), capacity=12)
     rep = strong_fptas_knapsack(inst, Fraction(1, 3))
-    assert len(rep.per_stage_set_sizes) == inst.n
+    assert len(rep.set_sizes) == inst.n
     assert len(stage_candidates(rep, left_out(inst))) == inst.n
-    assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
+    assert rep.set_sizes == [len(f.xs) for f in rep.stage_functions]
 
 
 def random_instance(rng, n_max=10, w_max=50, c_max=300):

@@ -86,8 +86,8 @@ def test_single_set():
 
 def test_report_shape():
     rep = fptas_mtuples(GOLDEN, Fraction(1, 2))
-    assert len(rep.per_stage_set_sizes) == GOLDEN.m
-    assert rep.per_stage_set_sizes == [len(f.xs) for f in rep.stage_functions]
+    assert len(rep.set_sizes) == GOLDEN.m
+    assert rep.set_sizes == [len(f.xs) for f in rep.stage_functions]
     assert rep.oracle_calls > 0
 
 

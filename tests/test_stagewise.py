@@ -12,6 +12,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +48,15 @@ def test_readme_library_example():
     rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 4))
     assert rep.count == 13
     assert rep.oracle_calls == 15
-    assert rep.per_stage_set_sizes == [4, 5, 5, 1]
+    assert rep.set_sizes == [4, 5, 5, 1]
+
+
+def test_readme_library_block_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    said = [line.split("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    assert said and capsys.readouterr().out.splitlines() == said
 
 
 # Every row keeps the id it had before its oracle calls last changed. The
@@ -111,7 +120,7 @@ def test_readme_library_example():
 )
 def test_operation_counts_are_pinned(counter, inst, eps, count, calls, sizes):
     rep = counter(inst, eps)
-    assert (rep.count, rep.oracle_calls, rep.per_stage_set_sizes) == (count, calls, sizes)
+    assert (rep.count, rep.oracle_calls, rep.set_sizes) == (count, calls, sizes)
     assert rep.chain_length == sum(size > 1 for size in sizes)
 
 
@@ -280,7 +289,7 @@ def _sweep_text():
             stages = [f.to_json() for f in rep.stage_functions]
             if counter is fptas_contingency2:  # each column's half with its pivot P_i
                 stages = [[p, f] for p, f in zip(list(accumulate(inst.col_sums))[1:], stages)]
-            row = [counter.__name__, i, str(rep.count), rep.per_stage_set_sizes, rep.chain_length]
+            row = [counter.__name__, i, str(rep.count), rep.set_sizes, rep.chain_length]
             lines.append(json.dumps(row + [stages]))
     return "\n".join(lines)
 
@@ -314,7 +323,7 @@ def test_strong_stages_are_the_searched_windows():
         candidates, prev = 0, EMPTY_TUPLE_ROW
         for (shifts, window), func in zip(stages, rep.stage_functions):
             raw = shifted_sum(prev, shifts, window)
-            below = prev.out_of_domain_low * len(shifts) if window.lo == 0 else None
+            below = prev.below * len(shifts) if window.lo == 0 else None
             assert raw.below == below
             expected = apx_set_nonincreasing(raw, ratio)
             assert func.to_json() == expected.to_json()
@@ -383,7 +392,7 @@ def test_the_count_is_the_last_row_at_the_query_point():
 def test_a_window_above_zero_refuses_reads_below_it():
     rep = strong_fptas_mtuples(GOLDEN, Fraction(1, 2))
     stage = rep.stage_functions[0]  # window {17 - 14..17 - 5}
-    assert (stage.domain.lo, stage.domain.hi, stage.out_of_domain_low) == (3, 12, None)
+    assert (stage.domain.lo, stage.domain.hi, stage.below) == (3, 12, None)
     assert stage.query(3) == stage.values[0]
     with pytest.raises(InvalidInput):
         stage.query(2)

@@ -228,24 +228,24 @@ class TestStepFunctionQuery:
         assert [f.query(j) for j in (0, 1, 4, 5, 6, 10)] == [1, 4, 4, 4, 9, 9]
 
     def test_gap_takes_left_value_when_nonincreasing(self):
-        f = StepFunction(xs=(0, 5, 10), values=(9, 4, 1), out_of_domain_low=None)
+        f = StepFunction(xs=(0, 5, 10), values=(9, 4, 1), below=None)
         assert [f.query(j) for j in (0, 1, 4, 5, 6, 10)] == [9, 9, 9, 4, 4, 1]
 
     def test_out_of_domain_values(self):
-        f = StepFunction(xs=(0, 3), values=(2, 5), out_of_domain_low=1)
+        f = StepFunction(xs=(0, 3), values=(2, 5), below=1)
         assert [f.query(j) for j in (-1, 3, 4, 10**9)] == [1, 5, 5, 5]
-        g = StepFunction(xs=(0, 3), values=(5, 2), out_of_domain_low=7)
+        g = StepFunction(xs=(0, 3), values=(5, 2), below=7)
         assert [g.query(j) for j in (-1, 3, 4, 10**9)] == [7, 2, 2, 2]
 
     def test_no_value_below_unless_one_is_given(self):
-        f = StepFunction(xs=(2, 3), values=(2, 5), out_of_domain_low=None)
+        f = StepFunction(xs=(2, 3), values=(2, 5), below=None)
         with pytest.raises(InvalidInput):
             f.query(1)
         assert (f.query(2), f.query(3)) == (2, 5)
         assert '"below": null' in f.to_json()
         for direction in (UP, DOWN):
             values = [1, 2, 4] if direction == UP else [4, 2, 1]
-            assert compress(values, direction, ApproxRatio.for_stages(1, 1)).out_of_domain_low is None
+            assert compress(values, direction, ApproxRatio.for_stages(1, 1)).below is None
 
     @pytest.mark.parametrize(
         "xs, values",
@@ -258,7 +258,7 @@ class TestStepFunctionQuery:
 
     def test_a_falling_function_has_no_value_below_unless_one_is_given(self):
         f = StepFunction((0, 3), (5, 2))
-        assert f.out_of_domain_low is None
+        assert f.below is None
         with pytest.raises(InvalidInput):
             f.query(-1)
 
@@ -269,7 +269,7 @@ class TestStepFunctionQuery:
 
     def test_rejects_wrong_direction_values(self):
         with pytest.raises(MonotonicityViolation):
-            StepFunction(xs=(0, 4, 6), values=(5, 2, 3), out_of_domain_low=None)
+            StepFunction(xs=(0, 4, 6), values=(5, 2, 3), below=None)
 
     @pytest.mark.parametrize("values, below", [((5, 3), 2), ((5, 7), 9)], ids=["falls", "rises"])
     def test_the_value_below_continues_the_order_of_the_values(self, values, below):
@@ -409,6 +409,39 @@ def test_monotonicity_violation_detected_on_scan(direction, table, eps):
         compress(table, direction, ApproxRatio.for_stages(eps, 1))
 
 
+def compress_below(compressor, table, k, below):
+    """Compress ``table`` with the value ``below`` under it: by the search
+    of the named direction, or by the walk with every point a knot."""
+    if compressor == "walk":
+        return apx_set_linear(list(range(len(table))), table, k, below=below)
+    phi = FnOracle(IntInterval(0, len(table) - 1), table.__getitem__, below=below)
+    return SEARCH[compressor](phi, k)
+
+
+@pytest.mark.parametrize("eps", [1, Fraction(1, 100)], ids=["merging", "keeping"])
+@pytest.mark.parametrize(
+    "compressor, table, below",
+    [
+        (DOWN, [4, 3, 2], 1),
+        (DOWN, [4], 1),
+        ("walk", [4, 3, 2], 1),
+        ("walk", [4], 1),
+        (UP, [4, 4, 4], 9),
+        (UP, [4], 9),
+    ],
+    ids=["search-down", "search-down-one-point", "walk", "walk-one-point", "search-up",
+         "search-up-one-point"],
+)
+def test_a_value_below_against_the_direction_is_refused(compressor, table, below, eps):
+    # at eps 1 the fall 4, 3, 2 merges into 4, 4, which rises from 1 as one
+    # step function, so the check cannot be left to StepFunction; nor can it
+    # where a one-point domain merges nothing
+    k = ApproxRatio.for_stages(eps, 1)
+    with pytest.raises(MonotonicityViolation, match="value below"):
+        compress_below(compressor, table, k, below)
+    assert compress_below(compressor, table, k, table[0]).below == table[0]  # an equal one continues
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     values=nondecreasing_tables(max_len=120), k=ratios, direction=st.sampled_from([UP, DOWN])
@@ -473,7 +506,7 @@ def test_induce_refuses_points_outside_the_oracles_domain(points):
 
 
 def test_shifted_sum_matches_manual_recurrence():
-    base = StepFunction(xs=(0, 3, 6), values=(1, 2, 4), out_of_domain_low=0)
+    base = StepFunction(xs=(0, 3, 6), values=(1, 2, 4), below=0)
     combined = shifted_sum(base, (0, 4), base.domain)
     for j in range(7):
         assert combined(j) == base.query(j) + base.query(j - 4)
@@ -481,7 +514,7 @@ def test_shifted_sum_matches_manual_recurrence():
 
 
 def _step(xs, values, below):
-    return StepFunction(xs=xs, values=values, out_of_domain_low=below)
+    return StepFunction(xs=xs, values=values, below=below)
 
 
 def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
@@ -494,7 +527,7 @@ def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
     combined = shifted_sum(f, shifts, domain)
     lo = min(f.domain.lo, domain.lo) + min(shifts) - 2
     hi = max(f.domain.hi, domain.hi) + max(shifts) + 2
-    if f.out_of_domain_low is None:  # f is read at j - max(shifts), from j = lo - 1
+    if f.below is None:  # f is read at j - max(shifts), from j = lo - 1
         lo = max(lo, f.domain.lo + max(shifts) + 1)
     dense = {j: sum(f.query(j - s) for s in shifts) for j in range(lo - 1, hi + 1)}
     for j in range(lo, hi + 1):
@@ -502,7 +535,7 @@ def assert_shifted_sum_is_the_dense_sum(f, shifts, domain):
     assert combined.calls == hi - lo + 1
     changes = [j for j in range(lo, hi + 1) if dense[j] != dense[j - 1]]
     starts = combined.starts
-    if f.out_of_domain_low is None:  # the table goes on below where f can be read
+    if f.below is None:  # the table goes on below where f can be read
         starts = [x for x in starts if x >= lo]
     assert starts == changes
     if combined.below is not None:
@@ -587,7 +620,7 @@ def shifted_terms(draw, lows=st.none() | st.integers(0, 9)):
 @given(terms=shifted_terms())
 def test_shifted_sum_is_the_per_term_sum_on_random_terms(terms):
     f, shifts = terms
-    lo = 0 if f.out_of_domain_low is not None else f.domain.lo + max(shifts)
+    lo = 0 if f.below is not None else f.domain.lo + max(shifts)
     assert_shifted_sum_is_the_dense_sum(f, shifts, IntInterval(lo, lo + 8))
 
 
@@ -599,7 +632,7 @@ def test_a_table_oracle_searches_like_a_black_box_of_the_same_sum(terms, k):
     table = shifted_sum(f, shifts, domain)
     box = FnOracle(domain, lambda j: sum(f.query(j - s) for s in shifts), below=table.below)
     # the sum moves the way f does, from its value below to its last value
-    search = SEARCH[UP if f.out_of_domain_low <= f.values[-1] else DOWN]
+    search = SEARCH[UP if f.below <= f.values[-1] else DOWN]
     assert search(table, k) == search(box, k)
     assert table.calls == box.calls
 
