@@ -12,13 +12,15 @@ a plain :class:`~approxcount.stepfunc.StepFunction`
 value above its domain is not the column's: only :func:`window_sum` reads
 the column past the half, from the half and the pivot.
 
-The count fills_n(R) = fills_n(P_n - R) is read at P_n - R. Column i is
-read only at P_n - R minus the cells of the later columns, so at
-{P_i - R..P_n - R}, directly or mirrored: a point below P_i - P_i//2
-mirrors onto P_i minus it, which is at most R <= P_n - R. So its half is
-kept only on the window {max(P_i - R, P_i - P_i//2)..min(P_i, P_n - R)},
-with no value below it. Column n's window is {P_n - R}, where the count is
-read.
+The recurrence sums the same cells in any column order, so the guarantee
+holds in any; the columns are taken largest first (:func:`by_size`), which
+narrows the windows below, and s_i and P_i follow that order. The count
+fills_n(R) = fills_n(P_n - R) is read at P_n - R. Column i is read only at
+P_n - R minus the cells of the later columns, so at {P_i - R..P_n - R},
+directly or mirrored: a point below P_i - P_i//2 mirrors onto P_i minus it,
+which is at most R <= P_n - R. So its half is kept only on the window
+{max(P_i - R, P_i - P_i//2)..min(P_i, P_n - R)}, with no value below it.
+Column n's window is {P_n - R}, where the count is read.
 
 :func:`fptas_contingency2` compresses once per column, one stage
 (P_{i-1}, s_i, window) each. With g the previous compressed column (column
@@ -158,8 +160,13 @@ def compress_contingency(phi: FnOracle, k: ApproxRatio) -> StepFunction:
     return apx_set_linear(knots, ws, k, below=phi.below)
 
 
+def by_size(col_sums: tuple[int, ...]) -> list[int]:
+    """The column order: largest sum first."""
+    return sorted(col_sums, reverse=True)
+
+
 def fptas_contingency2(inst: Contingency2Instance, epsilon) -> RunReport:
-    s, target = inst.col_sums, inst.pivot_sum
+    s, target = by_size(inst.col_sums), inst.pivot_sum
     pivots = list(accumulate(s))
     # column i is read only at P_n - R minus the later cells, on its half or mirrored
     query = pivots[-1] - target

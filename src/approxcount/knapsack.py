@@ -10,8 +10,8 @@ replaces each row by a step function compressed by binary search over
 :func:`strong_fptas_knapsack` counts the items left out: a subset weighs at
 most C exactly when they weigh at least W - C, W the total weight. So it is
 :func:`~approxcount.mtuples.strong_fptas_mtuples` on the sets {0, w_i} with
-the bound max(0, W - C), in the same band at work independent of the
-magnitude of the weights and the capacity.
+the bound max(0, W - C), which takes the items heaviest first, in the same
+band at work independent of the magnitude of the weights and the capacity.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ one-point stage is exact and does not count in m:
 
 * :func:`fptas_mtuples` compresses over the numeric domain {0..B} directly,
   so its work grows with log B;
-* :func:`strong_fptas_mtuples` compresses stage i only on its reachable window
+* :func:`strong_fptas_mtuples` takes the sets largest spread first
+  (:func:`by_spread`), which makes every window as narrow as any order can,
+  and compresses stage i only on its reachable window
   {max(0, B - later maxima)..max(0, B - later minima)}, the later maxima and
   minima being the sums of the maxima and minima of the sets after set i, so
   the last stage is {B}. Stage 1 reads tuples_0, known everywhere; stage i+1
@@ -23,7 +25,8 @@ one-point stage is exact and does not count in m:
   the plain one. :func:`~approxcount.knapsack.strong_fptas_knapsack` is this
   counter on the items a knapsack subset leaves out.
 
-Both return the same two-sided guarantee: exact <= count <= (1+epsilon)*exact.
+Both return the same two-sided guarantee in any set order, since the
+recurrence sums the same terms in any order: exact <= count <= (1+epsilon)*exact.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ def sums_after(values: Sequence[int]) -> list[int]:
     return list(accumulate(reversed(values), initial=0))[-2::-1]
 
 
+def by_spread(sets: Sequence[Sequence[int]]) -> list:
+    """The strong stage order: largest spread max(S) - min(S) first, ties as given."""
+    return sorted(sets, key=lambda s: max(s) - min(s), reverse=True)
+
+
 def fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     """Stagewise compression over the numeric domain {0..bound}."""
     full = IntInterval(0, inst.bound)
@@ -66,9 +74,9 @@ def strong_fptas_mtuples(inst: MTuplesInstance, epsilon) -> RunReport:
     compressed by :func:`~approxcount.incpoints.convert`, which takes the
     candidates from the sum's ``starts`` in the stage's window.
     """
-    b = inst.bound
-    highs = sums_after([max(s) for s in inst.sets])
-    lows = sums_after([min(s) for s in inst.sets])
+    b, sets = inst.bound, by_spread(inst.sets)
+    highs = sums_after([max(s) for s in sets])
+    lows = sums_after([min(s) for s in sets])
     windows = [IntInterval(max(0, b - hi), max(0, b - lo)) for hi, lo in zip(highs, lows)]
-    stages = list(zip(inst.sets, windows))
+    stages = list(zip(sets, windows))
     return run_stages(EMPTY_TUPLE_ROW, stages, epsilon, shifted_sum, convert)

@@ -59,8 +59,8 @@ class RunReport:
     ``chain_length`` is the exponent the per-stage ratio was chosen for:
     the number of stages whose domain has more than one point (0 when no
     stage has). ``stage_functions`` holds each compression's compressed
-    function in the order they were built; ``set_sizes`` are
-    their breakpoint counts.
+    function in the counter's stage order, which need not be the input's;
+    ``set_sizes`` are their breakpoint counts.
     """
 
     count: int

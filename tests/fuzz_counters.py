@@ -10,10 +10,12 @@ Each round draws one valid instance of each problem and an epsilon from
   the stage's domain: exact <= f <= k**i * exact, with k the per-stage
   ratio for the run's merging stages (those whose domain has more than one
   point) and i the merging stages up to this one; where f names a value
-  below its domain, that value is the row's below 0. Strong knapsack's
-  stages are checked against the rows of its left-out m-tuples instance,
-  and a contingency column's upper half at y against its row at P_i - y,
-  with no value below its domain;
+  below its domain, that value is the row's below 0. The strong counters
+  and contingency take their sets and columns in their own stage order
+  (largest spread or sum first), and their rows are tabulated in that
+  order. Strong knapsack's stages are checked against the rows of its
+  left-out m-tuples instance, and a contingency column's upper half at y
+  against its row at P_i - y, with no value below its domain;
 * the count against the band, exact <= count <= (1+eps)*exact, with the
   exact count from brute force or meet in the middle (knapsack, m-tuples)
   or inclusion-exclusion (contingency tables).
@@ -72,7 +74,9 @@ from approxcount import (
 )
 from approxcount import cli
 from approxcount.cli import payload_from_instance
+from approxcount.contingency import by_size
 from approxcount.knapsack import left_out
+from approxcount.mtuples import by_spread
 from approxcount.oracles import brute_knapsack, brute_mtuples
 from dp_tables import dp_contingency_sum_table, dp_knapsack_table, dp_mtuples_table
 from meet_in_the_middle import knapsack_mitm, mtuples_mitm
@@ -110,6 +114,11 @@ def _mtuples_rows(inst: MTuplesInstance):
     return dp_mtuples_table(inst), list(accumulate(map(len, inst.sets), mul))
 
 
+def _strong_rows(inst: MTuplesInstance):
+    """The rows of strong m-tuples' stages: its sets in its stage order."""
+    return _mtuples_rows(MTuplesInstance(by_spread(inst.sets), inst.bound))
+
+
 def draw(rng):
     """[(problem, instance, exact count, epsilon, [(counter, rows)])], one per
     problem and, in a count-only round, a wider knapsack and m-tuples
@@ -138,18 +147,20 @@ def draw(rng):
     wide_eps = eps if dense else max(eps, Fraction(1, 10))
 
     knap_rows = (dp_knapsack_table(knap)[1:], [0] * n) if dense else None
-    left_rows = _mtuples_rows(left_out(knap)) if dense else None
+    left_rows = _strong_rows(left_out(knap)) if dense else None
     tuple_rows = _mtuples_rows(tuples) if dense else None
+    strong_rows = _strong_rows(tuples) if dense else None
     table_rows = None
     if dense:  # column i is kept as its upper half: its value at y is row i's at P_i - y
-        rows = zip(list(accumulate(cols))[1:], dp_contingency_sum_table(table)[2:])
+        ordered = Contingency2Instance(table.row_sums, by_size(table.col_sums))
+        rows = zip(list(accumulate(ordered.col_sums))[1:], dp_contingency_sum_table(ordered)[2:])
         halves = [{p - j: v for j, v in enumerate(row)} for p, row in rows]
         table_rows = (halves, [None] * len(cols))
     drawn = [
         ("knapsack", knap, brute_knapsack(knap), eps, [
             (fptas_knapsack, knap_rows), (strong_fptas_knapsack, left_rows)]),
         ("mtuples", tuples, brute_mtuples(tuples), eps, [
-            (fptas_mtuples, tuple_rows), (strong_fptas_mtuples, tuple_rows)]),
+            (fptas_mtuples, tuple_rows), (strong_fptas_mtuples, strong_rows)]),
         ("contingency2", table, contingency_count(table), wide_eps, [
             (fptas_contingency2, table_rows)]),
     ]

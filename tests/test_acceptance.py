@@ -18,9 +18,9 @@ from fractions import Fraction
 from itertools import accumulate
 from time import perf_counter
 
-from approxcount.contingency import fptas_contingency2
-from approxcount.knapsack import fptas_knapsack, strong_fptas_knapsack
-from approxcount.mtuples import fptas_mtuples, strong_fptas_mtuples
+from approxcount.contingency import by_size, fptas_contingency2
+from approxcount.knapsack import fptas_knapsack, left_out, strong_fptas_knapsack
+from approxcount.mtuples import by_spread, fptas_mtuples, strong_fptas_mtuples
 from approxcount.oracles import (
     Contingency2Instance,
     KnapsackInstance,
@@ -298,18 +298,20 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         inst = random_knapsack(rng)
         if inst.capacity > 500:
             continue
-        rows = dp_knapsack_table(inst)
+        # the counter takes the items heaviest first, ties as given
+        weights = [w for _, w in by_spread(left_out(inst).sets)]
+        rows = dp_knapsack_table(KnapsackInstance(weights, inst.capacity))
         rep = strong_fptas_knapsack(inst, eps)
         k = ratio(rep, eps)
         power = Fraction(1)
         # stage i counts the subsets of the first i items that leave out at
         # least j of their weight W_i, so keep at most W_i - j; B = W - C
-        bound = max(0, sum(inst.weights) - inst.capacity)
+        bound = max(0, sum(weights) - inst.capacity)
         for i, (func, row) in enumerate(zip(rep.stage_functions, rows[1:])):
             power *= k if func.domain.lo < func.domain.hi else 1
-            window = range(max(0, bound - sum(inst.weights[i + 1 :])), bound + 1)
+            window = range(max(0, bound - sum(weights[i + 1 :])), bound + 1)
             assert (func.domain.lo, func.domain.hi) == (window[0], window[-1])
-            kept = sum(inst.weights[: i + 1])
+            kept = sum(weights[: i + 1])
             for j in window:
                 exact = row[kept - j] if j <= kept else 0
                 assert exact <= func.query(j) <= power * exact
@@ -317,8 +319,10 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         inst = random_contingency(rng, n_max=8)
         rep = fptas_contingency2(inst, eps)
         k = ratio(rep, eps)
-        rows = dp_contingency_sum_table(inst, width=inst.total)
-        pivots = list(accumulate(inst.col_sums))[1:]
+        # the counter takes the columns largest first
+        ordered = Contingency2Instance(inst.row_sums, by_size(inst.col_sums))
+        rows = dp_contingency_sum_table(ordered, width=inst.total)
+        pivots = list(accumulate(ordered.col_sums))[1:]
         power = Fraction(1)
         for half, pivot, row in zip(rep.stage_functions, pivots, rows[2:]):
             dom = half.domain

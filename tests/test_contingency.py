@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import pytest
 
-from approxcount.contingency import compress_contingency, fptas_contingency2, window_sum
+from approxcount.contingency import by_size, compress_contingency, fptas_contingency2, window_sum
 from approxcount.errors import InvalidInput, MonotonicityViolation
 from approxcount.oracles import (
     Contingency2Instance,
@@ -236,8 +236,9 @@ def test_sandwich_randomized(eps):
 
 
 def column_windows(inst):
-    """Column i's window of its upper half: the points P_n - R minus the later cells reads."""
-    pivots = list(accumulate(inst.col_sums))
+    """Column i's window of its upper half, in the counter's column order: the
+    points P_n - R minus the later cells reads."""
+    pivots = list(accumulate(by_size(inst.col_sums)))
     query = pivots[-1] - inst.pivot_sum
     return [IntInterval(max(p - inst.pivot_sum, p - p // 2), min(p, query)) for p in pivots]
 
@@ -272,9 +273,8 @@ def test_every_read_of_a_column_lands_in_its_window_or_below_zero():
         rep = fptas_contingency2(inst, Fraction(1, 2))
         if not rep.stage_functions:
             continue
-        halves = [first_column(inst), *rep.stage_functions]
-        pivots = list(accumulate(inst.col_sums))
-        for half, pivot, s, nxt in zip(halves, pivots, inst.col_sums[1:], halves[1:]):
+        halves, cols = [first_column(inst), *rep.stage_functions], by_size(inst.col_sums)
+        for half, pivot, s, nxt in zip(halves, accumulate(cols), cols[1:], halves[1:]):
             dom = half.domain
             mirrored = dom.lo == pivot - pivot // 2
             for t in range(nxt.domain.lo - s, nxt.domain.hi + 1):
@@ -335,18 +335,20 @@ def test_report_counts_oracle_traffic():
 # are the ends of the window sum's one piece list, the second row's column 3
 # (pivot 8, window {6..12} of its upper half) has no knot at 9, where the
 # previous column does not change (13 calls before). Keeping upper halves
-# changed none of these values.
+# changed none of these values. Since the columns run largest first, the
+# windows narrow (159, 10 calls, [5, 4, 1] and 118, 12 calls, [4, 6, 1]
+# before, with the columns as given).
 @pytest.mark.parametrize(
     "rows, cols, eps, count, calls, sizes, chain",
     [
-        # windows {6..11}, {8..12} and {12}
+        # columns 6, 6, 5, 4: windows {6..12}, {9..12} and {12}
         pytest.param(
-            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 159, 10, [5, 4, 1], 2,
+            (9, 12), (5, 6, 4, 6), Fraction(1, 2), 155, 9, [6, 3, 1], 2,
             id="rows0-cols0-eps0-145-90-sizes0-3",
         ),
-        # R < s_n: windows {4..8}, {6..12} and {14}
+        # columns 12, 5, 4, 3, R < s_1: windows {9..14}, {11..14} and {14}
         pytest.param(
-            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 118, 12, [4, 6, 1], 2,
+            (10, 14), (3, 5, 4, 12), Fraction(1, 4), 120, 9, [3, 2, 1], 2,
             id="rows1-cols1-eps1-116-88-sizes1-3",
         ),
     ],
@@ -385,10 +387,10 @@ def first_column(inst):
 
 
 def columns_with_inputs(inst, rep):
-    """Each compressed half with the half and pivot before it and its column sum."""
-    prev = [first_column(inst), *rep.stage_functions[:-1]]
-    pivots = accumulate(inst.col_sums)
-    return zip(prev, pivots, inst.col_sums[1:], rep.stage_functions)
+    """Each compressed half with the half and pivot before it and its column
+    sum, in the counter's column order."""
+    prev, cols = [first_column(inst), *rep.stage_functions[:-1]], by_size(inst.col_sums)
+    return zip(prev, accumulate(cols), cols[1:], rep.stage_functions)
 
 
 @pytest.mark.parametrize("cell_max", [3, 30, 10**6])

@@ -20,6 +20,7 @@ import pytest
 
 from approxcount.errors import InvalidInput
 from approxcount.knapsack import fptas_knapsack, left_out, strong_fptas_knapsack
+from approxcount.mtuples import by_spread
 from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
 from dp_tables import dp_knapsack_table
@@ -134,13 +135,15 @@ def test_set_sizes_logarithmic_in_subset_count():
 class TestStageInvariants:
     """Dense per-stage checks of the strong counter, capacities <= 500, each
     stage over its reachable window {max(0, B - W_after_i)..B} of left-out
-    weights, W_after_i the weight of the items after item i."""
+    weights, W_after_i the weight of the items after item i in the counter's
+    stage order, heaviest first."""
 
     def run_one(self, inst, eps):
         rep = strong_fptas_knapsack(inst, eps)
         k = ApproxRatio.for_stages(eps, max(rep.chain_length, 1)).k
         b = max(0, sum(inst.weights) - inst.capacity)
-        exact_rows = dp_knapsack_table(inst)
+        weights = [w for _, w in by_spread(left_out(inst).sets)]
+        exact_rows = dp_knapsack_table(KnapsackInstance(weights, inst.capacity))
         candidates = stage_candidates(rep, left_out(inst))
 
         def prev_query(j):
@@ -148,9 +151,9 @@ class TestStageInvariants:
 
         power = Fraction(1)
         prev = prev_query
-        for i, w_i in enumerate(inst.weights):
+        for i, w_i in enumerate(weights):
             func = rep.stage_functions[i]
-            lo = max(0, b - sum(inst.weights[i + 1 :]))
+            lo = max(0, b - sum(weights[i + 1 :]))
             assert (func.domain.lo, func.domain.hi) == (lo, b)
             window = range(lo, b + 1)
             raw = {j: prev(j) + prev(j - w_i) for j in window}
@@ -169,7 +172,7 @@ class TestStageInvariants:
 
             # (2) the compressed row is a k^i-approximation of the exact row;
             # its subsets leave out at least j, so they keep at most W_i - j.
-            kept = sum(inst.weights[: i + 1])
+            kept = sum(weights[: i + 1])
             exact = [exact_rows[i + 1][kept - j] if j <= kept else 0 for j in window]
             for j, e in zip(window, exact):
                 assert e <= dense[j] <= power * e

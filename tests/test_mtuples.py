@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from approxcount.errors import InvalidInput
-from approxcount.mtuples import fptas_mtuples, strong_fptas_mtuples
+from approxcount.mtuples import by_spread, fptas_mtuples, strong_fptas_mtuples
 from approxcount.oracles import MTuplesInstance, brute_mtuples, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
 from dp_tables import dp_mtuples_table
@@ -157,8 +157,9 @@ def test_per_stage_ratio_bound():
 
 
 def _window(inst, i):
-    """Stage i's reachable window: B less the later maxima to B less the later minima."""
-    later = inst.sets[i + 1 :]
+    """Stage i's reachable window: B less the later maxima to B less the later
+    minima, the later sets those after the i-th in the counter's stage order."""
+    later = by_spread(inst.sets)[i + 1 :]
     return range(max(0, inst.bound - sum(map(max, later))), max(0, inst.bound - sum(map(min, later))) + 1)
 
 
@@ -182,14 +183,14 @@ def test_candidates_cover_strict_decreases():
     for _ in range(25):
         inst = random_instance(rng)
         rep = strong_fptas_mtuples(inst, Fraction(1, 2))
-        prev = None
+        prev, sets = None, by_spread(inst.sets)
         for i, (inc, func) in enumerate(zip(stage_candidates(rep, inst), rep.stage_functions)):
             window = _window(inst, i)
             if i == 0:
-                ordered = sorted(inst.sets[0])
+                ordered = sorted(sets[0])
                 raw = [len(ordered) - sum(1 for x in ordered if x < j) for j in window]
             else:
-                xs = inst.sets[i]
+                xs = sets[i]
                 raw = [sum(prev.query(j - x) for x in xs) for j in window]
             drops = {window[t] for t in range(1, len(raw)) if raw[t] < raw[t - 1]}
             assert drops <= set(inc)

@@ -35,9 +35,10 @@ from approxcount import (
     strong_fptas_knapsack,
     strong_fptas_mtuples,
 )
+from approxcount.contingency import by_size
 from approxcount.incpoints import IncIndex
 from approxcount.knapsack import left_out
-from approxcount.mtuples import EMPTY_TUPLE_ROW
+from approxcount.mtuples import EMPTY_TUPLE_ROW, by_spread
 from strong_candidates import stage_candidates
 
 README_KNAPSACK = KnapsackInstance(weights=(3, 5, 8, 9), capacity=17)
@@ -47,8 +48,8 @@ GOLDEN = MTuplesInstance(sets=((1, 3, 7), (2, 5), (3, 9)), bound=17)
 def test_readme_library_example():
     rep = strong_fptas_knapsack(README_KNAPSACK, Fraction(1, 4))
     assert rep.count == 13
-    assert rep.oracle_calls == 15
-    assert rep.set_sizes == [4, 5, 5, 1]
+    assert rep.oracle_calls == 10
+    assert rep.set_sizes == [3, 3, 3, 1]
 
 
 def test_readme_library_block_prints_what_its_comments_say(capsys):
@@ -84,7 +85,11 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
 # points (16, 13 calls and sizes [3, 4, 2, 1] before). Since strong knapsack
 # counts the left-out items as m-tuples, its row pins the complement's
 # stages on the windows {0..8}, {0..8}, {0..8} and {8} (16, 9 calls and
-# sizes [2, 2, 2, 1] before).
+# sizes [2, 2, 2, 1] before). Since the strong counters take their sets
+# largest spread first, the strong knapsack row runs on the weights 9, 8, 5,
+# 3 and GOLDEN's rows on {1, 3, 7}, {3, 9}, {2, 5}, and evaluate fewer
+# candidates (10 calls with sizes [3, 2, 2, 1] before for the knapsack row;
+# 9 calls with sizes [3, 3, 1] and 10 with [4, 5, 1] for the m-tuples rows).
 @pytest.mark.parametrize(
     "counter, inst, eps, count, calls, sizes",
     [
@@ -97,7 +102,7 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
             id="fptas_knapsack-inst1-7-13-89-sizes1",
         ),
         pytest.param(
-            strong_fptas_knapsack, README_KNAPSACK, 7, 16, 10, [3, 2, 2, 1],
+            strong_fptas_knapsack, README_KNAPSACK, 7, 16, 8, [2, 2, 2, 1],
             id="strong_fptas_knapsack-inst2-7-13-98-sizes2",
         ),
         pytest.param(
@@ -109,11 +114,11 @@ def test_readme_library_block_prints_what_its_comments_say(capsys):
             id="fptas_mtuples-inst4-eps4-3-85-sizes4",
         ),
         pytest.param(
-            strong_fptas_mtuples, GOLDEN, 7, 4, 9, [3, 3, 1],
+            strong_fptas_mtuples, GOLDEN, 7, 4, 7, [3, 2, 1],
             id="strong_fptas_mtuples-inst5-7-6-39-sizes5",
         ),
         pytest.param(
-            strong_fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 10, [4, 5, 1],
+            strong_fptas_mtuples, GOLDEN, Fraction(1, 2), 3, 8, [4, 3, 1],
             id="strong_fptas_mtuples-inst6-eps6-3-94-sizes6",
         ),
     ],
@@ -122,6 +127,45 @@ def test_operation_counts_are_pinned(counter, inst, eps, count, calls, sizes):
     rep = counter(inst, eps)
     assert (rep.count, rep.oracle_calls, rep.set_sizes) == (count, calls, sizes)
     assert rep.chain_length == sum(size > 1 for size in sizes)
+
+
+def _whole(rep):
+    """Every field of a report, each stage function as its JSON."""
+    stages = [f.to_json() for f in rep.stage_functions]
+    return rep.count, rep.oracle_calls, rep.set_sizes, rep.chain_length, stages
+
+
+def test_a_permutation_of_the_instance_gives_the_same_report():
+    # Strong knapsack takes its items heaviest first and contingency its
+    # columns largest first, by a stable sort; equal weights and equal
+    # columns are equal values, so any permutation gives the same report, to
+    # the last stage. Strong m-tuples takes its sets largest spread first,
+    # and sets of equal spread keep their input order, so a permutation that
+    # keeps that order gives the same report. Plain fptas keeps the order it
+    # is given.
+    assert by_spread([(0, 2), (5, 7), (1, 9)]) == [(1, 9), (0, 2), (5, 7)]
+    assert by_spread([(5, 7), (1, 9), (0, 2)]) == [(1, 9), (5, 7), (0, 2)]
+    rng, tuple_runs = random.Random(1515), 0
+    for eps, knap, tuples, table in _sweep_instances(rounds=100):
+        weights, sets, cols = list(knap.weights), list(tuples.sets), list(table.col_sums)
+        for values in (weights, sets, cols):
+            rng.shuffle(values)
+        runs = [
+            (strong_fptas_knapsack, knap, KnapsackInstance(weights, knap.capacity)),
+            (fptas_contingency2, table, Contingency2Instance(table.row_sums, cols)),
+        ]
+        if by_spread(sets) == by_spread(tuples.sets):
+            runs.append((strong_fptas_mtuples, tuples, MTuplesInstance(sets, tuples.bound)))
+            tuple_runs += 1
+        for counter, inst, permuted in runs:
+            assert _whole(counter(permuted, eps)) == _whole(counter(inst, eps)), (counter, inst)
+    assert tuple_runs >= 50
+    given = _whole(strong_fptas_mtuples(MTuplesInstance([(0, 2), (5, 7), (1, 9)], 12), Fraction(1, 10)))
+    for tied in ([(1, 9), (0, 2), (5, 7)], [(0, 2), (1, 9), (5, 7)]):
+        assert _whole(strong_fptas_mtuples(MTuplesInstance(tied, 12), Fraction(1, 10))) == given
+    reversed_knap = KnapsackInstance(README_KNAPSACK.weights[::-1], README_KNAPSACK.capacity)
+    plain = [fptas_knapsack(inst, Fraction(1, 4)).set_sizes for inst in (README_KNAPSACK, reversed_knap)]
+    assert plain == [[4, 8, 14, 16], [4, 6, 11, 16]]
 
 
 def test_every_counter_returns_one_report_type():
@@ -205,7 +249,7 @@ def test_strong_candidates_are_the_piece_starts_in_the_domain(monkeypatch):
             candidates = stage_candidates(rep, out)
             assert recorded == candidates and len(candidates) == len(out.sets)
             prev = EMPTY_TUPLE_ROW
-            for shifts, points, func in zip(out.sets, candidates, rep.stage_functions):
+            for shifts, points, func in zip(by_spread(out.sets), candidates, rep.stage_functions):
                 dom = func.domain
                 starts = shifted_sum(prev, shifts, dom).starts
                 assert set(points) == {dom.lo, dom.hi} | {p for p in starts if p in dom}
@@ -288,17 +332,17 @@ def _sweep_text():
             rep = counter(inst, eps)
             stages = [f.to_json() for f in rep.stage_functions]
             if counter is fptas_contingency2:  # each column's half with its pivot P_i
-                stages = [[p, f] for p, f in zip(list(accumulate(inst.col_sums))[1:], stages)]
+                stages = [[p, f] for p, f in zip(list(accumulate(by_size(inst.col_sums)))[1:], stages)]
             row = [counter.__name__, i, str(rep.count), rep.set_sizes, rep.chain_length]
             lines.append(json.dumps(row + [stages]))
     return "\n".join(lines)
 
 
 def _windowed(tuples):
-    """[(shifts, window)] of strong m-tuples on ``tuples``."""
-    b, stages = tuples.bound, []
-    for i, shifts in enumerate(tuples.sets):
-        later = tuples.sets[i + 1 :]
+    """[(shifts, window)] of strong m-tuples on ``tuples``, in its stage order."""
+    b, stages, sets = tuples.bound, [], by_spread(tuples.sets)
+    for i, shifts in enumerate(sets):
+        later = sets[i + 1 :]
         hi, lo = sum(map(max, later)), sum(map(min, later))
         stages.append((shifts, IntInterval(max(0, b - hi), max(0, b - lo))))
     return stages
@@ -478,9 +522,14 @@ def test_walked_stages_fall_by_more_than_k_at_every_kept_point():
 # 219420838ba68be7143447845df44fe75563bf3b6d16a483ae87fbb838db54ba): to_json
 # lost its "direction" key, and that text with every such key removed gives
 # the new digest; nothing else changed.
+# Re-pinned when strong m-tuples began to take its sets largest spread first
+# and contingency its columns largest sum first (it was
+# fab7058c09bc978441f95d5133a52b25c5beaf190729ec8b930b56b9b3cff291): 11
+# strong knapsack, 14 strong m-tuples and 6 contingency lines changed, where
+# the order changed; every plain line is the same byte for byte.
 def test_seeded_sweep_output_is_unchanged():
     digest = hashlib.sha256(_sweep_text().encode()).hexdigest()
-    assert digest == "fab7058c09bc978441f95d5133a52b25c5beaf190729ec8b930b56b9b3cff291"
+    assert digest == "863ebb914b118017ddf1773adfe8c201d591a5d7f8a71e76f202f325339f2cfe"
 
 
 def test_a_wrapper_patched_on_the_class_counts_every_evaluation(monkeypatch):
