@@ -23,7 +23,6 @@ from .oracles import (
     MTuplesInstance,
     brute_knapsack,
     brute_mtuples,
-    dp_contingency_sub,
     dp_contingency_sum,
     dp_knapsack,
     dp_mtuples,
@@ -37,8 +36,8 @@ from .stepfunc import (
     apx_set_linear,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
+    read_epsilon,
     shifted_sum,
-    to_fraction,
 )
 
 __all__ = [
@@ -58,17 +57,16 @@ __all__ = [
     "apx_set_nonincreasing",
     "brute_knapsack",
     "brute_mtuples",
-    "dp_contingency_sub",
     "dp_contingency_sum",
     "dp_knapsack",
     "dp_mtuples",
     "fptas_contingency2",
     "fptas_knapsack",
     "fptas_mtuples",
+    "read_epsilon",
     "shifted_sum",
     "strong_fptas_knapsack",
     "strong_fptas_mtuples",
-    "to_fraction",
 ]
 
 __version__ = "0.1.0"

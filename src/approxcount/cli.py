@@ -11,16 +11,16 @@ by problem (the PROBLEMS table):
     contingency2  {"row_sums": ["2","2"], "col_sums": ["2","1","1"]}
 
 ``count`` and ``verify`` emit one JSON result object per input line;
-``bench`` emits RFC 4180 CSV. Epsilon is parsed to an exact rational
-(accepts "0.25", "1/4", "7") and the verify sandwich check is exact
-rational arithmetic, never floating point.
+``bench`` emits RFC 4180 CSV. Epsilon is read to an exact rational by
+``read_epsilon`` (accepts "0.25", "1/4", "7"); the verify sandwich check is
+exact rational arithmetic, never floating point.
 
 Exit codes: 0 success, 1 verification violation, 2 bad input or usage, 3 a
-resource cap tripped (the exact oracles' caps are in oracles, the
-kept-breakpoint cap in stagewise, the ratio's bit cap in stepfunc), 4 an
-unexpected internal error. When loading or counting one instance of an input
-file fails, the message names its line as FILE:N; records already written stay
-written.
+resource cap tripped (the exact oracles' caps in oracles, the kept-breakpoint
+cap in stagewise, the ratio's bit cap in stepfunc, also on epsilon and each
+--scales power as they are read), 4 an unexpected internal error. When
+loading or counting one instance of an input file fails, the message names
+its line as FILE:N; records already written stay written.
 
 ``main(argv)`` runs one command and returns its exit code; a process may call
 it any number of times. The first call builds the parser (``build_parser``)
@@ -59,7 +59,7 @@ from .oracles import (
     dp_mtuples,
 )
 from .stagewise import RunReport
-from .stepfunc import decimal_text, to_fraction
+from .stepfunc import _CAP_DIGITS, RATIO_BIT_CAP, decimal_text, read_epsilon
 
 
 # The generator's size flags: name -> (default, least value, help).
@@ -171,16 +171,6 @@ def load_instances(path: str, problem_override: str | None):
             yield lineno, problem, inst
 
 
-def _parse_epsilon(text: str) -> Fraction:
-    try:
-        eps = to_fraction(text)
-    except InvalidInput as exc:
-        raise InvalidInput(f"epsilon {text!r} is not a rational number") from exc
-    if eps <= 0:
-        raise InvalidInput("epsilon must be positive")
-    return eps
-
-
 # (problem, mode) -> counter(instance, epsilon). Each entry looks its counter
 # up by name when called, so rebinding a module attribute (as an outside
 # tracer does) reaches every dispatch.
@@ -249,7 +239,7 @@ def cmd_count(args) -> int:
     """``count``, and ``verify``: the count checked against the exact DP, one
     summary line after the records, exit 1 on a violation."""
     verify = args.command == "verify"
-    eps = _parse_epsilon(args.epsilon) if args.epsilon is not None else None
+    eps = read_epsilon(args.epsilon) if args.epsilon is not None else None
     if args.mode in APPROX_MODES and eps is None:
         raise InvalidInput(f"--epsilon is required for mode {args.mode}")
     if args.problem:  # checked once, even when no instance arrives
@@ -340,10 +330,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    eps_list = [_parse_epsilon(tok) for tok in args.epsilon.split(",")] if args.epsilon else []
+    eps_list = [read_epsilon(tok) for tok in args.epsilon.split(",")] if args.epsilon else []
     scales = [_as_int(tok, "--scales") for tok in args.scales.split(",")]
     if any(k < 0 for k in scales):
         raise InvalidInput("scale exponents must be nonnegative")
+    if max(scales) > _CAP_DIGITS:  # refused before 10**k is built
+        raise TooLarge(f"--scales: 10**{max(scales)} passes the {RATIO_BIT_CAP}-bit cap")
     (base,) = _drawn(args, 1)
     size = getattr(args, PROBLEMS[args.problem].sizes[0])
 

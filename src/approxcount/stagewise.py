@@ -40,11 +40,11 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooLarge
-from .stepfunc import ApproxRatio, StepFunction, to_fraction
+from .stepfunc import ApproxRatio, StepFunction, read_epsilon
 
 
 # The report keeps every stage's function, so the kept breakpoints bound a run's
-# memory. A 60-column contingency table with cells up to 1e6 at eps 1/2 keeps 640k.
+# memory. A 60-column contingency table with cells up to 1e6 at eps 1/2 keeps 360,730.
 KEPT_BREAKPOINT_CAP = 10_000_000
 
 # A process chooses k once per (epsilon's exact value, stages): a long epsilon's
@@ -79,7 +79,7 @@ def run_stages(first: StepFunction, stages: Sequence, epsilon, exact, compress) 
     """
     # a one-point stage is one exact evaluation: it merges nothing, adds no ratio
     merging = sum(dom.lo < dom.hi for *_, dom in stages)
-    ratio = _ratio(to_fraction(epsilon), max(merging, 1))
+    ratio = _ratio(read_epsilon(epsilon), max(merging, 1))
     approx = first
     calls = kept = 0
     stage_functions = []

@@ -46,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 from operator import floordiv, ge, le, lt, mul, sub
@@ -70,26 +70,6 @@ class IntInterval:
         return self.lo <= x <= self.hi
 
 
-def to_fraction(value) -> Fraction:
-    """Exact rational from int, Fraction, float, or text such as "0.25",
-    "1e-3" or "1/4", at any length.
-
-    Floats are routed through their shortest decimal repr, so to_fraction(0.1)
-    is exactly 1/10 rather than the binary float it would otherwise denote.
-    Text is read through Decimal, which takes digits past int()'s limit;
-    text that is not a rational raises InvalidInput.
-    """
-    if isinstance(value, float):
-        value = str(value)
-    if not isinstance(value, str):
-        return Fraction(value)
-    num, slash, den = value.partition("/")
-    try:
-        return Fraction(Decimal(num)) / (Fraction(Decimal(den)) if slash else 1)
-    except (ValueError, ArithmeticError) as exc:  # ZeroDivisionError, InvalidOperation, inf
-        raise InvalidInput(f"{value!r} is not a rational number") from exc
-
-
 def decimal_text(q: int | Fraction) -> str:
     """str(q) at any length; str() refuses more digits than sys.get_int_max_str_digits()."""
     n, d = q.as_integer_ratio()
@@ -101,6 +81,37 @@ _PRECISION_BITS = 96  # of the dyadic k; doubled while the root rounds down to 1
 # The bits of (a + b) << prec*stages, for epsilon = a/b, the integer k's root is
 # taken from at precision prec; 1000 stages at epsilon 1/2 reach 96,002.
 RATIO_BIT_CAP = 1_000_000
+
+# 10**d has at most RATIO_BIT_CAP bits exactly when d <= _CAP_DIGITS, 301,029
+_CAP_DIGITS = Context().power(2, RATIO_BIT_CAP).adjusted()
+
+
+def read_epsilon(value) -> Fraction:
+    """Epsilon as an exact positive rational, from an int, a Fraction, a float
+    or Decimal (by its shortest text: 0.1 is 1/10), or text such as "0.25",
+    "1e-3" or "1/4" at any length, read through Decimal. InvalidInput is
+    raised for text that is not a rational and for epsilon <= 0; TooLarge
+    when epsilon's numerator plus denominator passes RATIO_BIT_CAP bits, or
+    when a part d of the text does, judged before any Fraction is built from
+    d.adjusted(): d or 1/d is at least 10**(|d.adjusted()| - 1).
+    """
+    if isinstance(value, (float, Decimal)):
+        value = str(value)
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        try:
+            parts = Decimal(num), Decimal(den if slash else 1)
+            if max(abs(d.adjusted()) for d in parts) - 1 > _CAP_DIGITS:
+                raise TooLarge(f"epsilon passes the {RATIO_BIT_CAP}-bit cap")
+            value = Fraction(parts[0]) / Fraction(parts[1])
+        except (ValueError, ArithmeticError) as exc:  # InvalidOperation, x/0, inf, nan
+            raise InvalidInput(f"epsilon {value!r} is not a rational number") from exc
+    eps = Fraction(value)
+    if eps <= 0:
+        raise InvalidInput("epsilon must be positive")
+    if (eps.numerator + eps.denominator).bit_length() > RATIO_BIT_CAP:
+        raise TooLarge(f"epsilon passes the {RATIO_BIT_CAP}-bit cap")
+    return eps
 
 
 def _root(n: int, s: int) -> int:
@@ -148,9 +159,7 @@ class ApproxRatio:
 
     @classmethod
     def for_stages(cls, epsilon, stages: int) -> "ApproxRatio":
-        eps = to_fraction(epsilon)
-        if eps <= 0:
-            raise InvalidInput("epsilon must be positive")
+        eps = read_epsilon(epsilon)
         if stages < 1:
             raise InvalidInput("stages must be positive")
         a, b = eps.as_integer_ratio()

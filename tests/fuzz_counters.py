@@ -17,17 +17,22 @@ Each round draws one valid instance of each problem and an epsilon from
   left-out m-tuples instance, and a contingency column's upper half at y
   against its row at P_i - y, with no value below its domain;
 * the count against the band, exact <= count <= (1+eps)*exact, with the
-  exact count from brute force or meet in the middle (knapsack, m-tuples)
-  or inclusion-exclusion (contingency tables).
+  exact count from brute force or meet in the middle (knapsack, m-tuples),
+  inclusion-exclusion (contingency tables) or the closed forms of
+  :mod:`closed_forms`.
 
 Values are 0 or 1 at the edges, else small; one round in five draws values
 up to 10**40, whose rows are too wide to tabulate, and checks only the
-count, with epsilon at least 1/10 for the table and for a knapsack of 9-24
-items and an m-tuples instance of 5-10 sets, drawn in these rounds only and
-counted by meet in the middle; kept breakpoints grow as
-log(values)/epsilon. Bounds and capacities are 0, 1, the total, the total
--1, random, or past the total: by 1, or in the count-only rounds by up to
-10**30.
+count, with epsilon at least 1/10 for the table and for the instances
+drawn in these rounds only: a knapsack of 9-24 items and an m-tuples
+instance of 5-10 sets, counted by meet in the middle, and two families
+past its reach, counted by closed forms: a knapsack of 1-100 items of 2-4
+distinct weights, also counted by plain fptas at 30 items or fewer, and a
+table of 1-10 equal columns of up to 10**40, or of 1-30 of up to 10**6;
+kept breakpoints grow as log(values)/epsilon, so 30 columns of 10**40
+are too slow for one round. Bounds and capacities are 0, 1, the total,
+the total -1, random, or past the total: by 1, or in the count-only rounds
+by up to 10**30.
 
 A second loop runs the command line, ``cli.main``, in process. Each round
 writes one line per problem to a file in a temporary directory: a random
@@ -35,11 +40,12 @@ payload, or one broken by wrong types and bools, empty lists,
 inconsistent margins, missing fields, or values of 0, 1, 2, 2**64 and
 10**40, negative ones included. It runs ``count`` on that file in every
 mode and ``verify`` in every approximate mode, for every problem, at an
-epsilon of 1/10 or more, or at one that does not parse. Every exit code
-must be 0, 2 or 3: 1 would be a count outside its band and 4 an internal
-error. A table whose margins disagree, and that nothing else broke, must
-exit 2 on every command. The two loops take turns, one round each, on their
-own seeds.
+epsilon of 1/10 or more, at one that does not parse, or at 10**-N for N
+from 10**6 to 10**9. Every exit code must be 0, 2 or 3: 1 would be a count
+outside its band and 4 an internal error. A table whose margins disagree,
+and that nothing else broke, must exit 2 on every command, and 10**-N
+must exit 3, since epsilon is read before the file. The two loops take
+turns, one round each, on their own seeds.
 
 On the first failure the script prints the instance as one JSON line that
 ``approxcount count`` reads, names the counter or command, epsilon and the
@@ -78,6 +84,7 @@ from approxcount.contingency import by_size
 from approxcount.knapsack import left_out
 from approxcount.mtuples import by_spread
 from approxcount.oracles import brute_knapsack, brute_mtuples
+from closed_forms import equal_columns, knapsack_by_distinct_weights
 from dp_tables import dp_contingency_sum_table, dp_knapsack_table, dp_mtuples_table
 from meet_in_the_middle import knapsack_mitm, mtuples_mitm
 
@@ -168,11 +175,24 @@ def draw(rng):
         return drawn
     # up to 2^24 subsets or 4^10 tuples, too many to list each round: meet in the middle
     wide_knap, wide_tuples = knapsack(rng.randint(9, 24)), mtuples(rng.randint(5, 10))
+    # past meet in the middle, closed forms: few distinct weights, equal columns
+    values = _values(rng, rng.randint(2, 4), 1, top)
+    weights = [rng.choice(values) for _ in range(rng.randint(1, 100))]
+    few = KnapsackInstance(tuple(weights), _bound(rng, sum(weights), past()))
+    plain = [(fptas_knapsack, None)] if len(weights) <= 30 else []  # up to 1.5 s at 30, eps 1/10
+    columns, cell = rng.choice(((10, top), (30, 10**6)))
+    columns, s = rng.randint(1, columns), _values(rng, 1, 1, cell)[0]
+    r1 = min(_bound(rng, columns * s), columns * s)
+    equal = Contingency2Instance((r1, columns * s - r1), (s,) * columns)
     return drawn + [
         ("knapsack", wide_knap, knapsack_mitm(wide_knap.weights, wide_knap.capacity), wide_eps, [
             (fptas_knapsack, None), (strong_fptas_knapsack, None)]),
         ("mtuples", wide_tuples, mtuples_mitm(wide_tuples.sets, wide_tuples.bound), wide_eps, [
             (fptas_mtuples, None), (strong_fptas_mtuples, None)]),
+        ("knapsack", few, knapsack_by_distinct_weights(weights, few.capacity), wide_eps, [
+            (strong_fptas_knapsack, None), *plain]),
+        ("contingency2", equal, equal_columns(columns, s, equal.pivot_sum), wide_eps, [
+            (fptas_contingency2, None)]),
     ]
 
 
@@ -262,7 +282,11 @@ def cli_round(rng, folder) -> tuple[int, str | None]:
         path = os.path.join(folder, "instance.jsonl")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(line + "\n")
-        eps = rng.choice(BAD_EPSILONS) if rng.random() < 0.05 else rng.choice(EPSILONS)
+        eps, odd = rng.choice(EPSILONS), rng.random()
+        if odd < 0.05:
+            eps = rng.choice(BAD_EPSILONS)
+        elif odd < 0.1:  # past the ratio cap when read, before the file is
+            eps, allowed = f"1e-{rng.randint(10**6, 10**9)}", {3}
         runs = [["count", "--mode", mode] for mode in cli.MODES]
         runs += [["verify", "--mode", mode] for mode in cli.APPROX_MODES]
         for run in runs:
@@ -315,7 +339,8 @@ def main(argv=None) -> int:
                 return 1
             rounds += 1
     print(f"{rounds} rounds: {runs} runs, every stage and count in its band; "
-          f"{calls} commands, each exited 0, 2 or 3, and 2 on disagreeing margins")
+          f"{calls} commands, each exited 0, 2 or 3, 2 on disagreeing margins "
+          "and 3 past the ratio cap")
     return 0
 
 

@@ -471,6 +471,60 @@ def test_exit_three_at_once_on_an_epsilon_past_the_ratio_cap(tmp_path, capsys, m
     assert perf_counter() - t0 < 1
 
 
+CAP_TEXT = f"passes the {stepfunc.RATIO_BIT_CAP}-bit cap"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(
+            pytest.param(
+                [*command, "--epsilon", eps],
+                f"epsilon {CAP_TEXT}",
+                id=f"{name}-{eps}",
+            )
+            for eps in ("1e-999999999", "1e999999999", "1e-30000000")
+            for name, command in (
+                ("count-golden", ["count", "GOLDEN"]),
+                ("count-empty", ["count", "EMPTY"]),
+                ("verify", ["verify", "--problem", "knapsack"]),
+                ("bench", ["bench", "--problem", "knapsack"]),
+            )
+        ),
+        pytest.param(
+            ["bench", "--problem", "knapsack", "--scales", "999999999"],
+            f"--scales: 10**999999999 {CAP_TEXT}",
+            id="bench-scales-999999999",
+        ),
+    ],
+)
+def test_exit_three_at_once_as_a_process_on_a_power_of_ten_past_the_ratio_cap(
+    tmp_path, golden_file, argv, message
+):
+    # a read that builds the power of ten first takes 8-9 s to exit at
+    # 1e-10000000 and runs past 20 s at 1e-30000000
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("")
+    files = {"GOLDEN": ["--input", golden_file], "EMPTY": ["--input", str(empty)]}
+    argv = [b for a in argv for b in files.get(a, [a])]
+    env = {**os.environ, "PYTHONPATH": str(Path(approxcount.__file__).parent.parent)}
+    t0 = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "approxcount.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert perf_counter() - t0 < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
+
+
+def test_bench_refuses_a_scale_past_the_ratio_cap_before_drawing(capsys):
+    # stepfunc's tests pin 301,029 as the largest power of ten under the cap;
+    # --n 0 would exit 2 when the instance is drawn, after the scales are read
+    argv = ["bench", "--problem", "knapsack", "--n", "0", "--scales", "0,301030"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (3, "", f"error: --scales: 10**301030 {CAP_TEXT}\n")
+
+
 def assert_cap_exits_three(tmp_path, capsys, monkeypatch, problem, payload, mode):
     """Count once within the cap, then again with the cap one below the run's kept total."""
     path = tmp_path / "inst.ndjson"

@@ -14,11 +14,12 @@ weight of the first i items.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from approxcount.errors import InvalidInput
+from approxcount.errors import InvalidInput, TooLarge
 from approxcount.knapsack import fptas_knapsack, left_out, strong_fptas_knapsack
 from approxcount.mtuples import by_spread
 from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_mtuples
@@ -62,6 +63,16 @@ def test_rejects_nonpositive_epsilon(bad):
         fptas_knapsack(inst, bad)
     with pytest.raises(InvalidInput):
         strong_fptas_knapsack(inst, bad)
+
+
+def test_an_epsilon_past_the_ratio_cap_is_refused_at_once():
+    # the counter reads epsilon before any stage, and 10**999999999 is never built
+    inst = KnapsackInstance(weights=(1, 2), capacity=2)
+    for counter in (fptas_knapsack, strong_fptas_knapsack):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            counter(inst, "1e-999999999")
+        assert time.perf_counter() - start < 1
 
 
 def test_report_shape():

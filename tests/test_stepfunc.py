@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from approxcount.errors import InvalidInput, MonotonicityViolation, TooLarge
 from approxcount.stepfunc import (
+    _CAP_DIGITS,
+    RATIO_BIT_CAP,
     ApproxRatio,
     FnOracle,
     IntInterval,
@@ -27,8 +29,8 @@ from approxcount.stepfunc import (
     apx_set_nondecreasing,
     apx_set_nonincreasing,
     induce,
+    read_epsilon,
     shifted_sum,
-    to_fraction,
 )
 from dense_keep_rule import dense_keep
 
@@ -73,24 +75,55 @@ exact_ratios = st.sampled_from(
 
 
 class TestToFraction:
+    """read_epsilon: an exact Fraction from each kind of value it takes."""
+
     def test_decimal_string_is_exact(self):
-        assert to_fraction("0.1") == Fraction(1, 10)
+        assert read_epsilon("0.1") == Fraction(1, 10)
 
     def test_float_goes_through_repr(self):
-        assert to_fraction(0.1) == Fraction(1, 10)
+        assert read_epsilon(0.1) == Fraction(1, 10)
 
     def test_int_and_fraction_pass_through(self):
-        assert to_fraction(7) == 7
-        assert to_fraction(Fraction(3, 2)) == Fraction(3, 2)
+        assert read_epsilon(7) == 7
+        assert read_epsilon(Fraction(3, 2)) == Fraction(3, 2)
 
     def test_text_of_any_length(self):
-        assert to_fraction("1/" + "9" * 5000) == Fraction(1, 10**5000 - 1)
-        assert to_fraction("1.5/3") == to_fraction("1e-1/0.2") == Fraction(1, 2)
+        assert read_epsilon("1/" + "9" * 5000) == Fraction(1, 10**5000 - 1)
+        assert read_epsilon("1.5/3") == read_epsilon("1e-1/0.2") == Fraction(1, 2)
 
     @pytest.mark.parametrize("text", ["zebra", "", "1/", "1/0", "inf", "nan", "1/2/3"])
     def test_text_that_is_not_a_rational_is_refused(self, text):
-        with pytest.raises(InvalidInput):
-            to_fraction(text)
+        with pytest.raises(InvalidInput, match=f"^epsilon {text!r} is not a rational number$"):
+            read_epsilon(text)
+
+    @pytest.mark.parametrize("value", ["0", "-1/2", "0/5", "-0", 0, Fraction(-1, 2), -0.5])
+    def test_epsilon_of_zero_or_less_is_refused(self, value):
+        with pytest.raises(InvalidInput, match="^epsilon must be positive$"):
+            read_epsilon(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1e-999999999", "1e999999999", "1e-30000000", "-1e-999999999", "1/1e-999999999",
+         "1e999999999/1e999999999", "1e-301030", Decimal("1e-999999999"),
+         Fraction(1, 2**RATIO_BIT_CAP)],
+    )
+    def test_epsilon_past_the_ratio_cap_is_refused_at_once(self, value):
+        # a part's power of ten is judged from its exponent, never built; each
+        # part is judged, so 1e999999999/1e999999999 is refused, though it is 1
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"^epsilon passes the {RATIO_BIT_CAP}-bit cap$"):
+            read_epsilon(value)
+        assert time.perf_counter() - start < 1
+
+    def test_the_cap_is_the_largest_power_of_ten_under_the_ratio_bits(self):
+        assert _CAP_DIGITS == 301029
+        assert (10**_CAP_DIGITS).bit_length() <= RATIO_BIT_CAP < (10 * 10**_CAP_DIGITS).bit_length()
+        assert read_epsilon("1e301029") == 10**_CAP_DIGITS
+        assert read_epsilon("1e-301029") == Fraction(1, 10**_CAP_DIGITS)
+
+    def test_long_text_is_read_by_its_value(self):
+        assert read_epsilon("1" + "0" * 3000 + "e-3000") == 1
+        assert read_epsilon("0." + "0" * 3000 + "25/0." + "0" * 3000 + "5") == Fraction(1, 2)
 
 
 class TestApproxRatio:
@@ -140,6 +173,15 @@ class TestApproxRatio:
         assert ApproxRatio.for_stages(eps, fits).k > 1
         with pytest.raises(TooLarge):
             ApproxRatio.for_stages(eps, past)
+
+    def test_the_cap_on_epsilon_alone_is_where_it_was(self):
+        # epsilon = 10**N at one stage needs bits(10**N + 1) + 96 bits: 1e301001
+        # is the largest power of ten that fits, and past it, or at 1e-300000,
+        # k is refused as it was before epsilon was bounded when read
+        assert ApproxRatio.for_stages("1e301001", 1).k == 10**301001 + 1
+        for eps in ("1e301002", "1e-300000"):
+            with pytest.raises(TooLarge, match=f"^choosing k for 1 stages passes the {RATIO_BIT_CAP}-bit cap$"):
+                ApproxRatio.for_stages(eps, 1)
 
     def test_huge_epsilon_takes_its_root_quickly(self):
         # a million-bit 1 + epsilon; its cube root is started from the root of
