@@ -9,9 +9,14 @@ replaces each row by a step function compressed by binary search over
 
 :func:`strong_fptas_knapsack` counts the items left out: a subset weighs at
 most C exactly when they weigh at least W - C, W the total weight. So it is
-:func:`~approxcount.mtuples.strong_fptas_mtuples` on the sets {0, w_i} with
-the bound max(0, W - C), which takes the items heaviest first, in the same
-band at work independent of the magnitude of the weights and the capacity.
+:func:`~approxcount.mtuples.strong_fptas_mtuples` with the bound
+max(0, W - C) on the items taken heaviest first, two to a set: a pair a >= b
+is the set {0, a, b, a + b}, what its four subsets leave out, and an odd last
+item, the lightest, the set {0, w}. About n/2 stages then share 1+epsilon, so
+each merges with a larger k than one stage per item would allow; compressing
+a pair's sum gives what an exact stage for its first item, then a compressed
+one for its second, would. The count is in the same band, at work
+independent of the magnitude of the weights and the capacity.
 """
 
 from __future__ import annotations
@@ -28,9 +33,18 @@ EMPTY_SUBSET_ROW = StepFunction((0,), (1,), 0)
 
 
 def left_out(inst: KnapsackInstance) -> MTuplesInstance:
-    """The m-tuples instance whose tuples are the items a subset leaves out."""
-    sets = tuple((0, w) for w in inst.weights)
-    return MTuplesInstance(sets, max(0, sum(inst.weights) - inst.capacity))
+    """The m-tuples instance whose tuples are the items a subset leaves out.
+
+    The items are taken heaviest first, two to a set: consecutive weights
+    a >= b give the set (0, a, b, a + b), one element per subset of the
+    pair, and an odd last item, the lightest, gives (0, w). So the tuples
+    are the subsets, one to one, and the sets come in spread order.
+    """
+    ws = sorted(inst.weights, reverse=True)
+    sets = tuple((0, a, b, a + b) for a, b in zip(ws[::2], ws[1::2]))
+    if len(ws) % 2:
+        sets += ((0, ws[-1]),)
+    return MTuplesInstance(sets, max(0, sum(ws) - inst.capacity))
 
 
 def strong_fptas_knapsack(inst: KnapsackInstance, epsilon) -> RunReport:

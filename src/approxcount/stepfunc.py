@@ -93,7 +93,9 @@ def read_epsilon(value) -> Fraction:
     raised for text that is not a rational and for epsilon <= 0; TooLarge
     when epsilon's numerator plus denominator passes RATIO_BIT_CAP bits, or
     when a part d of the text does, judged before any Fraction is built from
-    d.adjusted(): d or 1/d is at least 10**(|d.adjusted()| - 1).
+    d.adjusted(): d or 1/d is at least 10**(|d.adjusted()| - 1); and when a
+    part has more than _CAP_DIGITS digits, since building its Fraction takes
+    time quadratic in them.
     """
     if isinstance(value, (float, Decimal)):
         value = str(value)
@@ -101,7 +103,10 @@ def read_epsilon(value) -> Fraction:
         num, slash, den = value.partition("/")
         try:
             parts = Decimal(num), Decimal(den if slash else 1)
-            if max(abs(d.adjusted()) for d in parts) - 1 > _CAP_DIGITS:
+            if any(
+                abs(d.adjusted()) - 1 > _CAP_DIGITS or len(d.as_tuple().digits) > _CAP_DIGITS
+                for d in parts
+            ):
                 raise TooLarge(f"epsilon passes the {RATIO_BIT_CAP}-bit cap")
             value = Fraction(parts[0]) / Fraction(parts[1])
         except (ValueError, ArithmeticError) as exc:  # InvalidOperation, x/0, inf, nan

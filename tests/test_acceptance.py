@@ -32,7 +32,7 @@ from approxcount.oracles import (
 )
 from approxcount.stepfunc import ApproxRatio
 from contingency_binding import dp_contingency_binding
-from dp_tables import dp_contingency_sum_table, dp_knapsack_table, dp_mtuples_table
+from dp_tables import dp_contingency_sum_table, dp_mtuples_table
 from meet_in_the_middle import knapsack_mitm, mtuples_mitm
 
 EPSILONS = (Fraction(1, 10), Fraction(1, 2), Fraction(1))
@@ -298,22 +298,23 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         inst = random_knapsack(rng)
         if inst.capacity > 500:
             continue
-        # the counter takes the items heaviest first, ties as given
-        weights = [w for _, w in by_spread(left_out(inst).sets)]
-        rows = dp_knapsack_table(KnapsackInstance(weights, inst.capacity))
+        # the counter takes the left-out items heaviest first, two to a set
+        tuples = left_out(inst)
+        sets = by_spread(tuples.sets)
+        rows = dp_mtuples_table(MTuplesInstance(sets, tuples.bound))
         rep = strong_fptas_knapsack(inst, eps)
         k = ratio(rep, eps)
         power = Fraction(1)
-        # stage i counts the subsets of the first i items that leave out at
-        # least j of their weight W_i, so keep at most W_i - j; B = W - C
-        bound = max(0, sum(weights) - inst.capacity)
-        for i, (func, row) in enumerate(zip(rep.stage_functions, rows[1:])):
+        # stage i counts the subsets of the items of its first i sets that
+        # leave out at least j of their weight; B = W - C
+        bound = max(0, sum(inst.weights) - inst.capacity)
+        assert tuples.bound == bound and len(rows) == len(rep.stage_functions)
+        for i, (func, row) in enumerate(zip(rep.stage_functions, rows)):
             power *= k if func.domain.lo < func.domain.hi else 1
-            window = range(max(0, bound - sum(weights[i + 1 :])), bound + 1)
+            window = range(max(0, bound - sum(max(s) for s in sets[i + 1 :])), bound + 1)
             assert (func.domain.lo, func.domain.hi) == (window[0], window[-1])
-            kept = sum(weights[: i + 1])
             for j in window:
-                exact = row[kept - j] if j <= kept else 0
+                exact = row[j]
                 assert exact <= func.query(j) <= power * exact
     for _ in range(200):
         inst = random_contingency(rng, n_max=8)

@@ -517,6 +517,37 @@ def test_exit_three_at_once_as_a_process_on_a_power_of_ten_past_the_ratio_cap(
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {message}\n")
 
 
+def test_exit_three_at_once_as_a_process_on_an_epsilon_of_more_digits_than_the_cap(golden_file):
+    # Reading 1000...0e-400000 (400,001 digits) built its Fraction in 5.5 s.
+    # Linux passes no single argument past 128 KiB to a new process, so the
+    # process builds its own command line and runs it through cli.main.
+    eps = "'1' + '0' * 400000 + 'e-400000'"
+    argv = f"['count', '--input', {golden_file!r}, '--epsilon', {eps}]"
+    code = f"import sys; from approxcount.cli import main; sys.exit(main({argv}))"
+    env = {**os.environ, "PYTHONPATH": str(Path(approxcount.__file__).parent.parent)}
+    t0 = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert perf_counter() - t0 < 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: epsilon {CAP_TEXT}\n")
+
+
+def test_bench_writes_a_scale_at_the_cap_out_at_once_as_a_process():
+    # 10**301029 written out through Decimal took 1.6 s before the exact DP
+    # refused the instance; the scale is written as "1" and k zeros
+    env = {**os.environ, "PYTHONPATH": str(Path(approxcount.__file__).parent.parent)}
+    argv = ["bench", "--problem", "knapsack", "--n", "1", "--scales", "301029"]
+    t0 = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "approxcount.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert perf_counter() - t0 < 1
+    header = "algorithm,size,scale,epsilon,oracle_calls,elapsed_ms,set_size_max\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, header, "error: table size exceeds cap\n")
+
+
 def test_bench_refuses_a_scale_past_the_ratio_cap_before_drawing(capsys):
     # stepfunc's tests pin 301,029 as the largest power of ten under the cap;
     # --n 0 would exit 2 when the instance is drawn, after the scales are read

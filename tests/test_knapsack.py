@@ -2,14 +2,16 @@
 
 The stage invariant block is the heart of this file. The strong counter
 counts the items a subset leaves out: with W the total weight, a subset
-weighs at most C exactly when they weigh at least B = max(0, W - C). For
-each item i it builds a candidate index Inc_i (recomputed here from the
-report, tests/strong_candidates.py), a breakpoint set W_i, and a
-compressed row that_i of left-out subsets; soundness needs four relations
-between them and the raw row tbar_i(j) = that_{i-1}(j) + that_{i-1}(j - w_i).
-All four are checked by dense evaluation on capacities up to 500, the exact
-row read off the knapsack DP as tuples_i(j) = subsets_i(W_i - j), W_i the
-weight of the first i items.
+weighs at most C exactly when they weigh at least B = max(0, W - C). It
+takes the items heaviest first, two to a stage: stage i's set S_i holds the
+weights the four subsets of a pair leave out, (0, a, b, a + b), or (0, w)
+for an odd last item. For each stage it builds a candidate index Inc_i
+(recomputed here from the report, tests/strong_candidates.py), a breakpoint
+set W_i, and a compressed row that_i of left-out subsets; soundness needs
+four relations between them and the raw row tbar_i(j), the sum of
+that_{i-1}(j - s) over s in S_i. All four are checked by dense evaluation
+on capacities up to 500, the exact row read off the m-tuples DP of the
+left-out sets.
 """
 
 import math
@@ -22,9 +24,9 @@ import pytest
 from approxcount.errors import InvalidInput, TooLarge
 from approxcount.knapsack import fptas_knapsack, left_out, strong_fptas_knapsack
 from approxcount.mtuples import by_spread
-from approxcount.oracles import KnapsackInstance, dp_knapsack, dp_mtuples
+from approxcount.oracles import KnapsackInstance, MTuplesInstance, dp_knapsack, dp_mtuples
 from approxcount.stepfunc import ApproxRatio
-from dp_tables import dp_knapsack_table
+from dp_tables import dp_mtuples_table
 from strong_candidates import stage_candidates
 
 
@@ -76,11 +78,34 @@ def test_an_epsilon_past_the_ratio_cap_is_refused_at_once():
 
 
 def test_report_shape():
+    # one stage per pair of items, heaviest first, and one for the odd lightest
     inst = KnapsackInstance(weights=(4, 4, 9), capacity=12)
     rep = strong_fptas_knapsack(inst, Fraction(1, 3))
-    assert len(rep.set_sizes) == inst.n
-    assert len(stage_candidates(rep, left_out(inst))) == inst.n
+    assert len(rep.set_sizes) == len(left_out(inst).sets) == 2
+    assert len(stage_candidates(rep, left_out(inst))) == 2
     assert rep.set_sizes == [len(f.xs) for f in rep.stage_functions]
+
+
+def test_left_out_pairs_the_items_heaviest_first():
+    # Each pair (a, b), a >= b, is the set of the weights its four subsets
+    # leave out; an odd last item, the lightest, is left alone. The sets come
+    # in spread order, so the strong counter takes them as built.
+    inst = KnapsackInstance(weights=(3, 9, 1, 5, 7), capacity=10)
+    assert left_out(inst) == MTuplesInstance(((0, 9, 7, 16), (0, 5, 3, 8), (0, 1)), 15)
+    even = KnapsackInstance(weights=(2, 8, 8, 4), capacity=30)
+    assert left_out(even) == MTuplesInstance(((0, 8, 8, 16), (0, 4, 2, 6)), 0)
+    assert left_out(KnapsackInstance((6,), 2)).sets == ((0, 6),)
+    rng = random.Random(3838)
+    for n in range(1, 31):
+        weights = [rng.randint(1, rng.choice((3, 10**9))) for _ in range(n)]
+        inst = KnapsackInstance(weights, rng.randint(0, sum(weights)))
+        tuples, ws = left_out(inst), sorted(weights, reverse=True)
+        assert tuples.sets[: n // 2] == tuple((0, a, b, a + b) for a, b in zip(ws[::2], ws[1::2]))
+        assert tuples.sets[n // 2 :] == (((0, ws[-1]),) if n % 2 else ())
+        assert by_spread(tuples.sets) == list(tuples.sets)
+        rep = strong_fptas_knapsack(inst, Fraction(1, 2))
+        assert len(rep.set_sizes) == math.ceil(n / 2)
+        assert rep.chain_length <= math.ceil(n / 2)
 
 
 def random_instance(rng, n_max=10, w_max=50, c_max=300):
@@ -144,30 +169,32 @@ def test_set_sizes_logarithmic_in_subset_count():
 
 
 class TestStageInvariants:
-    """Dense per-stage checks of the strong counter, capacities <= 500, each
-    stage over its reachable window {max(0, B - W_after_i)..B} of left-out
-    weights, W_after_i the weight of the items after item i in the counter's
-    stage order, heaviest first."""
+    """Dense per-stage checks of the strong counter, capacities <= 500. Its
+    stages are the sets of left-out weights in the counter's stage order
+    (by_spread, heaviest pair first), each over its reachable window
+    {max(0, B - later maxima)..B}, the later maxima being the total weight
+    of the items of the later sets."""
 
     def run_one(self, inst, eps):
         rep = strong_fptas_knapsack(inst, eps)
         k = ApproxRatio.for_stages(eps, max(rep.chain_length, 1)).k
-        b = max(0, sum(inst.weights) - inst.capacity)
-        weights = [w for _, w in by_spread(left_out(inst).sets)]
-        exact_rows = dp_knapsack_table(KnapsackInstance(weights, inst.capacity))
-        candidates = stage_candidates(rep, left_out(inst))
+        tuples = left_out(inst)
+        b, sets = tuples.bound, by_spread(tuples.sets)
+        assert b == max(0, sum(inst.weights) - inst.capacity)
+        exact_rows = dp_mtuples_table(MTuplesInstance(sets, b))
+        candidates = stage_candidates(rep, tuples)
 
         def prev_query(j):
             return 1 if j <= 0 else 0
 
         power = Fraction(1)
         prev = prev_query
-        for i, w_i in enumerate(weights):
+        for i, shifts in enumerate(sets):
             func = rep.stage_functions[i]
-            lo = max(0, b - sum(weights[i + 1 :]))
+            lo = max(0, b - sum(max(s) for s in sets[i + 1 :]))
             assert (func.domain.lo, func.domain.hi) == (lo, b)
             window = range(lo, b + 1)
-            raw = {j: prev(j) + prev(j - w_i) for j in window}
+            raw = {j: sum(prev(j - s) for s in shifts) for j in window}
             dense = {j: func.query(j) for j in window}
             points = set(func.xs)
             inc = set(candidates[i])
@@ -181,11 +208,10 @@ class TestStageInvariants:
             drops = {j for j in window[1:] if dense[j] < dense[j - 1]}
             assert drops <= points
 
-            # (2) the compressed row is a k^i-approximation of the exact row;
-            # its subsets leave out at least j, so they keep at most W_i - j.
-            kept = sum(weights[: i + 1])
-            exact = [exact_rows[i + 1][kept - j] if j <= kept else 0 for j in window]
-            for j, e in zip(window, exact):
+            # (2) the compressed row is a k^i-approximation of the exact row:
+            # the subsets of the items so far that leave out at least j.
+            for j in window:
+                e = exact_rows[i][j]
                 assert e <= dense[j] <= power * e
             assert all(dense[j] >= dense[j + 1] for j in window[:-1])
 

@@ -125,6 +125,21 @@ class TestToFraction:
         assert read_epsilon("1" + "0" * 3000 + "e-3000") == 1
         assert read_epsilon("0." + "0" * 3000 + "25/0." + "0" * 3000 + "5") == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "value",
+        ["1" + "0" * _CAP_DIGITS + f"e-{_CAP_DIGITS}", "1" + "0" * 400000 + "e-400000",
+         "1/" + "1" * (_CAP_DIGITS + 1), "0." + "3" * (_CAP_DIGITS + 1)],
+        ids=["one-of-301030-digits", "one-of-400001-digits", "over-301030-ones", "301030-threes"],
+    )
+    def test_a_part_of_more_digits_than_the_cap_is_refused_at_once(self, value):
+        # building a part's Fraction takes time quadratic in its digits (5.5 s
+        # at 400,001), so a part is judged by its digit count too, though
+        # 1000...0e-400000 is 1
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match=f"^epsilon passes the {RATIO_BIT_CAP}-bit cap$"):
+            read_epsilon(value)
+        assert time.perf_counter() - start < 1
+
 
 class TestApproxRatio:
     def test_power_stays_below_target(self):
