@@ -38,7 +38,6 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from time import perf_counter
@@ -76,7 +75,7 @@ SIZE_FLAGS = {
 
 
 class Problem(NamedTuple):
-    instance: type  # its dataclass fields are the payload's keys, in order
+    instance: type  # its __slots__ are the payload's keys, in order
     depths: dict[str, int]  # payload field -> how many lists deep its integers sit
     sizes: tuple[str, ...]  # its SIZE_FLAGS; bench's size is the first
 
@@ -140,7 +139,7 @@ def _mapped(inst, leaf) -> dict:
     def walk(value):
         return [walk(v) for v in value] if isinstance(value, tuple) else leaf(value)
 
-    return {f.name: walk(getattr(inst, f.name)) for f in fields(inst)}
+    return {name: walk(getattr(inst, name)) for name in inst.__slots__}
 
 
 def payload_from_instance(inst) -> dict:

@@ -27,16 +27,15 @@ width of the numeric domain; that is the whole point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
+from .record import Record
 from .stepfunc import ApproxRatio, FnOracle, IntInterval, StepFunction, apx_set_linear, induce
 
 
-@dataclass(frozen=True)
-class IncIndex:
+class IncIndex(Record):
     """Sorted candidate change points of a monotone function; its ends are
     the ends of the domain it is compressed on.
 
@@ -44,10 +43,10 @@ class IncIndex:
     function actually changes must be present. Extra points are harmless.
     """
 
-    points: tuple[int, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+    def __init__(self, points: Sequence[int]):
+        self.points = tuple(points)
         pts = self.points
         if not pts or not all(map(lt, pts, pts[1:])):
             raise InvalidInput("candidate points must be strictly increasing")

@@ -35,23 +35,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import sub
+from typing import Sequence
 
 from .errors import InvalidInput, TooLarge
+from .record import Record
 
 BRUTE_TUPLE_CAP = 10_000_000
 BRUTE_SUBSET_CAP = 24
 DP_CELL_CAP = 50_000_000
 
 
-@dataclass(frozen=True)
-class MTuplesInstance:
-    sets: tuple[tuple[int, ...], ...]
-    bound: int
+class MTuplesInstance(Record):
+    __slots__ = ("sets", "bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(tuple(s) for s in self.sets))
+    def __init__(self, sets: Sequence[Sequence[int]], bound: int):
+        self.sets = tuple(tuple(s) for s in sets)
+        self.bound = bound
         if not self.sets or any(not s for s in self.sets):
             raise InvalidInput("need at least one set, none of them empty")
         if any(x < 0 for s in self.sets for x in s):
@@ -64,13 +64,12 @@ class MTuplesInstance:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class KnapsackInstance:
-    weights: tuple[int, ...]
-    capacity: int
+class KnapsackInstance(Record):
+    __slots__ = ("weights", "capacity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
+    def __init__(self, weights: Sequence[int], capacity: int):
+        self.weights = tuple(weights)
+        self.capacity = capacity
         if not self.weights:
             raise InvalidInput("need at least one item")
         if any(w < 1 for w in self.weights):
@@ -83,14 +82,12 @@ class KnapsackInstance:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class Contingency2Instance:
-    row_sums: tuple[int, int]
-    col_sums: tuple[int, ...]
+class Contingency2Instance(Record):
+    __slots__ = ("row_sums", "col_sums")
 
-    def __post_init__(self):
-        object.__setattr__(self, "row_sums", tuple(self.row_sums))
-        object.__setattr__(self, "col_sums", tuple(self.col_sums))
+    def __init__(self, row_sums: Sequence[int], col_sums: Sequence[int]):
+        self.row_sums = tuple(row_sums)
+        self.col_sums = tuple(col_sums)
         if len(self.row_sums) != 2:
             raise InvalidInput("exactly two row sums")
         if any(r < 0 for r in self.row_sums):

@@ -35,11 +35,11 @@ below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import TooLarge
+from .record import Record
 from .stepfunc import ApproxRatio, StepFunction, read_epsilon
 
 
@@ -52,8 +52,7 @@ KEPT_BREAKPOINT_CAP = 10_000_000
 _ratio = lru_cache(maxsize=16)(ApproxRatio.for_stages)
 
 
-@dataclass
-class RunReport:
+class RunReport(Record):
     """What one counter run returns.
 
     ``chain_length`` is the exponent the per-stage ratio was chosen for:
@@ -63,11 +62,26 @@ class RunReport:
     ``set_sizes`` are their breakpoint counts.
     """
 
-    count: int
-    oracle_calls: int
-    set_sizes: list[int]
-    chain_length: int
-    stage_functions: list[StepFunction] = field(repr=False, default_factory=list)
+    __slots__ = ("count", "oracle_calls", "set_sizes", "chain_length", "stage_functions")
+    __hash__ = None  # its lists may change
+
+    def __init__(
+        self,
+        count: int,
+        oracle_calls: int,
+        set_sizes: list[int],
+        chain_length: int,
+        stage_functions: list[StepFunction] | None = None,
+    ):
+        self.count = count
+        self.oracle_calls = oracle_calls
+        self.set_sizes = set_sizes
+        self.chain_length = chain_length
+        self.stage_functions = [] if stage_functions is None else stage_functions
+
+    def __repr__(self):  # without the stage functions, which hold every kept breakpoint
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"RunReport({shown})"
 
 
 def run_stages(first: StepFunction, stages: Sequence, epsilon, exact, compress) -> RunReport:

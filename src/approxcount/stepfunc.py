@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
@@ -53,16 +52,17 @@ from operator import floordiv, ge, le, lt, mul, sub
 from typing import Callable, Sequence
 
 from .errors import InvalidInput, MonotonicityViolation, TooLarge
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntInterval:
+class IntInterval(Record):
     """Closed integer interval {lo..hi}."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
         if self.lo > self.hi:
             raise InvalidInput(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -86,6 +86,27 @@ RATIO_BIT_CAP = 1_000_000
 _CAP_DIGITS = Context().power(2, RATIO_BIT_CAP).adjusted()
 
 
+def _digits_int(digits: str) -> int:
+    """int(digits) for ASCII digits at any length, in subquadratic time: the
+    halves are read apart and joined by one product, which CPython takes in
+    Karatsuba's time. int() of a long text takes quadratic time before
+    Python 3.12, and refuses more digits than sys.get_int_max_str_digits(),
+    which is at least 640."""
+    if len(digits) <= 600:
+        return int(digits)
+    half = len(digits) // 2
+    return _digits_int(digits[:-half]) * 10**half + _digits_int(digits[-half:])
+
+
+def _scaled(d: Decimal) -> tuple[int, int]:
+    """(c, e) with d = c * 10**e, for a finite d."""
+    if not d.is_finite():
+        raise ValueError(f"{d} is not finite")
+    sign, digits, exponent = d.as_tuple()
+    c = _digits_int(str(Decimal((0, digits, 0))))  # the digits as text, in linear time
+    return -c if sign else c, exponent
+
+
 def read_epsilon(value) -> Fraction:
     """Epsilon as an exact positive rational, from an int, a Fraction, a float
     or Decimal (by its shortest text: 0.1 is 1/10), or text such as "0.25",
@@ -94,8 +115,8 @@ def read_epsilon(value) -> Fraction:
     when epsilon's numerator plus denominator passes RATIO_BIT_CAP bits, or
     when a part d of the text does, judged before any Fraction is built from
     d.adjusted(): d or 1/d is at least 10**(|d.adjusted()| - 1); and when a
-    part has more than _CAP_DIGITS digits, since building its Fraction takes
-    time quadratic in them.
+    part has more than _CAP_DIGITS digits. A part's digits become an integer
+    in subquadratic time (:func:`_digits_int`).
     """
     if isinstance(value, (float, Decimal)):
         value = str(value)
@@ -108,7 +129,8 @@ def read_epsilon(value) -> Fraction:
                 for d in parts
             ):
                 raise TooLarge(f"epsilon passes the {RATIO_BIT_CAP}-bit cap")
-            value = Fraction(parts[0]) / Fraction(parts[1])
+            (a, x), (b, y) = map(_scaled, parts)
+            value = Fraction(a * 10 ** max(x - y, 0), b * 10 ** max(y - x, 0))
         except (ValueError, ArithmeticError) as exc:  # InvalidOperation, x/0, inf, nan
             raise InvalidInput(f"epsilon {value!r} is not a rational number") from exc
     eps = Fraction(value)
@@ -132,8 +154,7 @@ def _root(n: int, s: int) -> int:
         r = y
 
 
-@dataclass(frozen=True)
-class ApproxRatio:
+class ApproxRatio(Record):
     """A per-stage ratio k with an exact certificate k**stages <= 1 + epsilon.
 
     k is the stages-th root of 1 + epsilon, rounded DOWN to a dyadic rational
@@ -150,11 +171,12 @@ class ApproxRatio:
     RATIO_BIT_CAP bits.
     """
 
-    k: Fraction
-    epsilon: Fraction
-    stages: int
+    __slots__ = ("k", "epsilon", "stages")
 
-    def __post_init__(self):
+    def __init__(self, k: Fraction, epsilon: Fraction, stages: int):
+        self.k = k
+        self.epsilon = epsilon
+        self.stages = stages
         if self.stages < 1:
             raise InvalidInput("stages must be positive")
         if self.k <= 1:
@@ -179,7 +201,6 @@ class ApproxRatio:
             prec *= 2
 
 
-@dataclass(slots=True, eq=False)
 class FnOracle:
     """Access to an integer -> count function, with a call tally.
 
@@ -207,14 +228,22 @@ class FnOracle:
     at import, still sees a patch made on the class before the compression.
     """
 
-    domain: IntInterval
-    fn: Callable | None = None
-    starts: Sequence[int] | None = None
-    below: int | None = None
-    values: Sequence[int] | None = None
-    calls: int = field(default=0, init=False)
+    __slots__ = ("domain", "fn", "starts", "below", "values", "calls")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        domain: IntInterval,
+        fn: Callable | None = None,
+        starts: Sequence[int] | None = None,
+        below: int | None = None,
+        values: Sequence[int] | None = None,
+    ):
+        self.domain = domain
+        self.fn = fn
+        self.starts = starts
+        self.below = below
+        self.values = values
+        self.calls = 0
         if (self.fn is None) == (self.values is None):
             raise InvalidInput("an oracle needs exactly one of fn and a piece table's values")
 
@@ -225,8 +254,7 @@ class FnOracle:
         return self.fn(x)
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(Record):
     """Piecewise-constant monotone function, queryable anywhere.
 
     Stores a value at every breakpoint. Between breakpoints the larger
@@ -244,13 +272,12 @@ class StepFunction:
     InvalidInput is raised.
     """
 
-    xs: tuple[int, ...]
-    values: tuple[int, ...]
-    below: int | None = None
+    __slots__ = ("xs", "values", "below")
 
-    def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(self.xs))
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, xs: Sequence[int], values: Sequence[int], below: int | None = None):
+        self.xs = tuple(xs)
+        self.values = tuple(values)
+        self.below = below
         if len(self.xs) != len(self.values) or not self.xs:
             raise InvalidInput("need equally many breakpoints and values, at least one")
         xs, values = self.xs, self.values

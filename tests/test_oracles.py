@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from approxcount import oracles
+from approxcount import oracles, record
 from approxcount.errors import InvalidInput, TooLarge
 from approxcount.oracles import (
     Contingency2Instance,
@@ -271,15 +271,20 @@ def test_counts_near_the_cell_cap_match_meet_in_the_middle():
     assert dp_mtuples(inst) == mtuples_mitm(inst.sets, inst.bound)
 
 
-def test_the_oracles_import_nothing_from_the_package_but_errors():
-    # The exact counts check the compression code, so they share none of it.
-    tree = ast.parse(inspect.getsource(oracles))
-    package = set()
-    for node in ast.walk(tree):
+def imported(module) -> set[str]:
+    """Every module the source of ``module`` imports, relative ones with their dots."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            if node.level or module.startswith("approxcount"):
-                package.add(module)
+            names.add("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
-            package.update(a.name for a in node.names if a.name.startswith("approxcount"))
-    assert package == {".errors"}
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_the_oracles_import_only_errors_and_record_from_the_package():
+    # The exact counts check the compression code, so they share none of it:
+    # only the exceptions and the record base, which imports nothing at all.
+    package = {m for m in imported(oracles) if m.startswith((".", "approxcount"))}
+    assert package == {".errors", ".record"}
+    assert imported(record) == set()

@@ -21,6 +21,7 @@ from approxcount.errors import InvalidInput, MonotonicityViolation, TooLarge
 from approxcount.stepfunc import (
     _CAP_DIGITS,
     RATIO_BIT_CAP,
+    _digits_int,
     ApproxRatio,
     FnOracle,
     IntInterval,
@@ -125,6 +126,20 @@ class TestToFraction:
         assert read_epsilon("1" + "0" * 3000 + "e-3000") == 1
         assert read_epsilon("0." + "0" * 3000 + "25/0." + "0" * 3000 + "5") == Fraction(1, 2)
 
+    def test_a_part_of_as_many_digits_as_the_cap_reads_at_once(self):
+        # through Fraction(Decimal), whose integer conversion is quadratic, it took 3.3 s
+        start = time.perf_counter()
+        assert read_epsilon("1" + "0" * (_CAP_DIGITS - 1) + f"e-{_CAP_DIGITS - 1}") == 1
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("digits", [1, 599, 600, 601, 1201, 4301, 9000])
+    def test_digits_read_in_halves_give_the_integer(self, digits):
+        text = "".join(str((i * 7 + 1) % 10) for i in range(digits))  # 1, 8, 5, 2, 9, ...
+        value = int(Decimal(text))
+        assert _digits_int(text) == value and _digits_int("000" + text) == value
+        assert read_epsilon(f"{text}e-2/7") == Fraction(value, 700)
+        assert read_epsilon(f"0.07/{text}") == Fraction(7, 100 * value)
+
     @pytest.mark.parametrize(
         "value",
         ["1" + "0" * _CAP_DIGITS + f"e-{_CAP_DIGITS}", "1" + "0" * 400000 + "e-400000",
@@ -132,9 +147,8 @@ class TestToFraction:
         ids=["one-of-301030-digits", "one-of-400001-digits", "over-301030-ones", "301030-threes"],
     )
     def test_a_part_of_more_digits_than_the_cap_is_refused_at_once(self, value):
-        # building a part's Fraction takes time quadratic in its digits (5.5 s
-        # at 400,001), so a part is judged by its digit count too, though
-        # 1000...0e-400000 is 1
+        # a part is judged by its digit count too, though 1000...0e-400000 is 1:
+        # the Fraction of two parts takes one gcd, quadratic in their digits
         start = time.perf_counter()
         with pytest.raises(TooLarge, match=f"^epsilon passes the {RATIO_BIT_CAP}-bit cap$"):
             read_epsilon(value)
