@@ -3,8 +3,9 @@
 Instances travel as line-delimited JSON, one object per line, shaped as
 {"problem": ..., "payload": {...}}. Numeric leaves are decimal strings so
 values past 64 bits survive any JSON parser; plain JSON integers are also
-accepted on input. Numbers may have any length, in and out. Payload fields
-by problem (the PROBLEMS table):
+accepted on input. Numbers may have any length; each integer read goes through
+stepfunc._digits_int in subquadratic time, and each written through
+decimal_text in quadratic time. Payload fields by problem (the PROBLEMS table):
 
     mtuples       {"sets": [["1","3","7"], ...], "bound": "17"}
     knapsack      {"weights": ["5","3"], "capacity": "10"}
@@ -38,7 +39,6 @@ import os
 import random
 import sys
 from contextlib import nullcontext
-from decimal import Decimal
 from fractions import Fraction
 from time import perf_counter
 from typing import NamedTuple
@@ -58,7 +58,7 @@ from .oracles import (
     dp_mtuples,
 )
 from .stagewise import RunReport
-from .stepfunc import _CAP_DIGITS, RATIO_BIT_CAP, decimal_text, read_epsilon
+from .stepfunc import _CAP_DIGITS, RATIO_BIT_CAP, _digits_int, decimal_text, read_epsilon
 
 
 # The generator's size flags: name -> (default, least value, help).
@@ -94,10 +94,7 @@ APPROX_MODES = ("fptas", "strong-fptas")
 def _as_int(value, label: str) -> int:
     if type(value) is str:  # an optional "-", then ASCII digits; int() also takes "1_0", " 5"
         if value.isascii() and (value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
-            try:
-                return int(value)
-            except ValueError:  # too long for int(); Decimal takes any length
-                return int(Decimal(value))
+            return _digits_int(value)  # any length, in subquadratic time
         raise InvalidInput(f"{label}: {value!r} is not a decimal integer")
     if type(value) is int:  # not bool, a subclass
         return value

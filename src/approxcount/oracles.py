@@ -54,10 +54,10 @@ class MTuplesInstance(Record):
         self.bound = bound
         if not self.sets or any(not s for s in self.sets):
             raise InvalidInput("need at least one set, none of them empty")
-        if any(x < 0 for s in self.sets for x in s):
-            raise InvalidInput("set elements must be nonnegative")
-        if self.bound < 0:
-            raise InvalidInput("bound must be nonnegative")
+        if any(type(x) is not int or x < 0 for s in self.sets for x in s):
+            raise InvalidInput("set elements must be nonnegative integers")
+        if type(self.bound) is not int or self.bound < 0:
+            raise InvalidInput("bound must be nonnegative and an integer")
 
     @property
     def m(self) -> int:
@@ -72,10 +72,10 @@ class KnapsackInstance(Record):
         self.capacity = capacity
         if not self.weights:
             raise InvalidInput("need at least one item")
-        if any(w < 1 for w in self.weights):
-            raise InvalidInput("weights must be positive")
-        if self.capacity < 0:
-            raise InvalidInput("capacity must be nonnegative")
+        if any(type(w) is not int or w < 1 for w in self.weights):
+            raise InvalidInput("weights must be positive integers")
+        if type(self.capacity) is not int or self.capacity < 0:
+            raise InvalidInput("capacity must be nonnegative and an integer")
 
     @property
     def n(self) -> int:
@@ -90,10 +90,10 @@ class Contingency2Instance(Record):
         self.col_sums = tuple(col_sums)
         if len(self.row_sums) != 2:
             raise InvalidInput("exactly two row sums")
-        if any(r < 0 for r in self.row_sums):
-            raise InvalidInput("row sums must be nonnegative")
-        if not self.col_sums or any(s < 1 for s in self.col_sums):
-            raise InvalidInput("column sums must be positive")
+        if any(type(r) is not int or r < 0 for r in self.row_sums):
+            raise InvalidInput("row sums must be nonnegative integers")
+        if not self.col_sums or any(type(s) is not int or s < 1 for s in self.col_sums):
+            raise InvalidInput("column sums must be positive integers")
         if sum(self.row_sums) != sum(self.col_sums):
             raise InvalidInput("row sums and column sums must partition the same total")
 

@@ -87,13 +87,15 @@ _CAP_DIGITS = Context().power(2, RATIO_BIT_CAP).adjusted()
 
 
 def _digits_int(digits: str) -> int:
-    """int(digits) for ASCII digits at any length, in subquadratic time: the
-    halves are read apart and joined by one product, which CPython takes in
-    Karatsuba's time. int() of a long text takes quadratic time before
-    Python 3.12, and refuses more digits than sys.get_int_max_str_digits(),
-    which is at least 640."""
+    """int(digits) for an optional "-" then ASCII digits, at any length and in
+    subquadratic time: every decimal integer the package reads comes here. The
+    halves are read apart and joined by one product, in Karatsuba's time;
+    int() of a long text takes quadratic time before Python 3.12, and refuses
+    more digits than sys.get_int_max_str_digits(), which is at least 640."""
     if len(digits) <= 600:
         return int(digits)
+    if digits[0] == "-":
+        return -_digits_int(digits[1:])
     half = len(digits) // 2
     return _digits_int(digits[:-half]) * 10**half + _digits_int(digits[-half:])
 

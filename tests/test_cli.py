@@ -7,6 +7,7 @@ executable as installed.
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from approxcount import cli, contingency, oracles, stagewise, stepfunc
 from approxcount.errors import MonotonicityViolation
 from approxcount.oracles import KnapsackInstance, MTuplesInstance
 from approxcount.stepfunc import FnOracle
+from closed_forms import knapsack_by_distinct_weights
 
 GOLDEN_LINE = json.dumps(
     {
@@ -716,6 +718,54 @@ def test_long_numbers_parse_as_strings_and_plain_integers(tmp_path, capsys):
     ((_, _, inst),) = cli.load_instances(str(path), "knapsack")
     assert inst.weights == (10**5000, 10**5000)
     assert cli.payload_from_instance(inst) == {"weights": [w, w], "capacity": w}
+
+
+@pytest.mark.parametrize("where", ["payload-string", "plain-json-integer", "flag"])
+def test_a_number_of_400005_digits_reads_at_once(tmp_path, where):
+    # Every number read goes through stepfunc._digits_int; int(Decimal(text))
+    # took about 5 s on each. The repeated digits give the value without a reader.
+    text = "123456789" * 44445
+    value = 123456789 * (10 ** len(text) - 1) // (10**9 - 1)
+    if where == "flag":
+        start = perf_counter()
+        read = cli.build_parser().parse_args(["gen", "--problem", "knapsack", "--wmax", text]).wmax
+    else:
+        weight = f'"{text}"' if where == "payload-string" else text
+        path = tmp_path / "long.ndjson"
+        line = '{"problem": "knapsack", "payload": {"weights": [%s], "capacity": "1"}}\n'
+        path.write_text(line % weight)
+        start = perf_counter()
+        ((_, _, inst),) = cli.load_instances(str(path), None)
+        read = inst.weights[0]
+    assert perf_counter() - start < 1.5
+    assert read == value
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_strong_knapsack_runs_alike_on_a_copy_scaled_by_ten_to_the_100000(tmp_path, capsys, seed):
+    # The strong counter's work does not depend on the numbers' magnitude, so
+    # the copy makes the same calls and keeps the same sets; it took about 5 s
+    # when each number was read through int(Decimal(text)).
+    rng = random.Random(seed)
+    values = [rng.randint(10**8, 10**9) for _ in range(3)]
+    weights = [rng.choice(values) for _ in range(12)]
+    capacity = sum(weights) // 2
+    runs = []
+    for zeros in ("", "0" * 100000):  # each number times 10**100000, never str() of a long int
+        payload = {"weights": [f"{w}{zeros}" for w in weights], "capacity": f"{capacity}{zeros}"}
+        path = tmp_path / f"scaled-{len(zeros)}.ndjson"
+        path.write_text(json.dumps({"problem": "knapsack", "payload": payload}) + "\n")
+        argv = ["count", "--input", str(path), "--mode", "strong-fptas", "--epsilon", "1/2"]
+        start = perf_counter()
+        code, out, _ = run(capsys, argv)
+        elapsed = perf_counter() - start
+        assert code == 0
+        (rec,) = json_lines(out)
+        runs.append((rec["count"], rec["oracle_calls"], rec["set_sizes"]))
+    assert elapsed < 2
+    assert runs[0] == runs[1]
+    exact = knapsack_by_distinct_weights(weights, capacity)
+    assert exact <= int(runs[0][0]) <= Fraction(3, 2) * exact
 
 
 def test_exit_four_on_internal_error(golden_file, capsys, monkeypatch):

@@ -63,6 +63,29 @@ def test_contingency_instance_validation():
     assert inst.total == 7
 
 
+@pytest.mark.parametrize("bad", [1.0, "1", None, True], ids=["float", "str", "none", "bool"])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda x: MTuplesInstance(sets=((2, x),), bound=5), "set elements must be nonnegative"),
+        (lambda x: MTuplesInstance(sets=((1, 2),), bound=x), "bound must be nonnegative"),
+        (lambda x: KnapsackInstance(weights=(2, x), capacity=5), "weights must be positive"),
+        (lambda x: KnapsackInstance(weights=(1, 2), capacity=x), "capacity must be nonnegative"),
+        (lambda x: Contingency2Instance(row_sums=(x, 2), col_sums=(1, 2)),
+         "row sums must be nonnegative"),
+        (lambda x: Contingency2Instance(row_sums=(1, 2), col_sums=(x, 2)),
+         "column sums must be positive"),
+    ],
+    ids=["set-element", "bound", "weight", "capacity", "row-sum", "column-sum"],
+)
+def test_every_numeric_field_takes_integers_only(make, message, bad):
+    # Each bad value stands for 1, which the field takes; a float weight
+    # once gave a knapsack count below the exact one.
+    make(1)
+    with pytest.raises(InvalidInput, match=f"^{message}"):
+        make(bad)
+
+
 def test_golden_z1_row():
     table = dp_mtuples_table(GOLDEN)
     assert table[0] == Z1_ROW

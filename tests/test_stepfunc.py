@@ -132,11 +132,13 @@ class TestToFraction:
         assert read_epsilon("1" + "0" * (_CAP_DIGITS - 1) + f"e-{_CAP_DIGITS - 1}") == 1
         assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("digits", [1, 599, 600, 601, 1201, 4301, 9000])
+    @pytest.mark.parametrize("digits", [1, 599, 600, 601, 1201, 4299, 4300, 4301, 9000])
     def test_digits_read_in_halves_give_the_integer(self, digits):
         text = "".join(str((i * 7 + 1) % 10) for i in range(digits))  # 1, 8, 5, 2, 9, ...
         value = int(Decimal(text))
         assert _digits_int(text) == value and _digits_int("000" + text) == value
+        # the sign comes off before the split, or the low half would add to a negative high half
+        assert _digits_int("-" + text) == -value and _digits_int("-000" + text) == -value
         assert read_epsilon(f"{text}e-2/7") == Fraction(value, 700)
         assert read_epsilon(f"0.07/{text}") == Fraction(7, 100 * value)
 
