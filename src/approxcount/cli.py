@@ -4,8 +4,8 @@ Instances travel as line-delimited JSON, one object per line, shaped as
 {"problem": ..., "payload": {...}}. Numeric leaves are decimal strings so
 values past 64 bits survive any JSON parser; plain JSON integers are also
 accepted on input. Numbers may have any length; each integer read goes through
-stepfunc._digits_int in subquadratic time, and each written through
-decimal_text in quadratic time. Payload fields by problem (the PROBLEMS table):
+stepfunc._digits_int and each number written through stepfunc.decimal_text,
+both in subquadratic time. Payload fields by problem (the PROBLEMS table):
 
     mtuples       {"sets": [["1","3","7"], ...], "bound": "17"}
     knapsack      {"weights": ["5","3"], "capacity": "10"}
@@ -282,11 +282,11 @@ def cmd_count(args) -> int:
 
 def _drawn(args, count: int):
     """``count`` instances of ``--problem`` drawn from ``--seed``. The count
-    (``--trials``) and the size flags are checked once, before the first draw."""
+    (``--trials``) and every size flag are checked once, before the first draw."""
     if count < 0:
         raise InvalidInput(f"--trials must be at least 0, got {decimal_text(count)}")
-    for name in PROBLEMS[args.problem].sizes:
-        value, least = getattr(args, name), SIZE_FLAGS[name][1]
+    for name, (_, least, _) in SIZE_FLAGS.items():  # also a flag the problem does not read
+        value = getattr(args, name)
         if value is not None and value < least:
             raise InvalidInput(f"--{name} must be at least {least}, got {decimal_text(value)}")
     rng = random.Random(args.seed)
@@ -350,7 +350,7 @@ def cmd_bench(args) -> int:
         for k in scales:
             scale = 10**k
             inst = type(base)(**_mapped(base, scale.__mul__))
-            scale_text = "1" + "0" * k  # 10**k, written out in linear time
+            scale_text = decimal_text(scale)
             for mode, eps in runs:
                 count, calls, sizes, elapsed = run_mode(args.problem, inst, mode, eps)
                 writer.writerow(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import accumulate
 from operator import floordiv, ge, le, lt, mul, sub
@@ -70,10 +70,31 @@ class IntInterval(Record):
         return self.lo <= x <= self.hi
 
 
+# decimal_text's joins: exact at any length, an inexact one raises, and the
+# default Emax of 999,999 would overflow past a million digits
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n), split by bits as :func:`decimal_text` says."""
+    if n.bit_length() <= 4096:
+        return Decimal(n)
+    w = n.bit_length() // 2
+    hi = n >> w
+    return _EXACT.fma(_decimal(hi), _EXACT.power(2, w), _decimal(n - (hi << w)))
+
+
 def decimal_text(q: int | Fraction) -> str:
-    """str(q) at any length; str() refuses more digits than sys.get_int_max_str_digits()."""
+    """str(q) as n or n/d at any length: every number the package writes comes
+    here. Past 4096 bits an integer is split by bits, n = hi * 2**w + lo with
+    0 <= lo < 2**w for either sign; the halves are converted apart and joined
+    by one exact Decimal fused multiply-add, whose long products libmpdec takes
+    by number-theoretic transform, so the time is subquadratic (Brent and
+    Zimmermann, Modern Computer Arithmetic, 2010, 1.7). Decimal(n) alone takes
+    quadratic time, as str(n) does before Python 3.12, and str() refuses more
+    digits than sys.get_int_max_str_digits()."""
     n, d = q.as_integer_ratio()
-    return str(Decimal(n)) if d == 1 else f"{Decimal(n)}/{Decimal(d)}"
+    return str(_decimal(n)) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
 
 _PRECISION_BITS = 96  # of the dyadic k; doubled while the root rounds down to 1
@@ -113,18 +134,22 @@ def read_epsilon(value) -> Fraction:
     """Epsilon as an exact positive rational, from an int, a Fraction, a float
     or Decimal (by its shortest text: 0.1 is 1/10), or text such as "0.25",
     "1e-3" or "1/4" at any length, read through Decimal. InvalidInput is
-    raised for text that is not a rational and for epsilon <= 0; TooLarge
-    when epsilon's numerator plus denominator passes RATIO_BIT_CAP bits, or
-    when a part d of the text does, judged before any Fraction is built from
-    d.adjusted(): d or 1/d is at least 10**(|d.adjusted()| - 1); and when a
-    part has more than _CAP_DIGITS digits. A part's digits become an integer
-    in subquadratic time (:func:`_digits_int`).
+    raised for text that is not a rational or has a character outside ASCII
+    digits and ".eE+-/" (a bool is read as its text, as a float is), and for
+    epsilon <= 0; TooLarge when epsilon's numerator plus denominator passes
+    RATIO_BIT_CAP bits, or when a part d of the text does, judged before any
+    Fraction is built from d.adjusted(): d or 1/d is at least
+    10**(|d.adjusted()| - 1); and when a part has more than _CAP_DIGITS
+    digits. A part's digits become an integer in subquadratic time
+    (:func:`_digits_int`).
     """
-    if isinstance(value, (float, Decimal)):
+    if isinstance(value, (bool, float, Decimal)):
         value = str(value)
     if isinstance(value, str):
         num, slash, den = value.partition("/")
         try:
+            if set(value) - set("0123456789.eE+-/"):  # Decimal also takes "1_0", " 1" and "\u0661"
+                raise ValueError(value)
             parts = Decimal(num), Decimal(den if slash else 1)
             if any(
                 abs(d.adjusted()) - 1 > _CAP_DIGITS or len(d.as_tuple().digits) > _CAP_DIGITS

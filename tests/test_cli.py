@@ -536,8 +536,8 @@ def test_exit_three_at_once_as_a_process_on_an_epsilon_of_more_digits_than_the_c
 
 
 def test_bench_writes_a_scale_at_the_cap_out_at_once_as_a_process():
-    # 10**301029 written out through Decimal took 1.6 s before the exact DP
-    # refused the instance; the scale is written as "1" and k zeros
+    # 10**301029 written out through Decimal(n) alone took 1.6 s before the
+    # exact DP refused the instance; stepfunc.decimal_text splits it by bits
     env = {**os.environ, "PYTHONPATH": str(Path(approxcount.__file__).parent.parent)}
     argv = ["bench", "--problem", "knapsack", "--n", "1", "--scales", "301029"]
     t0 = perf_counter()
@@ -720,12 +720,20 @@ def test_long_numbers_parse_as_strings_and_plain_integers(tmp_path, capsys):
     assert cli.payload_from_instance(inst) == {"weights": [w, w], "capacity": w}
 
 
-@pytest.mark.parametrize("where", ["payload-string", "plain-json-integer", "flag"])
+@pytest.mark.parametrize("where", ["payload-string", "plain-json-integer", "flag", "written"])
 def test_a_number_of_400005_digits_reads_at_once(tmp_path, where):
     # Every number read goes through stepfunc._digits_int; int(Decimal(text))
-    # took about 5 s on each. The repeated digits give the value without a reader.
+    # took about 5 s on each. Every number written goes through
+    # stepfunc.decimal_text; Decimal(value) took about 3.2 s. The repeated
+    # digits give the value without a reader.
     text = "123456789" * 44445
     value = 123456789 * (10 ** len(text) - 1) // (10**9 - 1)
+    if where == "written":
+        start = perf_counter()
+        payload = cli.payload_from_instance(KnapsackInstance((value,), 1))
+        assert perf_counter() - start < 1.5
+        assert payload == {"weights": [text], "capacity": "1"}
+        return
     if where == "flag":
         start = perf_counter()
         read = cli.build_parser().parse_args(["gen", "--problem", "knapsack", "--wmax", text]).wmax
@@ -864,6 +872,9 @@ def test_exit_two_on_numbers_that_are_not_ascii_decimal(tmp_path, capsys, text):
         # longer than str() writes; the message still names it
         (["gen", "--problem", "knapsack", "--n", "-" + "9" * 5000], "--n"),
         (["gen", "--problem", "knapsack", "--trials", "-" + "9" * 5000], "--trials"),
+        # every size flag is checked, also one the problem does not read
+        (["gen", "--problem", "contingency2", "--wmax", "0"], "--wmax"),
+        (["bench", "--problem", "contingency2", "--setmax", "-5"], "--setmax"),
     ],
 )
 def test_exit_two_names_an_out_of_range_size_flag(capsys, argv, flag):
@@ -1014,10 +1025,12 @@ print(json.dumps([on_import, built]))
          "epsilon '' is not a rational number"),
         (["bench", "--problem", "knapsack", "--epsilon", "1,,1/2"], None, 2, [],
          "epsilon '' is not a rational number"),
+        (["bench", "--problem", "knapsack", "--epsilon", "1, 1/2"], None, 2, [],
+         "epsilon ' 1/2' is not a rational number"),
     ],
     ids=["count-skips-blank-lines", "verify-skips-blank-lines", "array-line", "list-payload",
          "zero-epsilon", "verify-without-input-or-problem", "negative-scale", "empty-scales",
-         "comma-scales", "comma-epsilon", "empty-epsilon-entry"],
+         "comma-scales", "comma-epsilon", "empty-epsilon-entry", "spaced-epsilon-entry"],
 )
 def test_input_paths(tmp_path, capsys, argv, text, code, counts, err):
     path = tmp_path / "in.ndjson"

@@ -9,6 +9,7 @@ arithmetic; no tolerance anywhere.
 
 import json
 import math
+import random
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -29,6 +30,7 @@ from approxcount.stepfunc import (
     apx_set_linear,
     apx_set_nondecreasing,
     apx_set_nonincreasing,
+    decimal_text,
     induce,
     read_epsilon,
     shifted_sum,
@@ -92,9 +94,15 @@ class TestToFraction:
         assert read_epsilon("1/" + "9" * 5000) == Fraction(1, 10**5000 - 1)
         assert read_epsilon("1.5/3") == read_epsilon("1e-1/0.2") == Fraction(1, 2)
 
-    @pytest.mark.parametrize("text", ["zebra", "", "1/", "1/0", "inf", "nan", "1/2/3"])
+    # Decimal itself reads "1_0" as 10, strips spaces and reads "\u0661/\u0662" as 1/2;
+    # a bool is read as its text, as a float is
+    @pytest.mark.parametrize(
+        "text",
+        ["zebra", "", "1/", "1/0", "inf", "nan", "1/2/3",
+         "1_0", " 1/2", "1/2 ", "\u0661/\u0662", True],
+    )
     def test_text_that_is_not_a_rational_is_refused(self, text):
-        with pytest.raises(InvalidInput, match=f"^epsilon {text!r} is not a rational number$"):
+        with pytest.raises(InvalidInput, match=f"^epsilon {str(text)!r} is not a rational number$"):
             read_epsilon(text)
 
     @pytest.mark.parametrize("value", ["0", "-1/2", "0/5", "-0", 0, Fraction(-1, 2), -0.5])
@@ -155,6 +163,38 @@ class TestToFraction:
         with pytest.raises(TooLarge, match=f"^epsilon passes the {RATIO_BIT_CAP}-bit cap$"):
             read_epsilon(value)
         assert time.perf_counter() - start < 1
+
+
+class TestDecimalText:
+    """decimal_text: str(Decimal(n)), or n/d, split by bits past 4096 of them."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, -1, 2**4096 - 1, 2**4096, 2**4096 + 1, -(2**4096) + 1, -(2**4096), -(2**4096) - 1,
+         2**4097 - 1, -(2**4097)],
+    )
+    def test_an_integer_is_written_as_decimal_writes_it(self, n):
+        assert decimal_text(n) == str(Decimal(n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_integers_of_either_sign_are_written_as_decimal_writes_them(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            n = rng.getrandbits(rng.randint(1, 60000)) * rng.choice((1, -1))
+            assert decimal_text(n) == str(Decimal(n))
+
+    def test_a_fraction_of_two_long_parts_is_written_as_n_over_d(self):
+        rng = random.Random(7)
+        q = Fraction(-rng.getrandbits(50000), rng.getrandbits(30000) | 1)
+        assert decimal_text(q) == f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+    def test_a_million_digits_are_written_at_once(self):
+        # through Decimal(n) alone it took 17 s; the top bit fixes 1,000,000 digits
+        n = random.Random(1).getrandbits(3_321_927) | 1 << 3_321_927
+        start = time.perf_counter()
+        text = decimal_text(n)
+        assert time.perf_counter() - start < 2
+        assert len(text) == 1_000_000 and _digits_int(text) == n
 
 
 class TestApproxRatio:
