@@ -5,7 +5,8 @@ Instances travel as line-delimited JSON, one object per line, shaped as
 values past 64 bits survive any JSON parser; plain JSON integers are also
 accepted on input. Numbers may have any length; each integer read goes through
 stepfunc._digits_int and each number written through stepfunc.decimal_text,
-both in subquadratic time. Payload fields by problem (the PROBLEMS table):
+both in subquadratic time. Payload fields by problem, the instance types'
+fields (PROBLEMS gives each field's list depth):
 
     mtuples       {"sets": [["1","3","7"], ...], "bound": "17"}
     knapsack      {"weights": ["5","3"], "capacity": "10"}
@@ -76,16 +77,14 @@ SIZE_FLAGS = {
 
 class Problem(NamedTuple):
     instance: type  # its __slots__ are the payload's keys, in order
-    depths: dict[str, int]  # payload field -> how many lists deep its integers sit
-    sizes: tuple[str, ...]  # its SIZE_FLAGS; bench's size is the first
+    depths: tuple[int, ...]  # how many lists deep each slot's integers sit, in __slots__ order
+    size: str  # the SIZE_FLAGS entry bench reports as its size
 
 
 PROBLEMS = {
-    "mtuples": Problem(
-        MTuplesInstance, {"sets": 2, "bound": 0}, ("m", "setmax", "valmax", "bound")
-    ),
-    "knapsack": Problem(KnapsackInstance, {"weights": 1, "capacity": 0}, ("n", "wmax", "cap")),
-    "contingency2": Problem(Contingency2Instance, {"row_sums": 1, "col_sums": 1}, ("n", "cellmax")),
+    "mtuples": Problem(MTuplesInstance, (2, 0), "m"),
+    "knapsack": Problem(KnapsackInstance, (1, 0), "n"),
+    "contingency2": Problem(Contingency2Instance, (1, 1), "n"),
 }
 MODES = ("exact-dp", "exact-brute", "fptas", "strong-fptas")
 APPROX_MODES = ("fptas", "strong-fptas")
@@ -127,7 +126,8 @@ def instance_from_payload(problem: str, payload) -> object:
     if not isinstance(payload, dict):
         raise InvalidInput("payload must be a JSON object")
     instance, depths, _ = PROBLEMS[problem]
-    return instance(**{name: _parsed(payload.get(name), d, name) for name, d in depths.items()})
+    fields = zip(instance.__slots__, depths)
+    return instance(**{name: _parsed(payload.get(name), d, name) for name, d in fields})
 
 
 def _mapped(inst, leaf) -> dict:
@@ -302,7 +302,11 @@ def _generated(problem: str, rng: random.Random, args):
         sets = []
         for _ in range(args.m):
             size = rng.randint(1, min(args.setmax, args.valmax + 1))
-            sets.append(tuple(sorted(rng.sample(range(args.valmax + 1), size))))
+            # not random.sample: it takes len(range(valmax + 1)), which stops at 2**63 - 1
+            chosen = set()
+            while len(chosen) < size:
+                chosen.add(rng.randint(0, args.valmax))
+            sets.append(tuple(sorted(chosen)))
         bound = args.bound if args.bound is not None else rng.randint(0, sum(s[-1] for s in sets))
         return MTuplesInstance(sets=tuple(sets), bound=bound)
     # A random nonnegative 2 x n matrix always has consistent margins; bump a
@@ -333,7 +337,7 @@ def cmd_bench(args) -> int:
     if max(scales) > _CAP_DIGITS:  # refused before 10**k is built
         raise TooLarge(f"--scales: 10**{max(scales)} passes the {RATIO_BIT_CAP}-bit cap")
     (base,) = _drawn(args, 1)
-    size = getattr(args, PROBLEMS[args.problem].sizes[0])
+    size = getattr(args, PROBLEMS[args.problem].size)
 
     if eps_list:
         modes = [m for m in _modes_of(args.problem) if m in APPROX_MODES]

@@ -137,6 +137,47 @@ def test_gen_bumps_every_zero_column_to_one(capsys):
     assert rec["payload"]["col_sums"] == ["1"] * 4
 
 
+# Where valmax + 1 is past random.sample's set-size threshold (21 for up to 5
+# picks), the generator's sets are the ones random.sample draws on the same seed.
+MTUPLES_DRAWS = {
+    "--seed 1 --trials 5": (
+        '{"problem": "mtuples", "payload": {"sets": [["18", "27"], ["8"], ["15"]], "bound": "48"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["12", "15", "20", "25"], ["3", "15"], ["28"]], "bound": "49"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["0", "19", "22", "24"], ["7", "8", "23", "25"], ["0", "3", "10", "28", "30"]], "bound": "2"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["20"], ["0", "12", "21", "28", "30"], ["13", "23"]], "bound": "3"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["7", "14", "15", "24", "30"], ["7", "11", "14", "21", "24"], ["0", "13", "29"]], "bound": "71"}}',
+    ),
+    "--seed 7 --trials 5 --m 6 --setmax 4 --valmax 100": (
+        '{"problem": "mtuples", "payload": {"sets": [["19", "50", "83"], ["9"], ["46"], ["64"], ["4", "11"], ["8", "11", "30", "53"]], "bound": "217"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["72"], ["28"], ["73"], ["5", "6", "28", "71"], ["37", "53"], ["15", "69"]], "bound": "292"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["23", "71", "87"], ["74"], ["12", "47"], ["72"], ["79"], ["63", "87"]], "bound": "272"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["40", "59", "74", "99"], ["23", "31", "38", "46"], ["10", "73"], ["43", "63", "67"], ["9", "15", "36", "77"], ["19", "21", "43", "96"]], "bound": "250"}}',
+        '{"problem": "mtuples", "payload": {"sets": [["5", "9", "85", "97"], ["43", "44", "88"], ["8", "11", "58", "74"], ["60", "85", "89"], ["7"], ["73", "82", "87"]], "bound": "420"}}',
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", MTUPLES_DRAWS)
+def test_gen_mtuples_draws_are_pinned(capsys, flags):
+    code, out, _ = run(capsys, ["gen", "--problem", "mtuples", *flags.split()])
+    assert (code, out.splitlines()) == (0, list(MTUPLES_DRAWS[flags]))
+
+
+@pytest.mark.parametrize("valmax", [2**63 - 1, 10**40], ids=["2**63-1", "10**40"])
+def test_mtuples_values_past_a_machine_word_are_drawn(capsys, valmax):
+    flags = ["--problem", "mtuples", "--valmax", str(valmax), "--seed", "1"]
+    code, out, _ = run(capsys, ["gen", *flags, "--trials", "5"])
+    assert code == 0
+    for rec in json_lines(out):
+        for values in rec["payload"]["sets"]:
+            values = [int(v) for v in values]
+            assert values == sorted(set(values)) and 0 <= values[0] and values[-1] <= valmax
+    code, out, _ = run(capsys, ["bench", *flags, "--epsilon", "1/2", "--scales", "0"])
+    assert (code, len(out.splitlines())) == (0, 3)
+    code, _, err = run(capsys, ["verify", *flags, "--epsilon", "1/2", "--trials", "2"])
+    assert (code, err) == (3, "error: table size exceeds cap\n")
+
+
 def test_verify_reports_ratio_on_golden(golden_file, capsys):
     code, out, _ = run(capsys, ["verify", "--input", golden_file, "--epsilon", "7"])
     assert code == 0
