@@ -108,9 +108,7 @@ class Contingency2Instance(Record):
 
 
 def brute_mtuples(inst: MTuplesInstance) -> int:
-    size = 1
-    for s in inst.sets:
-        size *= len(s)
+    size = math.prod(len(s) for s in inst.sets)
     if size > BRUTE_TUPLE_CAP:
         raise TooLarge(f"{size} tuples exceeds enumeration cap {BRUTE_TUPLE_CAP}")
     b = inst.bound

@@ -121,15 +121,6 @@ def _digits_int(digits: str) -> int:
     return _digits_int(digits[:-half]) * 10**half + _digits_int(digits[-half:])
 
 
-def _scaled(d: Decimal) -> tuple[int, int]:
-    """(c, e) with d = c * 10**e, for a finite d."""
-    if not d.is_finite():
-        raise ValueError(f"{d} is not finite")
-    sign, digits, exponent = d.as_tuple()
-    c = _digits_int(str(Decimal((0, digits, 0))))  # the digits as text, in linear time
-    return -c if sign else c, exponent
-
-
 def read_epsilon(value) -> Fraction:
     """Epsilon as an exact positive rational, from an int, a Fraction, a float
     or Decimal (by its shortest text: 0.1 is 1/10), or text such as "0.25",
@@ -137,11 +128,11 @@ def read_epsilon(value) -> Fraction:
     raised for text that is not a rational or has a character outside ASCII
     digits and ".eE+-/" (a bool is read as its text, as a float is), and for
     epsilon <= 0; TooLarge when epsilon's numerator plus denominator passes
-    RATIO_BIT_CAP bits, or when a part d of the text does, judged before any
-    Fraction is built from d.adjusted(): d or 1/d is at least
-    10**(|d.adjusted()| - 1); and when a part has more than _CAP_DIGITS
-    digits. A part's digits become an integer in subquadratic time
-    (:func:`_digits_int`).
+    RATIO_BIT_CAP bits, or when a part of the text does, judged from the
+    part's one Decimal tuple before any Fraction is built: a part c * 10**e
+    with n digits in c, or its inverse, is at least 10**(|e + n - 1| - 1);
+    and when a part has more than _CAP_DIGITS digits. A part's digits become
+    an integer in subquadratic time (:func:`_digits_int`).
     """
     if isinstance(value, (bool, float, Decimal)):
         value = str(value)
@@ -150,13 +141,12 @@ def read_epsilon(value) -> Fraction:
         try:
             if set(value) - set("0123456789.eE+-/"):  # Decimal also takes "1_0", " 1" and "\u0661"
                 raise ValueError(value)
-            parts = Decimal(num), Decimal(den if slash else 1)
-            if any(
-                abs(d.adjusted()) - 1 > _CAP_DIGITS or len(d.as_tuple().digits) > _CAP_DIGITS
-                for d in parts
-            ):
+            # each part as (sign, digits c, exponent e), worth its signed c times 10**e
+            parts = [Decimal(part).as_tuple() for part in (num, den if slash else "1")]
+            if any(max(len(c), abs(e + len(c) - 1) - 1) > _CAP_DIGITS for _, c, e in parts):
                 raise TooLarge(f"epsilon passes the {RATIO_BIT_CAP}-bit cap")
-            (a, x), (b, y) = map(_scaled, parts)
+            # the signed digits as text in linear time, then read as an integer
+            (a, x), (b, y) = [(_digits_int(str(Decimal((s, c, 0)))), e) for s, c, e in parts]
             value = Fraction(a * 10 ** max(x - y, 0), b * 10 ** max(y - x, 0))
         except (ValueError, ArithmeticError) as exc:  # InvalidOperation, x/0, inf, nan
             raise InvalidInput(f"epsilon {value!r} is not a rational number") from exc

@@ -18,18 +18,20 @@ Each round draws one valid instance of each problem and an epsilon from
   against its row at P_i - y, with no value below its domain;
 * the count against the band, exact <= count <= (1+eps)*exact, with the
   exact count from brute force or meet in the middle (knapsack, m-tuples),
-  inclusion-exclusion (contingency tables) or the closed forms of
-  :mod:`closed_forms`.
+  inclusion-exclusion taken in halves (contingency tables, by
+  :mod:`inclusion_exclusion`) or the closed forms of :mod:`closed_forms`.
 
 Values are 0 or 1 at the edges, else small; one round in five draws values
 up to 10**40, whose rows are too wide to tabulate, and checks only the
 count, with epsilon at least 1/10 for the table and for the instances
 drawn in these rounds only: a knapsack of 9-24 items and an m-tuples
-instance of 5-10 sets, counted by meet in the middle, and two families
-past its reach, counted by closed forms: a knapsack of 1-100 items of 2-4
+instance of 5-10 sets, counted by meet in the middle; two families past
+its reach, counted by closed forms: a knapsack of 1-100 items of 2-4
 distinct weights, also counted by plain fptas at 30 items or fewer, and a
 table of 1-10 equal columns of up to 10**40, or of 1-30 of up to 10**6;
-kept breakpoints grow as log(values)/epsilon, so 30 columns of 10**40
+and, as the equal columns choose, a table of 7-10 random columns of up
+to 10**40, or of 7-20 of up to 10**6, counted by inclusion-exclusion.
+Kept breakpoints grow as log(values)/epsilon, so 30 columns of 10**40
 are too slow for one round. Bounds and capacities are 0, 1, the total,
 the total -1, random, or past the total: by 1, or in the count-only rounds
 by up to 10**30.
@@ -64,7 +66,6 @@ import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
 from operator import mul
 
 from approxcount import (
@@ -86,6 +87,7 @@ from approxcount.mtuples import by_spread
 from approxcount.oracles import brute_knapsack, brute_mtuples
 from closed_forms import equal_columns, knapsack_by_distinct_weights
 from dp_tables import dp_contingency_sum_table, dp_knapsack_table, dp_mtuples_table
+from inclusion_exclusion import contingency_count
 from meet_in_the_middle import knapsack_mitm, mtuples_mitm
 
 SMALL, HUGE, PAST = 30, 10**40, 10**30
@@ -104,19 +106,6 @@ def _epsilon(rng):
     return rng.choice((Fraction(1, 10**15), Fraction(10**9), drawn))
 
 
-def contingency_count(inst: Contingency2Instance) -> int:
-    """Cells 0 <= x_l <= s_l summing to R, by inclusion-exclusion over the
-    columns whose cell is forced past s_l."""
-    r, n = inst.pivot_sum, len(inst.col_sums)
-    total = 0
-    for mask in range(1 << n):
-        over = [s + 1 for l, s in enumerate(inst.col_sums) if mask >> l & 1]
-        rest = r - sum(over)
-        if rest >= 0:
-            total += (-1) ** len(over) * comb(rest + n - 1, n - 1)
-    return total
-
-
 def _mtuples_rows(inst: MTuplesInstance):
     return dp_mtuples_table(inst), list(accumulate(map(len, inst.sets), mul))
 
@@ -128,9 +117,9 @@ def _strong_rows(inst: MTuplesInstance):
 
 def draw(rng):
     """[(problem, instance, exact count, epsilon, [(counter, rows)])], one per
-    problem and, in a count-only round, a wider knapsack and m-tuples
-    instance; rows are the exact rows and the values below 0, or None where
-    only the count is checked."""
+    problem and, in a count-only round, a wider instance of each problem and
+    the closed-form families; rows are the exact rows and the values below
+    0, or None where only the count is checked."""
     eps, dense = _epsilon(rng), rng.random() >= 0.2
     top = SMALL if dense else HUGE
     # the dense rounds tabulate every row over {0..C}; only a count may pass C by far
@@ -168,7 +157,7 @@ def draw(rng):
             (fptas_knapsack, knap_rows), (strong_fptas_knapsack, left_rows)]),
         ("mtuples", tuples, brute_mtuples(tuples), eps, [
             (fptas_mtuples, tuple_rows), (strong_fptas_mtuples, strong_rows)]),
-        ("contingency2", table, contingency_count(table), wide_eps, [
+        ("contingency2", table, contingency_count(cols, table.pivot_sum), wide_eps, [
             (fptas_contingency2, table_rows)]),
     ]
     if dense:
@@ -180,10 +169,14 @@ def draw(rng):
     weights = [rng.choice(values) for _ in range(rng.randint(1, 100))]
     few = KnapsackInstance(tuple(weights), _bound(rng, sum(weights), past()))
     plain = [(fptas_knapsack, None)] if len(weights) <= 30 else []  # up to 1.5 s at 30, eps 1/10
-    columns, cell = rng.choice(((10, top), (30, 10**6)))
-    columns, s = rng.randint(1, columns), _values(rng, 1, 1, cell)[0]
+    most, cell = rng.choice(((10, top), (30, 10**6)))
+    columns, s = rng.randint(1, most), _values(rng, 1, 1, cell)[0]
     r1 = min(_bound(rng, columns * s), columns * s)
     equal = Contingency2Instance((r1, columns * s - r1), (s,) * columns)
+    # random columns, fewer than equal ones: inclusion-exclusion lists 2^(N/2) sums a half
+    wide_cols = [rng.randint(1, cell) for _ in range(rng.randint(7, min(most, 20)))]
+    r1 = min(_bound(rng, sum(wide_cols)), sum(wide_cols))
+    wide_table = Contingency2Instance((r1, sum(wide_cols) - r1), tuple(wide_cols))
     return drawn + [
         ("knapsack", wide_knap, knapsack_mitm(wide_knap.weights, wide_knap.capacity), wide_eps, [
             (fptas_knapsack, None), (strong_fptas_knapsack, None)]),
@@ -192,6 +185,8 @@ def draw(rng):
         ("knapsack", few, knapsack_by_distinct_weights(weights, few.capacity), wide_eps, [
             (strong_fptas_knapsack, None), *plain]),
         ("contingency2", equal, equal_columns(columns, s, equal.pivot_sum), wide_eps, [
+            (fptas_contingency2, None)]),
+        ("contingency2", wide_table, contingency_count(wide_cols, wide_table.pivot_sum), wide_eps, [
             (fptas_contingency2, None)]),
     ]
 

@@ -203,6 +203,21 @@ def test_verify_when_no_tuple_reaches_the_bound(tmp_path, capsys, mode):
     assert (summary["trials"], summary["violations"], summary["max_ratio"]) == (1, 0, "0")
 
 
+def test_verify_flags_a_nonzero_count_when_exact_is_zero(tmp_path, capsys, monkeypatch):
+    # no tuple reaches the bound, so only 0 is in the band; a count of 1 is out
+    # of it, and no ratio to 0 is written or taken into max_ratio
+    path = tmp_path / "none.ndjson"
+    payload = {"sets": [["1"], ["2"]], "bound": "10"}
+    path.write_text(json.dumps({"problem": "mtuples", "payload": payload}) + "\n")
+    monkeypatch.setattr(cli, "run_mode", lambda *a: (1, 0, [], 0.0))
+    code, out, _ = run(capsys, ["verify", "--input", str(path), "--epsilon", "1/2"])
+    assert code == 1
+    rec, summary = json_lines(out)
+    assert (rec["count"], rec["exact"], rec["ok"]) == ("1", "0", False)
+    assert "ratio_vs_exact" not in rec and rec["payload"] == payload
+    assert (summary["trials"], summary["violations"], summary["max_ratio"]) == (1, 1, "0")
+
+
 def test_verify_generated_knapsack(capsys):
     code, out, _ = run(
         capsys,

@@ -94,12 +94,24 @@ class TestToFraction:
         assert read_epsilon("1/" + "9" * 5000) == Fraction(1, 10**5000 - 1)
         assert read_epsilon("1.5/3") == read_epsilon("1e-1/0.2") == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("+1", 1), ("1/+2", Fraction(1, 2)), (".5/.25", 2), ("5./2e0", Fraction(5, 2)),
+         ("-1/-2", Fraction(1, 2))],
+    )
+    def test_signs_and_bare_points_read_exactly(self, text, value):
+        assert read_epsilon(text) == value
+
     # Decimal itself reads "1_0" as 10, strips spaces and reads "\u0661/\u0662" as 1/2;
-    # a bool is read as its text, as a float is
+    # a bool is read as its text, as a float is. Both parts are parsed before
+    # either is capped, so a part that does not parse is refused before a part
+    # past the cap: "1e999999999/" is not a rational, not too large.
     @pytest.mark.parametrize(
         "text",
         ["zebra", "", "1/", "1/0", "inf", "nan", "1/2/3",
-         "1_0", " 1/2", "1/2 ", "\u0661/\u0662", True],
+         "1_0", " 1/2", "1/2 ", "\u0661/\u0662", True,
+         "1e999999999/", "1e999999999/1..2", "1..2/1e999999999", "1/-0",
+         "Infinity", "-Inf", "sNaN", "NaN/1", "1/inf"],
     )
     def test_text_that_is_not_a_rational_is_refused(self, text):
         with pytest.raises(InvalidInput, match=f"^epsilon {str(text)!r} is not a rational number$"):
@@ -114,11 +126,13 @@ class TestToFraction:
         "value",
         ["1e-999999999", "1e999999999", "1e-30000000", "-1e-999999999", "1/1e-999999999",
          "1e999999999/1e999999999", "1e-301030", Decimal("1e-999999999"),
-         Fraction(1, 2**RATIO_BIT_CAP)],
+         Fraction(1, 2**RATIO_BIT_CAP), "1e999999999/0", "0/1e999999999", "0e999999999"],
     )
     def test_epsilon_past_the_ratio_cap_is_refused_at_once(self, value):
         # a part's power of ten is judged from its exponent, never built; each
-        # part is judged, so 1e999999999/1e999999999 is refused, though it is 1
+        # part is judged, so 1e999999999/1e999999999 is refused, though it is 1,
+        # and so is 0e999999999, which is 0; both parts are capped before either
+        # is converted, so 1e999999999/0 is too large before its zero is found
         start = time.perf_counter()
         with pytest.raises(TooLarge, match=f"^epsilon passes the {RATIO_BIT_CAP}-bit cap$"):
             read_epsilon(value)
@@ -163,6 +177,26 @@ class TestToFraction:
         with pytest.raises(TooLarge, match=f"^epsilon passes the {RATIO_BIT_CAP}-bit cap$"):
             read_epsilon(value)
         assert time.perf_counter() - start < 1
+
+    def test_short_texts_read_as_decimal_parts_divided(self):
+        # Six characters keep every exponent far under the caps, so each text
+        # reads as its parts' exact quotient, or is refused where that fails.
+        rng = random.Random(43)
+        for _ in range(10_000):
+            text = "".join(rng.choice("0123456789.eE+-/") for _ in range(rng.randint(1, 6)))
+            num, slash, den = text.partition("/")
+            try:
+                want = Fraction(Decimal(num)) / Fraction(Decimal(den if slash else "1"))
+            except ArithmeticError:  # InvalidOperation, or a zero denominator
+                want = None
+            if want is None:
+                with pytest.raises(InvalidInput, match="is not a rational number$"):
+                    read_epsilon(text)
+            elif want <= 0:
+                with pytest.raises(InvalidInput, match="^epsilon must be positive$"):
+                    read_epsilon(text)
+            else:
+                assert read_epsilon(text) == want, text
 
 
 class TestDecimalText:
