@@ -10,13 +10,16 @@ replaces each row by a step function compressed by binary search over
 :func:`strong_fptas_knapsack` counts the items left out: a subset weighs at
 most C exactly when they weigh at least W - C, W the total weight. So it is
 :func:`~approxcount.mtuples.strong_fptas_mtuples` with the bound
-max(0, W - C) on the items taken heaviest first, two to a set: a pair a >= b
-is the set {0, a, b, a + b}, what its four subsets leave out, and an odd last
-item, the lightest, the set {0, w}. About n/2 stages then share 1+epsilon, so
-each merges with a larger k than one stage per item would allow; compressing
-a pair's sum gives what an exact stage for its first item, then a compressed
-one for its second, would. The count is in the same band, at work
-independent of the magnitude of the weights and the capacity.
+max(0, W - C) on the items taken heaviest first, three to a set: a group of
+g items is the set of the 2^g weights its subsets leave out, and a last group
+of the one or two lightest items is built alike. About n/3 stages then share
+1+epsilon, so each merges with a larger k than one stage per item would
+allow; compressing a group's sums gives what exact stages for its first
+items, then a compressed one for its last, would. A stage's work is its set
+size times the previous stage's kept breakpoints, which grow with the number
+of stages, so g items to a set cost about n^2 * 2^g / g^2, least at g = 3.
+The count is in the same band, at work independent of the magnitude of the
+weights and the capacity.
 """
 
 from __future__ import annotations
@@ -35,15 +38,21 @@ EMPTY_SUBSET_ROW = StepFunction((0,), (1,), 0)
 def left_out(inst: KnapsackInstance) -> MTuplesInstance:
     """The m-tuples instance whose tuples are the items a subset leaves out.
 
-    The items are taken heaviest first, two to a set: consecutive weights
-    a >= b give the set (0, a, b, a + b), one element per subset of the
-    pair, and an odd last item, the lightest, gives (0, w). So the tuples
-    are the subsets, one to one, and the sets come in spread order.
+    The items are taken heaviest first, three to a set: a group's set holds
+    the sums of its subsets, one element per subset, built by doubling, so
+    a >= b >= c give (0, a, b, a + b, c, a + c, b + c, a + b + c), and a last
+    group of the one or two lightest items gives (0, w) or (0, a, b, a + b).
+    So the tuples are the subsets, one to one, and the sets come in spread
+    order. With g items to a set a run's stage work is about
+    n^2 * 2^g / g^2, least at g = 3.
     """
     ws = sorted(inst.weights, reverse=True)
-    sets = tuple((0, a, b, a + b) for a, b in zip(ws[::2], ws[1::2]))
-    if len(ws) % 2:
-        sets += ((0, ws[-1]),)
+    sets = []
+    for i in range(0, len(ws), 3):
+        sums = [0]
+        for w in ws[i : i + 3]:
+            sums += [s + w for s in sums]
+        sets.append(sums)
     return MTuplesInstance(sets, max(0, sum(ws) - inst.capacity))
 
 

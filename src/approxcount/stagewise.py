@@ -25,7 +25,7 @@ over the domain each stage names: knapsack with S_i = (0, w_i), m-tuples
 with S_i the i-th set. The plain variants name {0..hi} for every stage and
 compress by binary search: nondecreasing for knapsack, nonincreasing for
 m-tuples. Strong m-tuples, which strong knapsack runs on the items a
-subset leaves out, two to a set (:mod:`~approxcount.knapsack`), names each
+subset leaves out, three to a set (:mod:`~approxcount.knapsack`), names each
 stage's reachable window and keeps what the nonincreasing binary search
 over it keeps (:mod:`~approxcount.mtuples`). Shifts are nonnegative, so a stage whose
 domain starts where the previous one's does is |S_i| times the previous

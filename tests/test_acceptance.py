@@ -154,6 +154,14 @@ def test_strong_counters_stay_in_the_band_past_the_dps():
                 tuples = MTuplesInstance(sets=sets, bound=rng.randint(0, sum(map(max, sets))))
                 exact = mtuples_mitm(tuples.sets, tuples.bound)
                 assert in_band(exact, strong_fptas_mtuples(tuples, eps).count, eps), tuples
+    # weights up to 1e9 at each n mod 3, so the lightest set holds three, one
+    # or two of the items
+    for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3)):
+        for n in (6, 19, 23, 24, 22, 14):
+            weights = tuple(rng.randint(1, 10**9) for _ in range(n))
+            knap = KnapsackInstance(weights=weights, capacity=rng.randint(0, sum(weights)))
+            exact = knapsack_mitm(knap.weights, knap.capacity)
+            assert in_band(exact, strong_fptas_knapsack(knap, eps).count, eps), knap
 
 
 def test_plain_counters_stay_in_the_band_past_the_dps():
@@ -298,7 +306,7 @@ def test_breakpoint_sets_stay_logarithmic_and_functions_stay_in_band():
         inst = random_knapsack(rng)
         if inst.capacity > 500:
             continue
-        # the counter takes the left-out items heaviest first, two to a set
+        # the counter takes the left-out items heaviest first, three to a set
         tuples = left_out(inst)
         sets = by_spread(tuples.sets)
         rows = dp_mtuples_table(MTuplesInstance(sets, tuples.bound))

@@ -3,9 +3,9 @@
 The stage invariant block is the heart of this file. The strong counter
 counts the items a subset leaves out: with W the total weight, a subset
 weighs at most C exactly when they weigh at least B = max(0, W - C). It
-takes the items heaviest first, two to a stage: stage i's set S_i holds the
-weights the four subsets of a pair leave out, (0, a, b, a + b), or (0, w)
-for an odd last item. For each stage it builds a candidate index Inc_i
+takes the items heaviest first, three to a stage: stage i's set S_i holds the
+weights the eight subsets of a group leave out, or the four or two of a last
+group of two or one items. For each stage it builds a candidate index Inc_i
 (recomputed here from the report, tests/strong_candidates.py), a breakpoint
 set W_i, and a compressed row that_i of left-out subsets; soundness needs
 four relations between them and the raw row tbar_i(j), the sum of
@@ -18,6 +18,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -78,34 +79,42 @@ def test_an_epsilon_past_the_ratio_cap_is_refused_at_once():
 
 
 def test_report_shape():
-    # one stage per pair of items, heaviest first, and one for the odd lightest
-    inst = KnapsackInstance(weights=(4, 4, 9), capacity=12)
+    # one stage for the three heaviest items, and one for the lightest left
+    inst = KnapsackInstance(weights=(4, 4, 9, 2), capacity=12)
     rep = strong_fptas_knapsack(inst, Fraction(1, 3))
     assert len(rep.set_sizes) == len(left_out(inst).sets) == 2
     assert len(stage_candidates(rep, left_out(inst))) == 2
     assert rep.set_sizes == [len(f.xs) for f in rep.stage_functions]
 
 
-def test_left_out_pairs_the_items_heaviest_first():
-    # Each pair (a, b), a >= b, is the set of the weights its four subsets
-    # leave out; an odd last item, the lightest, is left alone. The sets come
-    # in spread order, so the strong counter takes them as built.
-    inst = KnapsackInstance(weights=(3, 9, 1, 5, 7), capacity=10)
-    assert left_out(inst) == MTuplesInstance(((0, 9, 7, 16), (0, 5, 3, 8), (0, 1)), 15)
-    even = KnapsackInstance(weights=(2, 8, 8, 4), capacity=30)
-    assert left_out(even) == MTuplesInstance(((0, 8, 8, 16), (0, 4, 2, 6)), 0)
+def test_left_out_groups_the_items_three_at_a_time_heaviest_first():
+    # Each group of three consecutive weights, heaviest first, is the set of
+    # the weights its eight subsets leave out; a last group of the one or two
+    # lightest items is built alike. The sets come in spread order, so the
+    # strong counter takes them as built.
+    six = KnapsackInstance(weights=(6, 1, 4, 2, 3, 5), capacity=7)
+    assert left_out(six) == MTuplesInstance(
+        ((0, 6, 5, 11, 4, 10, 9, 15), (0, 3, 2, 5, 1, 4, 3, 6)), 14
+    )
+    four = KnapsackInstance(weights=(2, 8, 8, 4), capacity=30)
+    assert left_out(four) == MTuplesInstance(((0, 8, 8, 16, 4, 12, 12, 20), (0, 2)), 0)
+    five = KnapsackInstance(weights=(3, 9, 1, 5, 7), capacity=10)
+    assert left_out(five) == MTuplesInstance(((0, 9, 7, 16, 5, 14, 12, 21), (0, 3, 1, 4)), 15)
     assert left_out(KnapsackInstance((6,), 2)).sets == ((0, 6),)
     rng = random.Random(3838)
     for n in range(1, 31):
         weights = [rng.randint(1, rng.choice((3, 10**9))) for _ in range(n)]
         inst = KnapsackInstance(weights, rng.randint(0, sum(weights)))
         tuples, ws = left_out(inst), sorted(weights, reverse=True)
-        assert tuples.sets[: n // 2] == tuple((0, a, b, a + b) for a, b in zip(ws[::2], ws[1::2]))
-        assert tuples.sets[n // 2 :] == (((0, ws[-1]),) if n % 2 else ())
+        groups = [ws[i : i + 3] for i in range(0, n, 3)]
+        assert len(tuples.sets) == len(groups)
+        for sums, group in zip(tuples.sets, groups):
+            subsets = [c for r in range(len(group) + 1) for c in combinations(group, r)]
+            assert sorted(sums) == sorted(map(sum, subsets))
         assert by_spread(tuples.sets) == list(tuples.sets)
         rep = strong_fptas_knapsack(inst, Fraction(1, 2))
-        assert len(rep.set_sizes) == math.ceil(n / 2)
-        assert rep.chain_length <= math.ceil(n / 2)
+        assert len(rep.set_sizes) == math.ceil(n / 3)
+        assert rep.chain_length <= math.ceil(n / 3)
 
 
 def random_instance(rng, n_max=10, w_max=50, c_max=300):
@@ -171,7 +180,7 @@ def test_set_sizes_logarithmic_in_subset_count():
 class TestStageInvariants:
     """Dense per-stage checks of the strong counter, capacities <= 500. Its
     stages are the sets of left-out weights in the counter's stage order
-    (by_spread, heaviest pair first), each over its reachable window
+    (by_spread, heaviest group first), each over its reachable window
     {max(0, B - later maxima)..B}, the later maxima being the total weight
     of the items of the later sets."""
 
